@@ -5,9 +5,10 @@ traffic of a given shape can N nodes clear under a given scheduling
 policy without violating the SLOs?*  This module measures it by binary
 search over the offered rate — each probe regenerates the scenario at the
 probe rate (arrival processes scale with the rate by construction,
-:mod:`repro.engine.workloads`), serves it on a fresh
-:class:`~repro.engine.FrameServer`, and checks the outcome against the
-sustainability criteria:
+:mod:`repro.engine.workloads`), serves it schedule-only
+(``compute=False``: the simulated-time outcome without logits) on a
+fresh :class:`~repro.engine.FrameServer`, and checks the outcome against
+the sustainability criteria:
 
 * when the scenario defines deadlines: overall SLO hit rate at least
   ``min_hit_rate`` (drops, sheds and late deliveries all count against
@@ -154,6 +155,10 @@ def _probe(
 ) -> _ProbeOutcome:
     """Serve the scenario once at ``offered_fps`` and judge the outcome.
 
+    The serve is schedule-only (``compute=False``): the verdict reads
+    only simulated-time stream and SLO statistics, which on a fresh
+    server equal a full serve's, so no logits are computed.
+
     ``cache`` is the study-wide :class:`WeightProgramCache`: programs are
     deterministic in (kernel set, bits, die seed), so sharing it across
     probes skips the repeated cold AWC programming without changing any
@@ -175,7 +180,7 @@ def _probe(
         policy=policy,
         cache=cache,
     )
-    report = server.serve_scenario(scenario)
+    report = server.serve_scenario(scenario, compute=False)
     drop_rate = report.stream.drop_rate
     has_deadlines = report.slo is not None and any(
         stats.deadline_s is not None for stats in report.slo.classes.values()

@@ -355,7 +355,9 @@ def build_resilience_report(
 
     Every rung serves the *same* request stream (same scenario seed) on a
     fresh server, so the rows differ only in the failover configuration —
-    deterministic per settings, byte-for-byte.
+    deterministic per settings, byte-for-byte.  The rows read only
+    simulated-time outcomes, so each rung serves schedule-only
+    (``compute=False``), which on a fresh server leaves them unchanged.
     """
     from repro.engine.failover import availability, recovery_time_s
     from repro.engine.server import FrameServer
@@ -387,7 +389,7 @@ def build_resilience_report(
         for key, model in scenario.models.items():
             server.register_model(key, model)
         server.warmup()
-        serve_report = server.serve_scenario(scenario)
+        serve_report = server.serve_scenario(scenario, compute=False)
         interactive = (
             serve_report.slo.classes.get(settings.interactive_class)
             if serve_report.slo is not None

@@ -33,18 +33,18 @@ degradation tag)`` in dispatch order — is also the compute-mode-agnostic
 contract of the host compute step: the server's vectorized batched warm
 path and its retained per-chunk reference loop both consume it verbatim,
 which is what lets ``tests/test_engine_batched.py`` pin the two paths
-bit-identical without touching scheduling.
+bit-identical without touching scheduling.  A schedule-only serve
+(``compute=False``) stops after this step.
 
 Units: all event times in *simulated* seconds (the ``StreamEvent``
-clock); ``wall_clock_s`` in the result is host time spent building
-pipelines/timing tables, kept separate by design.
+clock).  The scheduler reads no host clock; the server times the whole
+``serve`` call once (``ServeReport.wall_clock_s``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -300,8 +300,6 @@ class SchedulingResult:
     #: request idx -> model key actually dispatched, recorded only when it
     #: differs from the requested key (brownout reduced-bits variants).
     served: dict[int, str] = field(default_factory=dict)
-    #: Host time spent on pipeline builds + timing tables.
-    wall_clock_s: float = 0.0
 
 
 class FrameScheduler:
@@ -439,8 +437,6 @@ class FrameScheduler:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, now_s: float, index: int) -> None:
-        clock = time.perf_counter
-        started = clock()
         if self.monitor is not None:
             self.monitor.advance(now_s)
         request = self._requests[index]
@@ -470,7 +466,6 @@ class FrameScheduler:
             brownout.observe(now_s, wait, unavailable)
             if not brownout.admits(slo):
                 brownout.report.shed_frames += 1
-                self._result.wall_clock_s += clock() - started
                 self._drop(index, now_s, shed=True)
                 return
             limit = brownout.effective_max_queue_s(slo)
@@ -478,19 +473,16 @@ class FrameScheduler:
                 if slo.max_queue_s is None or wait <= slo.max_queue_s:
                     # Only the tightened bound sheds it — bill brownout.
                     brownout.report.shed_frames += 1
-                self._result.wall_clock_s += clock() - started
                 self._drop(index, now_s, shed=True)
                 return
         elif slo.max_queue_s is not None and self.admission.sheds(
             model_key, self._wait_estimate(now_s, slo)
         ):
-            self._result.wall_clock_s += clock() - started
             self._drop(index, now_s, shed=True)
             return
         node = self.policy.select_node(self.nodes, now_s, model_key)
         if node is None:
             if not self.policy.queueing or slo.drop_policy == "busy":
-                self._result.wall_clock_s += clock() - started
                 self._drop(index, now_s)
                 return
             self.policy.enqueue(item)
@@ -500,9 +492,8 @@ class FrameScheduler:
             # the dispatch-time push alone does not cover it.
             for candidate in self.nodes:
                 self._push_free_event(candidate)
-            self._result.wall_clock_s += clock() - started
             return
-        self._dispatch(item, node, now_s, started)
+        self._dispatch(item, node, now_s)
 
     def _push_free_event(self, node) -> None:
         """Schedule ``node``'s next completion (at most one pending)."""
@@ -523,21 +514,22 @@ class FrameScheduler:
             # a health recalibration) after this event was scheduled.
             self._push_free_event(node)
             return
+        if not self.policy.queueing:
+            # Nothing waits under a drop-if-busy policy; the event came
+            # from a warm spare's bring-up.
+            return
         item = self._pop_live(now_s)
         if item is None:
             return
-        clock = time.perf_counter
-        started = clock()
         if self.monitor is not None:
             self.monitor.advance(now_s)
             if now_s < node.free_at - _EPS or not math.isfinite(node.free_at):
                 # The monitor just took this node offline; put the frame
                 # back and wait for the node's next completion.
                 self.policy.requeue(item)
-                self._result.wall_clock_s += clock() - started
                 self._push_free_event(node)
                 return
-        self._dispatch(item, node, now_s, started)
+        self._dispatch(item, node, now_s)
 
     def _pop_live(self, now_s: float) -> QueuedFrame | None:
         """Next queued frame whose deadline can still be met (expired
@@ -628,12 +620,9 @@ class FrameScheduler:
     def _on_retry(self, now_s: float, serial: int) -> None:
         """One retry event: re-dispatch, re-queue, back off, or abandon."""
         item = self._retry_items.pop(serial)
-        clock = time.perf_counter
-        started = clock()
         if self.monitor is not None:
             self.monitor.advance(now_s)
         if item.deadline_s < now_s - _EPS:
-            self._result.wall_clock_s += clock() - started
             self._drop(item.index, item.arrival_s, lost=True)
             return
         node = self.policy.select_node(self.nodes, now_s, item.model_key)
@@ -642,7 +631,6 @@ class FrameScheduler:
                 self.policy.enqueue(item)
                 for candidate in self.nodes:
                     self._push_free_event(candidate)
-                self._result.wall_clock_s += clock() - started
                 return
             retry_at = (
                 self.failover.retry_after_busy(
@@ -651,7 +639,6 @@ class FrameScheduler:
                 if self.failover is not None
                 else None
             )
-            self._result.wall_clock_s += clock() - started
             if retry_at is None:
                 self._drop(item.index, item.arrival_s, lost=True)
             else:
@@ -659,12 +646,9 @@ class FrameScheduler:
                     retry_at, replace(item, attempt=item.attempt + 1)
                 )
             return
-        self._dispatch(item, node, now_s, started)
+        self._dispatch(item, node, now_s)
 
-    def _dispatch(
-        self, item: QueuedFrame, node, start_s: float, started_clock: float
-    ) -> None:
-        clock = time.perf_counter
+    def _dispatch(self, item: QueuedFrame, node, start_s: float) -> None:
         entry = self.models[item.model_key]
         if self.failover is not None:
             effective = self.failover.effective_model_key(item.model_key)
@@ -677,13 +661,12 @@ class FrameScheduler:
                 self.failover.brownout.report.reduced_bits_frames += 1
             else:
                 self._result.served.pop(item.index, None)
-        # Building the pipeline (first sighting of a model on a node) and
-        # the timing tables is host work; charge it to wall clock.
+        # The first sighting of a model on a node builds its pipeline (and
+        # programs the die); the timing tables are cached per geometry.
         pipeline = node.pipeline_for(entry)
         steady, remap, steady_j, remap_j = entry.timing_for(
             pipeline, np.shape(self._requests[item.index].frame)
         )
-        self._result.wall_clock_s += clock() - started_clock
 
         tag = (
             self.monitor.degradation_tag(node)

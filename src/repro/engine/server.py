@@ -36,12 +36,18 @@ degraded/recovered statistics (:class:`ServeReport.health`).  With no
 profile the health path is absent and serving is bit-identical to the
 pre-health engine.
 
+``serve(..., compute=False)`` is the schedule-only mode: everything
+above runs except the host-side logits, so analyses that read only the
+simulated-time outcome (capacity search, resilience drills) skip the
+compute stage entirely.
+
 Units: arrivals/latencies in *simulated* seconds (``arrival_s``,
 ``StreamEvent`` fields), energies in joules, ``wall_clock_s`` in host
-seconds — the two clocks are independent by design, so host-side caching
-never changes simulated physics.  Paper anchors: the 1000 FPS frame-rate
-claim (Section IV) sets the default offered rate; the fleet transport
-budget reuses Fig. 2's thing-centric payload accounting.
+seconds over the whole ``serve`` call — the two clocks are independent
+by design, so host-side caching never changes simulated physics.  Paper
+anchors: the 1000 FPS frame-rate claim (Section IV) sets the default
+offered rate; the fleet transport budget reuses Fig. 2's thing-centric
+payload accounting.
 
 Layering: this module is the thin facade.  Simulated-time admission and
 placement live in :mod:`repro.engine.scheduler`, service levels in
@@ -98,7 +104,7 @@ from repro.engine.scheduler import (
 )
 from repro.engine.store import ProgramStore
 from repro.nn.layers import Sequential
-from repro.nn.quant import UniformWeightQuantizer
+from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.sim.fleet import FleetModel, RadioModel
 from repro.sim.stream import StreamEvent, StreamReport
 from repro.util.parallel import ParallelConfig, parallel_map
@@ -186,7 +192,9 @@ class ServeReport:
     #: same shape :mod:`repro.sim.stream` reports.
     stream: StreamReport
     responses: list[FrameResponse] = field(default_factory=list)
-    #: Host wall-clock spent computing the admitted frames.
+    #: Host wall-clock of the whole :meth:`FrameServer.serve` call, from
+    #: entry to return: validation, scheduling, compute (when on) and
+    #: report assembly.
     wall_clock_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -238,6 +246,9 @@ class _ModelEntry:
     ) -> None:
         self.key = key
         self.model = model
+        #: The layer that runs on-die (``None`` for a float model, which
+        #: pipeline construction rejects with its own message).
+        self._stem = HardwareFirstLayerPipeline._find_first_quant_layer(model)
         self._config = config
         self._fleet = fleet
         #: Per-die timing/energy tables, keyed by (die seed, frame shape):
@@ -258,24 +269,42 @@ class _ModelEntry:
         """(payload bytes, radio energy [J]) per delivered frame."""
         return self._transport
 
+    def check_frame_shape(self, frame_shape: tuple[int, ...]) -> None:
+        """Raise ``ValueError`` unless ``frame_shape`` fits the on-die layer.
+
+        A dense stem takes any frame whose flattened length equals its
+        input features; a conv stem takes ``(C, H, W)`` frames with its
+        input channel count.
+        """
+        stem = self._stem
+        if stem is None:
+            return
+        expected = stem.weight.data.shape[1]
+        if isinstance(stem, QuantDense):
+            if math.prod(frame_shape) != expected:
+                raise ValueError(
+                    f"model {self.key!r} expects frames of {expected} "
+                    f"features, got shape {tuple(frame_shape)}"
+                )
+            return
+        if len(frame_shape) != 3:
+            raise ValueError(
+                f"model {self.key!r} expects (C, H, W) frames, got shape "
+                f"{tuple(frame_shape)}"
+            )
+        if frame_shape[0] != expected:
+            raise ValueError(
+                f"model {self.key!r} expects {expected}-channel frames, "
+                f"got {frame_shape[0]}"
+            )
+
     def _workload(self, pipeline: HardwareFirstLayerPipeline, frame_shape):
         if pipeline.is_dense:
             return MlpWorkload(
                 input_features=int(np.prod(frame_shape)),
                 output_features=pipeline.conv.weight.data.shape[0],
             )
-        if len(frame_shape) != 3:
-            raise ValueError(
-                f"model {self.key!r} expects (C, H, W) frames, got shape "
-                f"{tuple(frame_shape)}"
-            )
         channels, rows, cols = frame_shape
-        expected = pipeline.conv.weight.data.shape[1]
-        if channels != expected:
-            raise ValueError(
-                f"model {self.key!r} expects {expected}-channel frames, "
-                f"got {channels}"
-            )
         return ConvWorkload(
             kernel_size=pipeline.conv.kernel_size,
             num_kernels=pipeline.conv.weight.data.shape[0],
@@ -664,6 +693,8 @@ class FrameServer:
         for key in keys:
             if key not in self._models:
                 raise ValueError(f"unknown model key {key!r}")
+            if frame_shape is not None:
+                self._models[key].check_frame_shape(tuple(frame_shape))
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
         started = time.perf_counter()
         if parallel is not None and not parallel.is_serial:
@@ -740,6 +771,7 @@ class FrameServer:
         requests: list[FrameRequest],
         offered_fps: float | None = None,
         node_limit: int | None = None,
+        compute: bool = True,
     ) -> ServeReport:
         """Admit, schedule and compute a stream of requests.
 
@@ -752,6 +784,27 @@ class FrameServer:
         the admitted frames then compute in micro-batches, grouped into
         consecutive same-model runs per node.
 
+        Every request is validated before anything is scheduled: an
+        unknown model key, a non-finite or negative ``arrival_s``, or a
+        frame shape the model's on-die layer cannot take raises
+        ``ValueError`` naming the request index, with node state and
+        cache counters untouched.
+
+        ``compute=False`` serves schedule-only: arrival resolution,
+        admission, scheduling, the health/chaos/failover layers and
+        report assembly run exactly as above and only the host-side
+        logits are skipped.  Every response then carries
+        ``output=None``, no read-noise is drawn, and the cache counters
+        cover only pipeline construction.  On a freshly built server the
+        report equals a full serve's in every field except the outputs,
+        the cache counters and ``wall_clock_s``, and only there: under a
+        fault profile or chaos plan the health monitor reads host-side
+        kernel residency, which a skipped compute leaves where
+        scheduling put it, so a later serve on the same server can
+        diverge.  Capacity search and the resilience ladder read only
+        the simulated-time outcome and build a fresh server per serve;
+        the CLI, the control plane and the benches read outputs.
+
         ``node_limit`` restricts this call to the first ``node_limit``
         nodes — the control plane's autoscaling hook.  Because
         :func:`~repro.util.rng.spawn_seeds` is prefix-stable, the first
@@ -762,6 +815,7 @@ class FrameServer:
         make the next scale-up free).  ``None`` (the default) serves on
         every node — byte-identical to a server without the parameter.
         """
+        started = time.perf_counter()
         rate = offered_fps if offered_fps is not None else self.config.frame_rate_hz
         check_positive("offered_fps", rate)
         interval = 1.0 / rate
@@ -787,9 +841,29 @@ class FrameServer:
                     "node_limit does not compose with fault/chaos/"
                     "failover layers; configure the shard server plain"
                 )
-        for request in requests:
-            if request.model_key not in self._models:
-                raise ValueError(f"unknown model key {request.model_key!r}")
+        # One shape check per distinct (model key, frame shape) pair keeps
+        # the pass at a set lookup per request.
+        checked: set[tuple[str, tuple[int, ...]]] = set()
+        for index, request in enumerate(requests):
+            arrival = request.arrival_s
+            if arrival is not None and not 0.0 <= arrival < math.inf:
+                raise ValueError(
+                    f"request {index}: arrival_s must be finite and "
+                    f"non-negative, got {arrival!r}"
+                )
+            pair = (request.model_key, request.frame.shape)
+            if pair in checked:
+                continue
+            entry = self._models.get(request.model_key)
+            if entry is None:
+                raise ValueError(
+                    f"request {index}: unknown model key {request.model_key!r}"
+                )
+            try:
+                entry.check_frame_shape(pair[1])
+            except ValueError as error:
+                raise ValueError(f"request {index}: {error}") from None
+            checked.add(pair)
 
         # Each serve() call simulates one stream starting at t = 0; kernel
         # residency (active/programmed models, cache) carries over, busy
@@ -846,12 +920,11 @@ class FrameServer:
         )
         result = scheduler.run(requests, arrivals)
 
-        outputs, batch_wall = self._compute(requests, result.schedule, monitor)
-
-        report = ServeReport(
-            stream=result.stream,
-            wall_clock_s=result.wall_clock_s + batch_wall,
+        outputs = (
+            self._compute(requests, result.schedule, monitor) if compute else {}
         )
+
+        report = ServeReport(stream=result.stream)
         report.cache_hits = self.cache.stats.hits - hits0
         report.cache_misses = self.cache.stats.misses - misses0
         if monitor is not None:
@@ -901,6 +974,7 @@ class FrameServer:
         # shared with the nodes they covered — persist).
         if len(self.nodes) > base_nodes:
             del self.nodes[base_nodes:]
+        report.wall_clock_s = time.perf_counter() - started
         return report
 
     def serve_frames(
@@ -917,6 +991,7 @@ class FrameServer:
         self,
         scenario,
         offered_fps: float | None = None,
+        compute: bool = True,
     ) -> ServeReport:
         """Serve a :class:`~repro.engine.workloads.Scenario` end-to-end.
 
@@ -926,7 +1001,8 @@ class FrameServer:
         list at ``offered_fps`` (default: the scenario's suggested rate,
         else the configured frame rate).  Adoption is per call: a later
         scenario's classes replace an earlier one's, and a class-less
-        scenario serves best-effort again.
+        scenario serves best-effort again.  ``compute=False`` serves
+        schedule-only, as in :meth:`serve`.
 
         Raises ``ValueError`` when the scenario reuses an already
         registered model key for a *different* kernel set (e.g. the same
@@ -938,7 +1014,7 @@ class FrameServer:
         if not self._explicit_slo:
             self.admission = AdmissionController(scenario.slo_classes)
         rate = offered_fps if offered_fps is not None else scenario.offered_fps
-        return self.serve(scenario.requests, offered_fps=rate)
+        return self.serve(scenario.requests, offered_fps=rate, compute=compute)
 
     # ------------------------------------------------------------------
     # Internals
@@ -1029,7 +1105,7 @@ class FrameServer:
         requests: list[FrameRequest],
         schedule: list[tuple[int, int, str, int]],
         monitor=None,
-    ) -> tuple[dict[int, np.ndarray], float]:
+    ) -> dict[int, np.ndarray]:
         """Run the admitted frames in per-(node, model) runs.
 
         Dispatches to the vectorized batched path (the default) or the
@@ -1050,7 +1126,7 @@ class FrameServer:
         requests: list[FrameRequest],
         schedule: list[tuple[int, int, str, int]],
         monitor=None,
-    ) -> tuple[dict[int, np.ndarray], float]:
+    ) -> dict[int, np.ndarray]:
         """The original per-chunk warm-path loop, retained verbatim.
 
         Kept as the bit-identity reference for the batched path (the
@@ -1069,7 +1145,6 @@ class FrameServer:
         for idx, node_id, model_key, tag in schedule:
             per_node.setdefault(node_id, []).append((idx, model_key, tag))
 
-        started = time.perf_counter()
         for node_id, entries in per_node.items():
             node = self.nodes[node_id]
             position = 0
@@ -1106,13 +1181,13 @@ class FrameServer:
                         logits = pipeline.forward(batch, batch_size=len(chunk))
                     for offset, (idx, _, _) in enumerate(chunk):
                         outputs[idx] = logits[offset]
-        return outputs, time.perf_counter() - started
+        return outputs
 
     def _compute_batched(
         self,
         requests: list[FrameRequest],
         schedule: list[tuple[int, int, str, int]],
-    ) -> tuple[dict[int, np.ndarray], float]:
+    ) -> dict[int, np.ndarray]:
         """Vectorized warm path: fleet-wide staging + whole-run forwards.
 
         Bit-identical to :meth:`_compute_reference` by construction:
@@ -1136,7 +1211,6 @@ class FrameServer:
         for idx, node_id, model_key, tag in schedule:
             per_node.setdefault(node_id, []).append((idx, model_key, tag))
 
-        started = time.perf_counter()
         # Fleet-wide input staging: one stack + one ternary encode per
         # (model, frame geometry) covering every admitted frame.
         groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
@@ -1179,4 +1253,4 @@ class FrameServer:
                 )
                 for offset, idx in enumerate(indices):
                     outputs[idx] = logits[offset]
-        return outputs, time.perf_counter() - started
+        return outputs

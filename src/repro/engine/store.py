@@ -144,7 +144,9 @@ class ProgramStore:
                     float(tuning.latency_s),
                     float(tuning.holding_power_w),
                     int(mapping_iterations),
-                    die,
+                    # A Python int, so a seed read back from the uint64
+                    # (or legacy int64) field hashes as it was written.
+                    None if die is None else int(die),
                 )
             ).encode()
         )
@@ -196,8 +198,10 @@ class ProgramStore:
                     mapping_iterations=np.int64(
                         programmed.mapping_iterations
                     ),
+                    # Die seeds span the full 64-bit range
+                    # (spawn_seeds), so they need an unsigned field.
                     die=np.array(
-                        [] if die is None else [die], dtype=np.int64
+                        [] if die is None else [die], dtype=np.uint64
                     ),
                     digest=np.frombuffer(
                         bytes.fromhex(digest), dtype=np.uint8

@@ -317,6 +317,75 @@ def test_wrong_frame_shape_rejected_clearly(server, frames):
         server.serve([FrameRequest(np.zeros((28, 28)), "a")])
 
 
+#: case -> (offending request, expected message fragment)
+BAD_REQUESTS = {
+    "negative arrival": (
+        FrameRequest(np.zeros((1, 28, 28)), "a", arrival_s=-1e-3),
+        "arrival_s",
+    ),
+    "nan arrival": (
+        FrameRequest(np.zeros((1, 28, 28)), "a", arrival_s=float("nan")),
+        "arrival_s",
+    ),
+    "inf arrival": (
+        FrameRequest(np.zeros((1, 28, 28)), "a", arrival_s=float("inf")),
+        "arrival_s",
+    ),
+    "unknown model": (FrameRequest(np.zeros((1, 28, 28)), "zz"), "unknown"),
+    "conv channels": (FrameRequest(np.zeros((3, 28, 28)), "a"), "1-channel"),
+    "conv rank": (FrameRequest(np.zeros((28, 28)), "a"), r"\(C, H, W\)"),
+    "dense length": (FrameRequest(np.zeros((1, 8, 9)), "mlp"), "64 features"),
+}
+
+
+def _serving_state(server):
+    return (
+        server.cache.stats.hits,
+        server.cache.stats.misses,
+        [
+            (n.free_at, n.frames, n.active_model, n.programmed_model)
+            for n in server.nodes
+        ],
+    )
+
+
+@pytest.mark.parametrize("compute", [True, False])
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_bad_requests_rejected_before_scheduling(case, compute):
+    server = FrameServer(num_nodes=2, micro_batch=8, seed=0)
+    server.register_model("a", build_lenet(seed=0))
+    server.register_model(
+        "mlp", build_mlp(in_features=64, hidden=(16,), num_classes=4, seed=0)
+    )
+    frame = np.zeros((1, 28, 28))
+    server.serve([FrameRequest(frame, "a"), FrameRequest(frame, "a")])
+    before = _serving_state(server)
+    bad, fragment = BAD_REQUESTS[case]
+    requests = [FrameRequest(frame, "a"), FrameRequest(frame, "a"), bad]
+    with pytest.raises(ValueError, match=f"request 2: .*{fragment}"):
+        server.serve(requests, compute=compute)
+    assert _serving_state(server) == before
+
+
+def test_dense_stem_takes_any_shape_of_the_right_length():
+    server = FrameServer(num_nodes=1, micro_batch=8, seed=0)
+    server.register_model(
+        "mlp", build_mlp(in_features=64, hidden=(16,), num_classes=4, seed=0)
+    )
+    requests = [
+        FrameRequest(np.zeros(64), "mlp"),
+        FrameRequest(np.zeros((1, 8, 8)), "mlp"),
+    ]
+    report = server.serve(requests, offered_fps=100.0, compute=False)
+    assert report.delivered == 2
+
+
+def test_warmup_rejects_a_frame_shape_before_programming(server):
+    with pytest.raises(ValueError, match="1-channel frames"):
+        server.warmup(frame_shape=(3, 28, 28))
+    assert server.cache.stats.misses == 0
+
+
 def test_dense_model_serving():
     """The MLP (VOM-split) mode serves through the same engine."""
     server = FrameServer(num_nodes=1, micro_batch=8, seed=0)

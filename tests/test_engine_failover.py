@@ -279,6 +279,19 @@ def test_spares_trimmed_back_after_serve():
     assert second.resilience.spares_activated == 1
 
 
+def test_greedy_policy_takes_a_spare_without_a_queue():
+    """A spare's bring-up pushes a node-free event; the drop-if-busy
+    policy has no queue to pop, so the event must be a no-op."""
+    scenario = build_scenario("chaos", frames=240, offered_fps=2400.0, seed=0)
+    server = FrameServer(
+        num_nodes=2, micro_batch=8, seed=0, chaos_plan="node-loss", spares=1
+    )
+    report = server.serve_scenario(scenario)
+    assert report.resilience.spares_activated == 1
+    assert report.stream.frames == 240
+    assert report.node_frames[2] > 0  # the spare served frames
+
+
 def test_failover_serving_is_deterministic():
     def digest(report):
         return [

@@ -304,3 +304,35 @@ def test_warm_server_programs_nothing(tmp_path):
     assert warm_report["cache_misses"] == 0
     assert warm.cache.stats.misses == 0
     assert warm.cache.stats.store_hits == cold_report["cache_misses"]
+
+
+def test_capacity_prewarm_stores_full_range_die_seeds(tmp_path):
+    """Die seeds span 64 bits: a 4-node pre-warm stores and restores them."""
+    from repro.analysis.capacity import CapacitySettings, _prewarm_programs
+    from repro.cli import main
+    from repro.util.rng import spawn_seeds
+
+    assert max(spawn_seeds(0, 4)) >= 2**63  # the seeds an int64 field rejects
+    settings = CapacitySettings(node_counts=(1, 2, 4))
+    store = str(tmp_path / "store")
+    cold = _prewarm_programs(settings, program_store=store)
+    assert cold.stats.misses > 0
+    warm = _prewarm_programs(settings, program_store=store)
+    assert warm.stats.misses == 0
+    assert warm.stats.store_hits == cold.stats.misses
+    assert main(["cache", "verify", "--program-store", store]) == 0
+
+
+def test_legacy_int64_die_entries_still_verify(tmp_path):
+    store = ProgramStore(tmp_path)
+    key, programmed = _programmed(die=5)
+    store.put(key, programmed, die=5)
+    path = _entry_path(store, key)
+    with np.load(path) as payload:
+        fields = {name: payload[name] for name in payload.files}
+    assert fields["die"].dtype == np.uint64
+    fields["die"] = fields["die"].astype(np.int64)  # the pre-fix layout
+    with open(path, "wb") as handle:
+        np.savez(handle, **fields)
+    assert store.verify() == {"ok": [key], "corrupt": []}
+    _assert_byte_equal(store.load(key), programmed)

@@ -38,12 +38,22 @@ REGEN: dict[str, str] = {
     "fig9_repr.txt": "PYTHONPATH=src python tests/test_goldens.py --write",
     "fig9_render.txt": "PYTHONPATH=src python tests/test_goldens.py --write",
     "claims_repr.txt": "PYTHONPATH=src python tests/test_goldens.py --write",
+    "capacity_fast_points.txt": (
+        "PYTHONPATH=src python tests/test_schedule_only.py --write"
+    ),
+    "capacity_poisson_points.txt": (
+        "PYTHONPATH=src python tests/test_schedule_only.py --write"
+    ),
+    "resilience_fast_rows.txt": (
+        "PYTHONPATH=src python tests/test_schedule_only.py --write"
+    ),
 }
 
 #: The distinct ``--write`` entrypoint scripts, relative to the repo root.
 WRITE_SCRIPTS = (
     os.path.join("tests", "test_goldens.py"),
     os.path.join("tests", "test_engine_scheduler.py"),
+    os.path.join("tests", "test_schedule_only.py"),
 )
 
 
