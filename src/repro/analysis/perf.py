@@ -166,165 +166,6 @@ def bench_engine_throughput(
     }
 
 
-#: The engine-throughput number PR 3's trajectory entry recorded
-#: (``BENCH_program.json`` → ``engine.wall_clock_fps``): the pre-vectorized
-#: warm path on the kernel-swapping LeNet stream.
-WARM_PATH_BASELINE_FPS = 1592.1014652591052
-
-
-def _serve_best_of(server, requests, offered_fps: float, repeats: int):
-    """(best wall-clock fps, first ServeReport) over ``repeats`` serves."""
-    first = server.serve(requests, offered_fps=offered_fps)
-    best = first.wall_clock_fps
-    for _ in range(repeats - 1):
-        best = max(
-            best, server.serve(requests, offered_fps=offered_fps).wall_clock_fps
-        )
-    return best, first
-
-
-def _responses_bit_identical(left, right) -> bool:
-    """Whether two ServeReports delivered byte-for-byte the same outputs."""
-    if len(left.responses) != len(right.responses):
-        return False
-    for ours, theirs in zip(left.responses, right.responses):
-        if (ours.output is None) != (theirs.output is None):
-            return False
-        if ours.output is not None and not np.array_equal(
-            ours.output, theirs.output
-        ):
-            return False
-    return True
-
-
-def bench_warm_path(
-    frames: int = 2048,
-    num_nodes: int = 2,
-    micro_batch: int = 16,
-    offered_fps: float = 1800.0,
-    seed: int = 0,
-    repeats: int = 3,
-    quick: bool = False,
-) -> dict[str, Any]:
-    """Steady-state serving throughput: batched warm path vs reference loop.
-
-    Two workloads, each served once per
-    :attr:`~repro.engine.server.FrameServer.COMPUTE_MODES` entry on fresh
-    same-seed servers (so the read-noise RNG streams align and the output
-    comparison is exact):
-
-    * **engine-limited** — a long drop-free MLP-stem stream (the dense
-      first layer is a single small matmul, so per-frame engine overhead,
-      not arithmetic, bounds throughput).  This is the stream the
-      vectorized warm path exists for, and it carries the headline
-      ``wall_clock_fps`` measured against :data:`WARM_PATH_BASELINE_FPS`;
-    * **compute-bound** — the kernel-swapping two-LeNet stream of
-      :func:`bench_engine_throughput` (the PR-3 baseline workload), where
-      the full off-chip LeNet head dominates and batching cannot help —
-      kept for trajectory continuity and honesty about where the gain is.
-
-    The ``bit_identical`` flags compare every delivered output of the two
-    modes byte-for-byte — the same claim ``tests/test_engine_batched.py``
-    pins, measured on the bench stream itself.
-    """
-    from repro.engine import FrameRequest, FrameServer
-    from repro.engine.workloads import ModelSpec
-    from repro.nn.models import build_lenet
-
-    if quick:
-        frames = min(frames, 256)
-        repeats = 1
-
-    def engine_limited(mode: str):
-        server = FrameServer(
-            num_nodes=num_nodes,
-            micro_batch=micro_batch,
-            seed=seed,
-            compute_mode=mode,
-        )
-        server.register_model("mlp-2b", ModelSpec("mlp", 2).build(seed))
-        rng = np.random.default_rng(seed)
-        stack = rng.uniform(0.0, 1.0, (frames, 1, 28, 28))
-        requests = [FrameRequest(stack[i], "mlp-2b") for i in range(frames)]
-        server.warmup(frame_shape=(1, 28, 28))
-        return _serve_best_of(server, requests, offered_fps, repeats)
-
-    def compute_bound(mode: str):
-        lenet_frames = 32 if quick else 64
-        server = FrameServer(
-            num_nodes=1, micro_batch=micro_batch, seed=seed, compute_mode=mode
-        )
-        server.register_model("model-a", build_lenet(seed=seed))
-        server.register_model("model-b", build_lenet(seed=seed + 1))
-        rng = np.random.default_rng(seed)
-        stack = rng.uniform(0.0, 1.0, (lenet_frames, 1, 28, 28))
-        requests = [
-            FrameRequest(
-                stack[i], "model-a" if i < lenet_frames // 2 else "model-b"
-            )
-            for i in range(lenet_frames)
-        ]
-        server.warmup(frame_shape=(1, 28, 28))
-        return _serve_best_of(server, requests, 1000.0, repeats)
-
-    mlp_batched_fps, mlp_batched = engine_limited("batched")
-    mlp_reference_fps, mlp_reference = engine_limited("reference")
-    lenet_batched_fps, lenet_batched = compute_bound("batched")
-    lenet_reference_fps, lenet_reference = compute_bound("reference")
-
-    if mlp_batched.delivered != frames:
-        raise RuntimeError(
-            f"warm-path bench stream dropped frames ({mlp_batched.delivered}"
-            f"/{frames}); lower offered_fps so the headline measures a "
-            "drop-free steady state"
-        )
-    headline_fps = mlp_batched_fps
-    return {
-        "engine_limited": {
-            "model": "mlp-2b",
-            "frames": frames,
-            "num_nodes": num_nodes,
-            "micro_batch": micro_batch,
-            "offered_fps": offered_fps,
-            "delivered": mlp_batched.delivered,
-            "batched_fps": mlp_batched_fps,
-            "reference_fps": mlp_reference_fps,
-            "bit_identical": _responses_bit_identical(
-                mlp_batched, mlp_reference
-            ),
-        },
-        "compute_bound": {
-            "model": "lenet-4b x2 (kernel-swapping)",
-            "frames": 32 if quick else 64,
-            "num_nodes": 1,
-            "micro_batch": micro_batch,
-            "batched_fps": lenet_batched_fps,
-            "reference_fps": lenet_reference_fps,
-            "bit_identical": _responses_bit_identical(
-                lenet_batched, lenet_reference
-            ),
-        },
-        "wall_clock_fps": headline_fps,
-        "baseline_fps": WARM_PATH_BASELINE_FPS,
-        "speedup_vs_baseline": headline_fps / WARM_PATH_BASELINE_FPS,
-    }
-
-
-def run_warm_path_bench(quick: bool = False, seed: int = 0) -> dict[str, Any]:
-    """Full ``BENCH_warm_path.json`` payload for :func:`bench_warm_path`."""
-    result = bench_warm_path(quick=quick, seed=seed)
-    return {
-        "bench": "warm_path",
-        "schema": 1,
-        "quick": quick,
-        **result,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-    }
-
-
 def _serve_digest(report) -> str:
     """Wall-clock-free SHA-256 of one ServeReport's observable outcome.
 

@@ -12,10 +12,11 @@ top-1 fractions in [0, 1].
 
 Serving integration: ``program_cache`` plugs the pipeline into
 :class:`repro.engine.cache.WeightProgramCache` (kernel swaps become O(1)
-installs), ``activate`` re-arms a multiplexed die, and ``forward``'s
-``core`` override lets :mod:`repro.engine.health` route a degraded
-window through a :class:`~repro.sim.faults.FaultyOpticalCore` without
-touching the healthy program.  Reprogramming is deterministic per die —
+installs), ``activate`` re-arms a multiplexed die, the serving engine
+calls ``forward`` once per micro-batch, and ``forward``'s ``core``
+override lets :mod:`repro.engine.health` route a degraded window through
+a :class:`~repro.sim.faults.FaultyOpticalCore` without touching the
+healthy program.  Reprogramming is deterministic per die —
 the scalar-reference bit-identity contract of :mod:`repro.core.reference`
 guarantees a recovered node reproduces its pre-fault realized weights
 exactly.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.opc import OpticalProcessingCore
-from repro.nn.layers import Dense, Sequential
+from repro.nn.layers import Sequential
 from repro.nn.models import TernaryInputLayer, find_first_quant_conv
 from repro.nn.quant import QuantConv2D, QuantDense
 
@@ -152,77 +153,6 @@ class HardwareFirstLayerPipeline:
                 hidden = layer.forward(hidden, training=False)
             outputs.append(hidden)
         return np.concatenate(outputs, axis=0)
-
-    def forward_batched(
-        self,
-        x: np.ndarray | None,
-        batch_size: int = 256,
-        core=None,
-        ternary: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Whole-run logits, bit-identical to chunked :meth:`forward`.
-
-        Computes the same floats as ``forward(x, batch_size=batch_size)``
-        while hoisting every partition-free operation out of the chunk
-        loop into one full-batch ndarray op:
-
-        * the ternary input map, the optical convolution (im2col +
-          einsum), pooling, batch-norm and activations are row-stable —
-          each output row depends only on its own input row through the
-          identical elementwise/einsum arithmetic, so any chunking
-          produces the same bits;
-        * the BPD read-noise draw batches too: one
-          ``Generator.normal(size=(n, ...))`` call consumes the exact
-          same RNG stream as the per-chunk draws it replaces
-          (concatenation property of NumPy Generator streams);
-        * matrix products through BLAS (``Dense``/``QuantDense`` layers,
-          and the dense-stem ``optics.dot``) are **not** row-stable —
-          their accumulation order depends on the batch size — so those
-          layers still compute at the exact ``batch_size`` partition the
-          reference loop uses and concatenate.
-
-        ``ternary`` lets a caller that already ran the (stateless,
-        row-stable) ternary input map — e.g. the serving engine encoding
-        one fleet-wide frame stack per model — pass the encoded frames
-        directly; ``x`` is ignored then.
-
-        ``tests/test_engine_batched.py`` pins the equality over the
-        scenario zoo at every weight bit width.
-        """
-        if ternary is None:
-            x = np.asarray(x, dtype=float)
-            ternary = self.model.layers[0].forward(x)  # {0, 0.5, 1}
-        n = ternary.shape[0]
-        split = self._split_index()
-        rest = self.model.layers[split + 1 :]
-        optics = core if core is not None else self.opc
-        starts = range(0, n, batch_size)
-
-        def chunked(fn, values: np.ndarray) -> np.ndarray:
-            if n <= batch_size:
-                return fn(values)
-            return np.concatenate(
-                [fn(values[s : s + batch_size]) for s in starts], axis=0
-            )
-
-        if self.is_dense:
-            # The reference interleaves (dot, noise) per chunk; the dot
-            # consumes no RNG, so chunked dots here replay the identical
-            # noise stream in the identical order.
-            hidden = chunked(optics.dot, ternary.reshape(n, -1))
-        else:
-            hidden = optics.convolve(
-                ternary, stride=self.conv.stride, padding=self.conv.padding
-            )
-        for layer in rest:
-            if isinstance(layer, (Dense, QuantDense)):
-                hidden = chunked(
-                    lambda values, fwd=layer.forward: fwd(values, training=False),
-                    hidden,
-                )
-            else:
-                hidden = layer.forward(hidden, training=False)
-        return hidden
 
     def evaluate(
         self, x: np.ndarray, labels: np.ndarray, batch_size: int = 256

@@ -407,7 +407,6 @@ class ControlPlane:
         radio: RadioModel | None = None,
         policy: str = "greedy",
         slo_classes: dict[str, SloClass] | AdmissionController | None = None,
-        compute_mode: str = "batched",
         router: str | TenantRouter = "rendezvous",
         autoscaler: AutoscalerConfig | None = None,
         program_store: ProgramStore | str | None = None,
@@ -445,7 +444,6 @@ class ControlPlane:
                     radio=radio,
                     policy=policy,
                     slo_classes=slo_classes,
-                    compute_mode=compute_mode,
                 ),
             )
             for name in names

@@ -29,11 +29,9 @@ tie-break is explicit (request index, enqueue sequence, tenant name), so
 a fixed (seed, scenario, policy) triple reproduces the same
 ``ServeReport`` bit-for-bit — there is no wall-clock dependence in any
 simulated quantity.  The emitted schedule — ``(request idx, node, model,
-degradation tag)`` in dispatch order — is also the compute-mode-agnostic
-contract of the host compute step: the server's vectorized batched warm
-path and its retained per-chunk reference loop both consume it verbatim,
-which is what lets ``tests/test_engine_batched.py`` pin the two paths
-bit-identical without touching scheduling.  A schedule-only serve
+degradation tag)`` in dispatch order — is the whole contract of the host
+compute step: the server's per-chunk loop consumes it verbatim and
+never feeds back into scheduling.  A schedule-only serve
 (``compute=False``) stops after this step.
 
 Units: all event times in *simulated* seconds (the ``StreamEvent``

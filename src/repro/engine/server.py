@@ -10,14 +10,9 @@ frames run through :class:`~repro.core.pipeline.HardwareFirstLayerPipeline`
 in micro-batches.  Three mechanisms make it faster and more scalable than
 a per-frame loop:
 
-* **vectorized warm path** — admitted frames are stacked and
-  ternary-encoded once per (model, frame geometry) across the whole
-  fleet, then each per-(node, model) run computes in a single batched
-  forward (row-stable ops over the full run, BLAS matrix products at the
-  ``micro_batch`` partition), amortising the per-call overhead of the
-  whole layer stack; the pre-vectorization per-chunk loop is retained as
-  ``compute_mode="reference"`` and the two are bit-identical
-  (``tests/test_engine_batched.py``);
+* **micro-batching** — each node's consecutive same-model frames compute
+  in one ``forward`` call per ``micro_batch`` chunk, amortising the
+  per-call overhead of the whole layer stack;
 * **weight-program caching** — kernel swaps reinstall cached
   :class:`~repro.core.opc.ProgrammedWeights` records instead of re-running
   the AWC mapping chain (:mod:`repro.engine.cache`);
@@ -61,6 +56,7 @@ configuration — ``policy="greedy"``, no SLO classes,
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -455,12 +451,6 @@ class FrameServer:
         ``{model_key: SloClass}`` service levels (or a prebuilt
         :class:`~repro.engine.admission.AdmissionController`); ``None``
         serves everything best-effort.
-    compute_mode:
-        ``"batched"`` (default) — the vectorized warm path: fleet-wide
-        frame staging plus whole-run batched forwards;
-        ``"reference"`` — the retained per-chunk loop.  The two produce
-        bit-identical reports on every healthy-die stream; serving under
-        a fault profile always uses the reference loop.
     chaos_plan:
         Injected fleet-failure schedule — a
         :class:`~repro.engine.chaos.ChaosPlan`, a named plan string
@@ -491,8 +481,6 @@ class FrameServer:
         store programs nothing.  ``None`` keeps the cache memory-only.
     """
 
-    COMPUTE_MODES = ("batched", "reference")
-
     def __init__(
         self,
         config: OISAConfig | None = None,
@@ -505,7 +493,6 @@ class FrameServer:
         fault_profile: FaultProfile | str | None = None,
         policy: str | SchedulingPolicy = "greedy",
         slo_classes: dict[str, SloClass] | AdmissionController | None = None,
-        compute_mode: str = "batched",
         chaos_plan: ChaosPlan | str | None = None,
         retry_policy: RetryPolicy | str | None = None,
         spares: int | SparePool = 0,
@@ -514,14 +501,8 @@ class FrameServer:
     ) -> None:
         check_positive("num_nodes", num_nodes)
         check_positive("micro_batch", micro_batch)
-        if compute_mode not in self.COMPUTE_MODES:
-            raise ValueError(
-                f"compute_mode must be one of {self.COMPUTE_MODES}, got "
-                f"{compute_mode!r}"
-            )
         self.config = config or OISAConfig()
         self.micro_batch = micro_batch
-        self.compute_mode = compute_mode
         if isinstance(program_store, (str, os.PathLike)):
             program_store = ProgramStore(program_store)
         self.cache = cache if cache is not None else WeightProgramCache()
@@ -782,7 +763,7 @@ class FrameServer:
         server's policy and SLO classes (the greedy default keeps the
         drop-if-busy rule of :class:`~repro.sim.stream.StreamSimulator`);
         the admitted frames then compute in micro-batches, grouped into
-        consecutive same-model runs per node.
+        consecutive same-model, same-shape runs per node.
 
         Every request is validated before anything is scheduled: an
         unknown model key, a non-finite or negative ``arrival_s``, or a
@@ -1106,59 +1087,32 @@ class FrameServer:
         schedule: list[tuple[int, int, str, int]],
         monitor=None,
     ) -> dict[int, np.ndarray]:
-        """Run the admitted frames in per-(node, model) runs.
+        """Run the admitted frames in per-node runs, one ``forward`` per
+        ``micro_batch`` chunk.
 
-        Dispatches to the vectorized batched path (the default) or the
-        retained per-chunk reference loop.  The two are **bit-identical**
-        on every healthy-die stream — same floats, same RNG stream, same
-        cache counters (``tests/test_engine_batched.py``).  Serving under
-        a :class:`~repro.engine.health.HealthMonitor` always takes the
-        reference loop: degraded runs route through stateful
-        :class:`~repro.sim.faults.FaultyOpticalCore` wrappers whose draw
-        order the per-chunk loop defines.
-        """
-        if monitor is not None or self.compute_mode == "reference":
-            return self._compute_reference(requests, schedule, monitor)
-        return self._compute_batched(requests, schedule)
-
-    def _compute_reference(
-        self,
-        requests: list[FrameRequest],
-        schedule: list[tuple[int, int, str, int]],
-        monitor=None,
-    ) -> dict[int, np.ndarray]:
-        """The original per-chunk warm-path loop, retained verbatim.
-
-        Kept as the bit-identity reference for the batched path (the
-        same role :mod:`repro.core.reference` plays for the cold
-        weight-programming chain) and as the only compute path under a
-        fault profile.  Runs are grouped within each node's own
-        subsequence — two nodes interleaving in global arrival order must
-        not fragment each other's batches.  Under a fault profile, a run
-        additionally breaks at degradation boundaries: frames admitted
-        during an upset window compute through that upset's frozen
-        :class:`~repro.sim.faults.FaultyOpticalCore`, frames before/after
-        it on the healthy programmed core.
+        Runs are grouped within each node's own subsequence — two nodes
+        interleaving in global arrival order must not fragment each
+        other's batches — and break wherever the model, the degradation
+        tag or the frame shape changes: a model may take frames of more
+        than one shape (a dense stem takes any shape of the right
+        length), and a chunk stacks frames of one shape.  Under a fault
+        profile, frames admitted during an upset window compute through
+        that upset's frozen :class:`~repro.sim.faults.FaultyOpticalCore`,
+        frames before/after it on the healthy programmed core.
         """
         outputs: dict[int, np.ndarray] = {}
-        per_node: dict[int, list[tuple[int, str, int]]] = {}
+        per_node: dict[int, list[tuple]] = {}
         for idx, node_id, model_key, tag in schedule:
-            per_node.setdefault(node_id, []).append((idx, model_key, tag))
+            per_node.setdefault(node_id, []).append(
+                ((model_key, tag, requests[idx].frame.shape), idx)
+            )
 
         for node_id, entries in per_node.items():
             node = self.nodes[node_id]
-            position = 0
-            while position < len(entries):
-                _, model_key, tag = entries[position]
-                run_end = position
-                while (
-                    run_end < len(entries)
-                    and entries[run_end][1:] == (model_key, tag)
-                ):
-                    run_end += 1
-                run = entries[position:run_end]
-                position = run_end
-
+            for (model_key, tag, _), group in itertools.groupby(
+                entries, key=lambda entry: entry[0]
+            ):
+                run = [idx for _, idx in group]
                 pipeline = node.activate(self._models[model_key])
                 core = (
                     monitor.fault_core(node, model_key, tag)
@@ -1170,87 +1124,12 @@ class FrameServer:
                     batch = np.stack(
                         [
                             np.asarray(requests[idx].frame, dtype=float)
-                            for idx, _, _ in chunk
+                            for idx in chunk
                         ]
                     )
-                    if core is not None:
-                        logits = pipeline.forward(
-                            batch, batch_size=len(chunk), core=core
-                        )
-                    else:
-                        logits = pipeline.forward(batch, batch_size=len(chunk))
-                    for offset, (idx, _, _) in enumerate(chunk):
+                    logits = pipeline.forward(
+                        batch, batch_size=len(chunk), core=core
+                    )
+                    for offset, idx in enumerate(chunk):
                         outputs[idx] = logits[offset]
-        return outputs
-
-    def _compute_batched(
-        self,
-        requests: list[FrameRequest],
-        schedule: list[tuple[int, int, str, int]],
-    ) -> dict[int, np.ndarray]:
-        """Vectorized warm path: fleet-wide staging + whole-run forwards.
-
-        Bit-identical to :meth:`_compute_reference` by construction:
-
-        * frames are stacked and ternary-encoded **once per (model,
-          frame geometry) across every node** — the encode is elementwise
-          (row-stable), so slicing the fleet-wide tensor per run yields
-          the same bits the per-chunk ``np.stack`` path produced;
-        * each run then computes in one
-          :meth:`~repro.core.pipeline.HardwareFirstLayerPipeline.
-          forward_batched` call, which batches every row-stable op
-          (optical conv, pools, batch-norm, activations, read-noise
-          draw) over the whole run and keeps the BLAS matrix products at
-          the exact ``micro_batch`` partition of the reference loop;
-        * nodes and runs are walked in the reference order, with one
-          :meth:`_Node.activate` per run, so per-node read-noise RNG
-          streams and cache hit/miss counters evolve identically.
-        """
-        outputs: dict[int, np.ndarray] = {}
-        per_node: dict[int, list[tuple[int, str, int]]] = {}
-        for idx, node_id, model_key, tag in schedule:
-            per_node.setdefault(node_id, []).append((idx, model_key, tag))
-
-        # Fleet-wide input staging: one stack + one ternary encode per
-        # (model, frame geometry) covering every admitted frame.
-        groups: dict[tuple[str, tuple[int, ...]], list[int]] = {}
-        for idx, _, model_key, _ in schedule:
-            shape = tuple(np.shape(requests[idx].frame))
-            groups.setdefault((model_key, shape), []).append(idx)
-        staged: dict[
-            tuple[str, tuple[int, ...]], tuple[np.ndarray, dict[int, int]]
-        ] = {}
-        for (model_key, shape), indices in groups.items():
-            stack = np.stack(
-                [np.asarray(requests[i].frame, dtype=float) for i in indices]
-            )
-            encoded = self._models[model_key].model.layers[0].forward(stack)
-            staged[(model_key, shape)] = (
-                encoded,
-                {idx: row for row, idx in enumerate(indices)},
-            )
-
-        for node_id, entries in per_node.items():
-            node = self.nodes[node_id]
-            position = 0
-            while position < len(entries):
-                _, model_key, tag = entries[position]
-                run_end = position
-                while (
-                    run_end < len(entries)
-                    and entries[run_end][1:] == (model_key, tag)
-                ):
-                    run_end += 1
-                indices = [idx for idx, _, _ in entries[position:run_end]]
-                position = run_end
-
-                pipeline = node.activate(self._models[model_key])
-                shape = tuple(np.shape(requests[indices[0]].frame))
-                encoded, row_of = staged[(model_key, shape)]
-                ternary = encoded[[row_of[idx] for idx in indices]]
-                logits = pipeline.forward_batched(
-                    None, batch_size=self.micro_batch, ternary=ternary
-                )
-                for offset, idx in enumerate(indices):
-                    outputs[idx] = logits[offset]
         return outputs

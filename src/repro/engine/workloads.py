@@ -249,7 +249,8 @@ def _frames_batch(
     heterogeneous frame shapes.  Generators that interleave frame draws
     with other stochastic draws (the bursty ON/OFF scenarios) keep the
     sequential :func:`_frame` loop instead.
-    ``tests/test_engine_batched.py`` pins the equality.
+    ``test_frames_batch_matches_per_frame_draws`` in
+    ``tests/test_engine_workloads.py`` pins the equality.
     """
     sizes = [int(np.prod(spec.frame_shape)) for spec in specs]
     flat = rng.uniform(0.0, 1.0, sum(sizes))

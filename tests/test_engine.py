@@ -6,6 +6,7 @@ import pytest
 from repro.core.opc import OpticalProcessingCore
 from repro.core.pipeline import HardwareFirstLayerPipeline
 from repro.engine import FrameRequest, FrameServer, WeightProgramCache
+from repro.engine.workloads import ModelSpec
 from repro.nn.models import build_lenet, build_mlp
 from repro.nn.quant import UniformWeightQuantizer
 
@@ -265,49 +266,63 @@ def test_out_of_order_arrivals_scheduled_by_time(server, frames):
 
 
 def test_interleaved_nodes_do_not_fragment_batches(monkeypatch):
-    """Load spreading across nodes must keep per-node runs intact.
-
-    In the default batched mode each node's whole 16-frame run computes
-    in one ``forward_batched`` call; the reference loop chunks the same
-    runs at the micro-batch, never fragmenting on node interleave.
-    """
+    """Load spreading across nodes must keep per-node runs intact: each
+    node's 16-frame run chunks at the micro-batch, never on interleave."""
     frames = np.random.default_rng(6).uniform(0, 1, (32, 1, 28, 28))
+    batch_sizes = []
+    original = HardwareFirstLayerPipeline.forward
 
-    run_sizes = []
-    original_batched = HardwareFirstLayerPipeline.forward_batched
+    def spy(self, x, **kwargs):
+        batch_sizes.append(x.shape[0])
+        return original(self, x, **kwargs)
 
-    def spy_batched(self, x, batch_size=256, core=None, ternary=None):
-        run_sizes.append(ternary.shape[0] if ternary is not None else x.shape[0])
-        return original_batched(
-            self, x, batch_size=batch_size, core=core, ternary=ternary
-        )
-
-    monkeypatch.setattr(
-        HardwareFirstLayerPipeline, "forward_batched", spy_batched
-    )
+    monkeypatch.setattr(HardwareFirstLayerPipeline, "forward", spy)
     server = FrameServer(num_nodes=2, micro_batch=8, seed=0)
     server.register_model("a", build_lenet(seed=0))
     # ~2x one node's rate: admitted frames alternate between the two dies.
     report = server.serve_frames(frames, "a", offered_fps=1990.0)
     assert report.stream.dropped == 0
     assert set(report.node_frames.values()) == {16}
-    assert run_sizes == [16, 16]  # one whole-run call per node
-
-    batch_sizes = []
-    original = HardwareFirstLayerPipeline.forward
-
-    def spy(self, x, batch_size=256):
-        batch_sizes.append(x.shape[0])
-        return original(self, x, batch_size=batch_size)
-
-    monkeypatch.setattr(HardwareFirstLayerPipeline, "forward", spy)
-    reference = FrameServer(
-        num_nodes=2, micro_batch=8, seed=0, compute_mode="reference"
-    )
-    reference.register_model("a", build_lenet(seed=0))
-    report = reference.serve_frames(frames, "a", offered_fps=1990.0)
-    assert report.stream.dropped == 0
     assert batch_sizes == [8, 8, 8, 8]
+
+
+#: case -> (model spec, two frame shapes its on-die layer accepts)
+MIXED_SHAPES = {
+    "dense stem": (ModelSpec("mlp", 2), (1, 28, 28), (784,)),
+    "conv stem": (ModelSpec("vgg16", 4), (3, 32, 32), (3, 36, 36)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED_SHAPES))
+def test_one_model_serves_two_frame_shapes_on_one_node(case):
+    """Both shapes pass validation, so both must serve: a micro-batch
+    never stacks two shapes.  Oracle: a same-seed server serving each
+    shape's frames as its own stream, in the same order, computes the
+    same bits (same chunks, same read-noise draws)."""
+    spec, first, second = MIXED_SHAPES[case]
+    rng = np.random.default_rng(2)
+    frames = [rng.uniform(0.0, 1.0, first) for _ in range(3)]
+    frames += [rng.uniform(0.0, 1.0, second) for _ in range(3)]
+    model = spec.build(seed=0)
+
+    def server():
+        server = FrameServer(num_nodes=1, micro_batch=4, seed=0)
+        server.register_model("m", model)
+        return server
+
+    mixed = server().serve(
+        [FrameRequest(frame, "m") for frame in frames], offered_fps=100.0
+    )
+    assert mixed.delivered == len(frames)
+    separate = server()
+    expected = []
+    for block in (frames[:3], frames[3:]):
+        report = separate.serve(
+            [FrameRequest(frame, "m") for frame in block], offered_fps=100.0
+        )
+        expected += [response.output for response in report.responses]
+    for response, output in zip(mixed.responses, expected):
+        assert np.array_equal(response.output, output)
 
 
 def test_wrong_frame_shape_rejected_clearly(server, frames):

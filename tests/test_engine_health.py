@@ -321,31 +321,6 @@ def test_monitor_runs_under_queueing_policies(policy):
             np.testing.assert_array_equal(left.output, right.output)
 
 
-def test_fault_profile_forces_reference_compute_path(frames):
-    """A monitored server routes through the per-chunk reference loop:
-    the (default) batched mode and explicit reference mode must be
-    bit-identical under a fault profile."""
-    batched = _server(UPSET_PROFILE)
-    assert batched.compute_mode == "batched"
-    reference = FrameServer(
-        num_nodes=2,
-        micro_batch=8,
-        seed=0,
-        fault_profile=UPSET_PROFILE,
-        compute_mode="reference",
-    )
-    reference.register_model("a", build_lenet(seed=0))
-    left = batched.serve_frames(frames, "a", offered_fps=1000.0)
-    right = reference.serve_frames(frames, "a", offered_fps=1000.0)
-    assert left.health is not None and right.health is not None
-    assert left.stream.total_energy_j == right.stream.total_energy_j
-    for a, b in zip(left.responses, right.responses):
-        assert a.event == b.event
-        assert a.degraded == b.degraded
-        if a.output is not None:
-            np.testing.assert_array_equal(a.output, b.output)
-
-
 # ----------------------------------------------------------------------
 # SnrWatchdog
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from repro.engine.workloads import (
     ModelSpec,
+    _frame,
+    _frames_batch,
     build_scenario,
     models_scenario,
     parse_model_specs,
@@ -49,6 +51,31 @@ def test_parse_model_specs():
     assert [s.key for s in specs] == ["lenet-4b", "mlp-2b", "vgg16-4b"]
     with pytest.raises(ValueError):
         parse_model_specs("  ,  ")
+
+
+def test_frames_batch_matches_per_frame_draws():
+    """One flat draw split per spec equals the per-frame draws it
+    replaces, across heterogeneous zoo frame shapes, and leaves the
+    generator in the same state."""
+    specs = [
+        ModelSpec(family, bits)
+        for family, bits in (
+            ("lenet", 4),
+            ("vgg16", 1),
+            ("mlp", 2),
+            ("resnet18", 3),
+            ("lenet", 2),
+        )
+    ]
+    batched_rng = np.random.default_rng(11)
+    per_frame_rng = np.random.default_rng(11)
+    batched = _frames_batch(batched_rng, specs)
+    per_frame = [_frame(per_frame_rng, spec) for spec in specs]
+    assert len(batched) == len(per_frame) == len(specs)
+    for ours, theirs in zip(batched, per_frame):
+        assert ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+    assert batched_rng.random() == per_frame_rng.random()
 
 
 # ----------------------------------------------------------------------

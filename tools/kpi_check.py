@@ -76,12 +76,6 @@ KPIS: dict[str, tuple[Kpi, ...]] = {
         Kpi("warm_install.speedup_vs_cold"),
         Kpi("engine.wall_clock_fps"),
     ),
-    "warm_path": (
-        Kpi("engine_limited.bit_identical", kind="invariant_true"),
-        Kpi("compute_bound.bit_identical", kind="invariant_true"),
-        Kpi("speedup_vs_baseline"),
-        Kpi("wall_clock_fps"),
-    ),
     "degraded_serving": (
         # Recovery is a simulated-time ratio, not a wall-clock number:
         # hold it tight.
