@@ -41,6 +41,7 @@ guaranteed to reproduce the cached record bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,16 @@ class ProgrammedWeights:
     scale: float
     tuning: TuningBudget
     mapping_iterations: int
+
+    @cached_property
+    def realized_full_scale(self) -> float:
+        """``max|realized|`` — the read-out scale, computed once per record.
+
+        Cached lazily, not stored: the record's fields (and so the
+        :class:`~repro.engine.store.ProgramStore` schema) stay as they
+        are, and the realized tensor is never mutated after mapping.
+        """
+        return float(np.max(np.abs(self.realized)))
 
     @property
     def weight_error_rms(self) -> float:
@@ -249,7 +260,9 @@ class OpticalProcessingCore:
         out, _ = conv2d_forward(
             np.asarray(activations, dtype=float), weights, None, stride, padding
         )
-        return self._add_read_noise(out, weights)
+        return self._add_read_noise(
+            out, weights, programmed.realized_full_scale
+        )
 
     def dot(self, activations: np.ndarray) -> np.ndarray:
         """First-layer dense product on (N, D) ternary activations."""
@@ -258,12 +271,17 @@ class OpticalProcessingCore:
         if weights.ndim != 2:
             raise ValueError("programmed weights are not dense")
         out = np.asarray(activations, dtype=float) @ weights.T
-        return self._add_read_noise(out, weights)
+        return self._add_read_noise(
+            out, weights, programmed.realized_full_scale
+        )
 
-    def _add_read_noise(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def _add_read_noise(
+        self, values: np.ndarray, weights: np.ndarray, full_scale_weight: float
+    ) -> np.ndarray:
+        """BPD read noise on ``values`` computed with ``weights``, whose
+        ``max|w|`` is ``full_scale_weight``."""
         if not self.enable_read_noise or self.config.bpd_read_noise_fraction == 0.0:
             return values
-        full_scale_weight = float(np.max(np.abs(weights)))
         arm_full_scale = self.config.macs_per_arm * full_scale_weight  # A=1 max
         if weights.ndim == 4:
             # Cross-channel summation combines C independent arm reads,
@@ -277,7 +295,9 @@ class OpticalProcessingCore:
             * arm_full_scale
             * np.sqrt(num_arm_reads)
         )
-        return values + self._read_rng.normal(0.0, sigma, size=values.shape)
+        # Same floats and generator state as ``normal(0.0, sigma, shape)``,
+        # which computes ``0.0 + sigma * z`` per element; cheaper.
+        return values + sigma * self._read_rng.standard_normal(values.shape)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -44,9 +44,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.engine.admission import (
     PASS_THROUGH,
@@ -67,9 +66,9 @@ _ARRIVAL = 1
 _RETRY = 2
 
 
-@dataclass(frozen=True)
-class QueuedFrame:
-    """One admitted-but-waiting frame in a policy queue."""
+class QueuedFrame(NamedTuple):
+    """One admitted-but-waiting frame in a policy queue (a named tuple:
+    one is built per arrival)."""
 
     index: int
     model_key: str
@@ -386,6 +385,9 @@ class FrameScheduler:
         self._lost_once: set[int] = set()
         self._retry_items: dict[int, QueuedFrame] = {}
         self._retry_serial = 0
+        #: (model key, node id, frame shape) -> dispatch constants; see
+        #: :meth:`_resolve_constants`.
+        self._constants: dict[tuple, tuple] = {}
         if (
             self.monitor is not None
             and getattr(self.monitor, "chaos", None) is not None
@@ -442,12 +444,7 @@ class FrameScheduler:
         slo = self.admission.slo_for(model_key)
         tenant = getattr(request, "tenant", None) or model_key
         item = QueuedFrame(
-            index=index,
-            model_key=model_key,
-            tenant=tenant,
-            arrival_s=now_s,
-            slo=slo,
-            deadline_s=slo.absolute_deadline_s(now_s),
+            index, model_key, tenant, now_s, slo, slo.absolute_deadline_s(now_s)
         )
         if self.failover is not None:
             self.failover.record_offered(slo.name)
@@ -606,7 +603,7 @@ class FrameScheduler:
             self._drop(item.index, item.arrival_s, lost=True)
         else:
             self._schedule_retry(
-                retry_at, replace(item, attempt=item.attempt + 1)
+                retry_at, item._replace(attempt=item.attempt + 1)
             )
 
     def _schedule_retry(self, retry_at_s: float, item: QueuedFrame) -> None:
@@ -641,7 +638,7 @@ class FrameScheduler:
                 self._drop(item.index, item.arrival_s, lost=True)
             else:
                 self._schedule_retry(
-                    retry_at, replace(item, attempt=item.attempt + 1)
+                    retry_at, item._replace(attempt=item.attempt + 1)
                 )
             return
         self._dispatch(item, node, now_s)
@@ -659,12 +656,10 @@ class FrameScheduler:
                 self.failover.brownout.report.reduced_bits_frames += 1
             else:
                 self._result.served.pop(item.index, None)
-        # The first sighting of a model on a node builds its pipeline (and
-        # programs the die); the timing tables are cached per geometry.
-        pipeline = node.pipeline_for(entry)
-        steady, remap, steady_j, remap_j = entry.timing_for(
-            pipeline, np.shape(self._requests[item.index].frame)
-        )
+        shape = self._requests[item.index].frame.shape
+        constants = self._constants.get((entry.key, node.node_id, shape))
+        if constants is None:
+            constants = self._resolve_constants(entry, node, shape)
 
         tag = (
             self.monitor.degradation_tag(node)
@@ -672,9 +667,8 @@ class FrameScheduler:
             else 0
         )
         remapped = node.active_model != entry.key
-        timing = remap if remapped else steady
-        sequential_s = timing.sequential_s
-        pipelined_s = timing.pipelined_s
+        steady, remap = constants
+        sequential_s, pipelined_s, energy_j = remap if remapped else steady
         if self.monitor is not None:
             # Chaos latency spikes stretch the dispatch service window;
             # outside a spike the factor is exactly 1.0 and the untouched
@@ -691,7 +685,6 @@ class FrameScheduler:
         event = StreamEvent(
             item.index, item.arrival_s, start_s, finish, False, remapped
         )
-        energy_j = remap_j if remapped else steady_j
         self._result.stream.total_energy_j += energy_j
         self._result.placements[item.index] = (node.node_id, event, tag)
         self._result.schedule.append(
@@ -713,6 +706,23 @@ class FrameScheduler:
             self.monitor.record_frame(tag > 0)
         if self.policy.queueing:
             self._push_free_event(node)
+
+    def _resolve_constants(self, entry, node, shape: tuple[int, ...]):
+        """``(steady, remap)`` as ``(sequential_s, pipelined_s, energy_j)``
+        of ``entry`` on ``node`` for one frame shape, memoized per run.
+
+        The first sighting of a model on a node builds its pipeline (and
+        programs the die); after that ``pipeline_for`` is a pure lookup,
+        so a memo hit may skip it.
+        """
+        pipeline = node.pipeline_for(entry)
+        steady, remap, steady_j, remap_j = entry.timing_for(pipeline, shape)
+        constants = (
+            (steady.sequential_s, steady.pipelined_s, steady_j),
+            (remap.sequential_s, remap.pipelined_s, remap_j),
+        )
+        self._constants[(entry.key, node.node_id, shape)] = constants
+        return constants
 
     # ------------------------------------------------------------------
     # Backpressure estimate

@@ -61,6 +61,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,9 +159,9 @@ class FrameRequest:
     tenant: str | None = None
 
 
-@dataclass(frozen=True)
-class FrameResponse:
-    """The fate (and output) of one request."""
+class FrameResponse(NamedTuple):
+    """The fate (and output) of one request (a named tuple: one is built
+    per request)."""
 
     index: int
     model_key: str
@@ -256,14 +257,11 @@ class _ModelEntry:
             tuple[int | None, tuple[int, ...]],
             tuple[FrameTiming, FrameTiming, float, float],
         ] = {}
-        #: (payload bytes, radio energy [J]) per delivered frame;
-        #: die-independent.
-        self._transport: tuple[int, float] = (0, 0.0)
-
-    @property
-    def transport(self) -> tuple[int, float]:
-        """(payload bytes, radio energy [J]) per delivered frame."""
-        return self._transport
+        #: Frame shape -> (payload bytes, radio energy [J]) per delivered
+        #: frame, for every shape :meth:`timing_for` has seen.  It is
+        #: die-independent, but a conv stem's feature map (and so its
+        #: payload) scales with the frame.
+        self.transport: dict[tuple[int, ...], tuple[int, float]] = {}
 
     def check_frame_shape(self, frame_shape: tuple[int, ...]) -> None:
         """Raise ``ValueError`` unless ``frame_shape`` fits the on-die layer.
@@ -365,7 +363,7 @@ class _ModelEntry:
             node_report = self._fleet.oisa_node(workload)
             payload = node_report.payload_bytes
             radio = node_report.radio_energy_j
-        self._transport = (payload, radio)
+        self.transport[key[1]] = (payload, radio)
         self._timed[key] = (steady, remap, steady_energy, remap_energy)
         return self._timed[key]
 
@@ -766,10 +764,10 @@ class FrameServer:
         consecutive same-model, same-shape runs per node.
 
         Every request is validated before anything is scheduled: an
-        unknown model key, a non-finite or negative ``arrival_s``, or a
-        frame shape the model's on-die layer cannot take raises
-        ``ValueError`` naming the request index, with node state and
-        cache counters untouched.
+        unknown model key, a non-finite or negative ``arrival_s``, a
+        frame that is not a ``numpy.ndarray`` or a frame shape the
+        model's on-die layer cannot take raises ``ValueError`` naming the
+        request index, with node state and cache counters untouched.
 
         ``compute=False`` serves schedule-only: arrival resolution,
         admission, scheduling, the health/chaos/failover layers and
@@ -832,7 +830,13 @@ class FrameServer:
                     f"request {index}: arrival_s must be finite and "
                     f"non-negative, got {arrival!r}"
                 )
-            pair = (request.model_key, request.frame.shape)
+            frame = request.frame
+            if not isinstance(frame, np.ndarray):
+                raise ValueError(
+                    f"request {index}: frame must be a numpy.ndarray, got "
+                    f"{type(frame).__name__}"
+                )
+            pair = (request.model_key, frame.shape)
             if pair in checked:
                 continue
             entry = self._models.get(request.model_key)
@@ -914,30 +918,38 @@ class FrameServer:
             report.resilience = failover.report
             if failover.brownout is not None:
                 report.brownout = failover.brownout.report
+        # This loop runs once per request, so its lookups are locals.
+        append = report.responses.append
+        placements = result.placements
+        served_keys = result.served
+        models = self._models
+        payload_bytes = 0
+        radio_energy_j = 0.0
         for index, request in enumerate(requests):
-            node_id, event, tag = result.placements[index]
-            output = outputs.get(index)
-            served = result.served.get(index)
-            report.responses.append(
+            node_id, event, tag = placements[index]
+            served = served_keys.get(index)
+            append(
                 FrameResponse(
                     index,
                     request.model_key,
                     node_id,
-                    output,
+                    outputs.get(index),
                     event,
-                    degraded=tag > 0,
-                    served_model=served,
+                    tag > 0,
+                    served,
                 )
             )
             if not event.dropped:
                 # Transport bills the key actually dispatched — a brownout
-                # reduced-bits variant ships its own (identically shaped)
-                # feature payload.
-                payload, radio_j = self._models[
+                # reduced-bits variant ships its own feature payload — at
+                # this frame's own geometry.
+                payload, radio_j = models[
                     served or request.model_key
-                ].transport
-                report.payload_bytes += payload
-                report.radio_energy_j += radio_j
+                ].transport[request.frame.shape]
+                payload_bytes += payload
+                radio_energy_j += radio_j
+        report.payload_bytes = payload_bytes
+        report.radio_energy_j = radio_energy_j
         report.node_frames = {node.node_id: node.frames for node in active}
         # SLO accounting only exists when there is something to account
         # for — classes or a queueing policy; the default path stays bare.
@@ -1121,15 +1133,11 @@ class FrameServer:
                 )
                 for chunk_start in range(0, len(run), self.micro_batch):
                     chunk = run[chunk_start : chunk_start + self.micro_batch]
-                    batch = np.stack(
-                        [
-                            np.asarray(requests[idx].frame, dtype=float)
-                            for idx in chunk
-                        ]
+                    batch = np.array(
+                        [requests[idx].frame for idx in chunk], dtype=float
                     )
                     logits = pipeline.forward(
                         batch, batch_size=len(chunk), core=core
                     )
-                    for offset, idx in enumerate(chunk):
-                        outputs[idx] = logits[offset]
+                    outputs.update(zip(chunk, logits))
         return outputs

@@ -252,7 +252,8 @@ def _frames_batch(
     ``test_frames_batch_matches_per_frame_draws`` in
     ``tests/test_engine_workloads.py`` pins the equality.
     """
-    sizes = [int(np.prod(spec.frame_shape)) for spec in specs]
+    # ``math.prod``, not ``np.prod``: this runs once per frame.
+    sizes = [math.prod(spec.frame_shape) for spec in specs]
     flat = rng.uniform(0.0, 1.0, sum(sizes))
     frames: list[np.ndarray] = []
     offset = 0

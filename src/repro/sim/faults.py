@@ -170,7 +170,10 @@ class FaultyOpticalCore:
 
         masked = self.opc.programmed.realized * self._weight_mask
         out, _ = conv2d_forward(activations, masked, None, stride, padding)
-        out = self.opc._add_read_noise(out, masked)
+        # The read-out scale comes from the masked weights the optics use.
+        out = self.opc._add_read_noise(
+            out, masked, float(np.max(np.abs(masked)))
+        )
         if self._output_gain is not None:
             out = out * self._output_gain[None, :, None, None]
         return out
@@ -184,7 +187,9 @@ class FaultyOpticalCore:
             activations = activations * self._channel_mask[None, :]
         masked = self.opc.programmed.realized * self._weight_mask
         out = activations @ masked.T
-        out = self.opc._add_read_noise(out, masked)
+        out = self.opc._add_read_noise(
+            out, masked, float(np.max(np.abs(masked)))
+        )
         if self._output_gain is not None:
             out = out * self._output_gain[None, :]
         return out

@@ -350,6 +350,10 @@ BAD_REQUESTS = {
     "conv channels": (FrameRequest(np.zeros((3, 28, 28)), "a"), "1-channel"),
     "conv rank": (FrameRequest(np.zeros((28, 28)), "a"), r"\(C, H, W\)"),
     "dense length": (FrameRequest(np.zeros((1, 8, 9)), "mlp"), "64 features"),
+    "list frame": (
+        FrameRequest(np.zeros((1, 28, 28)).tolist(), "a"),
+        "ndarray",
+    ),
 }
 
 
@@ -380,6 +384,47 @@ def test_bad_requests_rejected_before_scheduling(case, compute):
     with pytest.raises(ValueError, match=f"request 2: .*{fragment}"):
         server.serve(requests, compute=compute)
     assert _serving_state(server) == before
+
+
+def test_transport_bills_each_frame_by_its_own_geometry():
+    """A conv stem's feature payload scales with the frame, so a model
+    serving two frame sizes bills each delivered frame by its own shape —
+    within one serve and across serves on one server."""
+    model = ModelSpec("vgg16", 4).build(seed=0)
+    rng = np.random.default_rng(4)
+    small = [rng.uniform(0.0, 1.0, (3, 32, 32)) for _ in range(4)]
+    large = [rng.uniform(0.0, 1.0, (3, 64, 64)) for _ in range(4)]
+
+    def fresh():
+        server = FrameServer(num_nodes=1, micro_batch=4, seed=0)
+        server.register_model("m", model)
+        return server
+
+    def serve(server, frames):
+        report = server.serve(
+            [FrameRequest(frame, "m") for frame in frames],
+            offered_fps=50.0,
+            compute=False,
+        )
+        assert report.delivered == len(frames)
+        return report
+
+    one_small = serve(fresh(), small[:1])
+    one_large = serve(fresh(), large[:1])
+    assert (one_small.payload_bytes, one_large.payload_bytes) == (10240, 40960)
+
+    server = fresh()
+    assert serve(server, small).payload_bytes == 4 * 10240
+    serve(server, large)
+    again = serve(server, small)
+    assert again.payload_bytes == 4 * 10240
+    assert again.radio_energy_j == sum([one_small.radio_energy_j] * 4)
+
+    mixed = serve(fresh(), small[:2] + large[:2])
+    assert mixed.payload_bytes == 2 * 10240 + 2 * 40960
+    assert mixed.radio_energy_j == sum(
+        [one_small.radio_energy_j] * 2 + [one_large.radio_energy_j] * 2
+    )
 
 
 def test_dense_stem_takes_any_shape_of_the_right_length():

@@ -47,6 +47,9 @@ REGEN: dict[str, str] = {
     "resilience_fast_rows.txt": (
         "PYTHONPATH=src python tests/test_schedule_only.py --write"
     ),
+    "serve_zoo.jsonl": (
+        "PYTHONPATH=src python tests/test_serve_zoo_golden.py --write"
+    ),
 }
 
 #: The distinct ``--write`` entrypoint scripts, relative to the repo root.
@@ -54,6 +57,7 @@ WRITE_SCRIPTS = (
     os.path.join("tests", "test_goldens.py"),
     os.path.join("tests", "test_engine_scheduler.py"),
     os.path.join("tests", "test_schedule_only.py"),
+    os.path.join("tests", "test_serve_zoo_golden.py"),
 )
 
 
