@@ -6,10 +6,11 @@ run leaves the same deliverables the paper prints.
 
 Smoke-mode convention: ``REPRO_BENCH_QUICK=1`` puts every bench that
 honours it (``bench_program_latency``, ``bench_degraded_serving``,
-``bench_serving_policies``, ``bench_table2_accuracy``) into a CI-sized
-run — fewer repeats, shorter streams, smaller training splits — while
-keeping the *exact* claims (bit-identity, recovery ratio, SLO-policy
-ordering, determinism) asserted.  Smoke runs write their ``BENCH_*.json``
+``bench_serving_policies``, ``bench_chaos``, ``bench_controlplane``,
+``bench_table2_accuracy``) into a CI-sized run — fewer repeats, shorter
+streams, smaller training splits — while keeping the *exact* claims
+(bit-identity, recovery ratio, SLO-policy ordering, determinism)
+asserted.  Smoke runs write their ``BENCH_*.json``
 trajectory entries through the guarded
 :func:`repro.analysis.perf.write_bench`, which refuses to overwrite a
 full-mode entry with a ``quick`` payload.  Flaky-by-design

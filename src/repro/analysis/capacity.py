@@ -41,11 +41,10 @@ Entry points: ``repro sweep --capacity`` (CLI) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.mapping import ConvWorkload
 from repro.sim.fleet import FleetModel
-from repro.util.parallel import ParallelConfig, parallel_map
 from repro.util.tables import format_table
 from repro.util.validation import check_positive
 
@@ -284,25 +283,16 @@ def _search(
     )
 
 
-def _prewarm_programs(
-    settings: CapacitySettings,
-    parallel: ParallelConfig | None = None,
-    program_store=None,
-):
+def _prewarm_programs(settings: CapacitySettings, program_store=None):
     """Program the scenario's model zoo once, for every probe die.
 
     Every probe in the grid serves the *same* models (scenario model
     weights depend only on the scenario seed, not the probe rate) on die
     seeds that are a prefix of the largest node count's
     (:func:`~repro.util.rng.spawn_seeds` is prefix-stable).  Programming
-    them once up front — optionally fanned out via :meth:`~repro.engine.
-    server.FrameServer.warmup`'s parallel path — and handing the warmed
-    :class:`~repro.engine.cache.WeightProgramCache` to every probe means
-    no probe ever re-runs the cold AWC mapping chain.  This is also what
-    the process backend ships to workers: the serialized program set
-    crosses the process boundary once per task instead of each worker
-    redundantly re-programming the zoo (the remaining duplication — one
-    deserialized cache copy per task — is host memory, not recomputation).
+    them once up front via :meth:`~repro.engine.server.FrameServer.warmup`
+    and handing the warmed :class:`~repro.engine.cache.WeightProgramCache`
+    to every probe means no probe ever re-runs the cold AWC mapping chain.
     The cache is host-side only, so sharing it never changes a simulated
     quantity.
 
@@ -328,106 +318,35 @@ def _prewarm_programs(
     )
     for key, model in scenario.models.items():
         server.register_model(key, model)
-    server.warmup(parallel=parallel)
+    server.warmup()
     return server.cache
-
-
-def _search_task(
-    task: tuple[CapacitySettings, str, int, float, object],
-) -> CapacityPoint:
-    """One (scenario, policy, nodes) knee search, as a pure fan-out task.
-
-    The task description carries the settings (the scenario name rides in
-    them), the grid point and the pre-warmed program cache — everything
-    picklable, nothing shared — per the :mod:`repro.util.parallel`
-    contract.  Probes within the bracket stay sequential on purpose: each
-    bisection step depends on the previous probe's verdict.
-    """
-    settings, policy, nodes, hint, cache = task
-    return _search(settings, policy, nodes, hint, cache=cache)
 
 
 def build_capacity_report(
     settings: CapacitySettings | None = None,
-    parallel: ParallelConfig | None = None,
     program_store=None,
 ) -> CapacityReport:
     """Measure the capacity knee for every (policy, nodes) grid point.
 
-    The outer grid fans out over ``parallel`` (grid points are
-    independent searches); results merge in grid order, so the report is
-    byte-identical under every backend.  ``program_store`` (path or
-    :class:`~repro.engine.store.ProgramStore`) makes the prewarmed cache
-    read-through/write-behind so repeat studies program nothing.
+    Grid points are independent searches, run in grid order.
+    ``program_store`` (path or :class:`~repro.engine.store.ProgramStore`)
+    makes the prewarmed cache read-through/write-behind so repeat studies
+    program nothing.
     """
     settings = settings or CapacitySettings()
     fleet = FleetModel()
-    cache = _prewarm_programs(settings, parallel, program_store)
+    cache = _prewarm_programs(settings, program_store)
     report = CapacityReport(
         settings=settings,
         analytic_node_fps=fleet.sustainable_fps(LENET_FIRST_LAYER),
     )
-    tasks = [
-        (
-            settings,
-            policy,
-            nodes,
-            1.5 * fleet.fleet_capacity_fps(LENET_FIRST_LAYER, nodes),
-            cache,
-        )
-        for nodes in settings.node_counts
-        for policy in settings.policies
-    ]
-    report.points.extend(parallel_map(_search_task, tasks, parallel))
-    return report
-
-
-def sweep_scenarios(
-    scenarios: tuple[str, ...],
-    settings: CapacitySettings | None = None,
-    parallel: ParallelConfig | None = None,
-    program_store=None,
-) -> list[CapacityReport]:
-    """One capacity report per scenario (same grid/criteria).
-
-    Flattens the full scenario x policy x nodes grid into one task list
-    before fanning out, so a two-scenario sweep on eight cores keeps all
-    eight busy instead of parallelizing one scenario at a time.  Reports
-    come back grouped per scenario in input order, byte-identical to the
-    serial sweep.
-    """
-    base = settings or CapacitySettings()
-    fleet = FleetModel()
-    per_scenario = [replace(base, scenario=name) for name in scenarios]
-    tasks = []
-    grid_size = 0
-    for scenario_settings in per_scenario:
-        cache = _prewarm_programs(scenario_settings, parallel, program_store)
-        grid = [
-            (
-                scenario_settings,
-                policy,
-                nodes,
-                1.5 * fleet.fleet_capacity_fps(LENET_FIRST_LAYER, nodes),
-                cache,
+    for nodes in settings.node_counts:
+        hint = 1.5 * fleet.fleet_capacity_fps(LENET_FIRST_LAYER, nodes)
+        for policy in settings.policies:
+            report.points.append(
+                _search(settings, policy, nodes, hint, cache=cache)
             )
-            for nodes in scenario_settings.node_counts
-            for policy in scenario_settings.policies
-        ]
-        grid_size = len(grid)
-        tasks.extend(grid)
-    points = parallel_map(_search_task, tasks, parallel)
-    reports = []
-    for index, scenario_settings in enumerate(per_scenario):
-        report = CapacityReport(
-            settings=scenario_settings,
-            analytic_node_fps=fleet.sustainable_fps(LENET_FIRST_LAYER),
-        )
-        report.points.extend(
-            points[index * grid_size : (index + 1) * grid_size]
-        )
-        reports.append(report)
-    return reports
+    return report
 
 
 def sustainable_fps_per_node(
@@ -516,5 +435,4 @@ __all__ = [
     "build_capacity_report",
     "render_capacity_report",
     "sustainable_fps_per_node",
-    "sweep_scenarios",
 ]

@@ -1,7 +1,7 @@
 """Perf-trajectory bench: weight-programming latency + engine throughput.
 
 This module is the measurement core behind ``repro bench`` and
-``benchmarks/bench_program_latency.py``.  It times the three serving-path
+``benchmarks/bench_program_latency.py``.  It times the serving-path
 phases the engine cares about:
 
 * **cold program** — one full :meth:`~repro.core.opc.OpticalProcessingCore.
@@ -12,14 +12,17 @@ phases the engine cares about:
 * **warm install** — reinstalling a cached
   :class:`~repro.core.opc.ProgrammedWeights` record through
   :class:`~repro.engine.cache.WeightProgramCache`;
+* **warm store** — restoring programs from the on-disk
+  :class:`~repro.engine.store.ProgramStore` instead of programming
+  (:func:`bench_warm_store`);
 * **engine throughput** — a warmed :class:`~repro.engine.FrameServer`
   serving a kernel-swapping stream, in delivered frames per wall-clock
   second.
 
 The result dict is written to ``BENCH_program.json`` at the repo root —
 the first entry of the perf trajectory, so every future PR has a baseline
-to beat.  Timings are environment-dependent; the *speedup* and the
-bit-identity flag are the stable claims.
+to beat.  Timings are environment-dependent; the *speedups* and the
+bit-identity flags are the stable claims.
 """
 
 from __future__ import annotations
@@ -202,9 +205,9 @@ def _serve_digest(report) -> str:
     return digest.hexdigest()
 
 
-#: The full-zoo warmup workload: every family at two bit widths (matches
-#: the ``zoo`` scenario's model list, engine/workloads).
-PARALLEL_BENCH_ZOO: tuple[tuple[str, int], ...] = (
+#: The warm-store zoo: every family at two bit widths (matches the
+#: ``zoo`` scenario's model list, engine/workloads).
+STORE_BENCH_ZOO: tuple[tuple[str, int], ...] = (
     ("lenet", 4),
     ("lenet", 2),
     ("mlp", 4),
@@ -214,240 +217,6 @@ PARALLEL_BENCH_ZOO: tuple[tuple[str, int], ...] = (
     ("resnet18", 4),
     ("resnet18", 2),
 )
-
-
-def _zoo_setup(num_nodes: int, seed: int, quick: bool):
-    """Shared zoo-warmup workload for the parallel/pool/store legs.
-
-    Returns ``(specs, cold_server, probe_digest)``: the model specs, a
-    factory producing a genuinely cold ``FrameServer`` (fresh empty
-    ``WeightProgramCache``, every zoo model registered, optionally
-    store-backed), and a probe that serves a short round-robin stream
-    and returns its :func:`_serve_digest` — two servers warmed by
-    different paths must probe to the same digest or the paths are not
-    bit-identical.
-    """
-    from repro.engine.server import FrameRequest, FrameServer
-    from repro.engine.workloads import ModelSpec
-
-    specs = [
-        ModelSpec(family, bits)
-        for family, bits in (
-            PARALLEL_BENCH_ZOO[:3] if quick else PARALLEL_BENCH_ZOO
-        )
-    ]
-    models = {spec.key: spec.build(seed) for spec in specs}
-
-    def cold_server(program_store=None) -> FrameServer:
-        server = FrameServer(
-            num_nodes=num_nodes,
-            micro_batch=8,
-            seed=seed,
-            program_store=program_store,
-        )
-        for key, model in models.items():
-            server.register_model(key, model)
-        return server
-
-    def probe_digest(server: FrameServer) -> str:
-        rng = np.random.default_rng(seed)
-        requests = []
-        for index in range(2 * len(specs)):
-            spec = specs[index % len(specs)]
-            requests.append(
-                FrameRequest(
-                    rng.uniform(0.0, 1.0, spec.frame_shape), spec.key
-                )
-            )
-        return _serve_digest(server.serve(requests, offered_fps=500.0))
-
-    return specs, cold_server, probe_digest
-
-
-def bench_parallel_warmup(
-    num_nodes: int = 2,
-    seed: int = 0,
-    workers: int | None = None,
-    quick: bool = False,
-) -> dict[str, Any]:
-    """Serial vs process wall-clock on a cold full-zoo warmup.
-
-    Each measurement starts genuinely cold: a fresh ``FrameServer`` with
-    a fresh (empty) ``WeightProgramCache``, every zoo model registered,
-    then one :meth:`~repro.engine.server.FrameServer.warmup` — serial,
-    then fanned out over the process backend.  After each warmup the
-    server serves a short round-robin stream and the two
-    :func:`_serve_digest` values are compared: the parallel warmup must
-    leave the server in a bit-identical state.
-
-    The process leg is timed against a **warm pool**
-    (:func:`~repro.util.parallel.warm_pools` runs first): with the
-    spawn-pinned persistent pool registry, steady-state fan-out is the
-    claim this leg makes, and the one-time spawn+import cost is measured
-    explicitly by :func:`bench_pool_reuse` instead.
-    """
-    from repro.util.parallel import ParallelConfig, available_cores, warm_pools
-
-    specs, cold_server, probe_digest = _zoo_setup(num_nodes, seed, quick)
-
-    serial_server = cold_server()
-    started = time.perf_counter()
-    serial_server.warmup()
-    serial_s = time.perf_counter() - started
-
-    process_server = cold_server()
-    # At least two workers, or on a one-core host the serial pin would
-    # silently time a second serial pass as "process_s"; forcing the
-    # pool keeps the measurement honest (real IPC overhead, speedup
-    # below 1 on such hosts — the payload records ``cores`` next to it).
-    config = ParallelConfig(
-        "process", workers if workers is not None else max(2, available_cores())
-    )
-    warm_pools(config)
-    started = time.perf_counter()
-    process_server.warmup(parallel=config)
-    process_s = time.perf_counter() - started
-
-    return {
-        "models": len(specs),
-        "num_nodes": num_nodes,
-        "pairs": len(specs) * num_nodes,
-        "workers": config.resolve_workers(),
-        "serial_s": serial_s,
-        "process_s": process_s,
-        "speedup": serial_s / process_s if process_s > 0 else float("inf"),
-        "bit_identical": probe_digest(serial_server)
-        == probe_digest(process_server),
-    }
-
-
-def bench_pool_reuse(
-    num_nodes: int = 2,
-    seed: int = 0,
-    workers: int | None = None,
-    quick: bool = False,
-) -> dict[str, Any]:
-    """Persistent-pool reuse: cold-spawn vs warm-pool zoo warmup.
-
-    Three measurements of the same cold-cache zoo warmup:
-
-    * **serial** — the baseline the ≥2x claim is made against;
-    * **cold pool** — :func:`~repro.util.parallel.shutdown_pools` first,
-      so the process leg pays the full spawn+import price the explicit
-      ``spawn`` start-method pin costs (the price persistent pools
-      exist to amortize);
-    * **warm pool** — the pool the cold leg just built, reused.
-
-    ``speedup`` is serial / warm-pool (the steady-state fan-out claim);
-    ``reuse_gain`` is cold-pool / warm-pool (what the registry saves per
-    ``parallel_map`` call after the first).  ``bit_identical`` compares
-    the serial and warm-pool servers' probe digests.
-    """
-    from repro.util.parallel import (
-        ParallelConfig,
-        available_cores,
-        shutdown_pools,
-    )
-
-    specs, cold_server, probe_digest = _zoo_setup(num_nodes, seed, quick)
-
-    serial_server = cold_server()
-    started = time.perf_counter()
-    serial_server.warmup()
-    serial_s = time.perf_counter() - started
-
-    config = ParallelConfig(
-        "process", workers if workers is not None else max(2, available_cores())
-    )
-    shutdown_pools()
-    cold_pool_server = cold_server()
-    started = time.perf_counter()
-    cold_pool_server.warmup(parallel=config)
-    cold_pool_s = time.perf_counter() - started
-
-    warm_pool_server = cold_server()
-    started = time.perf_counter()
-    warm_pool_server.warmup(parallel=config)
-    warm_pool_s = time.perf_counter() - started
-
-    return {
-        "models": len(specs),
-        "num_nodes": num_nodes,
-        "pairs": len(specs) * num_nodes,
-        "workers": config.resolve_workers(),
-        "serial_s": serial_s,
-        "cold_pool_s": cold_pool_s,
-        "warm_pool_s": warm_pool_s,
-        "speedup": serial_s / warm_pool_s if warm_pool_s > 0 else float("inf"),
-        "reuse_gain": cold_pool_s / warm_pool_s
-        if warm_pool_s > 0
-        else float("inf"),
-        "bit_identical": probe_digest(serial_server)
-        == probe_digest(warm_pool_server),
-    }
-
-
-def bench_shm_transport(
-    seed: int = 0,
-    workers: int | None = None,
-    quick: bool = False,
-) -> dict[str, Any]:
-    """Zero-copy shared-memory transport vs plain-pickle IPC.
-
-    Runs the :func:`bench_parallel_capacity` grid (whose probe tasks
-    ship frame stacks and store-carrying caches — the large-ndarray
-    traffic the shm path exists for) twice over a warm process pool:
-    once with the default shared-memory threshold and once with
-    ``shm_min_bytes=None`` (everything through pickle bytes).  The two
-    reports must be byte-identical — the transport is an encoding, not
-    a computation — and ``speedup`` records pickle / shm wall-clock.
-    """
-    from repro.analysis.capacity import CapacitySettings, build_capacity_report
-    from repro.util.parallel import ParallelConfig, available_cores, warm_pools
-
-    if quick:
-        settings = CapacitySettings(
-            scenario="diurnal",
-            policies=("greedy",),
-            node_counts=(1, 2),
-            frames=24,
-            seed=seed,
-            search_iterations=2,
-        )
-    else:
-        settings = CapacitySettings(
-            scenario="poisson",
-            policies=("greedy", "slo"),
-            node_counts=(1, 2),
-            frames=120,
-            seed=seed,
-            search_iterations=5,
-        )
-
-    resolved = workers if workers is not None else max(2, available_cores())
-    shm_config = ParallelConfig("process", resolved)
-    pickle_config = ParallelConfig("process", resolved, shm_min_bytes=None)
-    warm_pools(shm_config)
-
-    started = time.perf_counter()
-    shm_report = build_capacity_report(settings, shm_config)
-    shm_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    pickle_report = build_capacity_report(settings, pickle_config)
-    pickle_s = time.perf_counter() - started
-
-    return {
-        "scenario": settings.scenario,
-        "grid_points": len(shm_report.points),
-        "workers": resolved,
-        "shm_s": shm_s,
-        "pickle_s": pickle_s,
-        "speedup": pickle_s / shm_s if shm_s > 0 else float("inf"),
-        "bit_identical": repr(shm_report.points)
-        == repr(pickle_report.points),
-    }
-
 
 #: The warm-store headline workload: a production-scale dense layer
 #: (0.5M weights).  The zoo's first layers are small enough that the
@@ -468,50 +237,68 @@ def bench_warm_store(
     Two claims, measured on two workloads against throwaway
     :class:`~repro.engine.store.ProgramStore` directories:
 
-    * **a second run programs nothing** — two serial zoo warmups over
-      the same store: the cold pass runs every (model, node) mapping
-      chain and writes behind; the warm pass (fresh server, fresh
-      *empty* in-memory cache) must restore every pair from its npz
-      record (``warm_programs_zero`` pins ``misses == 0``, and
-      ``bit_identical`` pins that restored programs serve byte-for-byte
-      what freshly programmed ones serve — both exact on any host and
-      in both modes).  Content addressing dedupes zoo families that
-      share an identical first layer, so ``entries`` may trail
-      ``pairs`` while ``store_hits == entries`` always holds.
-      ``zoo_warmup_gain`` records the honest warmup
-      wall-clock ratio: small first layers program in ~0.5ms, so the
-      fixed per-entry restore cost caps this around 3x;
+    * **a second run programs nothing** — two zoo warmups over the same
+      store: the cold pass runs every (model, node) mapping chain and
+      writes behind; the warm pass (fresh server, fresh *empty*
+      in-memory cache) must restore every pair from its npz record
+      (``warm_programs_zero`` pins ``misses == 0``, and ``bit_identical``
+      pins that restored programs serve byte-for-byte what freshly
+      programmed ones serve, via :func:`_serve_digest` of a short
+      round-robin stream — both exact on any host and in both modes).
+      Content addressing dedupes zoo families that share an identical
+      first layer, so ``entries`` may trail ``pairs`` while
+      ``store_hits == entries`` always holds.  ``zoo_warmup_gain``
+      records the honest warmup wall-clock ratio: small first layers
+      program in ~0.5ms, so the fixed per-entry restore cost caps this
+      around 3x;
     * **≥10x restore speedup** — one :data:`WARM_STORE_LAYER_SHAPE`
       dense layer (0.5M weights, program-bound), cold
       ``OpticalProcessingCore.program`` vs sha256-verified store
-      restore.  Not core-dependent — it holds on a 1-core container,
-      unlike the fan-out legs — and carried as the headline
-      ``speedup``.
+      restore, carried as the headline ``speedup``.
     """
     import shutil
     import tempfile
 
     from repro.core.opc import OpticalProcessingCore
     from repro.engine.cache import WeightProgramCache
+    from repro.engine.server import FrameRequest, FrameServer
     from repro.engine.store import ProgramStore
+    from repro.engine.workloads import ModelSpec
     from repro.nn.quant import UniformWeightQuantizer
 
-    specs, cold_server, probe_digest = _zoo_setup(num_nodes, seed, quick)
+    specs = [
+        ModelSpec(family, bits)
+        for family, bits in (STORE_BENCH_ZOO[:3] if quick else STORE_BENCH_ZOO)
+    ]
+    models = {spec.key: spec.build(seed) for spec in specs}
+
+    def warmed_server(store: ProgramStore) -> tuple[FrameServer, float]:
+        server = FrameServer(
+            num_nodes=num_nodes, micro_batch=8, seed=seed, program_store=store
+        )
+        for key, model in models.items():
+            server.register_model(key, model)
+        started = time.perf_counter()
+        server.warmup()
+        return server, time.perf_counter() - started
+
+    def probe_digest(server: FrameServer) -> str:
+        rng = np.random.default_rng(seed)
+        requests = []
+        for index in range(2 * len(specs)):
+            spec = specs[index % len(specs)]
+            requests.append(
+                FrameRequest(
+                    rng.uniform(0.0, 1.0, spec.frame_shape), spec.key
+                )
+            )
+        return _serve_digest(server.serve(requests, offered_fps=500.0))
 
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
-        cold_store = ProgramStore(root)
-        cold = cold_server(program_store=cold_store)
-        started = time.perf_counter()
-        cold.warmup()
-        cold_s = time.perf_counter() - started
-
+        cold, cold_s = warmed_server(ProgramStore(root))
         warm_store = ProgramStore(root)
-        warm = cold_server(program_store=warm_store)
-        started = time.perf_counter()
-        warm.warmup()
-        warm_s = time.perf_counter() - started
-
+        warm, warm_s = warmed_server(warm_store)
         zoo = {
             "models": len(specs),
             "num_nodes": num_nodes,
@@ -564,131 +351,31 @@ def bench_warm_store(
     }
 
 
-def bench_parallel_capacity(
-    seed: int = 0,
-    workers: int | None = None,
-    quick: bool = False,
-) -> dict[str, Any]:
-    """Serial vs process wall-clock on a capacity-planning grid.
-
-    Runs the same :func:`~repro.analysis.capacity.build_capacity_report`
-    grid under both backends and compares the full ``repr`` of the point
-    lists — the parallel report must be byte-identical, not merely close.
-    """
-    from repro.analysis.capacity import CapacitySettings, build_capacity_report
-    from repro.util.parallel import ParallelConfig, available_cores, warm_pools
-
-    if quick:
-        settings = CapacitySettings(
-            scenario="diurnal",
-            policies=("greedy",),
-            node_counts=(1, 2),
-            frames=24,
-            seed=seed,
-            search_iterations=2,
-        )
-    else:
-        settings = CapacitySettings(
-            scenario="poisson",
-            policies=("greedy", "slo"),
-            node_counts=(1, 2),
-            frames=120,
-            seed=seed,
-            search_iterations=5,
-        )
-    started = time.perf_counter()
-    serial_report = build_capacity_report(settings)
-    serial_s = time.perf_counter() - started
-
-    # Same two-worker floor as the warmup bench: the "process" leg must
-    # actually cross a process boundary to be worth recording.  Same
-    # warm-pool discipline too — spawn cost is bench_pool_reuse's job.
-    config = ParallelConfig(
-        "process", workers if workers is not None else max(2, available_cores())
-    )
-    warm_pools(config)
-    started = time.perf_counter()
-    process_report = build_capacity_report(settings, config)
-    process_s = time.perf_counter() - started
-
-    return {
-        "scenario": settings.scenario,
-        "grid_points": len(serial_report.points),
-        "workers": config.resolve_workers(),
-        "serial_s": serial_s,
-        "process_s": process_s,
-        "speedup": serial_s / process_s if process_s > 0 else float("inf"),
-        "bit_identical": repr(serial_report.points)
-        == repr(process_report.points),
-    }
-
-
-def run_parallel_bench(
-    quick: bool = False, seed: int = 0, workers: int | None = None
-) -> dict[str, Any]:
-    """Full ``BENCH_parallel.json`` payload: fan-out speedup + bit-identity.
-
-    Schema 2 adds the persistent-pool, shared-memory-transport and
-    warm-store legs.  ``cores`` records where the numbers were measured:
-    process fan-out on a 1-core host is pure IPC overhead (speedup < 1
-    is the *honest* reading, not a failure), so the core-dependent ≥2x
-    claims are asserted only on ≥4 cores in full mode
-    (``benchmarks/bench_parallel.py``).  The warm-store ≥10x claim is
-    *not* core-dependent — restoring an npz beats re-running the mapping
-    chain on any host.  The bit-identity flags are exact on every host
-    and every mode.
-
-    ``pool_reuse`` runs first: it shuts the pool registry down to price
-    the cold spawn, then leaves a warm pool behind that the remaining
-    fan-out legs (deliberately) reuse.
-    """
-    from repro.util.parallel import available_cores
-
-    return {
-        "bench": "parallel",
-        "schema": 2,
-        "quick": quick,
-        "cores": available_cores(),
-        "pool_reuse": bench_pool_reuse(
-            seed=seed, workers=workers, quick=quick
-        ),
-        "zoo_warmup": bench_parallel_warmup(
-            seed=seed, workers=workers, quick=quick
-        ),
-        "capacity_grid": bench_parallel_capacity(
-            seed=seed, workers=workers, quick=quick
-        ),
-        "shm_transport": bench_shm_transport(
-            seed=seed, workers=workers, quick=quick
-        ),
-        "warm_store": bench_warm_store(seed=seed, quick=quick),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-    }
-
-
 def run_bench(quick: bool = False, seed: int = 0) -> dict[str, Any]:
     """Run the whole perf-trajectory bench and return the JSON payload.
 
-    ``quick`` is the CI smoke mode: fewer repeats and a shorter stream so
-    the job stays in seconds; the measured *speedups* are noisier but the
-    bit-identity claim is exact either way.
+    The legs read as the three ways a program reaches a die — cold
+    ``program()``, in-memory cache hit, on-disk store restore — then a
+    warmed engine stream.  ``quick`` is
+    the CI smoke mode: fewer repeats and smaller workloads so the job
+    stays in seconds; the measured *speedups* are noisier but the
+    bit-identity claims are exact either way.
     """
     cold = bench_cold_program(
         repeats=2 if quick else 5, scalar_repeats=1 if quick else 2, seed=seed
     )
     warm = bench_warm_install(installs=50 if quick else 200, seed=seed)
+    store = bench_warm_store(seed=seed, quick=quick)
     engine = bench_engine_throughput(
         frames=32 if quick else 64, repeats=1 if quick else 3, seed=seed
     )
     return {
         "bench": "program_latency",
-        "schema": 1,
+        "schema": 2,
         "quick": quick,
         "cold_program": cold,
         "warm_install": warm,
+        "warm_store": store,
         "engine": engine,
         "environment": {
             "python": platform.python_version(),
@@ -703,6 +390,7 @@ def render_bench(result: dict[str, Any]) -> str:
 
     cold = result["cold_program"]
     warm = result["warm_install"]
+    store = result["warm_store"]
     engine = result["engine"]
     shape = "x".join(str(d) for d in cold["workload"]["shape"])
     rows = [
@@ -713,6 +401,12 @@ def render_bench(result: dict[str, Any]) -> str:
         ("scalar/vectorized bit-identical", str(cold["bit_identical"])),
         ("warm install (cache hit)", f"{warm['per_install_s'] * 1e6:.1f} us"),
         ("warm vs cold", f"{warm['speedup_vs_cold']:.0f}x"),
+        (
+            "store restore vs cold",
+            f"{store['restore_s'] * 1e3:.2f} ms vs "
+            f"{store['program_s'] * 1e3:.1f} ms ({store['speedup']:.1f}x)",
+        ),
+        ("warm store programs nothing", str(store["warm_programs_zero"])),
         (
             "engine throughput",
             f"{engine['wall_clock_fps']:.0f} frames/s "

@@ -42,7 +42,6 @@ from repro.nn.optim import SGD, CosineLR
 from repro.nn.train import Trainer
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
 from repro.sim.platforms import iter_platforms
-from repro.util.parallel import ParallelConfig, parallel_map
 from repro.util.tables import format_table
 
 
@@ -195,70 +194,46 @@ def _hardware_accuracy(
     return pipeline.evaluate(dataset.x_test, dataset.y_test)
 
 
-def _hardware_cell_task(task) -> tuple[float, float | None]:
-    """One (fault rate) hardware-in-the-loop cell, as a pure fan-out task.
-
-    Carries the trained probe model and the test split in the task
-    description (both plain numpy payloads, picklable); the worker
-    rebuilds the seeded OPC/fault chain from the settings, so the cell is
-    deterministic per description — the :mod:`repro.util.parallel`
-    contract that keeps the parallel table byte-identical to the serial
-    one.
-    """
-    model, dataset, settings, rate = task
-    accuracy = _hardware_accuracy(model, dataset, settings, rate, calibrated=False)
-    calibrated = (
-        _hardware_accuracy(model, dataset, settings, rate, calibrated=True)
-        if settings.include_calibrated
-        else None
-    )
-    return accuracy, calibrated
-
-
 def build_robustness_report(
     settings: RobustnessSettings | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> RobustnessReport:
     """Run the registry-driven accuracy-vs-fault-rate sweep.
 
-    The probe model trains once (shared, sequential); the platform x
-    fault-rate grid then fans out over ``parallel`` — each
-    fault-injectable cell is an independent seeded evaluation — and the
-    cells merge back in registry x rate order, so the report (and its
-    rendered table) is byte-identical under every backend.
+    The probe model trains once; each fault-injectable (platform, rate)
+    cell is then an independent seeded evaluation, in registry x rate
+    order.
     """
     settings = settings or RobustnessSettings()
     model, dataset = _train_probe_model(settings)
     software = _software_accuracy(model, dataset)
     report = RobustnessReport(settings=settings, software_accuracy=software)
-    grid = [
-        (platform, rate)
-        for platform in iter_platforms()
-        for rate in settings.fault_rates
-    ]
-    tasks = [
-        (model, dataset, settings, rate)
-        for platform, rate in grid
-        if platform.fault_injectable
-    ]
-    measured = iter(parallel_map(_hardware_cell_task, tasks, parallel))
-    for platform, rate in grid:
-        if platform.fault_injectable:
-            accuracy, calibrated = next(measured)
-        else:
-            # Digital platform: no optical fault surface; accuracy is
-            # the software model's at every rate.
-            accuracy = software
-            calibrated = None
-        report.cells.append(
-            RobustnessCell(
-                platform=platform.name,
-                fault_rate=rate,
-                accuracy=accuracy,
-                calibrated_accuracy=calibrated,
-                fault_injectable=platform.fault_injectable,
+    for platform in iter_platforms():
+        for rate in settings.fault_rates:
+            if platform.fault_injectable:
+                accuracy = _hardware_accuracy(
+                    model, dataset, settings, rate, calibrated=False
+                )
+                calibrated = (
+                    _hardware_accuracy(
+                        model, dataset, settings, rate, calibrated=True
+                    )
+                    if settings.include_calibrated
+                    else None
+                )
+            else:
+                # Digital platform: no optical fault surface; accuracy is
+                # the software model's at every rate.
+                accuracy = software
+                calibrated = None
+            report.cells.append(
+                RobustnessCell(
+                    platform=platform.name,
+                    fault_rate=rate,
+                    accuracy=accuracy,
+                    calibrated_accuracy=calibrated,
+                    fault_injectable=platform.fault_injectable,
+                )
             )
-        )
     return report
 
 

@@ -21,9 +21,8 @@ from repro.core.energy import OISAEnergyModel, resnet18_first_layer_workload
 from repro.core.mapping import ConvWorkload
 from repro.core.opc import OpticalProcessingCore
 from repro.nn.quant import UniformWeightQuantizer
-from repro.sim.platforms import get_platform, iter_platforms
+from repro.sim.platforms import iter_platforms
 from repro.sim.reports import SimulationReport
-from repro.util.parallel import ParallelConfig, parallel_map
 from repro.util.rng import derive_rng
 from repro.util.tables import format_table
 
@@ -93,39 +92,17 @@ class PlatformSweepPoint:
     report: SimulationReport
 
 
-def _platform_point_task(task) -> PlatformSweepPoint:
-    """One (platform, bit-config) evaluation, as a pure fan-out task.
-
-    Ships the registry *key* (not the adapter object) across the process
-    boundary and rebuilds the platform from the registry in the worker —
-    adapters are constructed deterministically from (key, config), so the
-    point is byte-identical wherever it computes.
-    """
-    platform_key, cfg, load, weight_bits, activation_bits = task
-    platform = get_platform(platform_key, cfg)
-    return PlatformSweepPoint(
-        platform=platform.name,
-        weight_bits=weight_bits,
-        activation_bits=activation_bits,
-        report=platform.simulate_conv(
-            load, weight_bits=weight_bits, activation_bits=activation_bits
-        ),
-    )
-
-
 def sweep_platforms(
     workload: ConvWorkload | None = None,
     bit_configs: tuple[tuple[int, int], ...] | None = None,
     config: OISAConfig | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> list[PlatformSweepPoint]:
     """Every registered platform x every bit configuration, one workload.
 
     Iterates the platform registry, so a newly registered platform shows
     up in the sweep (and everything built on it) without code changes.
-    The default bit grid is Fig. 9's x-axis.  The platform x bits grid
-    fans out over ``parallel`` and merges in registry order, so the point
-    list is byte-identical under every backend.
+    The default bit grid is Fig. 9's x-axis; points come back in registry
+    order.
     """
     if bit_configs is None:
         from repro.analysis.fig9 import BIT_CONFIGS
@@ -133,13 +110,19 @@ def sweep_platforms(
         bit_configs = BIT_CONFIGS
     cfg = config or OISAConfig()
     load = workload or resnet18_first_layer_workload(cfg)
-    tasks = [
-        (platform.key, cfg, load, weight_bits, activation_bits)
+    return [
+        PlatformSweepPoint(
+            platform=platform.name,
+            weight_bits=weight_bits,
+            activation_bits=activation_bits,
+            report=platform.simulate_conv(
+                load, weight_bits=weight_bits, activation_bits=activation_bits
+            ),
+        )
         for platform in iter_platforms(cfg)
         if platform.supports_conv
         for weight_bits, activation_bits in bit_configs
     ]
-    return parallel_map(_platform_point_task, tasks, parallel)
 
 
 def render_platform_sweep(points: list[PlatformSweepPoint] | None = None) -> str:

@@ -19,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 
@@ -104,32 +105,10 @@ def _cmd_compare(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _parallel_from_args(args: argparse.Namespace):
-    """Build the fan-out config from ``--backend``/``--workers`` flags.
-
-    Returns ``None`` for the pure-default case so call sites keep their
-    historical serial signature; ``--workers 1`` deliberately resolves to
-    the serial loop (the degenerate pin, see
-    :class:`repro.util.parallel.ParallelConfig`).
-    """
-    from repro.util.parallel import ParallelConfig
-
-    backend = getattr(args, "backend", "serial")
-    workers = getattr(args, "workers", None)
-    if backend == "serial" and workers is None:
-        return None
-    # --workers N without --backend means "fan out": default to process,
-    # the backend that buys wall-clock on multi-core hosts.
-    if backend == "serial" and workers is not None and workers > 1:
-        backend = "process"
-    return ParallelConfig(backend=backend, workers=workers)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.sweeps import render_platform_sweep, sweep_platforms
 
-    parallel = _parallel_from_args(args)
-    print(render_platform_sweep(sweep_platforms(parallel=parallel)))
+    print(render_platform_sweep(sweep_platforms()))
     if args.platforms:
         from repro.sim.platforms import iter_platforms
 
@@ -156,11 +135,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             settings, base_spec=profile.fault_spec, label=profile.name
         )
         print()
-        print(
-            render_robustness_report(
-                build_robustness_report(settings, parallel=parallel)
-            )
-        )
+        print(render_robustness_report(build_robustness_report(settings)))
     if args.capacity:
         from dataclasses import replace
 
@@ -197,9 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             render_capacity_report(
                 build_capacity_report(
-                    capacity,
-                    parallel=parallel,
-                    program_store=args.program_store,
+                    capacity, program_store=args.program_store
                 )
             )
         )
@@ -264,7 +237,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         or args.spares > 0
         or args.brownout != "none"
     )
-    parallel = _parallel_from_args(args)
     warm = None
     if args.shards > 0:
         # The sharded control plane builds plain shard servers — the
@@ -312,16 +284,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             brownout=args.brownout,
             program_store=args.program_store,
         )
-        # --workers/--backend fan the cold warmup out before serving; the
-        # serve report is bit-identical either way (the parallel layer's
-        # ordered-merge contract), only the programming wall-clock moves.
-        # A failover configuration also warms up front (serially when no
-        # fan-out is requested): pre-warmed programs are what make spare
-        # activation pure cache hits.
-        if parallel is not None or resilient:
+        # A failover configuration warms up front: pre-warmed programs
+        # are what make spare activation pure cache hits.
+        if resilient:
             for key, model in scenario.models.items():
                 server.register_model(key, model)
-            warm = server.warmup(parallel=parallel)
+            warm = server.warmup()
         report = server.serve_scenario(scenario, offered_fps=args.fps)
         store = server.cache.store
     rows = [
@@ -347,13 +315,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         )
     if warm is not None:
-        backend = parallel.effective_backend if parallel is not None else "serial"
         rows.append(
             (
                 "warmup (models x nodes)",
                 f"{warm['models']} x {warm['nodes']} in "
-                f"{warm['wall_clock_s'] * 1e3:.1f} ms "
-                f"[{backend}]",
+                f"{warm['wall_clock_s'] * 1e3:.1f} ms",
             )
         )
     rows.extend(
@@ -592,22 +558,21 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or maintain the on-disk program store.
 
     ``stats`` prints the inventory, ``verify`` integrity-checks every
-    entry (exit 1 when any is corrupt), ``purge`` removes every
-    current-schema entry.  Table output matches ``repro serve``'s
-    reporting style.
+    entry (exit 1 when any is corrupt or the directory is missing),
+    ``purge`` removes every current-schema entry.  Table output matches
+    ``repro serve``'s reporting style.
     """
     import os
 
     from repro.engine.store import STORE_SCHEMA_VERSION, ProgramStore
     from repro.util.tables import format_table
 
-    if args.action in ("stats", "purge") and not os.path.isdir(
-        args.program_store
-    ):
-        # stats/purge on a store that was never written is an empty
-        # answer, not a directory-creating side effect.
+    if not os.path.isdir(args.program_store):
+        # A store that was never written is an empty answer, not a
+        # directory-creating side effect; verify fails, since it checked
+        # nothing (a mistyped path must not pass a CI smoke step).
         print(f"program store {args.program_store!r}: no store directory")
-        return 0
+        return 1 if args.action == "verify" else 0
     store = ProgramStore(args.program_store)
     if args.action == "purge":
         removed = store.purge()
@@ -642,26 +607,24 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_parallel_flags(sub: argparse.ArgumentParser) -> None:
-    """``--workers``/``--backend`` for the multi-core fan-out layer.
+def _positive(kind: type):
+    """argparse ``type=`` for a finite ``kind`` value above zero.
 
-    Outputs are byte-identical under every backend (the ordered-merge
-    contract of :mod:`repro.util.parallel`); the flags only move
-    wall-clock.  ``--workers 1`` is the serial path by definition.
+    A bad count or rate is a usage error (exit 2) at parse time, not a
+    ``ValueError`` from inside the engine.
     """
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan-out worker count (default: one per core; 1 = serial)",
-    )
-    sub.add_argument(
-        "--backend",
-        default="serial",
-        choices=("serial", "thread", "process"),
-        help="fan-out executor backend (results are bit-identical under "
-        "every backend; 'process' buys wall-clock on multi-core hosts)",
-    )
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number above zero, got {text!r}"
+            )
+        return value
+
+    # argparse names the type in its "invalid ... value" message.
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _add_store_flag(sub: argparse.ArgumentParser) -> None:
@@ -770,16 +733,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="spare budget for the --resilience retry+spares rung",
     )
-    _add_parallel_flags(sweep)
     _add_store_flag(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
     serve = subparsers.add_parser(
         "serve", help="batched frame-serving engine demo"
     )
-    serve.add_argument("--frames", type=int, default=64)
-    serve.add_argument("--fps", type=float, default=1000.0)
-    serve.add_argument("--nodes", type=int, default=2)
-    serve.add_argument("--batch", type=int, default=16)
+    serve.add_argument("--frames", type=_positive(int), default=64)
+    serve.add_argument("--fps", type=_positive(float), default=1000.0)
+    serve.add_argument("--nodes", type=_positive(int), default=2)
+    serve.add_argument("--batch", type=_positive(int), default=16)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--scenario",
@@ -882,7 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.95,
         help="deadline-hit target for --check-slo (default 0.95)",
     )
-    _add_parallel_flags(serve)
     _add_store_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
     bench = subparsers.add_parser(
@@ -903,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("stats", "verify", "purge"),
         help="stats: inventory table; verify: integrity-check every "
-        "entry (exit 1 on corruption); purge: remove every entry",
+        "entry (exit 1 on corruption or a missing store); purge: remove "
+        "every entry",
     )
     cache.add_argument(
         "--program-store",

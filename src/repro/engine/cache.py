@@ -69,12 +69,8 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     #: Hits served by restoring an entry from the attached on-disk
-    #: :class:`~repro.engine.store.ProgramStore` (a subset of neither
-    #: ``hits`` nor ``misses`` arithmetic: each store restore counts one
-    #: ``hits`` increment on installs via :meth:`WeightProgramCache.
-    #: get_or_program`, and is stats-neutral on warmup-side
-    #: :meth:`WeightProgramCache.restore_from_store` checks — ``misses``
-    #: keeps meaning "mapping chains actually run").
+    #: :class:`~repro.engine.store.ProgramStore` (a subset of ``hits``;
+    #: ``misses`` keeps meaning "mapping chains actually run").
     store_hits: int = 0
     #: Entries dropped by health-driven :meth:`WeightProgramCache.invalidate_die`
     #: calls (recalibration after a fault or thermal re-trim).
@@ -211,9 +207,11 @@ class WeightProgramCache:
             opc.install(cached)
             return cached, True
 
-        restored = self._restore(key, opc.seed)
+        restored = self.store.load(key) if self.store is not None else None
         if restored is not None:
             self.stats.hits += 1
+            self.stats.store_hits += 1
+            self._insert(key, restored, opc.seed)
             opc.install(restored)
             return restored, True
 
@@ -223,40 +221,6 @@ class WeightProgramCache:
         if self.store is not None:
             self.store.put(key, programmed, die=opc.seed)
         return programmed, False
-
-    def preload(
-        self,
-        opc: OpticalProcessingCore,
-        quantized_weights: np.ndarray,
-        scale: float,
-        programmed: ProgrammedWeights,
-    ) -> None:
-        """Insert a program computed elsewhere, without installing it.
-
-        The parallel warmup path (:meth:`~repro.engine.server.FrameServer.
-        warmup` with a process/thread backend) programs (model, die) pairs
-        in workers and ships the :class:`~repro.core.opc.ProgrammedWeights`
-        records back to the main process; this seeds the shared cache so
-        the subsequent in-process activations are hits.  Counts as a miss
-        — the mapping chain *did* run, just in another address space — so
-        warmup's miss total still reads "programs computed".  Budget and
-        capacity eviction apply exactly as on a miss.
-
-        The caller owns the determinism obligation: ``programmed`` must be
-        what ``opc.program(quantized_weights, scale)`` would produce —
-        guaranteed for workers that rebuilt an identically configured core
-        from the same (config, die seed), per the scalar-reference
-        bit-identity contract of :mod:`repro.core.reference`.
-        """
-        key = self.key_for(opc, quantized_weights, scale)
-        if key in self._entries:
-            return
-        self.stats.misses += 1
-        self._insert(key, programmed, opc.seed)
-        if self.store is not None:
-            # Write-behind: the worker-computed program becomes a durable
-            # artifact a later run restores instead of recomputing.
-            self.store.put(key, programmed, die=opc.seed)
 
     def has_program(
         self,
@@ -282,38 +246,6 @@ class WeightProgramCache:
                 "cache to switch stores"
             )
         self.store = store
-
-    def _restore(self, key: str, die: int | None) -> ProgrammedWeights | None:
-        """Pull one entry from the store into memory (``None`` on miss)."""
-        if self.store is None:
-            return None
-        restored = self.store.load(key)
-        if restored is None:
-            return None
-        self.stats.store_hits += 1
-        self._insert(key, restored, die)
-        return restored
-
-    def restore_from_store(
-        self,
-        opc: OpticalProcessingCore,
-        quantized_weights: np.ndarray,
-        scale: float,
-    ) -> bool:
-        """Make a program resident from the store if possible.
-
-        The parallel warmup path calls this while collecting pending
-        (model, die) pairs: a pair the store already holds needs no
-        worker task at all — restoring an npz beats reprogramming by
-        orders of magnitude.  Returns whether the program is resident
-        afterwards.  Stats-neutral on the hit/miss counters (like
-        :meth:`has_program`); a successful restore counts one
-        :attr:`CacheStats.store_hits`.
-        """
-        key = self.key_for(opc, quantized_weights, scale)
-        if key in self._entries:
-            return True
-        return self._restore(key, opc.seed) is not None
 
     def set_priority(self, key: str, priority: int) -> None:
         """Set one key's eviction priority (0 restores plain LRU).

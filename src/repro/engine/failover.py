@@ -13,10 +13,10 @@ deterministic in simulated stream time:
   interactive traffic.
 * :class:`SparePool` / :class:`FailoverCoordinator` — warm-standby
   spares: a spare activates against the *failed node's die seed*, so
-  every program the primary warmed via :meth:`FrameServer.warmup` /
-  :meth:`WeightProgramCache.preload` is a cache **hit** on the spare and
-  the installed programs are bit-identical to the primary's (the cache
-  key includes the die seed — same die, same realized weights).
+  every program the primary warmed via :meth:`FrameServer.warmup` is a
+  cache **hit** on the spare and the installed programs are
+  bit-identical to the primary's (the cache key includes the die seed —
+  same die, same realized weights).
 * :class:`BrownoutController` — admission steps through explicit
   degradation tiers under sustained overload or capacity loss: *normal* →
   *shed best-effort* → *tighten ``max_queue_s``* → *serve at reduced

@@ -104,46 +104,8 @@ from repro.nn.layers import Sequential
 from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.sim.fleet import FleetModel, RadioModel
 from repro.sim.stream import StreamEvent, StreamReport
-from repro.util.parallel import ParallelConfig, parallel_map
 from repro.util.rng import spawn_seeds
 from repro.util.validation import check_positive
-
-
-def _warmup_program_task(
-    task: tuple[OISAConfig, int | None, bool, bool, bool, np.ndarray, float],
-):
-    """Program one (model, die) pair in a worker process.
-
-    Pure and picklable per the :mod:`repro.util.parallel` contract: the
-    task description carries everything that shapes the mapping — the
-    architecture config, the die seed, the noise/calibration flags and
-    the quantized kernel set — and the worker rebuilds an identically
-    configured :class:`~repro.core.opc.OpticalProcessingCore` from it.
-    Programming is deterministic per (config, die, kernel set)
-    (:mod:`repro.core.reference` contract), so the returned
-    :class:`~repro.core.opc.ProgrammedWeights` is bit-identical to what
-    the main-process core would have computed.
-    """
-    (
-        config,
-        die_seed,
-        enable_crosstalk,
-        enable_read_noise,
-        calibrated,
-        quantized,
-        scale,
-    ) = task
-    opc = OpticalProcessingCore(
-        config,
-        seed=die_seed,
-        enable_crosstalk=enable_crosstalk,
-        enable_read_noise=enable_read_noise,
-    )
-    if calibrated:
-        from repro.core.calibration import CalibratedAwcMapper
-
-        opc.awc = CalibratedAwcMapper(opc.awc)
-    return opc.program(quantized, scale)
 
 
 @dataclass(frozen=True)
@@ -624,7 +586,6 @@ class FrameServer:
         self,
         model_keys: list[str] | tuple[str, ...] | None = None,
         frame_shape: tuple[int, ...] | None = None,
-        parallel: ParallelConfig | None = None,
     ) -> dict[str, float]:
         """Pre-program known kernel sets so mid-stream swaps never stall.
 
@@ -636,19 +597,6 @@ class FrameServer:
         swap during :meth:`serve` is a cache hit and the first frame of a
         new model pays no host-side mapping cost.
 
-        With a non-serial ``parallel`` config the (model, die) programs
-        are computed concurrently — each pair is an independent pure task
-        (:func:`_warmup_program_task`) — and the returned records are
-        installed into the shared :class:`~repro.engine.cache.
-        WeightProgramCache` on the main process, **in task order**, before
-        the usual in-process activation pass runs.  The post-warmup server
-        state (cache contents, programmed dies, every subsequent
-        :class:`ServeReport`) is bit-identical to a serial warmup; only
-        this method's own hit/miss summary differs in shape (each pair
-        counts one preload miss *and* one activation hit, where the serial
-        pass counts a single miss), because the counters honestly narrate
-        where the programming happened.
-
         Parameters
         ----------
         model_keys:
@@ -657,10 +605,6 @@ class FrameServer:
             Optional ``(C, H, W)`` (conv) or flat-feature shape (dense) of
             the frames the stream will carry; warms the timing tables as
             well.
-        parallel:
-            Executor selection (:class:`~repro.util.parallel.
-            ParallelConfig`); ``None`` or a serial/one-worker config keeps
-            the historical sequential pass.
 
         Returns
         -------
@@ -676,8 +620,6 @@ class FrameServer:
                 self._models[key].check_frame_shape(tuple(frame_shape))
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
         started = time.perf_counter()
-        if parallel is not None and not parallel.is_serial:
-            self._preprogram_parallel(keys, parallel)
         for key in keys:
             entry = self._models[key]
             for node in self.nodes:
@@ -691,56 +633,6 @@ class FrameServer:
             "cache_misses": self.cache.stats.misses - misses0,
             "wall_clock_s": time.perf_counter() - started,
         }
-
-    def _preprogram_parallel(
-        self, keys: list[str], parallel: ParallelConfig
-    ) -> None:
-        """Fan the cold (model, die) programming out over workers.
-
-        Walks the same ``keys x nodes`` order as the serial pass, skips
-        pairs whose program is already resident — or restorable from the
-        cache's on-disk :class:`~repro.engine.store.ProgramStore`
-        (loading an npz beats reprogramming by orders of magnitude, so
-        warm-store pairs never become worker tasks) — ships the rest as
-        pure task descriptions to :func:`_warmup_program_task`, and
-        preloads the returned programs into the shared cache in task
-        order (:meth:`~repro.engine.cache.WeightProgramCache.preload`).
-        The subsequent in-process activation pass then only performs
-        O(1) installs.
-        """
-        pending: list[tuple] = []
-        targets: list[tuple[_Node, np.ndarray, float]] = []
-        for key in keys:
-            entry = self._models[key]
-            first = HardwareFirstLayerPipeline._find_first_quant_layer(
-                entry.model
-            )
-            if first is None:
-                continue  # activate() will raise the precise error
-            quantized = first.quantizer.quantize(first.weight.data)
-            scale = first.quantizer.scale(first.weight.data)
-            for node in self.nodes:
-                if self.cache.restore_from_store(node.opc, quantized, scale):
-                    continue
-                calibrated = (
-                    getattr(node.opc.awc, "calibration_token", None)
-                    is not None
-                )
-                pending.append(
-                    (
-                        node.opc.config,
-                        node.opc.seed,
-                        node.opc.enable_crosstalk,
-                        node.opc.enable_read_noise,
-                        calibrated,
-                        quantized,
-                        scale,
-                    )
-                )
-                targets.append((node, quantized, scale))
-        programs = parallel_map(_warmup_program_task, pending, parallel)
-        for (node, quantized, scale), programmed in zip(targets, programs):
-            self.cache.preload(node.opc, quantized, scale, programmed)
 
     # ------------------------------------------------------------------
     # Serving

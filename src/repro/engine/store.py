@@ -30,12 +30,9 @@ a freshly programmed one — the golden bit-identity tests hold with or
 without a store attached.
 
 Concurrency: writes are atomic (temp file + ``os.replace``) and
-content-addressed (an existing entry is never rewritten), so process
-workers and concurrent runs sharing one store directory race benignly —
-every writer writes the same bytes.  A store instance pickles as its
-path + schema alone (stats are per-process), which is what lets a
-:class:`~repro.engine.cache.WeightProgramCache` carrying one travel
-into :mod:`repro.util.parallel` workers.
+content-addressed (an existing entry is never rewritten), so
+concurrent runs sharing one store directory race benignly — every
+writer writes the same bytes.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ import logging
 import os
 import re
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -96,15 +92,6 @@ class ProgramStore:
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = os.fspath(root)
-        self.stats = StoreStats()
-        os.makedirs(self.root, exist_ok=True)
-
-    # -- pickling: a store travels into process workers as path only ----
-    def __getstate__(self) -> dict[str, Any]:
-        return {"root": self.root}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.root = state["root"]
         self.stats = StoreStats()
         os.makedirs(self.root, exist_ok=True)
 

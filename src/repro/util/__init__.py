@@ -5,17 +5,6 @@ subpackage (photonics, circuits, nn, core, ...) can rely on them without
 import cycles.
 """
 
-from repro.util.parallel import (
-    BACKENDS,
-    START_METHOD,
-    ParallelConfig,
-    active_pools,
-    available_cores,
-    parallel_map,
-    pool_scope,
-    shutdown_pools,
-    warm_pools,
-)
 from repro.util.rng import derive_rng, spawn_seeds
 from repro.util.tables import format_table
 from repro.util.units import (
@@ -36,21 +25,12 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "BACKENDS",
     "C_LIGHT_M_S",
     "ELEMENTARY_CHARGE_C",
     "KB_J_PER_K",
     "PLANCK_J_S",
-    "ParallelConfig",
     "ROOM_TEMPERATURE_K",
-    "START_METHOD",
-    "active_pools",
-    "available_cores",
     "check_in_range",
-    "parallel_map",
-    "pool_scope",
-    "shutdown_pools",
-    "warm_pools",
     "check_positive",
     "check_power_of_two",
     "check_probability",

@@ -76,19 +76,6 @@ def test_unclosed_bracket_is_flagged_as_lower_bound():
     assert ">=" in render_capacity_report(report)
 
 
-def test_sweep_scenarios_runs_one_report_per_scenario():
-    from dataclasses import replace
-
-    from repro.analysis.capacity import sweep_scenarios
-
-    settings = replace(
-        CapacitySettings.fast(), node_counts=(1,), search_iterations=2
-    )
-    reports = sweep_scenarios(("diurnal", "zoo"), settings)
-    assert [r.settings.scenario for r in reports] == ["diurnal", "zoo"]
-    assert all(r.points for r in reports)
-
-
 def test_settings_validation():
     with pytest.raises(ValueError):
         CapacitySettings(frames=0)

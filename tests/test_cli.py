@@ -137,6 +137,24 @@ def test_serve_unknown_scenario_rejected():
         main(["serve", "--scenario", "nope", "--frames", "4"])
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--nodes", "0"),
+        ("--frames", "0"),
+        ("--frames", "-3"),
+        ("--batch", "0"),
+        ("--fps", "0"),
+        ("--fps", "nan"),
+    ],
+)
+def test_serve_rejects_bad_numeric_flags_at_parse_time(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_sweep_capacity_command(capsys):
     assert main(["sweep", "--capacity", "--fast"]) == 0
     out = capsys.readouterr().out
@@ -262,6 +280,16 @@ def test_cache_stats_without_directory(tmp_path, capsys):
     import os
 
     assert not os.path.exists(missing)  # stats never creates the dir
+
+
+def test_cache_verify_without_directory(tmp_path, capsys):
+    import os
+
+    missing = str(tmp_path / "nowhere")
+    # A mistyped store path verified nothing: that is a failure.
+    assert main(["cache", "verify", "--program-store", missing]) == 1
+    assert "no store directory" in capsys.readouterr().out
+    assert not os.path.exists(missing)
 
 
 def test_cache_stats_verify_purge_cycle(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for WeightProgramCache byte-budget mode and preload semantics."""
+"""Tests for WeightProgramCache byte-budget mode and residency probes."""
 
 import numpy as np
 import pytest
@@ -138,49 +138,8 @@ def test_invalid_budget_rejected():
 
 
 # --------------------------------------------------------------------------
-# preload / has_program (the parallel-warmup seeding path)
+# has_program (the residency probe)
 # --------------------------------------------------------------------------
-def test_preload_seeds_without_installing(opc):
-    quantized, scale = _kernel_set(0)
-    worker_opc = OpticalProcessingCore(seed=opc.seed)
-    programmed = worker_opc.program(quantized, scale)
-
-    cache = WeightProgramCache()
-    assert not cache.has_program(opc, quantized, scale)
-    cache.preload(opc, quantized, scale, programmed)
-    assert cache.has_program(opc, quantized, scale)
-    assert cache.stats.misses == 1  # the mapping chain ran (elsewhere)
-    assert opc._programmed is None  # preload does not touch the core
-
-    # The subsequent in-process activation is a hit that installs.
-    cached, hit = cache.get_or_program(opc, quantized, scale)
-    assert hit
-    assert cached is programmed
-    assert opc.programmed is programmed
-
-
-def test_preload_is_idempotent_on_resident_keys(opc):
-    quantized, scale = _kernel_set(0)
-    cache = WeightProgramCache()
-    first, _ = cache.get_or_program(opc, quantized, scale)
-    misses = cache.stats.misses
-    cache.preload(opc, quantized, scale, opc.program(quantized, scale))
-    assert cache.stats.misses == misses  # resident key: no-op, no miss
-    cached, hit = cache.get_or_program(opc, quantized, scale)
-    assert hit and cached is first
-
-
-def test_preload_respects_budget(opc):
-    per_entry = _entry_bytes(opc)
-    cache = WeightProgramCache(memory_budget_bytes=2 * per_entry)
-    for seed in range(3):
-        quantized, scale = _kernel_set(seed)
-        cache.preload(opc, quantized, scale, opc.program(quantized, scale))
-    assert len(cache) == 2
-    assert cache.stats.evictions == 1
-    assert cache.stats.bytes_cached == 2 * per_entry
-
-
 def test_has_program_leaves_stats_and_lru_alone(opc):
     per_entry = _entry_bytes(opc)
     cache = WeightProgramCache(memory_budget_bytes=2 * per_entry)

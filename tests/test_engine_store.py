@@ -1,11 +1,14 @@
 """Tests for repro.engine.store — the content-addressed program store.
 
-Covers the ISSUE's hard cases: byte-exact round-trips across bit widths,
-truncation / hash-mismatch degrading to reprogramming (counted, never a
-crash), eviction leaving the on-disk copy alone, and ``invalidate_die``
-clearing both layers.
+Covers byte-exact round-trips across bit widths, truncation /
+hash-mismatch degrading to reprogramming (counted, never a crash),
+eviction leaving the on-disk copy alone, ``invalidate_die`` clearing both
+layers, and warmed / store-restored serves against the pinned golden
+stream (``tests/goldens/serve_default.json``).
 """
 
+import importlib.util
+import json
 import os
 
 import numpy as np
@@ -20,6 +23,17 @@ from repro.engine import (
 )
 from repro.engine.workloads import ModelSpec
 from repro.nn.quant import UniformWeightQuantizer
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+# The scheduler-golden helpers (_build_server/_mixed_requests/_serialize)
+# define the pinned default stream; reuse them so the oracles below cannot
+# drift from the golden's serialization.
+_spec = importlib.util.spec_from_file_location(
+    "scheduler_golden", os.path.join(TESTS_DIR, "test_engine_scheduler.py")
+)
+scheduler_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scheduler_golden)
 
 
 def _kernel_set(seed, bits=4, shape=(8, 1, 3, 3)):
@@ -109,18 +123,6 @@ def test_keys_ignore_foreign_and_old_schema_files(tmp_path):
 def test_schema_token_is_stable_and_short():
     assert ProgramStore.schema_token() == ProgramStore.schema_token()
     assert len(ProgramStore.schema_token()) == 16
-
-
-def test_store_pickles_as_path_only(tmp_path):
-    import pickle
-
-    store = ProgramStore(tmp_path)
-    key, programmed = _programmed()
-    store.put(key, programmed, die=1)
-    clone = pickle.loads(pickle.dumps(store))
-    assert clone.root == store.root
-    assert clone.stats.writes == 0  # stats are per-process
-    _assert_byte_equal(clone.load(key), programmed)
 
 
 # --------------------------------------------------------------------------
@@ -263,23 +265,6 @@ def test_attach_store_is_idempotent_but_not_replaceable(tmp_path):
         cache.attach_store(ProgramStore(tmp_path / "two"))
 
 
-def test_restore_from_store_is_stats_neutral(tmp_path):
-    store = ProgramStore(tmp_path)
-    opc = OpticalProcessingCore(seed=1)
-    quantized, scale = _kernel_set(0)
-    WeightProgramCache(store=store).get_or_program(opc, quantized, scale)
-
-    warm = WeightProgramCache(store=ProgramStore(tmp_path))
-    fresh_opc = OpticalProcessingCore(seed=1)
-    assert warm.restore_from_store(fresh_opc, quantized, scale) is True
-    assert warm.stats.hits == 0 and warm.stats.misses == 0
-    assert warm.stats.store_hits == 1
-    assert warm.restore_from_store(fresh_opc, quantized, scale) is True
-    assert warm.stats.store_hits == 1  # resident: no second disk read
-    missing_q, missing_s = _kernel_set(9)
-    assert warm.restore_from_store(fresh_opc, missing_q, missing_s) is False
-
-
 # --------------------------------------------------------------------------
 # Server-level warm runs
 # --------------------------------------------------------------------------
@@ -336,3 +321,64 @@ def test_legacy_int64_die_entries_still_verify(tmp_path):
         np.savez(handle, **fields)
     assert store.verify() == {"ok": [key], "corrupt": []}
     _assert_byte_equal(store.load(key), programmed)
+
+
+# --------------------------------------------------------------------------
+# Warmed and store-restored serves vs the pinned golden stream
+# --------------------------------------------------------------------------
+#: Fields that legitimately change under a warmed server: the serve-time
+#: cache counters (warmup turns cold programs into hits), and the stream
+#: energy total (a hit pays install/re-trim energy where the unwarmed
+#: golden pays the cold mapping chain).  Everything else — placements,
+#: event times, outputs, payloads — must match the golden exactly.
+WARMUP_SENSITIVE_FIELDS = ("cache_hits", "cache_misses", "total_energy_j")
+
+
+def _warmed_serve(store=None):
+    """The golden mixed stream served after a warmup (optionally stored)."""
+    server = scheduler_golden._build_server(num_nodes=2)
+    if store is not None:
+        server.cache.attach_store(ProgramStore(store))
+    stats = server.warmup()
+    report = server.serve(
+        scheduler_golden._mixed_requests(), offered_fps=1800.0
+    )
+    return scheduler_golden._serialize(report), stats, server
+
+
+def _store_warmed_serve(store):
+    """The golden mixed stream served after a store-backed warmup."""
+    serialized, _, server = _warmed_serve(store)
+    return serialized, server
+
+
+def test_warmup_serves_golden_stream():
+    """A warmed 2-node server matches the unwarmed golden except the
+    serve-time cache counters and energy total (warmup's job)."""
+    warmed, stats, _ = _warmed_serve()
+    assert stats["models"] == 2 and stats["nodes"] == 2
+    with open(scheduler_golden.GOLDEN_PATH) as handle:
+        golden = json.load(handle)["mixed_two_nodes_1800fps"]
+    trimmed = {
+        k: v for k, v in warmed.items() if k not in WARMUP_SENSITIVE_FIELDS
+    }
+    golden_trimmed = {
+        k: v for k, v in golden.items() if k not in WARMUP_SENSITIVE_FIELDS
+    }
+    assert trimmed == golden_trimmed
+    # The warmed server's serve does no more cold programs than the golden.
+    assert warmed["cache_misses"] <= golden["cache_misses"]
+
+
+def test_store_restored_serve_matches_golden_stream(tmp_path):
+    """Cold-run, warm-run and store-less servers serve identical bytes."""
+    serial, _, _ = _warmed_serve(None)
+    cold, cold_server = _store_warmed_serve(tmp_path / "store")
+    warm, warm_server = _store_warmed_serve(tmp_path / "store")
+    assert cold == serial
+    assert warm == serial  # restored programs serve the exact golden
+    assert cold_server.cache.stats.misses > 0
+    assert warm_server.cache.stats.misses == 0  # second run programs nothing
+    assert (
+        warm_server.cache.stats.store_hits == cold_server.cache.stats.misses
+    )

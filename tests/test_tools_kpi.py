@@ -51,13 +51,10 @@ def test_every_registered_kpi_names_a_known_kind():
 # --------------------------------------------------------------------------
 # Invariants
 # --------------------------------------------------------------------------
-def _identical_parallel_payload():
-    """Every schema-2 parallel invariant satisfied."""
+def _identical_program_latency_payload():
+    """Every program-latency invariant satisfied."""
     return {
-        "zoo_warmup": {"bit_identical": True},
-        "capacity_grid": {"bit_identical": True},
-        "pool_reuse": {"bit_identical": True},
-        "shm_transport": {"bit_identical": True},
+        "cold_program": {"bit_identical": True},
         "warm_store": {
             "bit_identical": True,
             "warm_programs_zero": True,
@@ -67,29 +64,29 @@ def _identical_parallel_payload():
 
 
 def test_invariant_failure_reported_in_quick_mode_too():
-    fresh = {"quick": True, **_identical_parallel_payload()}
-    fresh["zoo_warmup"] = {"bit_identical": False}
-    failures = kpi_check.check_invariants("parallel", fresh)
+    fresh = {"quick": True, **_identical_program_latency_payload()}
+    fresh["cold_program"] = {"bit_identical": False}
+    failures = kpi_check.check_invariants("program_latency", fresh)
     assert len(failures) == 1
-    assert "zoo_warmup.bit_identical" in failures[0]
+    assert "cold_program.bit_identical" in failures[0]
 
 
 def test_warm_store_invariants_gated():
-    fresh = {"quick": False, **_identical_parallel_payload()}
-    assert kpi_check.check_invariants("parallel", fresh) == []
+    fresh = {"quick": False, **_identical_program_latency_payload()}
+    assert kpi_check.check_invariants("program_latency", fresh) == []
     fresh["warm_store"] = {
         "bit_identical": True,
         "warm_programs_zero": False,
         "restored_bit_identical": True,
     }
-    failures = kpi_check.check_invariants("parallel", fresh)
+    failures = kpi_check.check_invariants("program_latency", fresh)
     assert len(failures) == 1
     assert "warm_store.warm_programs_zero" in failures[0]
 
 
 def test_missing_invariant_counts_as_failure():
-    failures = kpi_check.check_invariants("parallel", {"quick": False})
-    assert len(failures) == 7  # all schema-2 exact claims absent
+    failures = kpi_check.check_invariants("program_latency", {"quick": False})
+    assert len(failures) == 4  # all exact claims absent
 
 
 # --------------------------------------------------------------------------
@@ -132,35 +129,6 @@ def test_quick_payloads_never_compared():
         )
         == []
     )
-
-
-def test_min_cores_gates_parallel_speedups():
-    few_cores = _full(
-        {
-            "cores": 1,
-            "zoo_warmup": {"bit_identical": True, "speedup": 0.4},
-            "capacity_grid": {"bit_identical": True, "speedup": 0.5},
-        }
-    )
-    baseline = _full(
-        {
-            "cores": 8,
-            "zoo_warmup": {"bit_identical": True, "speedup": 3.0},
-            "capacity_grid": {"bit_identical": True, "speedup": 2.5},
-        }
-    )
-    # 1-core fresh payload: speedups are IPC overhead, not gated.
-    assert kpi_check.compare_payloads("parallel", few_cores, baseline) == []
-    # 8-core fresh payload vs 8-core baseline: gated normally.
-    regressed = _full(
-        {
-            "cores": 8,
-            "zoo_warmup": {"bit_identical": True, "speedup": 1.0},
-            "capacity_grid": {"bit_identical": True, "speedup": 2.4},
-        }
-    )
-    failures = kpi_check.compare_payloads("parallel", regressed, baseline)
-    assert len(failures) == 1 and "zoo_warmup.speedup" in failures[0]
 
 
 def test_absent_metric_is_not_gated():
@@ -236,59 +204,12 @@ def test_controlplane_savings_and_hit_rate_gated():
     assert any("node_seconds_saved_frac" in f for f in bad)
 
 
-# --------------------------------------------------------------------------
-# Core-gated skip annotations
-# --------------------------------------------------------------------------
-def test_core_gated_skips_are_annotated():
-    """A 1-core host's excused speedup KPIs produce explicit SKIP notes."""
-    few_cores = _full(
-        {
-            "cores": 1,
-            "zoo_warmup": {"bit_identical": True, "speedup": 0.4},
-            "capacity_grid": {"bit_identical": True, "speedup": 0.5},
-        }
-    )
-    baseline = _full(
-        {
-            "cores": 8,
-            "zoo_warmup": {"bit_identical": True, "speedup": 3.0},
-            "capacity_grid": {"bit_identical": True, "speedup": 2.5},
-        }
-    )
-    skips = kpi_check.core_gated_skips("parallel", few_cores, baseline)
-    # zoo_warmup, capacity_grid, pool_reuse and shm_transport speedups
-    # are core-gated; warm_store.speedup is not (it is no parallelism
-    # claim) and must never appear here.
-    assert len(skips) == 4
-    assert "zoo_warmup.speedup" in skips[0] and "fresh host has 1" in skips[0]
-    assert not any("warm_store" in note for note in skips)
-    # Capable hosts on both sides: nothing excused, nothing annotated.
-    assert kpi_check.core_gated_skips("parallel", baseline, baseline) == []
-
-
 def test_warm_store_speedup_gated_on_any_host():
-    """The store-restore KPI carries no core gate: a 1-core container
-    still fails the gate when the warm-store speedup collapses."""
-    baseline = _full({"cores": 8, "warm_store": {"speedup": 40.0}})
-    fresh = _full({"cores": 1, "warm_store": {"speedup": 5.0}})
-    failures = kpi_check.compare_payloads("parallel", fresh, baseline)
+    """A collapsed store-restore speedup fails the gate."""
+    baseline = _full({"warm_store": {"speedup": 40.0}})
+    fresh = _full({"warm_store": {"speedup": 5.0}})
+    failures = kpi_check.compare_payloads("program_latency", fresh, baseline)
     assert len(failures) == 1 and "warm_store.speedup" in failures[0]
-
-
-def test_quick_payloads_produce_no_skip_notes():
-    """Quick-mode runs compare nothing, so no core gate ever fires."""
-    quick = {"quick": True, "cores": 1}
-    assert kpi_check.core_gated_skips("parallel", quick, _full({})) == []
-
-
-def test_controlplane_kpis_hold_on_any_host():
-    """Simulated-time control-plane KPIs carry no ``min_cores`` gate, so a
-    1-core CI container gates them fully and annotates no skips."""
-    assert all(
-        not kpi.min_cores for kpi in kpi_check.KPIS["controlplane"]
-    )
-    one_core = _full({"cores": 1, "node_seconds_saved_frac": 0.45})
-    assert kpi_check.core_gated_skips("controlplane", one_core, one_core) == []
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +223,7 @@ def test_unknown_bench_passes(tmp_path):
 
 def test_malformed_json_fails(tmp_path):
     path = tmp_path / "BENCH_bad.json"
-    path.write_text('{"bench": "parallel", "v": NaN}')
+    path.write_text('{"bench": "program_latency", "v": NaN}')
     failures = kpi_check.check_file(str(path), "HEAD")
     assert len(failures) == 1 and "not strict JSON" in failures[0]
 

@@ -19,9 +19,7 @@ Two kinds of checks:
    may fall below the baseline by up to ``rel_tol`` (relative) plus
    ``abs_slack`` (absolute) before the gate trips — timings are
    environment-dependent, so the tolerances are deliberately generous;
-   the gate catches collapses, not jitter.  Some KPIs only mean anything
-   on capable hosts (``min_cores``) — e.g. the process-backend fan-out
-   speedup is honest IPC overhead on a 1-core container.
+   the gate catches collapses, not jitter.
 
 Run from the repo root (CI wires it after the bench smoke jobs)::
 
@@ -63,17 +61,20 @@ class Kpi:
     rel_tol: float = 0.5
     #: Allowed absolute drop on top of ``rel_tol`` (for small ratios).
     abs_slack: float = 0.0
-    #: Compare only when both payloads report at least this many cores
-    #: (``cores`` key; payloads without one always compare).
-    min_cores: int = 0
 
 
 #: Gated KPIs per ``bench`` payload name.
 KPIS: dict[str, tuple[Kpi, ...]] = {
     "program_latency": (
         Kpi("cold_program.bit_identical", kind="invariant_true"),
+        # A warm store must serve byte-identically and never silently
+        # start re-programming.
+        Kpi("warm_store.bit_identical", kind="invariant_true"),
+        Kpi("warm_store.warm_programs_zero", kind="invariant_true"),
+        Kpi("warm_store.restored_bit_identical", kind="invariant_true"),
         Kpi("cold_program.speedup"),
         Kpi("warm_install.speedup_vs_cold"),
+        Kpi("warm_store.speedup"),
         Kpi("engine.wall_clock_fps"),
     ),
     "degraded_serving": (
@@ -85,26 +86,6 @@ KPIS: dict[str, tuple[Kpi, ...]] = {
         # The SLO-vs-greedy deadline-hit gain is a small simulated-time
         # difference; gate on absolute slack rather than a ratio.
         Kpi("slo_vs_greedy_hit_gain", rel_tol=0.0, abs_slack=0.02),
-    ),
-    "parallel": (
-        Kpi("zoo_warmup.bit_identical", kind="invariant_true"),
-        Kpi("capacity_grid.bit_identical", kind="invariant_true"),
-        # Schema 2 (persistent pools / shm transport / program store):
-        # every alternative path must stay byte-identical, and a warm
-        # store must never silently start re-programming.
-        Kpi("pool_reuse.bit_identical", kind="invariant_true"),
-        Kpi("shm_transport.bit_identical", kind="invariant_true"),
-        Kpi("warm_store.bit_identical", kind="invariant_true"),
-        Kpi("warm_store.warm_programs_zero", kind="invariant_true"),
-        Kpi("warm_store.restored_bit_identical", kind="invariant_true"),
-        # Fan-out speedups are meaningless below 4 cores (IPC overhead).
-        Kpi("zoo_warmup.speedup", min_cores=4),
-        Kpi("capacity_grid.speedup", min_cores=4),
-        Kpi("pool_reuse.speedup", min_cores=4),
-        Kpi("shm_transport.speedup", min_cores=4),
-        # Store restore vs mapping chain is not a parallelism claim:
-        # gate it on every host.
-        Kpi("warm_store.speedup"),
     ),
     "chaos": (
         # The resilience layer's hard contracts: chaos replays are
@@ -173,11 +154,6 @@ def compare_payloads(
     for kpi in KPIS.get(name, ()):
         if kpi.kind != "higher":
             continue
-        if kpi.min_cores and (
-            int(fresh.get("cores", 0)) < kpi.min_cores
-            or int(baseline.get("cores", 0)) < kpi.min_cores
-        ):
-            continue
         fresh_value = lookup(fresh, kpi.path)
         base_value = lookup(baseline, kpi.path)
         if not isinstance(fresh_value, (int, float)) or not isinstance(
@@ -191,34 +167,6 @@ def compare_payloads(
                 f"(baseline {base_value:.4g}, floor {floor:.4g})"
             )
     return failures
-
-
-def core_gated_skips(
-    name: str, fresh: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
-    """Explicit notes for KPIs a ``min_cores`` gate excused on this host.
-
-    :func:`compare_payloads` silently passes over core-gated KPIs on
-    small hosts (a 1-core container's fan-out "speedup" is honest IPC
-    overhead, not a regression) — but a silent skip reads as "gated and
-    held" in CI logs.  This mirrors the exact skip condition and returns
-    one note per excused KPI so the CLI can print it as ``SKIP``.
-    """
-    skips = []
-    if fresh.get("quick", False) or baseline.get("quick", False):
-        return skips  # nothing was compared at all; core gates never ran
-    for kpi in KPIS.get(name, ()):
-        if kpi.kind != "higher" or not kpi.min_cores:
-            continue
-        fresh_cores = int(fresh.get("cores", 0))
-        base_cores = int(baseline.get("cores", 0))
-        if fresh_cores < kpi.min_cores or base_cores < kpi.min_cores:
-            skips.append(
-                f"{name}: {kpi.path} not gated (needs >= {kpi.min_cores} "
-                f"cores; fresh host has {fresh_cores}, baseline "
-                f"{base_cores})"
-            )
-    return skips
 
 
 def baseline_text(ref: str, relpath: str) -> str | None:
@@ -238,14 +186,8 @@ def baseline_text(ref: str, relpath: str) -> str | None:
     return completed.stdout
 
 
-def check_file(
-    path: str, ref: str, skips: list[str] | None = None
-) -> list[str]:
-    """All gate failures for one bench file in the working tree.
-
-    When ``skips`` is given, notes for every core-gated KPI the host was
-    too small to gate are appended to it (see :func:`core_gated_skips`).
-    """
+def check_file(path: str, ref: str) -> list[str]:
+    """All gate failures for one bench file in the working tree."""
     relpath = os.path.relpath(os.path.abspath(path), REPO_ROOT)
     with open(path) as handle:
         try:
@@ -264,8 +206,6 @@ def check_file(
             baseline = None  # legacy NaN payload: no baseline to gate on
         if isinstance(baseline, dict):
             failures.extend(compare_payloads(name, fresh, baseline))
-            if skips is not None:
-                skips.extend(core_gated_skips(name, fresh, baseline))
     return failures
 
 
@@ -288,12 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
     )
     failures = []
-    skips: list[str] = []
     for path in paths:
-        failures.extend(check_file(path, args.ref, skips))
+        failures.extend(check_file(path, args.ref))
         print(f"{os.path.relpath(path, REPO_ROOT)}: checked")
-    for note in skips:
-        print(f"SKIP {note}")
     for failure in failures:
         print(f"FAIL {failure}")
     if failures:
