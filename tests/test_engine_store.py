@@ -352,11 +352,17 @@ def _store_warmed_serve(store):
     return serialized, server
 
 
-def test_warmup_serves_golden_stream():
-    """A warmed 2-node server matches the unwarmed golden except the
-    serve-time cache counters and energy total (warmup's job)."""
-    warmed, stats, _ = _warmed_serve()
+@pytest.mark.parametrize("backing", ["in-memory", "program-store"])
+def test_warmup_serves_golden_stream(backing, tmp_path):
+    """A warmed 2-node server — programs held in memory only, or also
+    written through to a program store — matches the unwarmed golden
+    except the serve-time cache counters and energy total (warmup's job)."""
+    store = tmp_path / "store" if backing == "program-store" else None
+    warmed, stats, server = _warmed_serve(store)
     assert stats["models"] == 2 and stats["nodes"] == 2
+    if store is not None:
+        # Every program the warmup built cold is now on disk.
+        assert len(ProgramStore(store)) == server.cache.stats.misses > 0
     with open(scheduler_golden.GOLDEN_PATH) as handle:
         golden = json.load(handle)["mixed_two_nodes_1800fps"]
     trimmed = {
