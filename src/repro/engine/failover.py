@@ -31,9 +31,9 @@ dispatch energy in ``total_energy_j`` (the work happened) and the waste is
 itemised in :class:`ResilienceReport.wasted_energy_j`; retries pay the
 full dispatch cost again.
 
-Default-path contract: with ``retry_policy=None``, ``spares=0`` and
-``brownout=None`` the server constructs no coordinator and serving is
-byte-identical to a server without this module.
+Default-path contract: with none of these, no fault profile and no
+chaos plan the server serves through the plain
+:class:`~repro.engine.scheduler.ServeLayers` and builds no coordinator.
 
 Units: all times in *simulated* seconds, energies in joules.
 """
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.engine.scheduler import ServeLayers
 from repro.util.rng import derive_rng
 from repro.util.validation import check_non_negative, check_positive
 
@@ -431,12 +432,16 @@ class ResilienceReport:
         return self.frames_recovered / self.frames_lost_in_flight
 
 
-class FailoverCoordinator:
-    """One serve call's retry/spare/brownout state, consulted by the
-    scheduler.
+class FailoverCoordinator(ServeLayers):
+    """One serve call's layered path behind the
+    :class:`~repro.engine.scheduler.ServeLayers` seam: the health monitor
+    (and its chaos timeline), retry, spares and brownout.
 
     Parameters
     ----------
+    monitor:
+        The per-serve :class:`~repro.engine.health.HealthMonitor`; the
+        serving hooks need it, the retry/spare/brownout calls do not.
     retry:
         The :class:`RetryPolicy` (``None`` disables retries).
     spares:
@@ -454,8 +459,11 @@ class FailoverCoordinator:
         reduced-bits tier (identity for keys without a variant).
     """
 
+    tracks_in_flight = True
+
     def __init__(
         self,
+        monitor=None,
         retry: RetryPolicy | None = None,
         spares: SparePool | None = None,
         brownout: BrownoutController | None = None,
@@ -463,6 +471,7 @@ class FailoverCoordinator:
         spare_factory=None,
         reduced_key: dict[str, str] | None = None,
     ) -> None:
+        self.monitor = monitor
         self.retry = retry
         self.spares = spares
         self.brownout = brownout
@@ -477,6 +486,75 @@ class FailoverCoordinator:
         self._retries_by_class: dict[str, int] = {}
         #: Failed node ids already covered by a spare.
         self._covered: set[int] = set()
+
+    # -- serving hooks (see ServeLayers) ---------------------------------
+    def bind(self, on_node_lost) -> None:
+        self.monitor.on_node_lost = on_node_lost
+
+    def advance(self, now_s: float) -> None:
+        self.monitor.advance(now_s)
+
+    def admit(self, scheduler, now_s: float, item) -> bool:
+        self.monitor.advance(now_s)
+        slo = item.slo
+        self.record_offered(slo.name)
+        brownout = self.brownout
+        if brownout is None:
+            return super().admit(scheduler, now_s, item)
+        wait = scheduler.wait_estimate(now_s, slo)
+        brownout.observe(now_s, wait, self.monitor.unavailable_fraction(now_s))
+        if not brownout.admits(slo):
+            brownout.report.shed_frames += 1
+            return False
+        limit = brownout.effective_max_queue_s(slo)
+        if limit is not None and wait > limit:
+            if slo.max_queue_s is None or wait <= slo.max_queue_s:
+                # Only the tightened bound sheds it — bill brownout.
+                brownout.report.shed_frames += 1
+            return False
+        return True
+
+    def dispatch(self, item, node, start_s: float) -> tuple[str, int, float]:
+        key = item.model_key
+        if self.brownout is not None and self.brownout.wants_reduced_bits:
+            key = self._reduced_key.get(key, key)
+            if key != item.model_key:
+                self.brownout.report.reduced_bits_frames += 1
+        if item.attempt > 0:
+            self.report.retries_dispatched += 1
+        tag = self.monitor.degradation_tag(node)
+        self.monitor.record_frame(tag > 0)
+        return key, tag, self.monitor.latency_factor(start_s)
+
+    def finish(self, result, revoked: dict) -> None:
+        report = self.report
+        report.frames_lost_in_flight = len(revoked)
+        report.wasted_energy_j = sum((j for _, j in revoked.values()), 0.0)
+        report.frames_abandoned = len(result.lost)
+        report.frames_recovered = sum(
+            1
+            for index in {index for index, _ in revoked.values()}
+            if not result.placements[index][1].dropped
+        )
+
+    def fault_core(self, node, model_key: str, tag: int):
+        return self.monitor.fault_core(node, model_key, tag)
+
+    def report_fields(self) -> dict:
+        """``health`` under a fault profile or chaos plan, ``resilience``
+        (and ``brownout``) under retry, spares or brownout."""
+        fields = {}
+        if self.monitor.profile.active or self.monitor.chaos is not None:
+            fields["health"] = self.monitor.report
+        if (
+            self.retry is not None
+            or self.spares is not None
+            or self.brownout is not None
+        ):
+            fields["resilience"] = self.report
+        if self.brownout is not None:
+            fields["brownout"] = self.brownout.report
+        return fields
 
     # -- admission-side bookkeeping ------------------------------------
     def record_offered(self, class_name: str) -> None:
@@ -551,13 +629,6 @@ class FailoverCoordinator:
             )
         )
         return spare
-
-    # -- brownout -------------------------------------------------------
-    def effective_model_key(self, model_key: str) -> str:
-        """The key to dispatch under the active brownout tier."""
-        if self.brownout is None or not self.brownout.wants_reduced_bits:
-            return model_key
-        return self._reduced_key.get(model_key, model_key)
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,9 @@ exercised by offline analysis.  This module wires them into the stream:
 Determinism contract: every stochastic draw (upset patterns) comes from
 ``derive_rng`` streams keyed by (server seed, node, upset index, model), so
 a fixed seed reproduces the same degraded outputs frame-for-frame.  With
-``fault_profile=None`` (or the named ``"none"`` profile) no monitor is
-constructed and serving is bit-identical to a server without this module.
+no serving layer configured (``fault_profile=None`` or ``"none"``, no
+chaos or failover) no monitor is constructed and serving is bit-identical
+to a server without this module.
 
 Units: times in seconds of *simulated* stream time, temperatures in
 kelvin, drift rates in K/s.  The named profiles use accelerated timescales

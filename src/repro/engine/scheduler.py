@@ -34,6 +34,9 @@ compute step: the server's per-chunk loop consumes it verbatim and
 never feeds back into scheduling.  A schedule-only serve
 (``compute=False``) stops after this step.
 
+The optional health, chaos, retry, spare and brownout layers attach
+through one :class:`ServeLayers` seam whose base class is the plain path.
+
 Units: all event times in *simulated* seconds (the ``StreamEvent``
 clock).  The scheduler reads no host clock; the server times the whole
 ``serve`` call once (``ServeReport.wall_clock_s``).
@@ -299,6 +302,54 @@ class SchedulingResult:
     served: dict[int, str] = field(default_factory=dict)
 
 
+class ServeLayers:
+    """The seam the optional serving layers plug into; this base class is
+    the plain path, every hook a no-op (or the plain backpressure rule).
+
+    :class:`FrameScheduler` calls the hooks unconditionally: one per
+    arrival and one per dispatch on the plain path.  The layered
+    implementation is :class:`~repro.engine.failover.FailoverCoordinator`
+    (health with its chaos timeline, retry, spares, brownout).  Only it
+    fires the node-loss callback, so only it is asked the loss-path
+    questions (``retry_after_loss``, ``retry_after_busy``,
+    ``request_spare``).
+    """
+
+    #: Whether a loss can kill a frame in flight (and so revoke it).
+    tracks_in_flight = False
+
+    def bind(self, on_node_lost) -> None:
+        """Start of a run: ``on_node_lost(node, time_s, until_s)``."""
+
+    def advance(self, now_s: float) -> None:
+        """Bring layer state up to ``now_s`` outside an arrival."""
+
+    def admit(self, scheduler: FrameScheduler, now_s: float, item) -> bool:
+        """Whether the arrival ``item`` is admitted (``False`` sheds it)."""
+        slo = item.slo
+        return slo.max_queue_s is None or not scheduler.admission.sheds(
+            item.model_key, scheduler.wait_estimate(now_s, slo)
+        )
+
+    def dispatch(self, item, node, start_s: float) -> tuple[str, int, float]:
+        """``(served model key, degradation tag, latency factor)``."""
+        return item.model_key, 0, 1.0
+
+    def finish(self, result: SchedulingResult, revoked: dict) -> None:
+        """End of a run; ``revoked`` maps each schedule position a node
+        loss revoked to its (request idx, spent energy [J]), in loss
+        order."""
+
+    def fault_core(self, node, model_key: str, tag: int):
+        """The core frames tagged ``tag`` compute through (``None``: as
+        programmed)."""
+        return None
+
+    def report_fields(self) -> dict:
+        """The ``ServeReport`` fields this layer fills."""
+        return {}
+
+
 class FrameScheduler:
     """One ``serve`` call's simulated-time admission + placement engine.
 
@@ -311,20 +362,11 @@ class FrameScheduler:
         ``{model_key: _ModelEntry}`` — pipeline/timing factories.
     policy:
         A :class:`SchedulingPolicy` instance (reset per run).
+    layers:
+        The :class:`ServeLayers` this run calls; the base class keeps the
+        default path byte-identical to the pre-resilience engine.
     admission:
         The :class:`~repro.engine.admission.AdmissionController`.
-    monitor:
-        Optional :class:`~repro.engine.health.HealthMonitor`; advanced on
-        every arrival (and, for queueing policies, on completions).  A
-        monitor carrying a chaos timeline additionally calls back into
-        this scheduler when a loss event takes a node out, so in-flight
-        frames on it are reaped (and retried when a failover layer is
-        attached).
-    failover:
-        Optional :class:`~repro.engine.failover.FailoverCoordinator` —
-        retry decisions, spare activation and brownout admission tiers.
-        ``None`` keeps every failover branch cold (the default path stays
-        byte-identical to the pre-resilience engine).
     """
 
     def __init__(
@@ -332,16 +374,14 @@ class FrameScheduler:
         nodes,
         models,
         policy: SchedulingPolicy,
+        layers: ServeLayers,
         admission: AdmissionController | None = None,
-        monitor=None,
-        failover=None,
     ) -> None:
         self.nodes = nodes
         self.models = models
         self.policy = policy
         self.admission = admission if admission is not None else PASS_THROUGH
-        self.monitor = monitor
-        self.failover = failover
+        self.layers = layers
         #: Rolling service-time hint [s] for the backpressure wait estimate
         #: (last dispatched frame's pipelined service time).
         self._service_hint_s = 0.0
@@ -362,37 +402,21 @@ class FrameScheduler:
         result = SchedulingResult(stream=StreamReport())
         self._result = result
         self._requests = requests
-        self._arrivals = arrivals
         #: Node ids with a completion event currently in the heap — one
         #: pending event per node keeps the heap linear in dispatches.
         self._free_event_pending: set[int] = set()
-        #: In-flight tracking only exists when something can kill a frame
-        #: mid-run (a chaos timeline) or re-dispatch one (a failover
-        #: layer) — the default path allocates nothing.
-        self._track_inflight = self.failover is not None or (
-            self.monitor is not None
-            and getattr(self.monitor, "chaos", None) is not None
-        )
-        #: node id -> {request idx: (finish time, item)} for dispatched,
-        #: not-yet-finished frames.
-        self._in_flight: dict[int, dict[int, tuple[float, QueuedFrame]]] = {}
-        #: request idx -> (schedule position, dispatch energy [J]) of its
-        #: latest dispatch, so a loss can revoke it.
-        self._dispatch_meta: dict[int, tuple[int, float]] = {}
-        #: Schedule positions revoked by node losses (filtered at the end).
-        self._revoked: set[int] = set()
-        #: Indices that were killed in flight at least once.
-        self._lost_once: set[int] = set()
+        #: node id -> {request idx: (finish time, item, schedule position,
+        #: dispatch energy [J])} for dispatched frames a loss may revoke.
+        self._in_flight: dict[int, dict[int, tuple]] = {}
+        #: Schedule position -> (request idx, energy [J]) of each dispatch
+        #: a node loss revoked (filtered from the schedule at the end).
+        self._revoked: dict[int, tuple[int, float]] = {}
         self._retry_items: dict[int, QueuedFrame] = {}
         self._retry_serial = 0
         #: (model key, node id, frame shape) -> dispatch constants; see
         #: :meth:`_resolve_constants`.
         self._constants: dict[tuple, tuple] = {}
-        if (
-            self.monitor is not None
-            and getattr(self.monitor, "chaos", None) is not None
-        ):
-            self.monitor.on_node_lost = self._on_node_lost
+        self.layers.bind(self._on_node_lost)
 
         order = sorted(range(len(requests)), key=arrivals.__getitem__)
         heap: list[tuple[float, int, int]] = [
@@ -417,13 +441,7 @@ class FrameScheduler:
                 for position, entry in enumerate(result.schedule)
                 if position not in self._revoked
             ]
-        if self.failover is not None:
-            self.failover.report.frames_abandoned = len(result.lost)
-            self.failover.report.frames_recovered = sum(
-                1
-                for index in self._lost_once
-                if not result.placements[index][1].dropped
-            )
+        self.layers.finish(result, self._revoked)
 
         # Rebuild the event list in (arrival, index) order — bit-identical
         # to the old single-loop append order on the greedy path, and a
@@ -437,8 +455,6 @@ class FrameScheduler:
     # Event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, now_s: float, index: int) -> None:
-        if self.monitor is not None:
-            self.monitor.advance(now_s)
         request = self._requests[index]
         model_key = request.model_key
         slo = self.admission.slo_for(model_key)
@@ -446,33 +462,7 @@ class FrameScheduler:
         item = QueuedFrame(
             index, model_key, tenant, now_s, slo, slo.absolute_deadline_s(now_s)
         )
-        if self.failover is not None:
-            self.failover.record_offered(slo.name)
-        brownout = (
-            self.failover.brownout if self.failover is not None else None
-        )
-        if brownout is not None:
-            wait = self._wait_estimate(now_s, slo)
-            unavailable = (
-                self.monitor.unavailable_fraction(now_s)
-                if self.monitor is not None
-                else 0.0
-            )
-            brownout.observe(now_s, wait, unavailable)
-            if not brownout.admits(slo):
-                brownout.report.shed_frames += 1
-                self._drop(index, now_s, shed=True)
-                return
-            limit = brownout.effective_max_queue_s(slo)
-            if limit is not None and wait > limit:
-                if slo.max_queue_s is None or wait <= slo.max_queue_s:
-                    # Only the tightened bound sheds it — bill brownout.
-                    brownout.report.shed_frames += 1
-                self._drop(index, now_s, shed=True)
-                return
-        elif slo.max_queue_s is not None and self.admission.sheds(
-            model_key, self._wait_estimate(now_s, slo)
-        ):
+        if not self.layers.admit(self, now_s, item):
             self._drop(index, now_s, shed=True)
             return
         node = self.policy.select_node(self.nodes, now_s, model_key)
@@ -516,14 +506,13 @@ class FrameScheduler:
         item = self._pop_live(now_s)
         if item is None:
             return
-        if self.monitor is not None:
-            self.monitor.advance(now_s)
-            if now_s < node.free_at - _EPS or not math.isfinite(node.free_at):
-                # The monitor just took this node offline; put the frame
-                # back and wait for the node's next completion.
-                self.policy.requeue(item)
-                self._push_free_event(node)
-                return
+        self.layers.advance(now_s)
+        if now_s < node.free_at - _EPS or not math.isfinite(node.free_at):
+            # A layer just took this node offline; put the frame back and
+            # wait for the node's next completion.
+            self.policy.requeue(item)
+            self._push_free_event(node)
+            return
         self._dispatch(item, node, now_s)
 
     def _pop_live(self, now_s: float) -> QueuedFrame | None:
@@ -559,64 +548,50 @@ class FrameScheduler:
             self._result.lost.add(index)
 
     # ------------------------------------------------------------------
-    # Failover: node loss reaping + retry events
+    # Node loss reaping + retry events (reached only through a layer)
     # ------------------------------------------------------------------
     def _on_node_lost(self, node, now_s: float, until_s: float) -> None:
-        """Chaos loss callback: reap the node's in-flight frames and, when
-        a failover layer is attached, retry them / activate a spare.
+        """Node-loss callback: reap the node's in-flight frames, retry or
+        drop each, and let the layer bring up a spare.
 
         Reaping revokes the dispatch (schedule entry filtered, per-node
         frame count decremented) but keeps its already-spent energy in the
-        stream total — the work happened; the waste is itemised in the
-        resilience report.
+        stream total — the work happened; the layer itemises the waste.
         """
-        entries = self._in_flight.get(node.node_id)
-        if entries:
-            victims = sorted(
-                index
-                for index, (finish_s, _) in entries.items()
-                if finish_s > now_s + _EPS
-            )
-            for index in victims:
-                _, item = entries.pop(index)
-                self._revoke_dispatch(node, item, now_s)
-        if self.failover is not None:
-            spare = self.failover.request_spare(node, now_s)
-            if spare is not None:
-                # The spare's bring-up completion must be an event, or
-                # queued frames strand until the next organic completion.
-                self._push_free_event(spare)
-
-    def _revoke_dispatch(self, node, item: QueuedFrame, now_s: float) -> None:
-        position, energy_j = self._dispatch_meta.pop(item.index)
-        self._revoked.add(position)
-        node.frames -= 1
-        self._lost_once.add(item.index)
-        retry_at = None
-        if self.failover is not None:
-            self.failover.report.frames_lost_in_flight += 1
-            self.failover.report.wasted_energy_j += energy_j
-            retry_at = self.failover.retry_after_loss(
+        entries = self._in_flight.get(node.node_id, {})
+        victims = sorted(
+            index
+            for index, (finish_s, *_) in entries.items()
+            if finish_s > now_s + _EPS
+        )
+        for index in victims:
+            _, item, position, energy_j = entries.pop(index)
+            self._revoked[position] = (index, energy_j)
+            node.frames -= 1
+            retry_at = self.layers.retry_after_loss(
                 item, now_s, self._service_hint_s
             )
-        if retry_at is None:
-            self._drop(item.index, item.arrival_s, lost=True)
-        else:
-            self._schedule_retry(
-                retry_at, item._replace(attempt=item.attempt + 1)
-            )
+            self._retry_or_drop(item, retry_at)
+        spare = self.layers.request_spare(node, now_s)
+        if spare is not None:
+            # The spare's bring-up completion must be an event, or
+            # queued frames strand until the next organic completion.
+            self._push_free_event(spare)
 
-    def _schedule_retry(self, retry_at_s: float, item: QueuedFrame) -> None:
+    def _retry_or_drop(self, item: QueuedFrame, retry_at_s) -> None:
+        """Re-dispatch ``item`` at ``retry_at_s``; ``None`` abandons it."""
+        if retry_at_s is None:
+            self._drop(item.index, item.arrival_s, lost=True)
+            return
         serial = self._retry_serial
         self._retry_serial += 1
-        self._retry_items[serial] = item
+        self._retry_items[serial] = item._replace(attempt=item.attempt + 1)
         heapq.heappush(self._heap, (retry_at_s, _RETRY, serial))
 
     def _on_retry(self, now_s: float, serial: int) -> None:
         """One retry event: re-dispatch, re-queue, back off, or abandon."""
         item = self._retry_items.pop(serial)
-        if self.monitor is not None:
-            self.monitor.advance(now_s)
+        self.layers.advance(now_s)
         if item.deadline_s < now_s - _EPS:
             self._drop(item.index, item.arrival_s, lost=True)
             return
@@ -627,83 +602,57 @@ class FrameScheduler:
                 for candidate in self.nodes:
                     self._push_free_event(candidate)
                 return
-            retry_at = (
-                self.failover.retry_after_busy(
-                    item, now_s, self._service_hint_s
-                )
-                if self.failover is not None
-                else None
+            retry_at = self.layers.retry_after_busy(
+                item, now_s, self._service_hint_s
             )
-            if retry_at is None:
-                self._drop(item.index, item.arrival_s, lost=True)
-            else:
-                self._schedule_retry(
-                    retry_at, item._replace(attempt=item.attempt + 1)
-                )
+            self._retry_or_drop(item, retry_at)
             return
         self._dispatch(item, node, now_s)
 
     def _dispatch(self, item: QueuedFrame, node, start_s: float) -> None:
-        entry = self.models[item.model_key]
-        if self.failover is not None:
-            effective = self.failover.effective_model_key(item.model_key)
-            if effective != item.model_key:
-                # Brownout reduced-bits tier: dispatch the reduced-
-                # precision variant; SLO accounting stays on the
-                # requested key, transport/energy on the served one.
-                entry = self.models[effective]
-                self._result.served[item.index] = effective
-                self.failover.brownout.report.reduced_bits_frames += 1
-            else:
-                self._result.served.pop(item.index, None)
+        key, tag, factor = self.layers.dispatch(item, node, start_s)
+        if key != item.model_key:
+            # A layer served another key (brownout reduced-bits variant):
+            # SLO accounting stays on the requested key, transport and
+            # energy on the served one.
+            self._result.served[item.index] = key
+        elif item.attempt:
+            # A retry served as requested clears an earlier reduced key.
+            self._result.served.pop(item.index, None)
+        entry = self.models[key]
         shape = self._requests[item.index].frame.shape
-        constants = self._constants.get((entry.key, node.node_id, shape))
+        constants = self._constants.get((key, node.node_id, shape))
         if constants is None:
             constants = self._resolve_constants(entry, node, shape)
 
-        tag = (
-            self.monitor.degradation_tag(node)
-            if self.monitor is not None
-            else 0
-        )
-        remapped = node.active_model != entry.key
+        remapped = node.active_model != key
         steady, remap = constants
         sequential_s, pipelined_s, energy_j = remap if remapped else steady
-        if self.monitor is not None:
+        if factor != 1.0:
             # Chaos latency spikes stretch the dispatch service window;
-            # outside a spike the factor is exactly 1.0 and the untouched
-            # timings keep the no-chaos path bit-identical.
-            factor = self.monitor.latency_factor(start_s)
-            if factor != 1.0:
-                sequential_s *= factor
-                pipelined_s *= factor
+            # outside a spike the untouched timings keep the no-chaos
+            # path bit-identical.
+            sequential_s *= factor
+            pipelined_s *= factor
         finish = start_s + sequential_s
         node.free_at = start_s + pipelined_s
         self._service_hint_s = pipelined_s
-        node.active_model = entry.key
+        node.active_model = key
         node.frames += 1
         event = StreamEvent(
             item.index, item.arrival_s, start_s, finish, False, remapped
         )
         self._result.stream.total_energy_j += energy_j
         self._result.placements[item.index] = (node.node_id, event, tag)
-        self._result.schedule.append(
-            (item.index, node.node_id, entry.key, tag)
-        )
-        if self._track_inflight:
+        self._result.schedule.append((item.index, node.node_id, key, tag))
+        if self.layers.tracks_in_flight:
             self._in_flight.setdefault(node.node_id, {})[item.index] = (
                 finish,
                 item,
-            )
-            self._dispatch_meta[item.index] = (
                 len(self._result.schedule) - 1,
                 energy_j,
             )
-        if self.failover is not None and item.attempt > 0:
-            self.failover.report.retries_dispatched += 1
         self.policy.on_dispatched(item)
-        if self.monitor is not None:
-            self.monitor.record_frame(tag > 0)
         if self.policy.queueing:
             self._push_free_event(node)
 
@@ -727,7 +676,7 @@ class FrameScheduler:
     # ------------------------------------------------------------------
     # Backpressure estimate
     # ------------------------------------------------------------------
-    def _wait_estimate(self, now_s: float, slo: SloClass) -> float:
+    def wait_estimate(self, now_s: float, slo: SloClass) -> float:
         """Rough queue delay a new arrival of ``slo`` would see [s].
 
         Earliest node availability plus the competing backlog (queued
@@ -751,6 +700,7 @@ __all__ = [
     "QueuedFrame",
     "SchedulingPolicy",
     "SchedulingResult",
+    "ServeLayers",
     "SloAwarePolicy",
     "scheduling_policy",
 ]

@@ -27,9 +27,10 @@ redundant *host-side* recomputation of the realized weights.
 Under a :class:`~repro.engine.health.FaultProfile` the server additionally
 samples per-node health mid-stream (thermal drift, injected upsets),
 routes frames around recalibrating or dead nodes, and reports
-degraded/recovered statistics (:class:`ServeReport.health`).  With no
-profile the health path is absent and serving is bit-identical to the
-pre-health engine.
+degraded/recovered statistics (:class:`ServeReport.health`).  Health,
+chaos and failover plug in behind one
+:class:`~repro.engine.scheduler.ServeLayers` seam; with none configured
+its plain base class serves bit-identically to the pre-health engine.
 
 ``serve(..., compute=False)`` is the schedule-only mode: everything
 above runs except the host-side logits, so analyses that read only the
@@ -56,6 +57,7 @@ configuration — ``policy="greedy"``, no SLO classes,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -97,6 +99,7 @@ from repro.engine.health import FaultProfile, HealthMonitor, HealthReport
 from repro.engine.scheduler import (
     FrameScheduler,
     SchedulingPolicy,
+    ServeLayers,
     scheduling_policy,
 )
 from repro.engine.store import ProgramStore
@@ -501,14 +504,8 @@ class FrameServer:
         self._enable_noise = enable_noise
         seeds = spawn_seeds(seed, num_nodes)
         self.nodes = [
-            _Node(index, self.config, seeds[index], self.cache, enable_noise)
-            for index in range(num_nodes)
+            self._new_node(index, seeds[index]) for index in range(num_nodes)
         ]
-        if fault_profile is not None and fault_profile.calibrated:
-            from repro.core.calibration import CalibratedAwcMapper
-
-            for node in self.nodes:
-                node.opc.awc = CalibratedAwcMapper(node.opc.awc)
         self._models: dict[str, _ModelEntry] = {}
 
     # ------------------------------------------------------------------
@@ -696,18 +693,12 @@ class FrameServer:
                     f"node_limit must be in [1, {len(self.nodes)}], got "
                     f"{node_limit}"
                 )
-            if (
-                self.fault_profile is not None
-                or self.chaos_plan is not None
-                or self.retry_policy is not None
-                or self.spare_pool is not None
-                or self.brownout_config is not None
-            ):
-                # The health/chaos/failover layers walk ``self.nodes``
-                # directly (spares append to it, monitors trip dies by
-                # id); slicing under them would silently skew every
-                # outage statistic.  The control plane builds plain
-                # shard servers, so the combination has no user.
+            if self._layered:
+                # Nothing pins a layered serve under a limit to the
+                # smaller fleet's stream (chaos timelines, monitors and
+                # spare ids all size themselves from the fleet), and the
+                # control plane builds plain shard servers, so the
+                # combination has no user.
                 raise ValueError(
                     "node_limit does not compose with fault/chaos/"
                     "failover layers; configure the shard server plain"
@@ -749,34 +740,11 @@ class FrameServer:
             node.free_at = 0.0
             node.frames = 0
 
-        # Health monitoring covers one serve() call (the stream restarts at
-        # t = 0); cache invalidations it performs persist via the shared
-        # program cache.  With no profile and no chaos plan, monitor is
-        # None and scheduling is bit-identical to the healthy-die server.
-        # A chaos plan without a fault profile rides on a neutral carrier
-        # profile (no organic drift/upsets — only injected events fire).
-        base_nodes = len(self.nodes)
-        timeline = (
-            ChaosTimeline(self.chaos_plan, base_nodes, self._seed)
-            if self.chaos_plan is not None
-            else None
-        )
-        profile = self.fault_profile
-        if profile is None and timeline is not None:
-            profile = FaultProfile(name=f"chaos:{timeline.plan.name}")
-        monitor = (
-            HealthMonitor(
-                profile,
-                self.config,
-                self.nodes,
-                self.cache,
-                self._seed,
-                chaos=timeline,
-            )
-            if profile is not None
-            else None
-        )
-        failover = self._build_failover()
+        # This call's fleet: warm spares join this list, never
+        # ``self.nodes``, so they live for one serve call (their cache
+        # entries — shared with the nodes they covered — persist).
+        active = self.nodes[:node_limit]
+        layers = self._build_layers(active)
 
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
 
@@ -786,30 +754,18 @@ class FrameServer:
             request.arrival_s if request.arrival_s is not None else index * interval
             for index, request in enumerate(requests)
         ]
-        active = self.nodes if node_limit is None else self.nodes[:node_limit]
         scheduler = FrameScheduler(
-            active,
-            self._models,
-            self.policy,
-            admission=self.admission,
-            monitor=monitor,
-            failover=failover,
+            active, self._models, self.policy, layers, admission=self.admission
         )
         result = scheduler.run(requests, arrivals)
 
-        outputs = (
-            self._compute(requests, result.schedule, monitor) if compute else {}
-        )
+        outputs = {}
+        if compute:
+            outputs = self._compute(requests, result.schedule, layers, active)
 
-        report = ServeReport(stream=result.stream)
+        report = ServeReport(stream=result.stream, **layers.report_fields())
         report.cache_hits = self.cache.stats.hits - hits0
         report.cache_misses = self.cache.stats.misses - misses0
-        if monitor is not None:
-            report.health = monitor.report
-        if failover is not None:
-            report.resilience = failover.report
-            if failover.brownout is not None:
-                report.brownout = failover.brownout.report
         # This loop runs once per request, so its lookups are locals.
         append = report.responses.append
         placements = result.placements
@@ -854,11 +810,6 @@ class FrameServer:
                 result.expired,
                 lost=result.lost,
             )
-        # Warm spares only live for the serve call that activated them:
-        # the fleet returns to its configured size (their cache entries —
-        # shared with the nodes they covered — persist).
-        if len(self.nodes) > base_nodes:
-            del self.nodes[base_nodes:]
         report.wall_clock_s = time.perf_counter() - started
         return report
 
@@ -904,51 +855,80 @@ class FrameServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _build_failover(self) -> FailoverCoordinator | None:
-        """A fresh coordinator per serve call, or ``None`` when the whole
-        failover layer is disabled (the byte-identical default path)."""
-        if (
-            self.retry_policy is None
-            and self.spare_pool is None
-            and self.brownout_config is None
-        ):
-            return None
-        brownout = reduced = None
+    @property
+    def _layered(self) -> bool:
+        """Whether any optional serving layer is configured."""
+        return any(
+            layer is not None
+            for layer in (
+                self.fault_profile,
+                self.chaos_plan,
+                self.retry_policy,
+                self.spare_pool,
+                self.brownout_config,
+            )
+        )
+
+    def _build_layers(self, nodes: list[_Node]) -> ServeLayers:
+        """This serve call's layers over ``nodes``: the plain path, or a
+        fresh :class:`FailoverCoordinator` owning the health monitor (with
+        the chaos timeline), retry, spares and brownout.
+
+        Without a fault profile the monitor carries a neutral profile: no
+        organic drift or upsets, only injected chaos events (if any) fire.
+        """
+        if not self._layered:
+            return ServeLayers()
+        timeline = brownout = reduced = None
+        carrier = "none"
+        if self.chaos_plan is not None:
+            timeline = ChaosTimeline(self.chaos_plan, len(nodes), self._seed)
+            carrier = f"chaos:{self.chaos_plan.name}"
+        profile = self.fault_profile or FaultProfile(name=carrier)
         if self.brownout_config is not None:
             brownout = BrownoutController(self.brownout_config)
             reduced = self._ensure_reduced_variants(
                 self.brownout_config.reduced_bits
             )
+        monitor = HealthMonitor(
+            profile, self.config, nodes, self.cache, self._seed, chaos=timeline
+        )
         return FailoverCoordinator(
+            monitor,
             retry=self.retry_policy,
             spares=self.spare_pool,
             brownout=brownout,
             seed=self._seed,
-            spare_factory=self._activate_spare,
+            spare_factory=functools.partial(self._activate_spare, nodes),
             reduced_key=reduced,
         )
 
-    def _activate_spare(self, covering: _Node, ready_s: float) -> _Node:
-        """Attach a warm spare adopting ``covering``'s die seed.
+    def _new_node(self, node_id: int, seed: int) -> _Node:
+        """A fresh node on die ``seed``, calibrated when the fault profile
+        serves through pre-distortion."""
+        node = _Node(
+            node_id, self.config, seed, self.cache, self._enable_noise
+        )
+        if self.fault_profile is not None and self.fault_profile.calibrated:
+            from repro.core.calibration import CalibratedAwcMapper
+
+            node.opc.awc = CalibratedAwcMapper(node.opc.awc)
+        return node
+
+    def _activate_spare(
+        self, nodes: list[_Node], covering: _Node, ready_s: float
+    ) -> _Node:
+        """Attach a warm spare to ``nodes``, adopting ``covering``'s die
+        seed.
 
         Same die seed → same cache keys: every program the primary warmed
         is a cache hit on the spare and the installed records are
         bit-identical to the primary's.  The spare joins busy until
         ``ready_s`` (the pool's bring-up latency).
         """
-        spare = _Node(
-            len(self.nodes),
-            self.config,
-            covering.opc.seed,
-            self.cache,
-            self._enable_noise,
-        )
-        if self.fault_profile is not None and self.fault_profile.calibrated:
-            from repro.core.calibration import CalibratedAwcMapper
-
-            spare.opc.awc = CalibratedAwcMapper(spare.opc.awc)
+        spare = self._new_node(len(nodes), covering.opc.seed)
         spare.free_at = ready_s
-        self.nodes.append(spare)
+        nodes.append(spare)
         return spare
 
     def _ensure_reduced_variants(self, bits: int) -> dict[str, str]:
@@ -989,7 +969,8 @@ class FrameServer:
         self,
         requests: list[FrameRequest],
         schedule: list[tuple[int, int, str, int]],
-        monitor=None,
+        layers: ServeLayers,
+        nodes: list[_Node],
     ) -> dict[int, np.ndarray]:
         """Run the admitted frames in per-node runs, one ``forward`` per
         ``micro_batch`` chunk.
@@ -1012,17 +993,13 @@ class FrameServer:
             )
 
         for node_id, entries in per_node.items():
-            node = self.nodes[node_id]
+            node = nodes[node_id]
             for (model_key, tag, _), group in itertools.groupby(
                 entries, key=lambda entry: entry[0]
             ):
                 run = [idx for _, idx in group]
                 pipeline = node.activate(self._models[model_key])
-                core = (
-                    monitor.fault_core(node, model_key, tag)
-                    if monitor is not None and tag > 0
-                    else None
-                )
+                core = layers.fault_core(node, model_key, tag)
                 for chunk_start in range(0, len(run), self.micro_batch):
                     chunk = run[chunk_start : chunk_start + self.micro_batch]
                     batch = np.array(

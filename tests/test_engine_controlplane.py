@@ -318,11 +318,49 @@ def test_node_limit_prefix_is_bit_identical_to_a_smaller_fleet():
     assert limited.node_frames == plain.node_frames
 
 
-def test_node_limit_validates_and_rejects_resilience_layers():
-    server = FrameServer(num_nodes=2, micro_batch=8, seed=0)
-    server.register_model("m", build_lenet(seed=0))
+@pytest.mark.parametrize(
+    "layer",
+    [
+        dict(fault_profile="drift"),
+        dict(chaos_plan="node-loss"),
+        dict(retry_policy="deadline"),
+        dict(spares=1),
+        dict(brownout="standard"),
+    ],
+    ids=["fault-profile", "chaos-plan", "retry-policy", "spares", "brownout"],
+)
+def test_node_limit_validates_and_rejects_resilience_layers(layer):
     frame = np.zeros((1, 28, 28))
+    plain = FrameServer(num_nodes=2, micro_batch=8, seed=0)
+    plain.register_model("m", build_lenet(seed=0))
     with pytest.raises(ValueError, match=r"node_limit must be in \[1, 2\]"):
-        server.serve([FrameRequest(frame, "m")], node_limit=3)
+        plain.serve([FrameRequest(frame, "m")], node_limit=3)
     with pytest.raises(ValueError, match="node_limit"):
-        server.serve([FrameRequest(frame, "m")], node_limit=0)
+        plain.serve([FrameRequest(frame, "m")], node_limit=0)
+
+    server = FrameServer(num_nodes=2, micro_batch=8, seed=0, **layer)
+    server.register_model("m", build_lenet(seed=0))
+    server.warmup()
+    for node in server.nodes:
+        node.free_at, node.frames = 1.5, 7
+    stats = (server.cache.stats.hits, server.cache.stats.misses)
+    with pytest.raises(ValueError, match="does not compose"):
+        server.serve([FrameRequest(frame, "m")], node_limit=1)
+    assert (server.cache.stats.hits, server.cache.stats.misses) == stats
+    assert len(server.nodes) == 2
+    assert all(
+        (node.free_at, node.frames) == (1.5, 7) for node in server.nodes
+    )
+
+
+@pytest.mark.parametrize(
+    "inert",
+    [dict(fault_profile="none"), dict(spares=0)],
+    ids=["fault-profile-none", "spares-0"],
+)
+def test_node_limit_serves_with_inert_layer_options(inert):
+    frame = np.zeros((1, 28, 28))
+    server = FrameServer(num_nodes=2, micro_batch=8, seed=0, **inert)
+    server.register_model("m", build_lenet(seed=0))
+    report = server.serve([FrameRequest(frame, "m")], node_limit=1)
+    assert report.delivered == 1 and report.node_frames == {0: 1}

@@ -279,6 +279,32 @@ def test_spares_trimmed_back_after_serve():
     assert second.resilience.spares_activated == 1
 
 
+def test_failed_serve_leaks_no_spare(monkeypatch):
+    """A serve that fails after scheduling must not leak its warm spare
+    into the next serve's fleet."""
+    scenario = build_scenario("chaos", frames=120, offered_fps=2400.0, seed=0)
+    server = FrameServer(
+        num_nodes=2, micro_batch=8, seed=0, policy="slo",
+        chaos_plan="node-loss", retry_policy="deadline", spares=1,
+    )
+    for key, model in scenario.models.items():
+        server.register_model(key, model)
+    server.warmup()
+
+    def fail(requests, schedule, layers, nodes):
+        assert len(nodes) == 3  # the spare joined this serve's fleet
+        raise RuntimeError("compute failed")
+
+    monkeypatch.setattr(server, "_compute", fail)
+    with pytest.raises(RuntimeError, match="compute failed"):
+        server.serve_scenario(scenario)
+    assert len(server.nodes) == 2
+    monkeypatch.undo()
+    report = server.serve_scenario(scenario)
+    assert [a.spare_id for a in report.resilience.spare_activations] == [2]
+    assert sorted(report.node_frames) == [0, 1, 2]
+
+
 def test_greedy_policy_takes_a_spare_without_a_queue():
     """A spare's bring-up pushes a node-free event; the drop-if-busy
     policy has no queue to pop, so the event must be a no-op."""
@@ -363,7 +389,20 @@ def test_reduced_variants_hidden_from_model_keys():
     assert all("@brownout" not in key for key in server.model_keys)
 
 
-def test_disabled_failover_is_bit_identical_to_plain_server():
+@pytest.mark.parametrize(
+    "layers",
+    [
+        dict(retry_policy=None, spares=0, brownout=None),
+        dict(retry_policy="deadline"),
+        dict(spares=1),
+        dict(brownout="standard"),
+        dict(retry_policy="deadline", spares=1, brownout="standard"),
+    ],
+    ids=["disabled", "retry", "spares", "brownout", "all"],
+)
+def test_disabled_failover_is_bit_identical_to_plain_server(layers):
+    """Failover layers with nothing to act on (no loss, light load) serve
+    the plain stream, whichever of them is configured."""
     frames = np.random.default_rng(11).uniform(0.0, 1.0, (32, 1, 28, 28))
 
     def run(**kwargs):
@@ -374,10 +413,20 @@ def test_disabled_failover_is_bit_identical_to_plain_server():
         return server.serve_frames(frames, "a", offered_fps=1200.0)
 
     plain = run()
-    gated = run(retry_policy=None, spares=0, brownout=None)
-    assert gated.resilience is None and gated.brownout is None
+    gated = run(**layers)
+    configured = any(layers.values())
+    assert (gated.resilience is not None) == configured
+    assert gated.health is None
+    if layers.get("brownout"):
+        assert gated.brownout.peak_tier == 0
+    else:
+        assert gated.brownout is None
     assert plain.stream.total_energy_j == gated.stream.total_energy_j
+    assert plain.payload_bytes == gated.payload_bytes
+    assert plain.radio_energy_j == gated.radio_energy_j
+    assert len(plain.responses) == len(gated.responses)
     for left, right in zip(plain.responses, gated.responses):
         assert left.event == right.event
+        assert right.served_model is None
         if left.output is not None:
             np.testing.assert_array_equal(left.output, right.output)
