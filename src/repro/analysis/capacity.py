@@ -3,8 +3,12 @@
 The deployment question the serving stack exists to answer: *how much
 traffic of a given shape can N nodes clear under a given scheduling
 policy without violating the SLOs?*  This module measures it by binary
-search over the offered rate — each probe regenerates the scenario at the
-probe rate (arrival processes scale with the rate by construction,
+search over the offered rate.  A study builds its base scenario (models
+and traffic at the search floor) and one prewarmed program cache once;
+each probe then re-times that base scenario to the probe rate
+(:meth:`~repro.engine.workloads.Scenario.at_rate`: the same model
+objects, the traffic regenerated exactly as a fresh build at that rate
+would be — arrival processes scale with the rate by construction,
 :mod:`repro.engine.workloads`), serves it schedule-only
 (``compute=False``: the simulated-time outcome without logits) on a
 fresh :class:`~repro.engine.FrameServer`, and checks the outcome against
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field
 from repro.core.mapping import ConvWorkload
 from repro.sim.fleet import FleetModel
 from repro.util.tables import format_table
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_probability
 
 #: LeNet's first convolution — the analytic-bound reference workload
 #: (matches the ``default``/``poisson`` scenarios' interactive model).
@@ -81,9 +85,28 @@ class CapacitySettings:
     search_iterations: int = 7
 
     def __post_init__(self) -> None:
+        from repro.engine.scheduler import scheduling_policy
+
         check_positive("frames", self.frames)
         check_positive("fps_floor", self.fps_floor)
         check_positive("search_iterations", self.search_iterations)
+        check_probability("max_drop_rate", self.max_drop_rate)
+        check_probability("min_hit_rate", self.min_hit_rate)
+        if self.micro_batch < 1:
+            raise ValueError(
+                f"micro_batch must be at least 1, got {self.micro_batch!r}"
+            )
+        if not self.policies:
+            raise ValueError("policies must name at least one policy")
+        for policy in self.policies:
+            scheduling_policy(policy)  # raises on an unknown name
+        if not self.node_counts:
+            raise ValueError("node_counts must name at least one node count")
+        if min(self.node_counts) < 1:
+            raise ValueError(
+                "node_counts entries must be at least 1, got "
+                f"{self.node_counts!r}"
+            )
 
     @staticmethod
     def fast() -> "CapacitySettings":
@@ -147,16 +170,19 @@ class _ProbeOutcome:
 
 def _probe(
     settings: CapacitySettings,
+    base,
+    cache,
     policy: str,
     nodes: int,
     offered_fps: float,
-    cache=None,
 ) -> _ProbeOutcome:
-    """Serve the scenario once at ``offered_fps`` and judge the outcome.
+    """Re-time the study's base scenario to ``offered_fps``, serve, judge.
 
-    The serve is schedule-only (``compute=False``): the verdict reads
-    only simulated-time stream and SLO statistics, which on a fresh
-    server equal a full serve's, so no logits are computed.
+    ``base.at_rate(offered_fps)`` keeps the study's model objects and
+    regenerates only the traffic, exactly as a fresh build at that rate
+    would.  The serve is schedule-only (``compute=False``): the verdict
+    reads only simulated-time stream and SLO statistics, which on a
+    fresh server equal a full serve's, so no logits are computed.
 
     ``cache`` is the study-wide :class:`WeightProgramCache`: programs are
     deterministic in (kernel set, bits, die seed), so sharing it across
@@ -164,14 +190,8 @@ def _probe(
     simulated quantity (the cache is host-side only).
     """
     from repro.engine.server import FrameServer
-    from repro.engine.workloads import build_scenario
 
-    scenario = build_scenario(
-        settings.scenario,
-        frames=settings.frames,
-        offered_fps=offered_fps,
-        seed=settings.seed,
-    )
+    scenario = base.at_rate(offered_fps)
     server = FrameServer(
         num_nodes=nodes,
         micro_batch=settings.micro_batch,
@@ -217,15 +237,16 @@ def _probe(
 
 def _search(
     settings: CapacitySettings,
+    base,
+    cache,
     policy: str,
     nodes: int,
     hint_fps: float,
-    cache=None,
 ) -> CapacityPoint:
     """Bracket + bisect the sustainable offered rate."""
     probes = 0
     low = settings.fps_floor
-    low_outcome = _probe(settings, policy, nodes, low, cache=cache)
+    low_outcome = _probe(settings, base, cache, policy, nodes, low)
     probes += 1
     if not low_outcome.sustainable:
         return CapacityPoint(
@@ -241,7 +262,7 @@ def _search(
     high = max(hint_fps, 2.0 * low)
     bracketed = False
     for _ in range(6):  # expand until the bracket contains the knee
-        outcome = _probe(settings, policy, nodes, high, cache=cache)
+        outcome = _probe(settings, base, cache, policy, nodes, high)
         probes += 1
         if not outcome.sustainable:
             bracketed = True
@@ -265,7 +286,7 @@ def _search(
         )
     for _ in range(settings.search_iterations):
         mid = 0.5 * (low + high)
-        outcome = _probe(settings, policy, nodes, mid, cache=cache)
+        outcome = _probe(settings, base, cache, policy, nodes, mid)
         probes += 1
         if outcome.sustainable:
             low, low_outcome = mid, outcome
@@ -283,12 +304,12 @@ def _search(
     )
 
 
-def _prewarm_programs(settings: CapacitySettings, program_store=None):
-    """Program the scenario's model zoo once, for every probe die.
+def _prewarm_programs(settings: CapacitySettings, models, program_store=None):
+    """Program the study's models once, for every probe die.
 
-    Every probe in the grid serves the *same* models (scenario model
-    weights depend only on the scenario seed, not the probe rate) on die
-    seeds that are a prefix of the largest node count's
+    Every probe in the grid re-times the study's base scenario, so it
+    serves the *same* model objects (``models``, the base scenario's) on
+    die seeds that are a prefix of the largest node count's
     (:func:`~repro.util.rng.spawn_seeds` is prefix-stable).  Programming
     them once up front via :meth:`~repro.engine.server.FrameServer.warmup`
     and handing the warmed :class:`~repro.engine.cache.WeightProgramCache`
@@ -302,21 +323,14 @@ def _prewarm_programs(settings: CapacitySettings, program_store=None):
     re-running the mapping chain.
     """
     from repro.engine.server import FrameServer
-    from repro.engine.workloads import build_scenario
 
-    scenario = build_scenario(
-        settings.scenario,
-        frames=8,  # models are frame-count-independent; keep the build cheap
-        offered_fps=settings.fps_floor,
-        seed=settings.seed,
-    )
     server = FrameServer(
         num_nodes=max(settings.node_counts),
         micro_batch=settings.micro_batch,
         seed=settings.seed,
         program_store=program_store,
     )
-    for key, model in scenario.models.items():
+    for key, model in models.items():
         server.register_model(key, model)
     server.warmup()
     return server.cache
@@ -328,14 +342,24 @@ def build_capacity_report(
 ) -> CapacityReport:
     """Measure the capacity knee for every (policy, nodes) grid point.
 
-    Grid points are independent searches, run in grid order.
+    The study builds its base scenario (at ``fps_floor``) and prewarms
+    one program cache from its models once; grid points are then
+    independent searches over re-timed copies of it, run in grid order.
     ``program_store`` (path or :class:`~repro.engine.store.ProgramStore`)
     makes the prewarmed cache read-through/write-behind so repeat studies
     program nothing.
     """
+    from repro.engine.workloads import build_scenario
+
     settings = settings or CapacitySettings()
     fleet = FleetModel()
-    cache = _prewarm_programs(settings, program_store)
+    base = build_scenario(
+        settings.scenario,
+        frames=settings.frames,
+        offered_fps=settings.fps_floor,
+        seed=settings.seed,
+    )
+    cache = _prewarm_programs(settings, base.models, program_store)
     report = CapacityReport(
         settings=settings,
         analytic_node_fps=fleet.sustainable_fps(LENET_FIRST_LAYER),
@@ -344,7 +368,7 @@ def build_capacity_report(
         hint = 1.5 * fleet.fleet_capacity_fps(LENET_FIRST_LAYER, nodes)
         for policy in settings.policies:
             report.points.append(
-                _search(settings, policy, nodes, hint, cache=cache)
+                _search(settings, base, cache, policy, nodes, hint)
             )
     return report
 
@@ -355,19 +379,20 @@ def sustainable_fps_per_node(
     frames: int = 96,
     seed: int = 0,
     micro_batch: int = 8,
-    cache=None,
 ) -> float:
     """One node's measured sustainable rate on ``scenario`` [FPS].
 
     The autoscaler's controller model (:mod:`repro.engine.controlplane`):
     capacity of an n-node shard is approximated as ``n x`` this value,
     which the knee search measures once per (scenario, policy) instead of
-    hand-tuning a constant.  Runs the standard bracket + bisect at
-    ``nodes=1`` with a short probe stream — the controller needs a
-    *planning* estimate, not a report-grade curve, and the search is
-    seeded so the estimate (and therefore every scaling decision built on
-    it) reproduces bit-for-bit.  Returns ``0.0`` when even the search
-    floor is unsustainable; callers fall back to the analytic LeNet bound.
+    hand-tuning a constant.  Runs a one-point :func:`build_capacity_report`
+    (same one-time base scenario and prewarmed cache) at ``nodes=1`` with
+    a short probe stream — the controller needs a *planning* estimate,
+    not a report-grade curve, and the search is seeded so the estimate
+    (and therefore every scaling decision built on it) reproduces
+    bit-for-bit.  ``scenario`` must be a registered scenario key.  Returns
+    ``0.0`` when even the search floor is unsustainable; callers fall
+    back to the analytic LeNet bound.
     """
     settings = CapacitySettings(
         scenario=scenario,
@@ -378,10 +403,7 @@ def sustainable_fps_per_node(
         micro_batch=micro_batch,
         search_iterations=5,
     )
-    fleet = FleetModel()
-    hint = 1.5 * fleet.fleet_capacity_fps(LENET_FIRST_LAYER, 1)
-    point = _search(settings, policy, 1, hint, cache=cache)
-    return point.sustainable_fps
+    return build_capacity_report(settings).points[0].sustainable_fps
 
 
 def render_capacity_report(report: CapacityReport) -> str:

@@ -151,23 +151,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.capacity_scenario:
             capacity = replace(capacity, scenario=args.capacity_scenario)
         if args.capacity_policies:
-            capacity = replace(
-                capacity,
-                policies=tuple(
-                    token.strip()
-                    for token in args.capacity_policies.split(",")
-                    if token.strip()
-                ),
-            )
+            capacity = replace(capacity, policies=args.capacity_policies)
         if args.capacity_nodes:
-            capacity = replace(
-                capacity,
-                node_counts=tuple(
-                    int(token)
-                    for token in args.capacity_nodes.split(",")
-                    if token.strip()
-                ),
-            )
+            capacity = replace(capacity, node_counts=args.capacity_nodes)
         print()
         print(
             render_capacity_report(
@@ -627,6 +613,45 @@ def _positive(kind: type):
     return parse
 
 
+def _comma_list(item):
+    """argparse ``type=`` for a non-empty comma list of ``item`` values."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(
+            item(token.strip()) for token in text.split(",") if token.strip()
+        )
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"must list at least one value, got {text!r}"
+            )
+        return values
+
+    parse.__name__ = item.__name__
+    return parse
+
+
+def _policy(text: str) -> str:
+    """argparse ``type=`` for a registered scheduling-policy name."""
+    from repro.engine.scheduler import scheduling_policy
+
+    try:
+        scheduling_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _scenario(text: str) -> str:
+    """argparse ``type=`` for a registered scenario key."""
+    from repro.engine.workloads import scenario_description
+
+    try:
+        scenario_description(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _add_store_flag(sub: argparse.ArgumentParser) -> None:
     """``--program-store`` for the on-disk program-artifact tier.
 
@@ -697,17 +722,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--capacity-scenario",
+        type=_scenario,
         default=None,
         help="workload scenario for --capacity (default: poisson, "
         "or diurnal with --fast)",
     )
     sweep.add_argument(
         "--capacity-policies",
+        type=_comma_list(_policy),
         default=None,
         help="comma list of policies for --capacity (e.g. 'greedy,slo')",
     )
     sweep.add_argument(
         "--capacity-nodes",
+        type=_comma_list(_positive(int)),
         default=None,
         help="comma list of node counts for --capacity (e.g. '1,2,4')",
     )

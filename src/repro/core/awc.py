@@ -11,10 +11,17 @@ This is the mechanism behind the paper's Table II observation that
 ``OISA[4:2]`` is **not** more accurate than ``OISA[3:2]``: at 4 bits the
 ideal level spacing shrinks below the ladder's static error, so the extra
 quantization resolution buys nothing (and can hurt).
+
+A die's level table is a pure function of ``(design, num_units, seed)``,
+so every mapper on one die shares one read-only table from a small
+module-level cache instead of re-deriving its 40 ladders.  Code that
+needs a modified table (calibration) works on a copy; an in-place write
+raises instead of leaking into every other mapper on that die.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +29,26 @@ import numpy as np
 from repro.circuits.awc import AwcCircuit, AwcDesign
 from repro.util.rng import spawn_seeds
 from repro.util.validation import check_positive
+
+
+@functools.lru_cache(maxsize=256)
+def _level_table(
+    design: AwcDesign, num_units: int, seed: int | None
+) -> np.ndarray:
+    """Per-unit realized levels in *weight-level* units (read-only).
+
+    ``table[u, c] ~ c`` for an ideal converter.  One 40-unit 4-bit table
+    is about 5 KB, so a full cache holds about 1.3 MB.
+    """
+    levels = np.stack(
+        [
+            AwcCircuit(design, seed=unit_seed).all_levels_a()
+            for unit_seed in spawn_seeds(seed, num_units)
+        ]
+    )
+    table = levels / design.unit_current_a
+    table.flags.writeable = False
+    return table
 
 
 class AwcWeightMapper:
@@ -49,14 +76,7 @@ class AwcWeightMapper:
         check_positive("num_units", num_units)
         self.design = design or AwcDesign()
         self.num_units = int(num_units)
-        unit_seeds = spawn_seeds(seed, self.num_units)
-        self.units = [
-            AwcCircuit(self.design, seed=unit_seed) for unit_seed in unit_seeds
-        ]
-        # Per-unit realized level tables in *weight-level* units:
-        # table[u, c] ~ c for an ideal converter.
-        levels = np.stack([unit.all_levels_a() for unit in self.units])
-        self._level_table = levels / self.design.unit_current_a
+        self._level_table = _level_table(self.design, self.num_units, seed)
 
     @property
     def num_levels(self) -> int:
@@ -65,10 +85,11 @@ class AwcWeightMapper:
 
     @property
     def level_table(self) -> np.ndarray:
-        """(num_units, num_levels) realized levels in LSB units (read-only)."""
-        view = self._level_table.view()
-        view.flags.writeable = False
-        return view
+        """(num_units, num_levels) realized levels in LSB units (read-only).
+
+        Shared by every mapper built on the same die.
+        """
+        return self._level_table
 
     def realize_codes(
         self, codes: np.ndarray, unit_assignment: np.ndarray | None = None

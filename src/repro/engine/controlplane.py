@@ -89,6 +89,7 @@ from repro.engine.server import (
     FrameServer,
     ServeReport,
 )
+from repro.engine.workloads import scenario_registry
 from repro.nn.layers import Sequential
 from repro.sim.fleet import RadioModel
 from repro.sim.stream import StreamEvent, StreamReport, nearest_rank_percentile
@@ -791,15 +792,17 @@ class ControlPlane:
         if cached is not None:
             return cached
         value = 0.0
-        if scenario:
+        if scenario.lower() in scenario_registry():
             from repro.analysis.capacity import sustainable_fps_per_node
 
             value = sustainable_fps_per_node(
                 scenario, policy=policy, seed=self._seed or 0
             )
         if value <= 0.0:
-            # No scenario name (plain serve()) or an unsustainable floor:
-            # fall back to the analytic LeNet-first-layer bound.
+            # No registered scenario to measure (a plain serve(), or an
+            # ad-hoc ``--models`` stream the registry cannot rebuild) or
+            # an unsustainable floor: fall back to the analytic
+            # LeNet-first-layer bound.
             from repro.analysis.capacity import LENET_FIRST_LAYER
             from repro.sim.fleet import FleetModel
 

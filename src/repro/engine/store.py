@@ -208,7 +208,11 @@ class ProgramStore:
     def _read(self, path: str) -> tuple[ProgrammedWeights, int | None]:
         """Parse + integrity-check one entry; raises :class:`StoreCorruption`."""
         try:
-            with np.load(path, allow_pickle=False) as payload:
+            # Open the file here: np.load leaks a handle it opened itself
+            # when the zip directory is unreadable (a truncated entry).
+            with open(path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as payload:
                 ideal = np.array(payload["ideal"])
                 realized = np.array(payload["realized"])
                 scale = float(payload["scale"])

@@ -17,7 +17,16 @@ makes scenarios *data*:
   map, servable via :meth:`FrameServer.serve_scenario`;
 * scenario generators registered under stable keys
   (:func:`register_scenario` / :func:`build_scenario` /
-  :func:`scenario_registry`, mirroring :mod:`repro.sim.platforms`):
+  :func:`scenario_registry`, mirroring :mod:`repro.sim.platforms`).
+  Each registration is two parts: a *models builder* ``models(seed)``
+  and a *traffic generator* ``traffic(models, frames, offered_fps,
+  seed)`` that builds the request stream around those models;
+  :func:`build_scenario` composes them.  No model depends on the rate,
+  so :meth:`Scenario.at_rate` re-times a registry-built scenario —
+  same model objects, traffic regenerated exactly as
+  :func:`build_scenario` would at the new rate — which is how a
+  capacity study builds its models once instead of once per probe.
+  The registered keys:
   ``default`` (the historical two-LeNet demo, kept bit-compatible),
   ``poisson`` (memoryless arrivals), ``poisson-burst`` (ON/OFF bursts),
   ``diurnal`` (deterministic sinusoidal rate ramp), ``mixed-tenants``
@@ -41,6 +50,7 @@ frames are (C, H, W) float arrays on a unit pixel scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -167,24 +177,61 @@ class Scenario:
     #: Rate the arrivals were generated for (and the fallback interval for
     #: requests without explicit timestamps).
     offered_fps: float | None = None
+    #: ``(registry key, frames, seed)`` the traffic was generated from.
+    #: Not an ``__init__`` field, so only the registry sets it: a
+    #: hand-built scenario, or a copy made by ``dataclasses.replace``,
+    #: has none and cannot be re-timed.
+    _origin: tuple[str, int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def model_keys(self) -> tuple[str, ...]:
         return tuple(self.models)
 
+    def at_rate(self, offered_fps: float) -> "Scenario":
+        """This scenario at another offered rate.
 
-#: Registered generators: key -> (description, factory(frames, fps, seed)).
-_SCENARIOS: dict[str, tuple[str, Callable[[int, float, int], Scenario]]] = {}
+        Keeps these model objects and regenerates the traffic exactly as
+        :func:`build_scenario` would at ``offered_fps`` (same key, frames
+        and seed).  Raises ``ValueError`` for a scenario the registry did
+        not build, or one changed with ``dataclasses.replace`` — re-timing
+        it would silently discard the edit.
+        """
+        if self._origin is None:
+            raise ValueError(
+                f"scenario {self.name!r} was not built by build_scenario "
+                "(or was changed since); it cannot be re-timed"
+            )
+        check_positive("offered_fps", offered_fps)
+        key, frames, seed = self._origin
+        return _generate(key, dict(self.models), frames, offered_fps, seed)
 
 
-def register_scenario(key: str, description: str):
-    """Decorator registering a scenario generator under ``key``."""
+#: Builds a scenario's models from its seed alone.
+ModelsBuilder = Callable[[int], dict[str, Sequential]]
+#: Builds a scenario's request stream: (models, frames, offered_fps, seed).
+TrafficGenerator = Callable[[dict[str, Sequential], int, float, int], Scenario]
 
-    def decorator(fn: Callable[[int, float, int], Scenario]):
+#: Registered generators: key -> (description, models, traffic).
+_SCENARIOS: dict[str, tuple[str, ModelsBuilder, TrafficGenerator]] = {}
+
+
+def register_scenario(key: str, description: str, models: ModelsBuilder):
+    """Decorator registering a scenario's traffic generator under ``key``.
+
+    ``models(seed)`` builds the scenario's models; the decorated
+    ``traffic(models, frames, offered_fps, seed)`` builds the request
+    stream around them.  The models depend on the seed alone, never on
+    the rate, so :meth:`Scenario.at_rate` reproduces
+    :func:`build_scenario` exactly.
+    """
+
+    def decorator(fn: TrafficGenerator):
         lowered = key.lower()
         if lowered in _SCENARIOS:
             raise ValueError(f"scenario {lowered!r} is already registered")
-        _SCENARIOS[lowered] = (description, fn)
+        _SCENARIOS[lowered] = (description, models, fn)
         return fn
 
     return decorator
@@ -209,10 +256,24 @@ def build_scenario(
     """Generate a registered scenario's models + request stream."""
     check_positive("frames", frames)
     check_positive("offered_fps", offered_fps)
-    return _lookup(key)[1](frames, offered_fps, seed)
+    models = _lookup(key)[1](seed)
+    return _generate(key, models, frames, offered_fps, seed)
 
 
-def _lookup(key: str) -> tuple[str, Callable]:
+def _generate(
+    key: str,
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+) -> Scenario:
+    """Run ``key``'s traffic generator and record what can re-time it."""
+    scenario = _lookup(key)[2](models, frames, offered_fps, seed)
+    scenario._origin = (key, frames, seed)
+    return scenario
+
+
+def _lookup(key: str) -> tuple[str, ModelsBuilder, TrafficGenerator]:
     entry = _SCENARIOS.get(key.lower())
     if entry is None:
         raise ValueError(
@@ -287,22 +348,41 @@ def _poisson_arrivals(
     return list(np.cumsum(gaps))
 
 
+def _round_robin(
+    specs: tuple[ModelSpec, ...], frames: int, offered_fps: float, seed: int
+) -> list[FrameRequest]:
+    """Uniform arrivals cycling through ``specs`` in order."""
+    rng = np.random.default_rng(seed)
+    chosen = [specs[i % len(specs)] for i in range(frames)]
+    stacks = _frames_batch(rng, chosen)
+    return [
+        FrameRequest(stacks[i], chosen[i].key, arrival_s=i / offered_fps)
+        for i in range(frames)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
+def _default_models(seed: int) -> dict[str, Sequential]:
+    return {
+        "model-a": build_lenet(seed=seed),
+        "model-b": build_lenet(seed=seed + 1),
+    }
+
+
 @register_scenario(
     "default",
     "historical two-LeNet demo: uniform arrivals, half/half model split",
+    _default_models,
 )
-def _default_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
+def _default_scenario(
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+) -> Scenario:
     # Byte-for-byte the stream `repro serve` always generated: frames from
     # default_rng(seed), model-a/b = LeNets at seed/seed+1, implicit
     # uniform arrivals (the server derives them from the offered rate).
     rng = np.random.default_rng(seed)
-    models = {
-        "model-a": build_lenet(seed=seed),
-        "model-b": build_lenet(seed=seed + 1),
-    }
     stack = rng.uniform(0.0, 1.0, (frames, 1, 28, 28))
     requests = [
         FrameRequest(stack[i], "model-a" if i < frames // 2 else "model-b")
@@ -317,14 +397,21 @@ def _default_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
     )
 
 
+#: The LeNet + MLP mix of the ``poisson``, ``poisson-burst`` and ``chaos``
+#: scenarios.
+_LENET_MLP = (ModelSpec("lenet", 4), ModelSpec("mlp", 2))
+
+
 @register_scenario(
     "poisson",
     "memoryless arrivals over a LeNet+MLP mix (queueable 20 ms deadline)",
+    functools.partial(_build_models, _LENET_MLP),
 )
-def _poisson_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
+def _poisson_scenario(
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+) -> Scenario:
     rng = np.random.default_rng(seed)
-    specs = (ModelSpec("lenet", 4), ModelSpec("mlp", 2))
-    models = _build_models(specs, seed)
+    specs = _LENET_MLP
     arrivals = _poisson_arrivals(rng, frames, offered_fps)
     choices = rng.random(frames)
     chosen = [specs[0] if choices[i] < 0.7 else specs[1] for i in range(frames)]
@@ -347,11 +434,13 @@ def _poisson_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
 @register_scenario(
     "poisson-burst",
     "ON/OFF Poisson bursts (4x rate, 30% duty) over a LeNet+MLP mix",
+    functools.partial(_build_models, _LENET_MLP),
 )
-def _burst_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
+def _burst_scenario(
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+) -> Scenario:
     rng = np.random.default_rng(seed)
-    specs = (ModelSpec("lenet", 4), ModelSpec("mlp", 2))
-    models = _build_models(specs, seed)
+    specs = _LENET_MLP
     period_s, duty, multiplier = 0.04, 0.3, 4.0
     # Off-rate chosen so the long-run average stays at offered_fps.
     off_rate = offered_fps * (1.0 - duty * multiplier) / (1.0 - duty)
@@ -378,14 +467,19 @@ def _burst_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
     )
 
 
+_LENET_WIDTHS = (ModelSpec("lenet", 4), ModelSpec("lenet", 2))
+
+
 @register_scenario(
     "diurnal",
     "deterministic sinusoidal rate ramp (0.4x-1.6x) over two LeNet widths",
+    functools.partial(_build_models, _LENET_WIDTHS),
 )
-def _diurnal_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
+def _diurnal_scenario(
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+) -> Scenario:
     rng = np.random.default_rng(seed)
-    specs = (ModelSpec("lenet", 4), ModelSpec("lenet", 2))
-    models = _build_models(specs, seed)
+    specs = _LENET_WIDTHS
     # Arrivals stay a sequential accumulation (``math.sin`` per step, the
     # historical ULP-exact floats); the frame draws hoist into one call.
     arrivals = []
@@ -441,18 +535,25 @@ MIXED_TENANT_CLASSES: dict[str, SloClass] = {
 }
 
 
+#: The interactive tenant's model, then the batch tenants'.
+_MIXED_TENANTS = (
+    ModelSpec("lenet", 4),
+    ModelSpec("mlp", 2),
+    ModelSpec("vgg16", 1),
+)
+
+
 @register_scenario(
     "mixed-tenants",
     "interactive LeNet tenant (tight SLO) vs bursty batch tenants "
     "(MLP + VGG16 stem) oversubscribing the fleet",
+    functools.partial(_build_models, _MIXED_TENANTS),
 )
 def _mixed_tenant_scenario(
-    frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
 ) -> Scenario:
     rng = np.random.default_rng(seed)
-    interactive = ModelSpec("lenet", 4)
-    batch_specs = (ModelSpec("mlp", 2), ModelSpec("vgg16", 1))
-    models = _build_models((interactive,) + batch_specs, seed)
+    interactive, *batch_specs = _MIXED_TENANTS
 
     n_interactive = frames // 2
     n_batch = frames - n_interactive
@@ -522,17 +623,18 @@ CHAOS_CLASSES: dict[str, SloClass] = {
     "chaos",
     "steady interactive LeNet tenant + Poisson batch MLP tenant, sized "
     "so a chaos node-loss window endangers the interactive deadline",
+    functools.partial(_build_models, _LENET_MLP),
 )
-def _chaos_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
+def _chaos_scenario(
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+) -> Scenario:
     # The resilience-drill stream: interactive traffic is a steady,
     # well-behaved tenant at two thirds of the offered rate — enough that
     # losing a node mid-stream (the ``node-loss`` chaos plan) overloads
     # the survivors and burns interactive deadlines unless the failover
     # layer (retry + warm spares) absorbs the window.
     rng = np.random.default_rng(seed)
-    interactive = ModelSpec("lenet", 4)
-    batch = ModelSpec("mlp", 2)
-    models = _build_models((interactive, batch), seed)
+    interactive, batch = _LENET_MLP
 
     n_interactive = (2 * frames) // 3
     n_batch = frames - n_interactive
@@ -602,13 +704,25 @@ REGION_CLASSES: dict[str, SloClass] = {
 }
 
 
+def _diurnal_regions_models(seed: int) -> dict[str, Sequential]:
+    lenet, batch = _LENET_MLP
+    seeds = spawn_seeds(seed, len(DIURNAL_REGIONS) + 1)
+    models: dict[str, Sequential] = {
+        f"lenet-4b@{region}": lenet.build(seeds[index])
+        for index, region in enumerate(DIURNAL_REGIONS)
+    }
+    models[batch.key] = batch.build(seeds[len(DIURNAL_REGIONS)])
+    return models
+
+
 @register_scenario(
     "diurnal-regions",
     "three phase-shifted regional diurnal interactive streams (one LeNet "
     "per region) + a Poisson batch MLP tail — the autoscaling drill",
+    _diurnal_regions_models,
 )
 def _diurnal_regions_scenario(
-    frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
 ) -> Scenario:
     # The multi-region story: each region's interactive demand swings
     # through a deep diurnal cycle (0.15x..1.85x), but the three phases
@@ -618,15 +732,7 @@ def _diurnal_regions_scenario(
     # capacity.  A single static fleet sized for the regional peak wastes
     # it around the clock.
     rng = np.random.default_rng(seed)
-    lenet = ModelSpec("lenet", 4)
-    batch = ModelSpec("mlp", 2)
-    seeds = spawn_seeds(seed, len(DIURNAL_REGIONS) + 1)
-    models: dict[str, Sequential] = {
-        f"lenet-4b@{region}": lenet.build(seeds[index])
-        for index, region in enumerate(DIURNAL_REGIONS)
-    }
-    models[batch.key] = batch.build(seeds[len(DIURNAL_REGIONS)])
-
+    lenet, batch = _LENET_MLP
     n_batch = frames // 5
     n_interactive = frames - n_batch
     base = 0.25 * offered_fps  # per-region average interactive rate
@@ -680,27 +786,33 @@ def _diurnal_regions_scenario(
     )
 
 
+_ZOO = (
+    ModelSpec("lenet", 4),
+    ModelSpec("lenet", 2),
+    ModelSpec("mlp", 4),
+    ModelSpec("mlp", 2),
+    ModelSpec("vgg16", 4),
+    ModelSpec("vgg16", 1),
+    ModelSpec("resnet18", 4),
+    ModelSpec("resnet18", 2),
+)
+
+
 @register_scenario(
     "zoo",
     "round-robin over every model family at several bit widths",
+    functools.partial(_build_models, _ZOO),
 )
-def _zoo_scenario(frames: int, offered_fps: float, seed: int) -> Scenario:
-    specs = (
-        ModelSpec("lenet", 4),
-        ModelSpec("lenet", 2),
-        ModelSpec("mlp", 4),
-        ModelSpec("mlp", 2),
-        ModelSpec("vgg16", 4),
-        ModelSpec("vgg16", 1),
-        ModelSpec("resnet18", 4),
-        ModelSpec("resnet18", 2),
+def _zoo_scenario(
+    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+) -> Scenario:
+    return Scenario(
+        name="zoo",
+        description=scenario_description("zoo"),
+        models=models,
+        requests=_round_robin(_ZOO, frames, offered_fps, seed),
+        offered_fps=offered_fps,
     )
-    scenario = models_scenario(
-        specs, frames=frames, offered_fps=offered_fps, seed=seed
-    )
-    scenario.name = "zoo"
-    scenario.description = scenario_description("zoo")
-    return scenario
 
 
 def models_scenario(
@@ -716,21 +828,14 @@ def models_scenario(
     """
     if isinstance(specs, str):
         specs = parse_model_specs(specs)
+    specs = tuple(specs)
     check_positive("frames", frames)
     check_positive("offered_fps", offered_fps)
-    rng = np.random.default_rng(seed)
-    models = _build_models(tuple(specs), seed)
-    chosen = [specs[i % len(specs)] for i in range(frames)]
-    stacks = _frames_batch(rng, chosen)
-    requests = [
-        FrameRequest(stacks[i], chosen[i].key, arrival_s=i / offered_fps)
-        for i in range(frames)
-    ]
     return Scenario(
         name="models",
         description=f"uniform round-robin over {', '.join(s.key for s in specs)}",
-        models=models,
-        requests=requests,
+        models=_build_models(specs, seed),
+        requests=_round_robin(specs, frames, offered_fps, seed),
         offered_fps=offered_fps,
     )
 

@@ -37,10 +37,8 @@ def derive_rng(seed: int | None, label: str = "") -> np.random.Generator:
         with the same seed give independent, reproducible streams.
     """
     base = DEFAULT_SEED if seed is None else int(seed)
-    if label:
-        base = np.random.SeedSequence([base, _label_to_int(label)]).entropy
-        return np.random.default_rng(np.random.SeedSequence([base]))
-    return np.random.default_rng(np.random.SeedSequence([base]))
+    entropy = [base, _label_to_int(label)] if label else [base]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def spawn_seeds(seed: int | None, count: int) -> list[int]:

@@ -77,7 +77,25 @@ def test_unclosed_bracket_is_flagged_as_lower_bound():
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        CapacitySettings(frames=0)
-    with pytest.raises(ValueError):
-        CapacitySettings(search_iterations=0)
+    for field, value in (
+        ("frames", 0),
+        ("search_iterations", 0),
+        ("fps_floor", 0.0),
+        ("policies", ()),
+        ("policies", ("greedy", "bogus")),
+        ("node_counts", ()),
+        ("node_counts", (1, 0)),
+        ("micro_batch", 0),
+        ("max_drop_rate", -0.01),
+        ("max_drop_rate", 1.5),
+        ("min_hit_rate", -0.5),
+        ("min_hit_rate", 1.01),
+    ):
+        with pytest.raises(ValueError):
+            CapacitySettings(**{field: value})
+
+
+def test_unknown_scenario_fails_at_the_base_build():
+    settings = CapacitySettings(scenario="nope")
+    with pytest.raises(ValueError, match="unknown scenario"):
+        build_capacity_report(settings)

@@ -107,6 +107,25 @@ def test_serve_models_flag_overrides_scenario(capsys):
     assert "lenet-2b, mlp-4b" in out
 
 
+def test_serve_autoscales_an_adhoc_models_stream(capsys):
+    # An ad-hoc --models stream is not in the scenario registry, so the
+    # autoscaler's capacity model falls back to the analytic bound.
+    assert main(
+        [
+            "serve",
+            "--models",
+            "lenet:4,mlp:2",
+            "--frames",
+            "48",
+            "--shards",
+            "2",
+            "--autoscale",
+            "1:2:0.01",
+        ]
+    ) == 0
+    assert "scaling decisions" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "scenario", ["poisson-burst", "diurnal", "mixed-tenants", "chaos", "zoo"]
 )
@@ -160,6 +179,24 @@ def test_sweep_capacity_command(capsys):
     out = capsys.readouterr().out
     assert "Capacity planning" in out
     assert "sustainable FPS" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--capacity-nodes", ","),
+        ("--capacity-nodes", "0"),
+        ("--capacity-nodes", "abc"),
+        ("--capacity-policies", "bogus"),
+        ("--capacity-policies", ","),
+        ("--capacity-scenario", "nope"),
+    ],
+)
+def test_sweep_rejects_bad_capacity_flags_at_parse_time(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--capacity", "--fast", flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 _CHAOS_SERVE = [

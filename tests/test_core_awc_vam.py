@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.circuits.awc import AwcDesign
+from repro.circuits.awc import AwcCircuit, AwcDesign
 from repro.core.awc import AwcWeightMapper
 from repro.core.vam import ActivationModulator
+from repro.util.rng import spawn_seeds
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +59,52 @@ def test_code_out_of_range_rejected():
     mapper = AwcWeightMapper(num_units=2, seed=0)
     with pytest.raises(ValueError):
         mapper.realize_codes(np.array([16]))
+
+
+def _reference_table(design: AwcDesign, seed) -> np.ndarray:
+    """The level table as built per mapper: one ladder per unit seed."""
+    circuits = [AwcCircuit(design, seed=s) for s in spawn_seeds(seed, 40)]
+    levels = np.stack([circuit.all_levels_a() for circuit in circuits])
+    return levels / design.unit_current_a
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [None, 0, 2**63 + 5])
+def test_shared_level_table_matches_per_unit_ladders(bits, seed):
+    design = AwcDesign(num_bits=bits)
+    table = AwcWeightMapper(design, num_units=40, seed=seed).level_table
+    assert table.tobytes() == _reference_table(design, seed).tobytes()
+
+
+def test_mappers_on_one_die_share_one_read_only_table():
+    first = AwcWeightMapper(num_units=40, seed=11)
+    second = AwcWeightMapper(num_units=40, seed=11)
+    assert first.level_table is second.level_table
+    assert not first.level_table.flags.writeable
+    with pytest.raises(ValueError):
+        first.level_table[0, 1] = 99.0
+    other_die = AwcWeightMapper(num_units=40, seed=12)
+    assert other_die.level_table is not first.level_table
+
+
+def test_calibration_and_faults_leave_the_shared_table_intact():
+    from repro.core.calibration import CalibratedAwcMapper
+    from repro.core.opc import OpticalProcessingCore
+    from repro.sim.faults import FaultSpec, FaultyOpticalCore
+
+    seed = 23
+    core = OpticalProcessingCore(seed=seed)  # the die's own 40-unit bank
+    CalibratedAwcMapper(
+        core.awc, measurement_noise_lsb=0.2, seed=seed
+    ).realize_codes(np.arange(-15, 16))
+    faulty = FaultyOpticalCore(
+        core, FaultSpec(dead_mr_rate=0.2, stuck_awc_branch_rate=0.3), seed=seed
+    )
+    weights = np.random.default_rng(0).integers(-7, 8, (4, 1, 3, 3)) * 0.01
+    faulty.program(weights, 0.01)
+    fresh = AwcWeightMapper(core.awc.design, num_units=40, seed=seed)
+    reference = _reference_table(core.awc.design, seed)
+    assert fresh.level_table.tobytes() == reference.tobytes()
 
 
 def test_unit_assignment_validation():

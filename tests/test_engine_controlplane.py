@@ -162,6 +162,34 @@ def test_no_flapping_within_the_dwell_window(key):
                 )
 
 
+@pytest.mark.parametrize(
+    "policy, knee", [("slo", 2296.875), ("greedy", 185.9375)]
+)
+def test_capacity_model_programs_each_model_die_pair_once(
+    policy, knee, monkeypatch
+):
+    """The knee search behind ``fps_per_node`` shares one prewarmed cache."""
+    import hashlib
+    from collections import Counter
+
+    from repro.analysis.capacity import sustainable_fps_per_node
+    from repro.core.opc import OpticalProcessingCore
+
+    programs: Counter = Counter()
+    original = OpticalProcessingCore.program
+
+    def counting(self, quantized_weights, scale):
+        digest = hashlib.sha256(np.asarray(quantized_weights).tobytes())
+        programs[(self.seed, digest.hexdigest())] += 1
+        return original(self, quantized_weights, scale)
+
+    monkeypatch.setattr(OpticalProcessingCore, "program", counting)
+    assert sustainable_fps_per_node("diurnal-regions", policy=policy) == knee
+    # Four models (three regional LeNets + the batch MLP) on one die.
+    assert len(programs) == 4
+    assert set(programs.values()) == {1}
+
+
 def test_node_seconds_accounting_is_consistent():
     scenario = build_scenario("diurnal", frames=72, offered_fps=900.0, seed=0)
     plane = _autoscaled_plane()

@@ -137,7 +137,8 @@ def test_truncated_entry_reprograms_and_counts(tmp_path):
     key, programmed = _programmed()
     store.put(key, programmed, die=1)
     path = _entry_path(store, key)
-    data = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     with open(path, "wb") as handle:
         handle.write(data[: len(data) // 2])
     assert store.load(key) is None  # degraded, not raised
@@ -153,7 +154,8 @@ def test_flipped_payload_bit_fails_sha256(tmp_path):
     key, programmed = _programmed()
     store.put(key, programmed, die=1)
     path = _entry_path(store, key)
-    data = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
     # npz members are STORED (uncompressed), so flipping a byte in the
     # middle lands in array payload and must trip the digest check.
     data[len(data) // 2] ^= 0xFF
@@ -295,14 +297,16 @@ def test_capacity_prewarm_stores_full_range_die_seeds(tmp_path):
     """Die seeds span 64 bits: a 4-node pre-warm stores and restores them."""
     from repro.analysis.capacity import CapacitySettings, _prewarm_programs
     from repro.cli import main
+    from repro.engine.workloads import build_scenario
     from repro.util.rng import spawn_seeds
 
     assert max(spawn_seeds(0, 4)) >= 2**63  # the seeds an int64 field rejects
     settings = CapacitySettings(node_counts=(1, 2, 4))
+    models = build_scenario(settings.scenario, seed=settings.seed).models
     store = str(tmp_path / "store")
-    cold = _prewarm_programs(settings, program_store=store)
+    cold = _prewarm_programs(settings, models, program_store=store)
     assert cold.stats.misses > 0
-    warm = _prewarm_programs(settings, program_store=store)
+    warm = _prewarm_programs(settings, models, program_store=store)
     assert warm.stats.misses == 0
     assert warm.stats.store_hits == cold.stats.misses
     assert main(["cache", "verify", "--program-store", store]) == 0

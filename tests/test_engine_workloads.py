@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine.workloads import (
     ModelSpec,
+    Scenario,
     _frame,
     _frames_batch,
     build_scenario,
@@ -193,3 +194,56 @@ def test_scenarios_serve_end_to_end():
         delivered = [r for r in report.responses if not r.dropped]
         assert delivered
         assert all(r.output is not None for r in delivered)
+
+
+# ----------------------------------------------------------------------
+# Scenario.at_rate
+# ----------------------------------------------------------------------
+def _assert_same_scenario(expected, actual):
+    assert actual.name == expected.name
+    assert actual.description == expected.description
+    assert actual.offered_fps == expected.offered_fps
+    assert actual.slo_classes == expected.slo_classes
+    assert list(actual.models) == list(expected.models)
+    for key, model in expected.models.items():
+        ours = actual.models[key].parameters()
+        theirs = model.parameters()
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            assert a.data.tobytes() == b.data.tobytes()
+    assert len(actual.requests) == len(expected.requests)
+    for a, b in zip(actual.requests, expected.requests):
+        assert a.frame.tobytes() == b.frame.tobytes()
+        assert a.model_key == b.model_key
+        assert repr(a.arrival_s) == repr(b.arrival_s)
+        assert a.tenant == b.tenant
+
+
+@pytest.mark.parametrize("name", scenario_registry())
+def test_at_rate_matches_a_fresh_build(name):
+    base = build_scenario(name, frames=24, offered_fps=500.0, seed=3)
+    retimed = base.at_rate(1700.0)
+    _assert_same_scenario(
+        build_scenario(name, frames=24, offered_fps=1700.0, seed=3), retimed
+    )
+    for key, model in base.models.items():
+        assert retimed.models[key] is model
+    # A re-timed scenario re-times again, back to the base stream.
+    _assert_same_scenario(base, retimed.at_rate(500.0))
+
+
+def test_at_rate_refuses_scenarios_the_registry_did_not_build():
+    from dataclasses import replace
+
+    scenario = build_scenario("poisson", frames=8, offered_fps=500.0, seed=0)
+    edited = replace(scenario, requests=scenario.requests[:4])
+    with pytest.raises(ValueError, match="cannot be re-timed"):
+        edited.at_rate(900.0)
+    adhoc = models_scenario("lenet:4", frames=4, offered_fps=500.0, seed=0)
+    with pytest.raises(ValueError, match="cannot be re-timed"):
+        adhoc.at_rate(900.0)
+    hand_built = Scenario("mine", "", scenario.models, scenario.requests)
+    with pytest.raises(ValueError, match="cannot be re-timed"):
+        hand_built.at_rate(900.0)
+    with pytest.raises(ValueError, match="offered_fps"):
+        scenario.at_rate(0.0)

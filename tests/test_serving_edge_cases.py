@@ -182,7 +182,8 @@ def test_write_bench_serializes_non_finite_floats_as_null(tmp_path):
             "nested": [{"p50": float("-inf")}, 1.0],
         },
     )
-    text = open(path).read()
+    with open(path) as handle:
+        text = handle.read()
     assert "NaN" not in text and "Infinity" not in text
     loaded = json.loads(text, parse_constant=_reject_constant)
     assert loaded["p99"] is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import DEFAULT_SEED, derive_rng, spawn_seeds
+from repro.util.rng import DEFAULT_SEED, _label_to_int, derive_rng, spawn_seeds
 
 
 def test_same_seed_same_stream():
@@ -34,6 +34,20 @@ def test_empty_label_stable():
     a = derive_rng(7).normal(size=4)
     b = derive_rng(7).normal(size=4)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("label", ["", "awc-branch-mismatch"])
+def test_derive_rng_matches_the_two_step_seed_sequence(seed, label):
+    # The historical formula: a labelled stream took the entropy of
+    # SeedSequence([base, label]) and seeded a second SeedSequence with it.
+    base = DEFAULT_SEED if seed is None else seed
+    if label:
+        base = np.random.SeedSequence([base, _label_to_int(label)]).entropy
+    reference = np.random.default_rng(np.random.SeedSequence([base]))
+    np.testing.assert_array_equal(
+        derive_rng(seed, label).random(16), reference.random(16)
+    )
 
 
 def test_spawn_seeds_deterministic_and_distinct():
