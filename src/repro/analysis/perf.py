@@ -100,24 +100,23 @@ def bench_warm_install(
     installs: int = 200,
 ) -> dict[str, Any]:
     """Time a cache-hit reinstall against the cold program it replaces."""
-    from repro.core.opc import OpticalProcessingCore
+    from repro.core.opc import KernelSet, OpticalProcessingCore
     from repro.engine.cache import WeightProgramCache
     from repro.nn.quant import UniformWeightQuantizer
 
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=shape) * 0.1
     quantizer = UniformWeightQuantizer(bits)
-    quantized = quantizer.quantize(weights)
-    scale = quantizer.scale(weights)
+    kernels = KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
 
     opc = OpticalProcessingCore(seed=seed)
     cache = WeightProgramCache()
-    cold_s, _ = _best_of(lambda: opc.program(quantized, scale), 3)
-    cache.get_or_program(opc, quantized, scale)  # prime: one miss
+    cold_s, _ = _best_of(lambda: opc.program(kernels.weights, kernels.scale), 3)
+    cache.get_or_program(opc, kernels)  # prime: one miss
 
     started = time.perf_counter()
     for _ in range(installs):
-        cache.get_or_program(opc, quantized, scale)
+        cache.get_or_program(opc, kernels)
     per_install_s = (time.perf_counter() - started) / installs
     assert cache.stats.hits == installs
     return {
@@ -259,7 +258,7 @@ def bench_warm_store(
     import shutil
     import tempfile
 
-    from repro.core.opc import OpticalProcessingCore
+    from repro.core.opc import KernelSet, OpticalProcessingCore
     from repro.engine.cache import WeightProgramCache
     from repro.engine.server import FrameRequest, FrameServer
     from repro.engine.store import ProgramStore
@@ -328,7 +327,7 @@ def bench_warm_store(
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
         layer_store = ProgramStore(root)
-        key = WeightProgramCache().key_for(opc, quantized, scale)
+        key = WeightProgramCache.key_for(opc, KernelSet.build(quantized, scale))
         layer_store.put(key, programmed, die=seed)
         restore_s, restored = _best_of(lambda: layer_store.load(key), 3)
         restored_identical = bool(

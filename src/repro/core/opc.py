@@ -40,8 +40,10 @@ guaranteed to reproduce the cached record bit-for-bit.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -53,6 +55,34 @@ from repro.photonics.tuning import TuningBudget
 from repro.photonics.wdm import WdmGrid, effective_arm_transmissions
 from repro.util.rng import derive_rng
 from repro.util.validation import check_positive
+
+
+@dataclass(frozen=True)
+class KernelSet:
+    """A quantized kernel set, ready to program on any die.
+
+    ``weights`` is the read-only fake-quantized tensor (integer codes times
+    ``scale``) that :meth:`OpticalProcessingCore.program` maps.  ``prefix``
+    is a sha256 state over the die-independent head of the program key —
+    the tensor bytes, its shape and the scale — which
+    :meth:`repro.engine.cache.WeightProgramCache.key_for` copies and
+    extends per die, so no die re-hashes the tensor.
+    :func:`repro.core.pipeline.kernel_set` builds one per quant layer.
+    """
+
+    weights: np.ndarray
+    scale: float
+    prefix: Any
+
+    @classmethod
+    def build(cls, quantized_weights: np.ndarray, scale: float) -> "KernelSet":
+        """Freeze a copy of ``quantized_weights`` and hash its key prefix."""
+        weights = np.array(quantized_weights, dtype=float, order="C")
+        weights.flags.writeable = False
+        prefix = hashlib.sha256(weights.tobytes())
+        prefix.update(repr(weights.shape).encode())
+        prefix.update(repr(float(scale)).encode())
+        return cls(weights, scale, prefix)
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,61 @@ healthy program.  Reprogramming is deterministic per die —
 the scalar-reference bit-identity contract of :mod:`repro.core.reference`
 guarantees a recovered node reproduces its pre-fault realized weights
 exactly.
+
+The quantized kernel set itself is die-independent, so it is computed
+once per quant layer (:func:`kernel_set`) and shared by every pipeline,
+die and server that serves that layer — the host-side counterpart of the
+paper's program-once mapping (Sec. III).
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from repro.core.opc import OpticalProcessingCore
+from repro.core.opc import KernelSet, OpticalProcessingCore
 from repro.nn.layers import Sequential
 from repro.nn.models import TernaryInputLayer, find_first_quant_conv
 from repro.nn.quant import QuantConv2D, QuantDense
+
+#: Quant layer -> (weight snapshot, quantizer, bits, kernel set).  A side
+#: table with weak keys, not an attribute: an entry lives exactly as long
+#: as its layer, and ``copy.deepcopy`` of a model (brownout variants)
+#: never meets the kernel set's hash state, which cannot be copied.
+_kernel_sets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def kernel_set(layer: QuantConv2D | QuantDense) -> KernelSet:
+    """``layer``'s quantized kernel set, built once per weight state.
+
+    Every pipeline build and kernel swap of ``layer`` — on any die, in
+    any server — reuses one :class:`~repro.core.opc.KernelSet`.  It is
+    rebuilt only when the weights no longer equal the snapshot taken at
+    build time, or the quantizer object or its bit width changed, so an
+    in-place weight update is never served stale.
+
+    Raises ``ValueError`` for non-finite weights, which have no scale and
+    no AWC code.
+    """
+    weights = layer.weight.data
+    quantizer = layer.quantizer
+    memo = _kernel_sets.get(layer)
+    if memo is not None:
+        snapshot, owner, bits, kernels = memo
+        if (
+            owner is quantizer
+            and bits == quantizer.bits
+            and np.array_equal(snapshot, weights)
+        ):
+            return kernels
+    if not np.isfinite(weights).all():
+        raise ValueError("on-die layer has non-finite weights")
+    kernels = KernelSet.build(
+        quantizer.quantize(weights), quantizer.scale(weights)
+    )
+    _kernel_sets[layer] = (weights.copy(), quantizer, quantizer.bits, kernels)
+    return kernels
 
 
 class HardwareFirstLayerPipeline:
@@ -50,7 +95,9 @@ class HardwareFirstLayerPipeline:
         :class:`repro.engine.cache.WeightProgramCache`).  When given, the
         expensive AWC mapping chain runs once per distinct (kernel set,
         weight bits, die seed) and kernel swaps back to a known set are
-        restored from the cache.
+        restored from the cache.  Either way the kernel set comes from
+        :func:`kernel_set`, so building or re-activating a pipeline never
+        re-quantizes or re-hashes an unchanged layer.
     """
 
     def __init__(
@@ -92,12 +139,11 @@ class HardwareFirstLayerPipeline:
         return isinstance(self.conv, QuantDense)
 
     def _program(self) -> None:
-        quantized = self.conv.quantizer.quantize(self.conv.weight.data)
-        scale = self.conv.quantizer.scale(self.conv.weight.data)
+        kernels = kernel_set(self.conv)
         if self.program_cache is not None:
-            self.program_cache.get_or_program(self.opc, quantized, scale)
+            self.program_cache.get_or_program(self.opc, kernels)
         else:
-            self.opc.program(quantized, scale)
+            self.opc.program(kernels.weights, kernels.scale)
 
     def activate(self) -> None:
         """(Re)install this model's first-layer weights on the shared OPC.

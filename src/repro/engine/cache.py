@@ -10,6 +10,13 @@ flag), so a swap back to a previously mapped set restores the realized
 weights in O(1) via
 :meth:`~repro.core.opc.OpticalProcessingCore.install`.
 
+Keys are cheap to recompute: a :class:`~repro.core.opc.KernelSet` carries
+the sha256 state over its tensor, shape and scale, built once per kernel
+set (:func:`repro.core.pipeline.kernel_set`), and :meth:`WeightProgramCache.
+key_for` copies that state and adds only the die's part.  The split does
+not change the digest — it equals one sha256 over every field in order —
+so it never shows in :class:`~repro.engine.store.ProgramStore` filenames.
+
 The die seed is part of the key on purpose: two chips with different AWC
 mismatch patterns realize the same ideal kernel set differently, so their
 programs must never be shared.  A calibrated die (pre-distorted AWC,
@@ -51,14 +58,31 @@ holds with or without a store attached.
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.opc import OpticalProcessingCore, ProgrammedWeights
+from repro.core.config import OISAConfig
+from repro.core.opc import KernelSet, OpticalProcessingCore, ProgrammedWeights
 from repro.engine.store import ProgramStore
+
+#: ``repr(config)`` bytes per live config object, keyed by ``id``.  The
+#: memo is by identity, not equality: ``OISAConfig`` compares ``0.0`` and
+#: ``-0.0`` fields equal, yet their reprs (and so their keys) differ.
+_config_reprs: dict[int, tuple[weakref.ref, bytes]] = {}
+
+
+def _config_repr(config: OISAConfig) -> bytes:
+    """``repr(config).encode()``, computed once per config object."""
+    ident = id(config)
+    entry = _config_reprs.get(ident)
+    if entry is None or entry[0]() is not config:
+        # The entry leaves with its config, before the id can be reused.
+        ref = weakref.ref(
+            config, lambda _, ident=ident: _config_reprs.pop(ident, None)
+        )
+        entry = _config_reprs[ident] = (ref, repr(config).encode())
+    return entry[1]
 
 
 @dataclass
@@ -163,21 +187,17 @@ class WeightProgramCache:
         return int(programmed.ideal.nbytes) + int(programmed.realized.nbytes)
 
     @staticmethod
-    def key_for(
-        opc: OpticalProcessingCore,
-        quantized_weights: np.ndarray,
-        scale: float,
-    ) -> str:
-        """Digest of the kernel set and everything that shapes its mapping."""
-        weights = np.ascontiguousarray(quantized_weights, dtype=float)
-        digest = hashlib.sha256()
-        digest.update(weights.tobytes())
-        digest.update(repr(weights.shape).encode())
-        digest.update(repr(float(scale)).encode())
+    def key_for(opc: OpticalProcessingCore, kernels: KernelSet) -> str:
+        """Digest of the kernel set and everything that shapes its mapping.
+
+        The kernel set's ``prefix`` already holds its tensor bytes, shape
+        and scale; each die adds its part on a copy of that state.
+        """
+        digest = kernels.prefix.copy()
         # The full config repr: every architecture/device parameter shapes
         # the realization (AWC design, microring Q, WDM grid, ...), so two
         # differently configured cores must never share a program.
-        digest.update(repr(opc.config).encode())
+        digest.update(_config_repr(opc.config))
         digest.update(repr((opc.seed, opc.enable_crosstalk)).encode())
         # Calibrated AWC mappers (code pre-distortion, core/calibration)
         # realize different levels than the raw bank; their programs must
@@ -188,18 +208,16 @@ class WeightProgramCache:
         return digest.hexdigest()
 
     def get_or_program(
-        self,
-        opc: OpticalProcessingCore,
-        quantized_weights: np.ndarray,
-        scale: float,
+        self, opc: OpticalProcessingCore, kernels: KernelSet
     ) -> tuple[ProgrammedWeights, bool]:
         """Install a cached program or run the mapping chain once.
 
         Returns ``(programmed, hit)``.  On a hit the record is installed on
         ``opc`` without re-running AWC realization/crosstalk/tuning; on a
-        miss the OPC programs normally and the result is cached.
+        miss the OPC programs ``kernels`` normally and the result is
+        cached.
         """
-        key = self.key_for(opc, quantized_weights, scale)
+        key = self.key_for(opc, kernels)
         cached = self._entries.get(key)
         if cached is not None:
             self._entries.move_to_end(key)
@@ -216,20 +234,17 @@ class WeightProgramCache:
             return restored, True
 
         self.stats.misses += 1
-        programmed = opc.program(quantized_weights, scale)
+        programmed = opc.program(kernels.weights, kernels.scale)
         self._insert(key, programmed, opc.seed)
         if self.store is not None:
             self.store.put(key, programmed, die=opc.seed)
         return programmed, False
 
     def has_program(
-        self,
-        opc: OpticalProcessingCore,
-        quantized_weights: np.ndarray,
-        scale: float,
+        self, opc: OpticalProcessingCore, kernels: KernelSet
     ) -> bool:
         """Whether a program is resident, without touching stats or LRU."""
-        return self.key_for(opc, quantized_weights, scale) in self._entries
+        return self.key_for(opc, kernels) in self._entries
 
     def attach_store(self, store: ProgramStore) -> None:
         """Attach an on-disk tier after construction.

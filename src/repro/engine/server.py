@@ -76,8 +76,8 @@ from repro.core.mapping import (
     plan_convolution,
     plan_mlp,
 )
-from repro.core.opc import OpticalProcessingCore
-from repro.core.pipeline import HardwareFirstLayerPipeline
+from repro.core.opc import KernelSet, OpticalProcessingCore
+from repro.core.pipeline import HardwareFirstLayerPipeline, kernel_set
 from repro.engine.admission import (
     AdmissionController,
     SloClass,
@@ -196,6 +196,62 @@ class ServeReport:
         return self.delivered / self.wall_clock_s
 
 
+@functools.lru_cache(maxsize=1024)
+def _frame_tables(
+    config: OISAConfig,
+    bits: int,
+    workload: ConvWorkload | MlpWorkload,
+    tuning_latency_s: float,
+    mapping_energy_j: float,
+    radio: RadioModel,
+) -> tuple[FrameTiming, FrameTiming, float, float, int, float]:
+    """``(steady, remap, steady J, remap J, payload bytes, radio J)`` of
+    one frame of ``workload`` at ``bits``-bit weights.
+
+    A pure function of its arguments — a die enters only through the
+    tuning budget of its program — so every server pricing one model on
+    one die shares a single table.
+    """
+    config = config.with_weight_bits(bits)
+    model = OISAEnergyModel(config)
+    controller = TimingController(config)
+    if isinstance(workload, MlpWorkload):
+        plan = plan_mlp(config, workload)
+        compute_s = model.mlp_compute_time_s(plan)
+        outputs = workload.output_features
+        transmit_s = (
+            outputs * TimingController.OUTPUT_BITS_PER_VALUE
+        ) / TimingController.TRANSMIT_RATE_BPS
+        exposure = controller.exposure_time_s()
+        steady = FrameTiming(exposure, 0.0, compute_s, transmit_s)
+        remap = FrameTiming(
+            exposure,
+            controller.mapping_time_s(tuning_latency_s),
+            compute_s,
+            transmit_s,
+        )
+        steady_energy = model.mlp_frame_energy_j(plan).total
+        remap_energy = model.mlp_frame_energy_j(
+            plan, include_mapping=True, mapping_energy_j=mapping_energy_j
+        ).total
+        payload = math.ceil(outputs * FleetModel.FEATURE_BITS / 8)
+        radio_j = radio.transmit_energy_j(payload)
+    else:
+        plan = plan_convolution(config, workload)
+        steady = controller.frame_timing(plan)
+        remap = controller.frame_timing(
+            plan, remap_weights=True, tuning_latency_s=tuning_latency_s
+        )
+        steady_energy = model.frame_energy_j(plan).total
+        remap_energy = model.frame_energy_j(
+            plan, include_mapping=True, mapping_energy_j=mapping_energy_j
+        ).total
+        node_report = FleetModel(config, radio=radio).oisa_node(workload)
+        payload = node_report.payload_bytes
+        radio_j = node_report.radio_energy_j
+    return steady, remap, steady_energy, remap_energy, payload, radio_j
+
+
 class _ModelEntry:
     """Per-model precomputation: pipeline template + timing + energy."""
 
@@ -211,6 +267,13 @@ class _ModelEntry:
         #: The layer that runs on-die (``None`` for a float model, which
         #: pipeline construction rejects with its own message).
         self._stem = HardwareFirstLayerPipeline._find_first_quant_layer(model)
+        if self._stem is not None:
+            # Builds the shared kernel set now, so a bad model fails
+            # here rather than mid-serve.
+            try:
+                kernel_set(self._stem)
+            except ValueError as error:
+                raise ValueError(f"model {key!r}: {error}") from None
         self._config = config
         self._fleet = fleet
         #: Per-die timing/energy tables, keyed by (die seed, frame shape):
@@ -227,6 +290,12 @@ class _ModelEntry:
         #: die-independent, but a conv stem's feature map (and so its
         #: payload) scales with the frame.
         self.transport: dict[tuple[int, ...], tuple[int, float]] = {}
+
+    @property
+    def kernels(self) -> KernelSet | None:
+        """The on-die layer's shared kernel set (``None`` for a float
+        model)."""
+        return None if self._stem is None else kernel_set(self._stem)
 
     def check_frame_shape(self, frame_shape: tuple[int, ...]) -> None:
         """Raise ``ValueError`` unless ``frame_shape`` fits the on-die layer.
@@ -281,55 +350,24 @@ class _ModelEntry:
 
         Computed once per (die, frame geometry) — normally from the first
         admitted frame's shape, or ahead of time by
-        :meth:`FrameServer.warmup`.
+        :meth:`FrameServer.warmup` — and priced by :func:`_frame_tables`,
+        which every server shares.
         """
-        die = pipeline.opc.seed
-        key = (die, tuple(frame_shape))
+        key = (pipeline.opc.seed, tuple(frame_shape))
         cached = self._timed.get(key)
         if cached is not None:
             return cached
-        config = self._config.with_weight_bits(pipeline.conv.quantizer.bits)
-        model = OISAEnergyModel(config)
-        controller = TimingController(config)
-        tuning_latency = pipeline.opc.programmed.tuning.latency_s
-        mapping_energy = pipeline.opc.programmed.tuning.energy_j
-        workload = self._workload(pipeline, frame_shape)
-        if pipeline.is_dense:
-            plan = plan_mlp(config, workload)
-            compute_s = model.mlp_compute_time_s(plan)
-            outputs = workload.output_features
-            transmit_s = (
-                outputs * TimingController.OUTPUT_BITS_PER_VALUE
-            ) / TimingController.TRANSMIT_RATE_BPS
-            exposure = controller.exposure_time_s()
-            steady = FrameTiming(exposure, 0.0, compute_s, transmit_s)
-            remap = FrameTiming(
-                exposure,
-                controller.mapping_time_s(tuning_latency),
-                compute_s,
-                transmit_s,
-            )
-            steady_energy = model.mlp_frame_energy_j(plan).total
-            remap_energy = model.mlp_frame_energy_j(
-                plan, include_mapping=True, mapping_energy_j=mapping_energy
-            ).total
-            payload = math.ceil(outputs * FleetModel.FEATURE_BITS / 8)
-            radio = self._fleet.radio.transmit_energy_j(payload)
-        else:
-            plan = plan_convolution(config, workload)
-            steady = controller.frame_timing(plan)
-            remap = controller.frame_timing(
-                plan, remap_weights=True, tuning_latency_s=tuning_latency
-            )
-            steady_energy = model.frame_energy_j(plan).total
-            remap_energy = model.frame_energy_j(
-                plan, include_mapping=True, mapping_energy_j=mapping_energy
-            ).total
-            node_report = self._fleet.oisa_node(workload)
-            payload = node_report.payload_bytes
-            radio = node_report.radio_energy_j
-        self.transport[key[1]] = (payload, radio)
-        self._timed[key] = (steady, remap, steady_energy, remap_energy)
+        tuning = pipeline.opc.programmed.tuning
+        *timed, payload, radio_j = _frame_tables(
+            self._config,
+            pipeline.conv.quantizer.bits,
+            self._workload(pipeline, frame_shape),
+            tuning.latency_s,
+            tuning.energy_j,
+            self._fleet.radio,
+        )
+        self.transport[key[1]] = (payload, radio_j)
+        self._timed[key] = tuple(timed)
         return self._timed[key]
 
 
@@ -562,17 +600,13 @@ class FrameServer:
         entry = self._models.get(model_key)
         if entry is None:
             raise ValueError(f"unknown model key {model_key!r}")
-        first = HardwareFirstLayerPipeline._find_first_quant_layer(entry.model)
-        if first is None:
+        kernels = entry.kernels
+        if kernels is None:
             return 0
-        quantized = first.quantizer.quantize(first.weight.data)
-        scale = first.quantizer.scale(first.weight.data)
-        touched = 0
         for node in self.nodes:
-            key = self.cache.key_for(node.opc, quantized, scale)
+            key = self.cache.key_for(node.opc, kernels)
             self.cache.set_priority(key, 1 if pinned else 0)
-            touched += 1
-        return touched
+        return len(self.nodes)
 
     @property
     def model_keys(self) -> tuple[str, ...]:

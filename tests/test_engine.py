@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.opc import OpticalProcessingCore
+from repro.core.opc import KernelSet, OpticalProcessingCore
 from repro.core.pipeline import HardwareFirstLayerPipeline
 from repro.engine import FrameRequest, FrameServer, WeightProgramCache
 from repro.engine.workloads import ModelSpec
@@ -16,19 +16,18 @@ def kernel_set():
     rng = np.random.default_rng(0)
     weights = rng.normal(size=(8, 1, 3, 3)) * 0.1
     quantizer = UniformWeightQuantizer(4)
-    return quantizer.quantize(weights), quantizer.scale(weights)
+    return KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
 
 
 # --------------------------------------------------------------------------
 # WeightProgramCache
 # --------------------------------------------------------------------------
 def test_cache_miss_then_hit(kernel_set):
-    quantized, scale = kernel_set
     cache = WeightProgramCache()
     opc = OpticalProcessingCore(seed=1)
 
-    first, hit1 = cache.get_or_program(opc, quantized, scale)
-    again, hit2 = cache.get_or_program(opc, quantized, scale)
+    first, hit1 = cache.get_or_program(opc, kernel_set)
+    again, hit2 = cache.get_or_program(opc, kernel_set)
     assert (hit1, hit2) == (False, True)
     assert again is first
     assert cache.stats.hits == 1 and cache.stats.misses == 1
@@ -39,14 +38,13 @@ def test_cache_miss_then_hit(kernel_set):
 
 def test_cache_hit_skips_remapping_work(kernel_set):
     """A hit restores the exact realized tensor without recomputation."""
-    quantized, scale = kernel_set
     cache = WeightProgramCache()
     opc = OpticalProcessingCore(seed=1)
-    programmed, _ = cache.get_or_program(opc, quantized, scale)
+    programmed, _ = cache.get_or_program(opc, kernel_set)
 
-    other = np.zeros_like(quantized)
+    other = np.zeros_like(kernel_set.weights)
     opc.program(other, 1.0)  # kernel swap to a different set
-    restored, hit = cache.get_or_program(opc, quantized, scale)
+    restored, hit = cache.get_or_program(opc, kernel_set)
     assert hit
     np.testing.assert_array_equal(restored.realized, programmed.realized)
     np.testing.assert_array_equal(opc.programmed.realized, programmed.realized)
@@ -54,28 +52,27 @@ def test_cache_hit_skips_remapping_work(kernel_set):
 
 def test_cache_is_seed_sensitive(kernel_set):
     """Two dies (different AWC mismatch) must never share a program."""
-    quantized, scale = kernel_set
     cache = WeightProgramCache()
     die_a = OpticalProcessingCore(seed=1)
     die_b = OpticalProcessingCore(seed=2)
 
-    program_a, hit_a = cache.get_or_program(die_a, quantized, scale)
-    program_b, hit_b = cache.get_or_program(die_b, quantized, scale)
+    program_a, hit_a = cache.get_or_program(die_a, kernel_set)
+    program_b, hit_b = cache.get_or_program(die_b, kernel_set)
     assert not hit_a and not hit_b  # same kernels, different dies -> two entries
     assert len(cache) == 2
     assert not np.array_equal(program_a.realized, program_b.realized)
 
 
 def test_cache_key_varies_with_bits_and_scale(kernel_set):
-    quantized, scale = kernel_set
     opc = OpticalProcessingCore(seed=1)
-    key = WeightProgramCache.key_for(opc, quantized, scale)
-    assert WeightProgramCache.key_for(opc, quantized, scale * 2) != key
+    key = WeightProgramCache.key_for(opc, kernel_set)
+    rescaled = KernelSet.build(kernel_set.weights, kernel_set.scale * 2)
+    assert WeightProgramCache.key_for(opc, rescaled) != key
 
     coarse = OpticalProcessingCore(
         opc.config.with_weight_bits(2), seed=1
     )
-    assert WeightProgramCache.key_for(coarse, quantized, scale) != key
+    assert WeightProgramCache.key_for(coarse, kernel_set) != key
 
 
 def test_cache_key_covers_whole_config(kernel_set):
@@ -84,17 +81,16 @@ def test_cache_key_covers_whole_config(kernel_set):
 
     from repro.core.config import OISAConfig
 
-    quantized, scale = kernel_set
     reference = OpticalProcessingCore(OISAConfig(), seed=1)
-    key = WeightProgramCache.key_for(reference, quantized, scale)
+    key = WeightProgramCache.key_for(reference, kernel_set)
     retuned = OpticalProcessingCore(
         replace(OISAConfig(), num_banks=40), seed=1
     )
-    assert WeightProgramCache.key_for(retuned, quantized, scale) != key
+    assert WeightProgramCache.key_for(retuned, kernel_set) != key
     no_crosstalk = OpticalProcessingCore(
         OISAConfig(), seed=1, enable_crosstalk=False
     )
-    assert WeightProgramCache.key_for(no_crosstalk, quantized, scale) != key
+    assert WeightProgramCache.key_for(no_crosstalk, kernel_set) != key
 
 
 def test_cache_lru_eviction():
@@ -104,13 +100,15 @@ def test_cache_lru_eviction():
     sets = []
     for seed in range(3):
         weights = np.random.default_rng(seed).normal(size=(8, 1, 3, 3)) * 0.1
-        sets.append((quantizer.quantize(weights), quantizer.scale(weights)))
-    for quantized, scale in sets:
-        cache.get_or_program(opc, quantized, scale)
+        sets.append(
+            KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
+        )
+    for kernels in sets:
+        cache.get_or_program(opc, kernels)
     assert len(cache) == 2
     assert cache.stats.evictions == 1
     # The first (evicted) set misses again.
-    _, hit = cache.get_or_program(opc, *sets[0][:2])
+    _, hit = cache.get_or_program(opc, sets[0])
     assert not hit
 
 

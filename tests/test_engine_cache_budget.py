@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.opc import OpticalProcessingCore
+from repro.core.opc import KernelSet, OpticalProcessingCore
 from repro.engine import WeightProgramCache
 from repro.nn.quant import UniformWeightQuantizer
 
@@ -13,7 +13,7 @@ def _kernel_set(seed):
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=(8, 1, 3, 3)) * 0.1
     quantizer = UniformWeightQuantizer(4)
-    return quantizer.quantize(weights), quantizer.scale(weights)
+    return KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
 
 
 @pytest.fixture
@@ -22,9 +22,7 @@ def opc():
 
 
 def _program(cache, opc, seed):
-    quantized, scale = _kernel_set(seed)
-    programmed, hit = cache.get_or_program(opc, quantized, scale)
-    return programmed, hit
+    return cache.get_or_program(opc, _kernel_set(seed))
 
 
 def _entry_bytes(opc):
@@ -92,12 +90,9 @@ def test_budget_evicts_lru_first(opc):
     assert cache.stats.bytes_evicted == per_entry
     assert cache.stats.bytes_cached == 2 * per_entry
     # Set 1 was evicted (LRU); sets 0 and 2 are resident.
-    q0, s0 = _kernel_set(0)
-    q1, s1 = _kernel_set(1)
-    q2, s2 = _kernel_set(2)
-    assert cache.has_program(opc, q0, s0)
-    assert not cache.has_program(opc, q1, s1)
-    assert cache.has_program(opc, q2, s2)
+    assert cache.has_program(opc, _kernel_set(0))
+    assert not cache.has_program(opc, _kernel_set(1))
+    assert cache.has_program(opc, _kernel_set(2))
 
 
 def test_budget_and_capacity_compose(opc):
@@ -126,8 +121,7 @@ def test_sole_oversized_entry_is_kept(opc):
     _program(cache, opc, 1)
     assert len(cache) == 1
     assert cache.stats.evictions == 1
-    q0, s0 = _kernel_set(0)
-    assert not cache.has_program(opc, q0, s0)
+    assert not cache.has_program(opc, _kernel_set(0))
 
 
 def test_invalid_budget_rejected():
@@ -147,9 +141,9 @@ def test_has_program_leaves_stats_and_lru_alone(opc):
     _program(cache, opc, 1)
     stats_before = (cache.stats.hits, cache.stats.misses)
 
-    q0, s0 = _kernel_set(0)
-    assert cache.has_program(opc, q0, s0)  # must NOT refresh set 0's LRU slot
+    set0 = _kernel_set(0)
+    assert cache.has_program(opc, set0)  # must NOT refresh set 0's LRU slot
     assert (cache.stats.hits, cache.stats.misses) == stats_before
 
     _program(cache, opc, 2)  # overflow: set 0 is still the LRU entry
-    assert not cache.has_program(opc, q0, s0)
+    assert not cache.has_program(opc, set0)

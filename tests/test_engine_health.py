@@ -10,7 +10,7 @@ from repro.engine import (
     WeightProgramCache,
 )
 from repro.core.config import OISAConfig
-from repro.core.opc import OpticalProcessingCore
+from repro.core.opc import KernelSet, OpticalProcessingCore
 from repro.nn.models import build_lenet, build_mlp
 from repro.nn.quant import UniformWeightQuantizer
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
@@ -348,18 +348,18 @@ def test_cache_invalidate_die_scopes_to_one_seed():
     cache = WeightProgramCache()
     quantizer = UniformWeightQuantizer(4)
     weights = np.random.default_rng(0).normal(size=(8, 1, 3, 3)) * 0.1
-    quantized, scale = quantizer.quantize(weights), quantizer.scale(weights)
+    kernels = KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
     die_a = OpticalProcessingCore(seed=1)
     die_b = OpticalProcessingCore(seed=2)
-    cache.get_or_program(die_a, quantized, scale)
-    cache.get_or_program(die_b, quantized, scale)
+    cache.get_or_program(die_a, kernels)
+    cache.get_or_program(die_b, kernels)
 
     assert cache.invalidate_die(1) == 1
     assert len(cache) == 1
     assert cache.stats.invalidations == 1
-    _, hit_b = cache.get_or_program(die_b, quantized, scale)
+    _, hit_b = cache.get_or_program(die_b, kernels)
     assert hit_b  # the other die's program survived
-    _, hit_a = cache.get_or_program(die_a, quantized, scale)
+    _, hit_a = cache.get_or_program(die_a, kernels)
     assert not hit_a  # the invalidated die reprograms
     assert cache.invalidate_die(99) == 0
 

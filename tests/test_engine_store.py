@@ -14,7 +14,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.opc import OpticalProcessingCore
+from repro.core.opc import KernelSet, OpticalProcessingCore
+from repro.core.pipeline import HardwareFirstLayerPipeline, kernel_set
 from repro.engine import (
     STORE_SCHEMA_VERSION,
     FrameServer,
@@ -40,14 +41,14 @@ def _kernel_set(seed, bits=4, shape=(8, 1, 3, 3)):
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=shape) * 0.1
     quantizer = UniformWeightQuantizer(bits)
-    return quantizer.quantize(weights), quantizer.scale(weights)
+    return KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
 
 
 def _programmed(seed=0, bits=4, die=1):
     opc = OpticalProcessingCore(seed=die)
-    quantized, scale = _kernel_set(seed, bits=bits)
-    programmed = opc.program(quantized, scale)
-    key = WeightProgramCache.key_for(opc, quantized, scale)
+    kernels = _kernel_set(seed, bits=bits)
+    programmed = opc.program(kernels.weights, kernels.scale)
+    key = WeightProgramCache.key_for(opc, kernels)
     return key, programmed
 
 
@@ -81,14 +82,12 @@ def test_roundtrip_byte_equal_across_zoo(tmp_path):
     for family in ("lenet", "mlp", "vgg16", "resnet18"):
         spec = ModelSpec(family, 4)
         model = spec.build(0)
-        from repro.core.pipeline import HardwareFirstLayerPipeline
-
-        first = HardwareFirstLayerPipeline._find_first_quant_layer(model)
-        quantized = first.quantizer.quantize(first.weight.data)
-        scale = first.quantizer.scale(first.weight.data)
+        kernels = kernel_set(
+            HardwareFirstLayerPipeline._find_first_quant_layer(model)
+        )
         opc = OpticalProcessingCore(seed=3)
-        programmed = opc.program(quantized, scale)
-        key = WeightProgramCache.key_for(opc, quantized, scale)
+        programmed = opc.program(kernels.weights, kernels.scale)
+        key = WeightProgramCache.key_for(opc, kernels)
         store.put(key, programmed, die=3)
         _assert_byte_equal(store.load(key), programmed)
 
@@ -184,11 +183,11 @@ def test_cache_falls_back_to_programming_on_corruption(tmp_path):
     """A corrupt store entry costs one mapping chain, nothing else."""
     store = ProgramStore(tmp_path)
     opc = OpticalProcessingCore(seed=1)
-    quantized, scale = _kernel_set(0)
+    kernels = _kernel_set(0)
     cold = WeightProgramCache(store=store)
-    programmed, hit = cold.get_or_program(opc, quantized, scale)
+    programmed, hit = cold.get_or_program(opc, kernels)
     assert hit is False
-    key = cold.key_for(opc, quantized, scale)
+    key = cold.key_for(opc, kernels)
     path = _entry_path(store, key)
     with open(path, "wb") as handle:
         handle.write(b"garbage")
@@ -196,7 +195,7 @@ def test_cache_falls_back_to_programming_on_corruption(tmp_path):
     warm_store = ProgramStore(tmp_path)
     warm = WeightProgramCache(store=warm_store)
     fresh_opc = OpticalProcessingCore(seed=1)
-    reprogrammed, hit = warm.get_or_program(fresh_opc, quantized, scale)
+    reprogrammed, hit = warm.get_or_program(fresh_opc, kernels)
     assert hit is False  # corruption degraded to a cold program
     assert warm_store.stats.corrupt == 1
     assert warm.stats.store_hits == 0
@@ -211,13 +210,13 @@ def test_cache_falls_back_to_programming_on_corruption(tmp_path):
 def test_second_cache_restores_instead_of_programming(tmp_path):
     store = ProgramStore(tmp_path)
     opc = OpticalProcessingCore(seed=1)
-    quantized, scale = _kernel_set(0)
+    kernels = _kernel_set(0)
     cold = WeightProgramCache(store=store)
-    programmed, _ = cold.get_or_program(opc, quantized, scale)
+    programmed, _ = cold.get_or_program(opc, kernels)
 
     warm = WeightProgramCache(store=ProgramStore(tmp_path))
     fresh_opc = OpticalProcessingCore(seed=1)
-    restored, hit = warm.get_or_program(fresh_opc, quantized, scale)
+    restored, hit = warm.get_or_program(fresh_opc, kernels)
     assert hit is True  # no mapping chain ran
     assert warm.stats.misses == 0
     assert warm.stats.store_hits == 1
@@ -228,16 +227,15 @@ def test_eviction_never_deletes_the_disk_copy(tmp_path):
     store = ProgramStore(tmp_path)
     cache = WeightProgramCache(capacity=1, store=store)
     opc = OpticalProcessingCore(seed=1)
-    first_q, first_s = _kernel_set(0)
-    second_q, second_s = _kernel_set(1)
-    first_key = cache.key_for(opc, first_q, first_s)
-    programmed, _ = cache.get_or_program(opc, first_q, first_s)
-    cache.get_or_program(opc, second_q, second_s)  # evicts the first
+    first, second = _kernel_set(0), _kernel_set(1)
+    first_key = cache.key_for(opc, first)
+    programmed, _ = cache.get_or_program(opc, first)
+    cache.get_or_program(opc, second)  # evicts the first
     assert cache.stats.evictions == 1
-    assert not cache.has_program(opc, first_q, first_s)
+    assert not cache.has_program(opc, first)
     assert first_key in store  # eviction is strictly in-memory
     # The next activation restores the evicted entry from disk.
-    restored, hit = cache.get_or_program(opc, first_q, first_s)
+    restored, hit = cache.get_or_program(opc, first)
     assert hit is True and cache.stats.store_hits == 1
     _assert_byte_equal(restored, programmed)
 
@@ -247,15 +245,15 @@ def test_invalidate_die_clears_both_layers(tmp_path):
     cache = WeightProgramCache(store=store)
     tripped = OpticalProcessingCore(seed=1)
     healthy = OpticalProcessingCore(seed=2)
-    quantized, scale = _kernel_set(0)
-    cache.get_or_program(tripped, quantized, scale)
-    cache.get_or_program(healthy, quantized, scale)
+    kernels = _kernel_set(0)
+    cache.get_or_program(tripped, kernels)
+    cache.get_or_program(healthy, kernels)
     assert len(cache) == 2 and len(store) == 2
 
     assert cache.invalidate_die(1) == 1
     assert len(cache) == 1
     assert len(store) == 1  # the tripped die's npz is gone too
-    assert store.keys() == [cache.key_for(healthy, quantized, scale)]
+    assert store.keys() == [cache.key_for(healthy, kernels)]
     assert store.stats.invalidations == 1
 
 
