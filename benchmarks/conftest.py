@@ -4,20 +4,20 @@ Every ``bench_*`` module regenerates one of the paper's tables/figures.
 Rendered text artifacts are written to ``benchmarks/output/`` so a bench
 run leaves the same deliverables the paper prints.
 
-Smoke-mode convention: ``REPRO_BENCH_QUICK=1`` puts every bench that
-honours it (``bench_program_latency``, ``bench_degraded_serving``,
-``bench_serving_policies``, ``bench_chaos``, ``bench_controlplane``,
-``bench_table2_accuracy``) into a CI-sized run — fewer repeats, shorter
-streams, smaller training splits — while keeping the *exact* claims
-(bit-identity, recovery ratio, SLO-policy ordering, determinism)
-asserted.  Smoke runs write their ``BENCH_*.json``
-trajectory entries through the guarded
-:func:`repro.analysis.perf.write_bench`, which refuses to overwrite a
-full-mode entry with a ``quick`` payload.  Flaky-by-design
-accuracy-ordering assertions are skipped in smoke mode so the benches can
-run in CI.  Each bench module reads the knob into a module-level ``QUICK``
-constant at import time (skipif decorators evaluate at collection, and a
-mid-run flip would be inconsistent).
+Smoke-mode convention: ``REPRO_BENCH_QUICK=1`` puts the two benches that
+honour it (``bench_program_latency``, ``bench_table2_accuracy``) into a
+CI-sized run — fewer repeats, smaller training splits — while keeping
+the *exact* claims (bit-identity, a warm store programming nothing)
+asserted.  ``bench_program_latency`` writes ``BENCH_program.json``
+through the guarded :func:`repro.analysis.perf.write_bench`, which
+refuses to overwrite a full-mode entry with a ``quick`` payload.
+Flaky-by-design accuracy-ordering assertions are skipped in smoke mode so
+the benches can run in CI.  Each bench module reads the knob into a
+module-level ``QUICK`` constant at import time (skipif decorators
+evaluate at collection, and a mid-run flip would be inconsistent).
+
+The simulated-time serving benches are not here: their payloads are
+exact tier-1 goldens (``tests/test_simulated_benches.py``).
 """
 
 from __future__ import annotations

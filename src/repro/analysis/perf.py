@@ -1,8 +1,8 @@
-"""Perf-trajectory bench: weight-programming latency + engine throughput.
+"""Perf-trajectory bench: weight-programming latency.
 
 This module is the measurement core behind ``repro bench`` and
-``benchmarks/bench_program_latency.py``.  It times the serving-path
-phases the engine cares about:
+``benchmarks/bench_program_latency.py``.  It times the three ways a
+program reaches a die:
 
 * **cold program** — one full :meth:`~repro.core.opc.OpticalProcessingCore.
   program` call (AWC realization + batched crosstalk + batched tuning
@@ -14,15 +14,13 @@ phases the engine cares about:
   :class:`~repro.engine.cache.WeightProgramCache`;
 * **warm store** — restoring programs from the on-disk
   :class:`~repro.engine.store.ProgramStore` instead of programming
-  (:func:`bench_warm_store`);
-* **engine throughput** — a warmed :class:`~repro.engine.FrameServer`
-  serving a kernel-swapping stream, in delivered frames per wall-clock
-  second.
+  (:func:`bench_warm_store`).
 
 The result dict is written to ``BENCH_program.json`` at the repo root —
 the first entry of the perf trajectory, so every future PR has a baseline
 to beat.  Timings are environment-dependent; the *speedups* and the
-bit-identity flags are the stable claims.
+:data:`EXACT_CLAIMS` are the stable claims.  Serving throughput is timed
+by the repository benchmark (``perfbench/``), not here.
 """
 
 from __future__ import annotations
@@ -38,6 +36,15 @@ import numpy as np
 
 #: The bench workload: VGG16's first convolution (64 kernels, 3x3x3).
 VGG16_FIRST_LAYER_SHAPE: tuple[int, ...] = (64, 3, 3, 3)
+
+#: Dotted paths into a :func:`run_bench` payload that must read ``True``
+#: on any host and in both modes.
+EXACT_CLAIMS: tuple[str, ...] = (
+    "cold_program.bit_identical",
+    "warm_store.bit_identical",
+    "warm_store.warm_programs_zero",
+    "warm_store.restored_bit_identical",
+)
 
 
 def _best_of(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
@@ -123,48 +130,6 @@ def bench_warm_install(
         "per_install_s": per_install_s,
         "cold_program_s": cold_s,
         "speedup_vs_cold": cold_s / per_install_s if per_install_s > 0 else float("inf"),
-    }
-
-
-def bench_engine_throughput(
-    frames: int = 64,
-    num_nodes: int = 1,
-    micro_batch: int = 16,
-    seed: int = 0,
-    repeats: int = 3,
-) -> dict[str, Any]:
-    """Throughput of a warmed FrameServer on a kernel-swapping stream."""
-    from repro.engine import FrameRequest, FrameServer
-    from repro.nn.models import build_lenet
-
-    server = FrameServer(
-        num_nodes=num_nodes, micro_batch=micro_batch, seed=seed
-    )
-    server.register_model("model-a", build_lenet(seed=seed))
-    server.register_model("model-b", build_lenet(seed=seed + 1))
-
-    rng = np.random.default_rng(seed)
-    stack = rng.uniform(0.0, 1.0, (frames, 1, 28, 28))
-    requests = [
-        FrameRequest(stack[i], "model-a" if i < frames // 2 else "model-b")
-        for i in range(frames)
-    ]
-    warm = server.warmup(frame_shape=(1, 28, 28))
-
-    best_fps = 0.0
-    report = None
-    for _ in range(repeats):
-        report = server.serve(requests, offered_fps=1000.0)
-        best_fps = max(best_fps, report.wall_clock_fps)
-    return {
-        "frames": frames,
-        "num_nodes": num_nodes,
-        "micro_batch": micro_batch,
-        "delivered": report.delivered,
-        "wall_clock_fps": best_fps,
-        "warmup": warm,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
     }
 
 
@@ -354,28 +319,23 @@ def run_bench(quick: bool = False, seed: int = 0) -> dict[str, Any]:
     """Run the whole perf-trajectory bench and return the JSON payload.
 
     The legs read as the three ways a program reaches a die — cold
-    ``program()``, in-memory cache hit, on-disk store restore — then a
-    warmed engine stream.  ``quick`` is
-    the CI smoke mode: fewer repeats and smaller workloads so the job
+    ``program()``, in-memory cache hit, on-disk store restore.  ``quick``
+    is the CI smoke mode: fewer repeats and smaller workloads so the job
     stays in seconds; the measured *speedups* are noisier but the
-    bit-identity claims are exact either way.
+    :data:`EXACT_CLAIMS` hold either way.
     """
     cold = bench_cold_program(
         repeats=2 if quick else 5, scalar_repeats=1 if quick else 2, seed=seed
     )
     warm = bench_warm_install(installs=50 if quick else 200, seed=seed)
     store = bench_warm_store(seed=seed, quick=quick)
-    engine = bench_engine_throughput(
-        frames=32 if quick else 64, repeats=1 if quick else 3, seed=seed
-    )
     return {
         "bench": "program_latency",
-        "schema": 2,
+        "schema": 3,
         "quick": quick,
         "cold_program": cold,
         "warm_install": warm,
         "warm_store": store,
-        "engine": engine,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -390,7 +350,6 @@ def render_bench(result: dict[str, Any]) -> str:
     cold = result["cold_program"]
     warm = result["warm_install"]
     store = result["warm_store"]
-    engine = result["engine"]
     shape = "x".join(str(d) for d in cold["workload"]["shape"])
     rows = [
         ("workload", f"{shape} @ {cold['workload']['weight_bits']}-bit"),
@@ -406,12 +365,6 @@ def render_bench(result: dict[str, Any]) -> str:
             f"{store['program_s'] * 1e3:.1f} ms ({store['speedup']:.1f}x)",
         ),
         ("warm store programs nothing", str(store["warm_programs_zero"])),
-        (
-            "engine throughput",
-            f"{engine['wall_clock_fps']:.0f} frames/s "
-            f"({engine['frames']} frames, {engine['num_nodes']} node(s))",
-        ),
-        ("engine cache hits/misses", f"{engine['cache_hits']} / {engine['cache_misses']}"),
     ]
     return format_table(
         ("metric", "value"),

@@ -520,6 +520,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.analysis.perf import (
+        EXACT_CLAIMS,
         render_bench,
         run_bench,
         would_clobber_full_bench,
@@ -534,10 +535,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"\nfull-mode perf trajectory entry at {path} kept")
     else:
         print(f"\nperf trajectory entry written to {path}")
-    if not result["cold_program"]["bit_identical"]:
-        print("ERROR: vectorized program() diverged from the scalar reference")
-        return 1
-    return 0
+    failed = 0
+    for claim in EXACT_CLAIMS:
+        section, flag = claim.split(".")
+        if result[section][flag] is not True:
+            print(f"ERROR: exact claim {claim} is false")
+            failed += 1
+    return 1 if failed else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:

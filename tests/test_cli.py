@@ -1,8 +1,14 @@
 """Tests for repro.cli — the artifact-regeneration command line."""
 
+import json
+import os
+
 import pytest
 
+from repro.analysis.perf import EXACT_CLAIMS
 from repro.cli import build_parser, main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_parser_rejects_unknown_command():
@@ -272,6 +278,26 @@ def test_sweep_resilience_command(capsys):
     out = capsys.readouterr().out
     assert "Serving resilience" in out
     assert "no-failover" in out and "retry+spares" in out
+
+
+@pytest.mark.parametrize("broken", [None, *EXACT_CLAIMS])
+def test_bench_exits_nonzero_naming_each_false_claim(
+    broken, monkeypatch, tmp_path, capsys
+):
+    from repro.analysis import perf
+
+    with open(os.path.join(REPO_ROOT, "BENCH_program.json")) as handle:
+        payload = json.load(handle)
+    for claim in EXACT_CLAIMS:
+        section, flag = claim.split(".")
+        payload[section][flag] = claim != broken
+    monkeypatch.setattr(perf, "run_bench", lambda quick, seed: payload)
+    output = str(tmp_path / "BENCH_program.json")
+    assert main(["bench", "--output", output]) == (0 if broken is None else 1)
+    out = capsys.readouterr().out
+    for claim in EXACT_CLAIMS:
+        assert (f"exact claim {claim} is false" in out) == (claim == broken)
+    assert os.path.exists(output)
 
 
 # --------------------------------------------------------------------------

@@ -284,6 +284,38 @@ def test_interleaved_nodes_do_not_fragment_batches(monkeypatch):
     assert batch_sizes == [8, 8, 8, 8]
 
 
+def test_server_outputs_match_naive_numerics():
+    """Micro-batching and cached kernel swaps must not change what is
+    computed.  Oracle: with noise off, one pipeline forward per frame,
+    rebuilt (reprogrammed) at the mid-stream swap, gives the same logits
+    to float tolerance."""
+    frames = np.random.default_rng(7).uniform(0.0, 1.0, (64, 1, 28, 28))
+    models = {"model-a": build_lenet(seed=0), "model-b": build_lenet(seed=1)}
+    keys = ["model-a" if i < 32 else "model-b" for i in range(64)]
+    server = FrameServer(num_nodes=1, micro_batch=16, seed=0, enable_noise=False)
+    for key, model in models.items():
+        server.register_model(key, model)
+    report = server.serve(
+        [FrameRequest(frame, key) for frame, key in zip(frames, keys)],
+        offered_fps=1000.0,
+    )
+    served = np.stack([resp.output for resp in report.responses])
+
+    opc = OpticalProcessingCore(
+        seed=server.nodes[0].opc.seed,
+        enable_crosstalk=False,
+        enable_read_noise=False,
+    )
+    naive, active = [], None
+    for frame, key in zip(frames, keys):
+        if key != active:
+            pipeline, active = HardwareFirstLayerPipeline(models[key], opc), key
+        naive.append(pipeline.forward(frame[None]))
+    np.testing.assert_allclose(
+        served, np.concatenate(naive), rtol=1e-9, atol=1e-9
+    )
+
+
 #: case -> (model spec, two frame shapes its on-die layer accepts)
 MIXED_SHAPES = {
     "dense stem": (ModelSpec("mlp", 2), (1, 28, 28), (784,)),

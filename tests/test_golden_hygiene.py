@@ -50,6 +50,18 @@ REGEN: dict[str, str] = {
     "serve_zoo.jsonl": (
         "PYTHONPATH=src python tests/test_serve_zoo_golden.py --write"
     ),
+    "bench_serving.json": (
+        "PYTHONPATH=src python tests/test_simulated_benches.py --write"
+    ),
+    "bench_degraded.json": (
+        "PYTHONPATH=src python tests/test_simulated_benches.py --write"
+    ),
+    "bench_chaos.json": (
+        "PYTHONPATH=src python tests/test_simulated_benches.py --write"
+    ),
+    "bench_controlplane.json": (
+        "PYTHONPATH=src python tests/test_simulated_benches.py --write"
+    ),
 }
 
 #: The distinct ``--write`` entrypoint scripts, relative to the repo root.
@@ -58,6 +70,7 @@ WRITE_SCRIPTS = (
     os.path.join("tests", "test_engine_scheduler.py"),
     os.path.join("tests", "test_schedule_only.py"),
     os.path.join("tests", "test_serve_zoo_golden.py"),
+    os.path.join("tests", "test_simulated_benches.py"),
 )
 
 
