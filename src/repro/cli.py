@@ -547,10 +547,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or maintain the on-disk program store.
 
-    ``stats`` prints the inventory, ``verify`` integrity-checks every
-    entry (exit 1 when any is corrupt or the directory is missing),
-    ``purge`` removes every current-schema entry.  Table output matches
-    ``repro serve``'s reporting style.
+    ``stats`` prints the inventory and ``verify`` integrity-checks every
+    entry (exit 1 when any is corrupt or the directory is missing), both
+    over current-schema entries; ``purge`` removes every entry, including
+    ones an older schema left behind.  Table output matches ``repro
+    serve``'s reporting style.
     """
     import os
 
@@ -897,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("stats", "verify", "purge"),
         help="stats: inventory table; verify: integrity-check every "
         "entry (exit 1 on corruption or a missing store); purge: remove "
-        "every entry",
+        "every entry of any schema version",
     )
     cache.add_argument(
         "--program-store",

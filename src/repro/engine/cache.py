@@ -31,24 +31,15 @@ deterministic per (die, config, kernel set) — the scalar-reference
 bit-identity contract of :mod:`repro.core.reference` — the reprogrammed
 entries are bit-identical to the invalidated ones.  The sharded control
 plane (:mod:`repro.engine.controlplane`) reuses the same hook for shard
-drains: a drained shard's dies release their resident bytes back to the
-shared budget.
+drains.  Nothing else removes an entry: the cache is unbounded, one
+realized tensor per (kernel set, die) mapped in this process.
 
-Priority eviction: the control plane shares *one* cache (one byte
-budget) across every shard, and pins the programs of recently routed
-(tenant, model) pairs via :meth:`WeightProgramCache.set_priority`.
-Eviction removes the lowest-priority, least-recently-used entry first —
-a pinned program is only ever evicted once every unpinned entry is gone
-and the budget still does not hold.  With no priorities set the order is
-exactly the historical pure LRU.
-
-On-disk tier: an attached :class:`~repro.engine.store.ProgramStore`
-makes the cache read-through/write-behind.  A memory miss first tries
-the store (an integrity-checked npz load instead of the mapping chain —
-counted as a hit plus :attr:`CacheStats.store_hits`); a genuine miss
-programs normally and persists the result.  Eviction stays strictly an
-in-memory affair — an evicted entry's on-disk copy survives and the
-next activation restores it from the store — while
+On-disk tier: a :class:`~repro.engine.store.ProgramStore` attached with
+:meth:`WeightProgramCache.attach_store` makes the cache
+read-through/write-behind.  A memory miss first tries the store (an
+integrity-checked npz load instead of the mapping chain — counted as a
+hit plus :attr:`CacheStats.store_hits`); a genuine miss programs
+normally and persists the result, and
 :meth:`WeightProgramCache.invalidate_die` drops the die's programs from
 *both* layers (a recalibrated die's artifacts are stale everywhere).
 Because programming is deterministic, a store-restored record is
@@ -59,7 +50,6 @@ holds with or without a store attached.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.config import OISAConfig
@@ -91,7 +81,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     #: Hits served by restoring an entry from the attached on-disk
     #: :class:`~repro.engine.store.ProgramStore` (a subset of ``hits``;
     #: ``misses`` keeps meaning "mapping chains actually run").
@@ -99,12 +88,6 @@ class CacheStats:
     #: Entries dropped by health-driven :meth:`WeightProgramCache.invalidate_die`
     #: calls (recalibration after a fault or thermal re-trim).
     invalidations: int = 0
-    #: Bytes of :class:`~repro.core.opc.ProgrammedWeights` tensors
-    #: currently resident (ideal + realized ndarray payloads per entry).
-    bytes_cached: int = 0
-    #: Cumulative bytes removed by capacity/budget evictions (not by
-    #: invalidations or :meth:`WeightProgramCache.clear`).
-    bytes_evicted: int = 0
 
     @property
     def lookups(self) -> int:
@@ -118,73 +101,23 @@ class CacheStats:
 
 
 class WeightProgramCache:
-    """LRU cache of OPC weight programs.
+    """In-memory map from program key to OPC weight program.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of cached programs; ``None`` means unbounded.  One
-        entry holds the realized weight tensor (same size as the kernel
-        set), so bound this when serving many models.
-    memory_budget_bytes:
-        Byte budget over the cached :class:`~repro.core.opc.
-        ProgrammedWeights` tensors (see :meth:`entry_nbytes`); ``None``
-        means unbounded.  Entries are LRU-evicted until the budget holds,
-        independently of (and in addition to) the entry-count
-        ``capacity`` — the first slice of the roadmap's cache-budgeted
-        eviction for the sharded control plane.  A single entry larger
-        than the whole budget is kept while it is the only resident
-        entry (evicting the program that was just installed would make
-        every swap a cold remap — worse than briefly exceeding the
-        budget) and becomes first in line once anything newer lands.
-    store:
-        Optional on-disk tier (:class:`~repro.engine.store.ProgramStore`)
-        making the cache read-through/write-behind: memory misses try an
-        integrity-checked disk load before programming, and freshly
-        programmed entries are persisted.  Eviction never touches the
-        disk copy; :meth:`invalidate_die` invalidates both layers.
+    Unbounded: it keeps every program mapped through it until
+    :meth:`invalidate_die` drops a die's entries.  An on-disk
+    :class:`~repro.engine.store.ProgramStore` tier is attached with
+    :meth:`attach_store`.
     """
 
-    def __init__(
-        self,
-        capacity: int | None = None,
-        memory_budget_bytes: int | None = None,
-        store: "ProgramStore | None" = None,
-    ) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
-        if memory_budget_bytes is not None and memory_budget_bytes <= 0:
-            raise ValueError(
-                "memory_budget_bytes must be positive or None, got "
-                f"{memory_budget_bytes}"
-            )
-        self.capacity = capacity
-        self.memory_budget_bytes = memory_budget_bytes
-        self.store = store
+    def __init__(self) -> None:
+        self.store: ProgramStore | None = None
         self.stats = CacheStats()
-        self._entries: OrderedDict[str, ProgrammedWeights] = OrderedDict()
-        #: Die seed each entry was programmed on, for health-driven
-        #: invalidation (a recalibrated die's old programs are stale).
-        self._die_of: dict[str, int | None] = {}
-        #: Resident byte size per entry (computed once at insert).
-        self._nbytes_of: dict[str, int] = {}
-        #: Eviction priority per key (0 = normal LRU, higher = pinned).
-        #: Outlives residency on purpose: a pin set before the program is
-        #: computed (preload-on-route) applies when the entry lands.
-        self._priority_of: dict[str, int] = {}
+        #: Program and the die seed it was mapped on, per key (the seed
+        #: serves health-driven invalidation).
+        self._entries: dict[str, tuple[ProgrammedWeights, int | None]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @staticmethod
-    def entry_nbytes(programmed: ProgrammedWeights) -> int:
-        """Resident bytes of one program: its ndarray payloads.
-
-        ``ideal`` and ``realized`` are the only per-entry tensors; the
-        scale/tuning scalars are negligible and deliberately uncounted so
-        the accounting matches what actually scales with the kernel set.
-        """
-        return int(programmed.ideal.nbytes) + int(programmed.realized.nbytes)
 
     @staticmethod
     def key_for(opc: OpticalProcessingCore, kernels: KernelSet) -> str:
@@ -218,36 +151,31 @@ class WeightProgramCache:
         cached.
         """
         key = self.key_for(opc, kernels)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
+        entry = self._entries.get(key)
+        if entry is not None:
             self.stats.hits += 1
-            opc.install(cached)
-            return cached, True
+            opc.install(entry[0])
+            return entry[0], True
 
-        restored = self.store.load(key) if self.store is not None else None
+        restored = (
+            self.store.load(key, kernels) if self.store is not None else None
+        )
         if restored is not None:
             self.stats.hits += 1
             self.stats.store_hits += 1
-            self._insert(key, restored, opc.seed)
+            self._entries[key] = (restored, opc.seed)
             opc.install(restored)
             return restored, True
 
         self.stats.misses += 1
         programmed = opc.program(kernels.weights, kernels.scale)
-        self._insert(key, programmed, opc.seed)
+        self._entries[key] = (programmed, opc.seed)
         if self.store is not None:
             self.store.put(key, programmed, die=opc.seed)
         return programmed, False
 
-    def has_program(
-        self, opc: OpticalProcessingCore, kernels: KernelSet
-    ) -> bool:
-        """Whether a program is resident, without touching stats or LRU."""
-        return self.key_for(opc, kernels) in self._entries
-
     def attach_store(self, store: ProgramStore) -> None:
-        """Attach an on-disk tier after construction.
+        """Attach the on-disk tier.
 
         Attaching the same store twice is a no-op; replacing a
         different one is refused — two stores behind one cache would
@@ -262,72 +190,6 @@ class WeightProgramCache:
             )
         self.store = store
 
-    def set_priority(self, key: str, priority: int) -> None:
-        """Set one key's eviction priority (0 restores plain LRU).
-
-        Priorities are *sticky*: they survive eviction, invalidation and
-        :meth:`clear`, so a pin set before the program is computed
-        (the control plane's preload-on-route path) applies when the
-        entry eventually lands.  Callers own unpinning — the control
-        plane drops a shard's pins when the shard drains.
-        """
-        if priority:
-            self._priority_of[key] = int(priority)
-        else:
-            self._priority_of.pop(key, None)
-
-    def priority_of(self, key: str) -> int:
-        """The eviction priority of ``key`` (0 when never set)."""
-        return self._priority_of.get(key, 0)
-
-    def _eviction_candidate(self) -> str:
-        """The key to evict: lowest priority first, LRU within a priority.
-
-        The newest entry (the one just installed) is never a candidate —
-        evicting the program the caller is about to use would turn every
-        swap into a cold remap, the same rationale as the sole-oversized-
-        entry rule.  With no priorities set this degenerates to "oldest
-        key", the historical pure-LRU order, exactly.
-        """
-        candidates = list(self._entries)[:-1]
-        best = candidates[0]
-        best_priority = self._priority_of.get(best, 0)
-        for key in candidates[1:]:
-            if best_priority <= 0:
-                break  # an unpinned LRU-oldest entry always wins
-            priority = self._priority_of.get(key, 0)
-            if priority < best_priority:
-                best, best_priority = key, priority
-        return best
-
-    def _insert(
-        self, key: str, programmed: ProgrammedWeights, die: int | None
-    ) -> None:
-        """Store one entry, then evict until capacity and budget hold.
-
-        Eviction order is (priority, least-recently-used) — see
-        :meth:`set_priority`; a cache with no priorities set evicts in
-        the historical pure-LRU order.
-        """
-        self._entries[key] = programmed
-        self._die_of[key] = die
-        self._nbytes_of[key] = self.entry_nbytes(programmed)
-        self.stats.bytes_cached += self._nbytes_of[key]
-        while len(self._entries) > 1 and (
-            (self.capacity is not None and len(self._entries) > self.capacity)
-            or (
-                self.memory_budget_bytes is not None
-                and self.stats.bytes_cached > self.memory_budget_bytes
-            )
-        ):
-            evicted = self._eviction_candidate()
-            self._entries.pop(evicted)
-            self._die_of.pop(evicted, None)
-            nbytes = self._nbytes_of.pop(evicted, 0)
-            self.stats.bytes_cached -= nbytes
-            self.stats.bytes_evicted += nbytes
-            self.stats.evictions += 1
-
     def invalidate_die(self, seed: int | None) -> int:
         """Drop every program mapped on the die with ``seed``.
 
@@ -337,21 +199,12 @@ class WeightProgramCache:
         model on that node must re-run the (deterministic) mapping chain.
         Returns the number of entries dropped.
         """
-        stale = [key for key, die in self._die_of.items() if die == seed]
+        stale = [key for key, (_, die) in self._entries.items() if die == seed]
         for key in stale:
-            self._entries.pop(key, None)
-            self._die_of.pop(key, None)
-            self.stats.bytes_cached -= self._nbytes_of.pop(key, 0)
+            del self._entries[key]
         self.stats.invalidations += len(stale)
         if self.store is not None:
             # Both layers: the recalibrated die's on-disk artifacts are
             # as stale as its resident programs.
             self.store.invalidate_die(seed)
         return len(stale)
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept; ``bytes_cached`` zeroes)."""
-        self._entries.clear()
-        self._die_of.clear()
-        self._nbytes_of.clear()
-        self.stats.bytes_cached = 0

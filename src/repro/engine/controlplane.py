@@ -25,12 +25,12 @@ machinery on top *without touching the data path*:
   sense (their programs stay resident in the shared cache, so the next
   scale-up pays no cold mapping);
 * **program-cache economics** — every shard shares *one*
-  :class:`~repro.engine.cache.WeightProgramCache` (one byte budget).
-  All shard servers are built from the same base seed, so their die-seed
-  sets are identical and a program computed on any shard is a cache hit
-  on its siblings (cross-shard reuse).  Routing pins the programs of
-  re-routed (tenant, model) pairs (priority eviction keeps them resident
-  under pressure) and a shard drain releases its dies' bytes via
+  :class:`~repro.engine.cache.WeightProgramCache`.  All shard servers
+  are built from the same base seed, so their die-seed sets are
+  identical and a program computed on any shard is a cache hit on its
+  siblings (cross-shard reuse).  Routing warms the landing dies of
+  re-routed (tenant, model) pairs (preload-on-route), and a shard drain
+  drops its dies' programs via
   :meth:`~repro.engine.cache.WeightProgramCache.invalidate_die` — which,
   because the seeds are shared, also drops the siblings' identical
   records; they reprogram bit-identically on next activation (the
@@ -339,7 +339,7 @@ class ControlPlaneReport:
     routes: dict[str, str] = field(default_factory=dict)
     #: (tenant, model) pairs whose shard changed during this run's routing.
     reroutes: int = 0
-    #: (die, program) pairs warmed/pinned by preload-on-route.
+    #: (die, program) pairs warmed by preload-on-route.
     preloads: int = 0
     #: Scaling audit trail, in shard order then window order.
     decisions: list[ScalingDecision] = field(default_factory=list)
@@ -499,24 +499,22 @@ class ControlPlane:
         self._zoo[key] = model
 
     def drain(self, name: str) -> int:
-        """Take a shard out of routing and release its cache residency.
+        """Take a shard out of routing and drop its dies' programs.
 
         The router skips draining shards (spillover: the next-best
-        rendezvous winner absorbs each tenant), the shard's pins are
-        dropped, and each of its dies' programs leave the shared cache
-        via :meth:`~repro.engine.cache.WeightProgramCache.invalidate_die`
-        — freeing the byte budget for the surviving shards.  Because
-        every shard shares the base seed, sibling shards' identical
-        records are released too; they reprogram bit-identically on next
-        activation (host-time cost only).  Returns the entries dropped.
+        rendezvous winner absorbs each tenant), and each of the shard's
+        dies' programs leave the shared cache via
+        :meth:`~repro.engine.cache.WeightProgramCache.invalidate_die`.
+        Because every shard shares the base seed, sibling shards'
+        identical records are dropped too; they reprogram bit-identically
+        on next activation (host-time cost only).  Returns the entries
+        dropped.
         """
         shard = self.shard(name)
         if shard.draining:
             return 0
         shard.draining = True
         self._drained.append(name)
-        for key in sorted(shard.hosted):
-            shard.server.pin_model_programs(key, pinned=False)
         dropped = 0
         for node in shard.server.nodes:
             dropped += self.cache.invalidate_die(node.opc.seed)
@@ -537,10 +535,9 @@ class ControlPlane:
         First assignment just records the route (no server or cache
         perturbation — the 1-shard bit-identity contract rides on this).
         A *changed* route additionally places the model on the landing
-        shard if it does not host it (spillover placement), warms the
+        shard if it does not host it (spillover placement) and warms the
         landing dies (preload-on-route: with shared seeds this is pure
-        O(1) cache installs) and pins the programs so priority eviction
-        keeps the moved tenant's working set resident.
+        O(1) cache installs).
         """
         shard = self.router.route(tenant, model_key, self.shards)
         route_key = (tenant, model_key)
@@ -562,7 +559,6 @@ class ControlPlane:
                 self._preloads += int(
                     warmed["cache_hits"] + warmed["cache_misses"]
                 )
-                shard.server.pin_model_programs(model_key, pinned=True)
         self._route_of[route_key] = shard.name
         return shard
 

@@ -76,7 +76,7 @@ from repro.core.mapping import (
     plan_convolution,
     plan_mlp,
 )
-from repro.core.opc import KernelSet, OpticalProcessingCore
+from repro.core.opc import OpticalProcessingCore
 from repro.core.pipeline import HardwareFirstLayerPipeline, kernel_set
 from repro.engine.admission import (
     AdmissionController,
@@ -290,12 +290,6 @@ class _ModelEntry:
         #: die-independent, but a conv stem's feature map (and so its
         #: payload) scales with the frame.
         self.transport: dict[tuple[int, ...], tuple[int, float]] = {}
-
-    @property
-    def kernels(self) -> KernelSet | None:
-        """The on-die layer's shared kernel set (``None`` for a float
-        model)."""
-        return None if self._stem is None else kernel_set(self._stem)
 
     def check_frame_shape(self, frame_shape: tuple[int, ...]) -> None:
         """Raise ``ValueError`` unless ``frame_shape`` fits the on-die layer.
@@ -583,30 +577,6 @@ class FrameServer:
                     "server; serve it on a fresh server (or use distinct "
                     "keys)"
                 )
-
-    def pin_model_programs(self, model_key: str, pinned: bool = True) -> int:
-        """(Un)pin one model's programs on every die, in the shared cache.
-
-        The control plane pins the programs of recently routed
-        (tenant, model) pairs so the priority-evicting
-        :class:`~repro.engine.cache.WeightProgramCache` sheds cold
-        programs first under byte pressure (see
-        :meth:`~repro.engine.cache.WeightProgramCache.set_priority`;
-        pins are sticky and apply even before the program is computed).
-        Touches only eviction priorities — never stats, LRU order or
-        residency — so pinning is invisible to every serving counter.
-        Returns the number of (die, program) keys touched.
-        """
-        entry = self._models.get(model_key)
-        if entry is None:
-            raise ValueError(f"unknown model key {model_key!r}")
-        kernels = entry.kernels
-        if kernels is None:
-            return 0
-        for node in self.nodes:
-            key = self.cache.key_for(node.opc, kernels)
-            self.cache.set_priority(key, 1 if pinned else 0)
-        return len(self.nodes)
 
     @property
     def model_keys(self) -> tuple[str, ...]:

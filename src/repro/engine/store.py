@@ -19,9 +19,17 @@ in the filename.  The filename also carries
 :data:`STORE_SCHEMA_VERSION`, so a layout change simply misses old
 entries instead of misreading them.
 
-Integrity: each npz embeds a sha256 digest over the exact payload
-bytes.  A load recomputes and compares it; a truncated file, a flipped
-bit, or a wrong-schema npz **never crashes serving** — the corrupt
+Contents: an entry holds only what the mapping chain computed —
+``realized``, ``scale``, ``tuning``, ``mapping_iterations`` — plus the
+die seed and a digest.  The ideal tensor is the caller's own kernel set,
+already covered by the key, so :meth:`ProgramStore.load` takes that
+:class:`~repro.core.opc.KernelSet` and restores the record's ``ideal``
+as the kernel set's read-only tensor, exactly as a cold program holds it.
+
+Integrity: each npz embeds a sha256 digest over its key, then the exact
+payload bytes.  A load recomputes and compares it; a truncated file, a
+flipped bit, a wrong-schema npz or an entry copied onto another key's
+filename **never crashes serving** and is never installed — the corrupt
 entry is counted (:attr:`StoreStats.corrupt`), logged, removed, and the
 caller falls through to reprogramming, which writes a fresh entry back.
 
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.opc import ProgrammedWeights
+from repro.core.opc import KernelSet, ProgrammedWeights
 from repro.photonics.tuning import TuningBudget
 
 _LOG = logging.getLogger(__name__)
@@ -53,7 +61,7 @@ _LOG = logging.getLogger(__name__)
 #: On-disk layout version; bump on any change to the npz field set or
 #: the digest recipe.  Part of every filename *and* of
 #: :meth:`ProgramStore.schema_token`, the CI cache key.
-STORE_SCHEMA_VERSION: int = 1
+STORE_SCHEMA_VERSION: int = 2
 
 #: ``<sha256 key>.v<schema>.npz``
 _ENTRY_RE = re.compile(r"^([0-9a-f]{64})\.v(\d+)\.npz$")
@@ -76,8 +84,8 @@ class StoreStats:
     #: Entries that failed the sha256/parse check on load and were
     #: removed — each one fell back to reprogramming, never a crash.
     corrupt: int = 0
-    #: Entries removed by :meth:`ProgramStore.invalidate` /
-    #: :meth:`ProgramStore.invalidate_die`.
+    #: Entries removed by :meth:`ProgramStore.invalidate`,
+    #: :meth:`ProgramStore.invalidate_die` or :meth:`ProgramStore.purge`.
     invalidations: int = 0
 
 
@@ -108,22 +116,23 @@ class ProgramStore:
 
     @staticmethod
     def _digest(
-        ideal: np.ndarray,
+        key: str,
         realized: np.ndarray,
         scale: float,
         tuning: TuningBudget,
         mapping_iterations: int,
         die: int | None,
     ) -> str:
-        """sha256 over the exact payload bytes + shape/dtype/scalar reprs."""
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(ideal).tobytes())
+        """sha256 over the key, then the payload bytes and scalar reprs.
+
+        Hashing the key first binds an entry to its filename: an entry
+        copied onto another key's path fails the check.
+        """
+        digest = hashlib.sha256(key.encode())
         digest.update(np.ascontiguousarray(realized).tobytes())
         digest.update(
             repr(
                 (
-                    ideal.shape,
-                    str(ideal.dtype),
                     realized.shape,
                     str(realized.dtype),
                     float(scale),
@@ -132,7 +141,7 @@ class ProgramStore:
                     float(tuning.holding_power_w),
                     int(mapping_iterations),
                     # A Python int, so a seed read back from the uint64
-                    # (or legacy int64) field hashes as it was written.
+                    # (or an int64) field hashes as it was written.
                     None if die is None else int(die),
                 )
             ).encode()
@@ -159,7 +168,7 @@ class ProgramStore:
         if os.path.exists(path):
             return False
         digest = self._digest(
-            programmed.ideal,
+            key,
             programmed.realized,
             programmed.scale,
             programmed.tuning,
@@ -171,7 +180,6 @@ class ProgramStore:
             with open(tmp, "wb") as handle:
                 np.savez(
                     handle,
-                    ideal=programmed.ideal,
                     realized=programmed.realized,
                     scale=np.float64(programmed.scale),
                     tuning=np.array(
@@ -205,15 +213,17 @@ class ProgramStore:
         self.stats.writes += 1
         return True
 
-    def _read(self, path: str) -> tuple[ProgrammedWeights, int | None]:
-        """Parse + integrity-check one entry; raises :class:`StoreCorruption`."""
+    def _read(self, key: str) -> tuple[dict, int | None]:
+        """Parse + integrity-check one entry; raises :class:`StoreCorruption`.
+
+        Returns the record's fields other than ``ideal``, and its die seed.
+        """
         try:
             # Open the file here: np.load leaks a handle it opened itself
             # when the zip directory is unreadable (a truncated entry).
-            with open(path, "rb") as handle, np.load(
+            with open(self._path(key), "rb") as handle, np.load(
                 handle, allow_pickle=False
             ) as payload:
-                ideal = np.array(payload["ideal"])
                 realized = np.array(payload["realized"])
                 scale = float(payload["scale"])
                 tuning_values = payload["tuning"]
@@ -231,32 +241,33 @@ class ProgramStore:
             holding_power_w=float(tuning_values[2]),
         )
         expected = self._digest(
-            ideal, realized, scale, tuning, mapping_iterations, die
+            key, realized, scale, tuning, mapping_iterations, die
         )
         if stored_digest != expected:
             raise StoreCorruption("sha256 mismatch")
-        programmed = ProgrammedWeights(
-            ideal=ideal,
-            realized=realized,
-            scale=scale,
-            tuning=tuning,
-            mapping_iterations=mapping_iterations,
-        )
-        return programmed, die
+        fields = {
+            "realized": realized,
+            "scale": scale,
+            "tuning": tuning,
+            "mapping_iterations": mapping_iterations,
+        }
+        return fields, die
 
-    def load(self, key: str) -> ProgrammedWeights | None:
+    def load(self, key: str, kernels: KernelSet) -> ProgrammedWeights | None:
         """The record under ``key``, or ``None`` (absent or corrupt).
 
-        A corrupt entry is counted, logged and removed so the caller's
-        reprogramming pass can write a fresh one back — corruption
-        degrades to a cold start, never an exception.
+        ``kernels`` is the kernel set ``key`` was derived from; its
+        read-only tensor becomes the record's ``ideal``.  A corrupt entry
+        is counted, logged and removed so the caller's reprogramming pass
+        can write a fresh one back — corruption degrades to a cold start,
+        never an exception.
         """
         path = self._path(key)
         if not os.path.exists(path):
             self.stats.misses += 1
             return None
         try:
-            programmed, _die = self._read(path)
+            fields, _die = self._read(key)
         except StoreCorruption as error:
             self.stats.corrupt += 1
             _LOG.warning(
@@ -270,23 +281,26 @@ class ProgramStore:
                 pass
             return None
         self.stats.hits += 1
-        return programmed
+        return ProgrammedWeights(ideal=kernels.weights, **fields)
 
     # ------------------------------------------------------------------
     # Inventory / maintenance
     # ------------------------------------------------------------------
-    def keys(self) -> list[str]:
-        """Keys of every current-schema entry on disk, sorted."""
-        found = []
+    def _entry_files(self) -> list[re.Match]:
+        """Filename matches of every entry on disk, of any schema."""
         try:
             names = os.listdir(self.root)
         except OSError:
             return []
-        for name in names:
-            match = _ENTRY_RE.match(name)
-            if match and int(match.group(2)) == STORE_SCHEMA_VERSION:
-                found.append(match.group(1))
-        return sorted(found)
+        return [match for match in map(_ENTRY_RE.match, names) if match]
+
+    def keys(self) -> list[str]:
+        """Keys of every current-schema entry on disk, sorted."""
+        return sorted(
+            match.group(1)
+            for match in self._entry_files()
+            if int(match.group(2)) == STORE_SCHEMA_VERSION
+        )
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -314,7 +328,7 @@ class ProgramStore:
         report: dict[str, list[str]] = {"ok": [], "corrupt": []}
         for key in self.keys():
             try:
-                self._read(self._path(key))
+                self._read(key)
             except StoreCorruption:
                 report["corrupt"].append(key)
             else:
@@ -341,13 +355,12 @@ class ProgramStore:
         """
         removed = 0
         for key in self.keys():
-            path = self._path(key)
             try:
-                _programmed, die = self._read(path)
+                _fields, die = self._read(key)
             except StoreCorruption:
                 self.stats.corrupt += 1
                 try:
-                    os.remove(path)
+                    os.remove(self._path(key))
                 except OSError:
                     pass
                 continue
@@ -357,11 +370,19 @@ class ProgramStore:
         return removed
 
     def purge(self) -> int:
-        """Remove every current-schema entry; returns how many."""
+        """Remove every entry of any schema version; returns how many.
+
+        Unlike :meth:`keys`, this reaches entries an older schema left
+        behind, which no current lookup reads.
+        """
         removed = 0
-        for key in self.keys():
-            if self.invalidate(key):
-                removed += 1
+        for match in self._entry_files():
+            try:
+                os.remove(os.path.join(self.root, match.group(0)))
+            except OSError:
+                continue
+            removed += 1
+        self.stats.invalidations += removed
         return removed
 
 

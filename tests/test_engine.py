@@ -93,30 +93,6 @@ def test_cache_key_covers_whole_config(kernel_set):
     assert WeightProgramCache.key_for(no_crosstalk, kernel_set) != key
 
 
-def test_cache_lru_eviction():
-    cache = WeightProgramCache(capacity=2)
-    opc = OpticalProcessingCore(seed=1)
-    quantizer = UniformWeightQuantizer(4)
-    sets = []
-    for seed in range(3):
-        weights = np.random.default_rng(seed).normal(size=(8, 1, 3, 3)) * 0.1
-        sets.append(
-            KernelSet.build(quantizer.quantize(weights), quantizer.scale(weights))
-        )
-    for kernels in sets:
-        cache.get_or_program(opc, kernels)
-    assert len(cache) == 2
-    assert cache.stats.evictions == 1
-    # The first (evicted) set misses again.
-    _, hit = cache.get_or_program(opc, sets[0])
-    assert not hit
-
-
-def test_cache_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        WeightProgramCache(capacity=0)
-
-
 def test_pipeline_uses_shared_cache():
     """Two models multiplexed over one OPC swap via cache, not remapping."""
     cache = WeightProgramCache()

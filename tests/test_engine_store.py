@@ -1,15 +1,17 @@
 """Tests for repro.engine.store — the content-addressed program store.
 
-Covers byte-exact round-trips across bit widths, truncation /
-hash-mismatch degrading to reprogramming (counted, never a crash),
-eviction leaving the on-disk copy alone, ``invalidate_die`` clearing both
-layers, and warmed / store-restored serves against the pinned golden
-stream (``tests/goldens/serve_default.json``).
+Covers byte-exact round-trips across bit widths, the entry field set,
+truncation / hash-mismatch / an entry copied onto another key degrading
+to reprogramming (counted, never a crash), ``invalidate_die`` clearing
+both layers, ``purge`` across schema versions, and warmed /
+store-restored serves against the pinned golden stream
+(``tests/goldens/serve_default.json``).
 """
 
 import importlib.util
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -49,7 +51,17 @@ def _programmed(seed=0, bits=4, die=1):
     kernels = _kernel_set(seed, bits=bits)
     programmed = opc.program(kernels.weights, kernels.scale)
     key = WeightProgramCache.key_for(opc, kernels)
-    return key, programmed
+    return key, kernels, programmed
+
+
+def _stored_cache(store):
+    cache = WeightProgramCache()
+    cache.attach_store(store)
+    return cache
+
+
+def _entry_path(store, key):
+    return os.path.join(store.root, f"{key}.v{STORE_SCHEMA_VERSION}.npz")
 
 
 def _assert_byte_equal(left, right):
@@ -68,12 +80,29 @@ def _assert_byte_equal(left, right):
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
 def test_roundtrip_byte_equal_across_bit_widths(tmp_path, bits):
     store = ProgramStore(tmp_path)
-    key, programmed = _programmed(seed=bits, bits=bits)
+    key, kernels, programmed = _programmed(seed=bits, bits=bits)
     assert store.put(key, programmed, die=1) is True
-    loaded = store.load(key)
+    loaded = store.load(key, kernels)
     assert loaded is not None
     _assert_byte_equal(loaded, programmed)
     assert store.stats.writes == 1 and store.stats.hits == 1
+
+
+def test_entry_holds_only_the_mapping_outputs(tmp_path):
+    """No ``ideal``: the kernel set passed to ``load`` supplies it."""
+    store = ProgramStore(tmp_path)
+    key, kernels, programmed = _programmed()
+    store.put(key, programmed, die=1)
+    with np.load(_entry_path(store, key)) as payload:
+        assert set(payload.files) == {
+            "realized",
+            "scale",
+            "tuning",
+            "mapping_iterations",
+            "die",
+            "digest",
+        }
+    assert store.load(key, kernels).ideal is kernels.weights
 
 
 def test_roundtrip_byte_equal_across_zoo(tmp_path):
@@ -89,12 +118,12 @@ def test_roundtrip_byte_equal_across_zoo(tmp_path):
         programmed = opc.program(kernels.weights, kernels.scale)
         key = WeightProgramCache.key_for(opc, kernels)
         store.put(key, programmed, die=3)
-        _assert_byte_equal(store.load(key), programmed)
+        _assert_byte_equal(store.load(key, kernels), programmed)
 
 
 def test_put_is_content_addressed_and_idempotent(tmp_path):
     store = ProgramStore(tmp_path)
-    key, programmed = _programmed()
+    key, _, programmed = _programmed()
     assert store.put(key, programmed, die=1) is True
     assert store.put(key, programmed, die=1) is False  # never rewritten
     assert store.stats.writes == 1
@@ -103,20 +132,39 @@ def test_put_is_content_addressed_and_idempotent(tmp_path):
 
 def test_missing_key_counts_a_miss(tmp_path):
     store = ProgramStore(tmp_path)
-    assert store.load("0" * 64) is None
+    assert store.load("0" * 64, _kernel_set(0)) is None
     assert store.stats.misses == 1 and store.stats.corrupt == 0
 
 
 def test_keys_ignore_foreign_and_old_schema_files(tmp_path):
     store = ProgramStore(tmp_path)
-    key, programmed = _programmed()
+    key, _, programmed = _programmed()
     store.put(key, programmed, die=1)
     (tmp_path / "README.txt").write_text("not an entry")
     (tmp_path / f"{'a' * 64}.v{STORE_SCHEMA_VERSION + 1}.npz").write_bytes(
         b"future schema"
     )
+    (tmp_path / f"{'b' * 64}.v{STORE_SCHEMA_VERSION - 1}.npz").write_bytes(
+        b"old schema"
+    )
     assert store.keys() == [key]
     assert len(store) == 1
+
+
+def test_purge_removes_entries_of_every_schema(tmp_path):
+    """A schema bump strands old entries; ``purge`` still reaches them,
+    while ``keys``/``verify`` count the current schema only."""
+    store = ProgramStore(tmp_path)
+    key, _, programmed = _programmed()
+    store.put(key, programmed, die=1)
+    (tmp_path / f"{'b' * 64}.v{STORE_SCHEMA_VERSION - 1}.npz").write_bytes(
+        b"old schema"
+    )
+    (tmp_path / "README.txt").write_text("not an entry")
+    assert store.verify() == {"ok": [key], "corrupt": []}
+    assert store.purge() == 2
+    assert os.listdir(tmp_path) == ["README.txt"]
+    assert store.stats.invalidations == 2
 
 
 def test_schema_token_is_stable_and_short():
@@ -127,47 +175,43 @@ def test_schema_token_is_stable_and_short():
 # --------------------------------------------------------------------------
 # Corruption: degrade to reprogramming, never crash
 # --------------------------------------------------------------------------
-def _entry_path(store, key):
-    return os.path.join(store.root, f"{key}.v{STORE_SCHEMA_VERSION}.npz")
-
-
 def test_truncated_entry_reprograms_and_counts(tmp_path):
     store = ProgramStore(tmp_path)
-    key, programmed = _programmed()
+    key, kernels, programmed = _programmed()
     store.put(key, programmed, die=1)
     path = _entry_path(store, key)
     with open(path, "rb") as handle:
         data = handle.read()
     with open(path, "wb") as handle:
         handle.write(data[: len(data) // 2])
-    assert store.load(key) is None  # degraded, not raised
+    assert store.load(key, kernels) is None  # degraded, not raised
     assert store.stats.corrupt == 1
     assert not os.path.exists(path)  # removed for the rewrite
     # The caller's reprogramming pass writes a fresh entry back.
     assert store.put(key, programmed, die=1) is True
-    _assert_byte_equal(store.load(key), programmed)
+    _assert_byte_equal(store.load(key, kernels), programmed)
 
 
 def test_flipped_payload_bit_fails_sha256(tmp_path):
     store = ProgramStore(tmp_path)
-    key, programmed = _programmed()
+    key, kernels, programmed = _programmed()
     store.put(key, programmed, die=1)
     path = _entry_path(store, key)
     with open(path, "rb") as handle:
         data = bytearray(handle.read())
-    # npz members are STORED (uncompressed), so flipping a byte in the
-    # middle lands in array payload and must trip the digest check.
-    data[len(data) // 2] ^= 0xFF
+    # npz members are STORED (uncompressed), so the realized tensor's
+    # bytes sit verbatim in the file; flip one of them.
+    data[data.index(programmed.realized.tobytes()) + 8] ^= 0xFF
     with open(path, "wb") as handle:
         handle.write(bytes(data))
-    assert store.load(key) is None
+    assert store.load(key, kernels) is None
     assert store.stats.corrupt == 1
 
 
 def test_verify_reports_but_keeps_corrupt_entries(tmp_path):
     store = ProgramStore(tmp_path)
-    good_key, programmed = _programmed(seed=0)
-    bad_key, other = _programmed(seed=1)
+    good_key, _, programmed = _programmed(seed=0)
+    bad_key, _, other = _programmed(seed=1)
     store.put(good_key, programmed, die=1)
     store.put(bad_key, other, die=1)
     bad_path = _entry_path(store, bad_key)
@@ -184,7 +228,7 @@ def test_cache_falls_back_to_programming_on_corruption(tmp_path):
     store = ProgramStore(tmp_path)
     opc = OpticalProcessingCore(seed=1)
     kernels = _kernel_set(0)
-    cold = WeightProgramCache(store=store)
+    cold = _stored_cache(store)
     programmed, hit = cold.get_or_program(opc, kernels)
     assert hit is False
     key = cold.key_for(opc, kernels)
@@ -193,7 +237,7 @@ def test_cache_falls_back_to_programming_on_corruption(tmp_path):
         handle.write(b"garbage")
 
     warm_store = ProgramStore(tmp_path)
-    warm = WeightProgramCache(store=warm_store)
+    warm = _stored_cache(warm_store)
     fresh_opc = OpticalProcessingCore(seed=1)
     reprogrammed, hit = warm.get_or_program(fresh_opc, kernels)
     assert hit is False  # corruption degraded to a cold program
@@ -201,20 +245,46 @@ def test_cache_falls_back_to_programming_on_corruption(tmp_path):
     assert warm.stats.store_hits == 0
     _assert_byte_equal(reprogrammed, programmed)
     # ... and the fresh entry was written back behind the miss.
-    _assert_byte_equal(warm_store.load(key), programmed)
+    _assert_byte_equal(warm_store.load(key, kernels), programmed)
+
+
+def test_entry_copied_onto_another_key_is_corrupt(tmp_path):
+    """The digest binds an entry to its key: another key's entry under
+    this key's filename fails verification and is never installed."""
+    store = ProgramStore(tmp_path)
+    opc = OpticalProcessingCore(seed=1)
+    first, second = _kernel_set(0), _kernel_set(1, shape=(16, 1, 3, 3))
+    _stored_cache(store).get_or_program(opc, first)
+    first_key = WeightProgramCache.key_for(opc, first)
+    second_key = WeightProgramCache.key_for(opc, second)
+    shutil.copyfile(
+        _entry_path(store, first_key), _entry_path(store, second_key)
+    )
+    assert store.verify() == {"ok": [first_key], "corrupt": [second_key]}
+
+    warm_store = ProgramStore(tmp_path)
+    warm = _stored_cache(warm_store)
+    programmed, hit = warm.get_or_program(
+        OpticalProcessingCore(seed=1), second
+    )
+    assert hit is False
+    assert warm.stats.misses == 1 and warm.stats.store_hits == 0
+    assert warm_store.stats.corrupt == 1
+    cold = OpticalProcessingCore(seed=1).program(second.weights, second.scale)
+    _assert_byte_equal(programmed, cold)
 
 
 # --------------------------------------------------------------------------
-# Cache integration: read-through, write-behind, eviction, invalidation
+# Cache integration: read-through, write-behind, invalidation
 # --------------------------------------------------------------------------
 def test_second_cache_restores_instead_of_programming(tmp_path):
     store = ProgramStore(tmp_path)
     opc = OpticalProcessingCore(seed=1)
     kernels = _kernel_set(0)
-    cold = WeightProgramCache(store=store)
+    cold = _stored_cache(store)
     programmed, _ = cold.get_or_program(opc, kernels)
 
-    warm = WeightProgramCache(store=ProgramStore(tmp_path))
+    warm = _stored_cache(ProgramStore(tmp_path))
     fresh_opc = OpticalProcessingCore(seed=1)
     restored, hit = warm.get_or_program(fresh_opc, kernels)
     assert hit is True  # no mapping chain ran
@@ -223,26 +293,9 @@ def test_second_cache_restores_instead_of_programming(tmp_path):
     _assert_byte_equal(restored, programmed)
 
 
-def test_eviction_never_deletes_the_disk_copy(tmp_path):
-    store = ProgramStore(tmp_path)
-    cache = WeightProgramCache(capacity=1, store=store)
-    opc = OpticalProcessingCore(seed=1)
-    first, second = _kernel_set(0), _kernel_set(1)
-    first_key = cache.key_for(opc, first)
-    programmed, _ = cache.get_or_program(opc, first)
-    cache.get_or_program(opc, second)  # evicts the first
-    assert cache.stats.evictions == 1
-    assert not cache.has_program(opc, first)
-    assert first_key in store  # eviction is strictly in-memory
-    # The next activation restores the evicted entry from disk.
-    restored, hit = cache.get_or_program(opc, first)
-    assert hit is True and cache.stats.store_hits == 1
-    _assert_byte_equal(restored, programmed)
-
-
 def test_invalidate_die_clears_both_layers(tmp_path):
     store = ProgramStore(tmp_path)
-    cache = WeightProgramCache(store=store)
+    cache = _stored_cache(store)
     tripped = OpticalProcessingCore(seed=1)
     healthy = OpticalProcessingCore(seed=2)
     kernels = _kernel_set(0)
@@ -259,7 +312,7 @@ def test_invalidate_die_clears_both_layers(tmp_path):
 
 def test_attach_store_is_idempotent_but_not_replaceable(tmp_path):
     store = ProgramStore(tmp_path / "one")
-    cache = WeightProgramCache(store=store)
+    cache = _stored_cache(store)
     cache.attach_store(store)  # same store: no-op
     with pytest.raises(ValueError, match="already has a program store"):
         cache.attach_store(ProgramStore(tmp_path / "two"))
@@ -312,7 +365,7 @@ def test_capacity_prewarm_stores_full_range_die_seeds(tmp_path):
 
 def test_legacy_int64_die_entries_still_verify(tmp_path):
     store = ProgramStore(tmp_path)
-    key, programmed = _programmed(die=5)
+    key, kernels, programmed = _programmed(die=5)
     store.put(key, programmed, die=5)
     path = _entry_path(store, key)
     with np.load(path) as payload:
@@ -322,7 +375,7 @@ def test_legacy_int64_die_entries_still_verify(tmp_path):
     with open(path, "wb") as handle:
         np.savez(handle, **fields)
     assert store.verify() == {"ok": [key], "corrupt": []}
-    _assert_byte_equal(store.load(key), programmed)
+    _assert_byte_equal(store.load(key, kernels), programmed)
 
 
 # --------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_program_keys_are_pinned():
         for key, model in _zoo().items()
     }
     assert keys == PINNED_KEYS
-    assert STORE_SCHEMA_VERSION == 1  # bump both together
+    assert STORE_SCHEMA_VERSION == 2  # bump both together
 
 
 def test_key_for_reads_the_config_repr_by_identity():
@@ -161,7 +161,7 @@ def test_kernel_set_is_built_once_per_weight_state():
     )
 
 
-def test_kernel_set_tensor_is_read_only():
+def test_kernel_set_tensor_is_read_only(tmp_path):
     model = ModelSpec("mlp", 4).build(0)
     kernels = kernel_set(_stem(model))
     with pytest.raises(ValueError):
@@ -178,6 +178,17 @@ def test_kernel_set_tensor_is_read_only():
     uncached = HardwareFirstLayerPipeline(model, OpticalProcessingCore(seed=3))
     with pytest.raises(ValueError):
         uncached.opc.programmed.ideal[0, 0] = 1.0
+
+    # A store-restored record holds the same tensor a cold program does.
+    for _ in range(2):  # run 1 writes the entry, run 2 restores it
+        stored = FrameServer(num_nodes=1, seed=0, program_store=tmp_path)
+        stored.register_model("mlp", model)
+        stored.warmup()
+    assert stored.cache.stats.store_hits == 1
+    restored = stored.nodes[0].opc.programmed.ideal
+    assert restored is kernels.weights
+    with pytest.raises(ValueError):
+        restored[0, 0] = 1.0
 
 
 def test_in_place_weight_update_reprograms_next_activation():
@@ -211,7 +222,7 @@ def test_in_place_weight_update_reprograms_next_activation():
     new_key = WeightProgramCache.key_for(node.opc, fresh_kernels)
     assert new_key != old_key
     assert new_key == WeightProgramCache.key_for(fresh.nodes[0].opc, fresh_kernels)
-    assert server.cache.has_program(node.opc, fresh_kernels)
+    assert new_key in server.cache._entries
 
 
 def test_brownout_variant_gets_its_own_kernel_set():
@@ -222,15 +233,16 @@ def test_brownout_variant_gets_its_own_kernel_set():
     frame = np.random.default_rng(0).uniform(0.0, 1.0, (1, 28, 28))
     server.serve([FrameRequest(frame, "lenet")])  # registers the variant
 
-    variant = server._models["lenet@brownout2b"]
-    assert variant.kernels is not original
+    variant_stem = _stem(server._models["lenet@brownout2b"].model)
+    variant = kernel_set(variant_stem)
+    assert variant is not original
     assert kernel_set(_stem(model)) is original
-    weights = _stem(variant.model).weight.data
     np.testing.assert_array_equal(
-        variant.kernels.weights, UniformWeightQuantizer(2).quantize(weights)
+        variant.weights,
+        UniformWeightQuantizer(2).quantize(variant_stem.weight.data),
     )
     die = server.nodes[0].opc
-    assert WeightProgramCache.key_for(die, variant.kernels) != (
+    assert WeightProgramCache.key_for(die, variant) != (
         WeightProgramCache.key_for(die, original)
     )
 
@@ -268,7 +280,7 @@ def test_memoized_timing_tables_equal_the_direct_formula(seed):
 
 
 # --------------------------------------------------------------------------
-# Registration-time validation and pinning
+# Registration-time validation
 # --------------------------------------------------------------------------
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_register_model_rejects_non_finite_stem_weights(bad):
@@ -295,19 +307,3 @@ def test_register_model_rejects_non_finite_stem_weights(bad):
         for node in server.nodes
     ] == nodes_before
     assert dataclasses.asdict(server.cache.stats) == stats_before
-
-
-def test_pin_model_programs_pins_the_warmed_keys():
-    server = FrameServer(num_nodes=3, seed=0)
-    server.register_model("lenet", ModelSpec("lenet", 4).build(0))
-    server.register_model("mlp", ModelSpec("mlp", 2).build(1))
-    server.warmup(["lenet"])
-    lenet_keys = set(server.cache._entries)
-    server.warmup(["mlp"])
-    assert len(lenet_keys) == 3 and len(server.cache) == 6
-
-    assert server.pin_model_programs("lenet") == 3
-    pinned = {key for key in server.cache._entries if server.cache.priority_of(key)}
-    assert pinned == lenet_keys
-    server.pin_model_programs("lenet", pinned=False)
-    assert not any(server.cache.priority_of(key) for key in server.cache._entries)

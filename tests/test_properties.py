@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import types
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 from repro.circuits.awc import AwcCircuit, AwcDesign
 from repro.core.config import OISAConfig
 from repro.core.mapping import ConvWorkload, macs_per_cycle, plan_convolution
-from repro.engine.cache import WeightProgramCache
 from repro.engine.router import HashModuloRouter, RendezvousRouter
 from repro.nn import functional as F
 from repro.nn.quant import TernaryActivation, UniformWeightQuantizer, ternarize
@@ -321,66 +318,3 @@ def test_draining_shards_never_routed_while_alternatives_exist(
             assert target is not shards[0]
         else:  # routing somewhere beats dropping on the floor
             assert target is shards[0]
-
-
-# --------------------------------------------------------------------------
-# Priority eviction (weight-program cache)
-# --------------------------------------------------------------------------
-def _fake_program(nbytes):
-    """A stand-in record with the two counted ndarray payloads."""
-    half = max(1, nbytes // 16)  # float64: 8 bytes/elem, two tensors
-    return types.SimpleNamespace(
-        ideal=np.zeros(half), realized=np.zeros(half)
-    )
-
-
-@given(
-    inserts=st.lists(
-        st.tuples(st.booleans(), st.integers(1, 4)),  # (pinned, size units)
-        min_size=2,
-        max_size=24,
-    ),
-    budget_units=st.integers(2, 10),
-)
-@settings(max_examples=80, deadline=None)
-def test_priority_eviction_matches_reference_model(inserts, budget_units):
-    """Model-based check of the eviction order — in particular: a pinned
-    entry is never evicted while an unpinned candidate exists and the
-    byte budget still allows keeping it."""
-    unit = 16  # bytes per size unit in _fake_program terms
-    cache = WeightProgramCache(memory_budget_bytes=budget_units * unit)
-    model: list[tuple[str, int, int]] = []  # (key, priority, nbytes), LRU order
-
-    for index, (pinned, units) in enumerate(inserts):
-        key = f"k{index}"
-        nbytes = units * unit
-        if pinned:
-            cache.set_priority(key, 1)
-        cache._insert(key, _fake_program(nbytes), die=0)
-        model.append((key, 1 if pinned else 0, nbytes))
-        # Reference eviction: lowest priority first, LRU within priority,
-        # newest never a candidate.
-        while len(model) > 1 and sum(m[2] for m in model) > budget_units * unit:
-            candidates = model[:-1]
-            victim = min(candidates, key=lambda m: m[1])
-            # The invariant under test: a pinned victim implies every
-            # candidate was pinned.
-            if victim[1] > 0:
-                assert all(m[1] > 0 for m in candidates)
-            model.remove(victim)
-        assert list(cache._entries) == [m[0] for m in model]
-        assert cache.stats.bytes_cached == sum(m[2] for m in model)
-
-
-def test_unpinning_restores_pure_lru_order():
-    unit = 16
-    cache = WeightProgramCache(memory_budget_bytes=3 * unit)
-    cache.set_priority("a", 1)
-    cache._insert("a", _fake_program(unit), die=0)
-    cache._insert("b", _fake_program(unit), die=0)
-    cache._insert("c", _fake_program(unit), die=0)
-    cache._insert("d", _fake_program(unit), die=0)  # evicts b (a pinned)
-    assert list(cache._entries) == ["a", "c", "d"]
-    cache.set_priority("a", 0)
-    cache._insert("e", _fake_program(unit), die=0)  # a is plain LRU now
-    assert list(cache._entries) == ["c", "d", "e"]
