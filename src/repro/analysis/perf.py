@@ -25,6 +25,7 @@ by the repository benchmark (``perfbench/``), not here.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -134,39 +135,11 @@ def bench_warm_install(
 
 
 def _serve_digest(report) -> str:
-    """Wall-clock-free SHA-256 of one ServeReport's observable outcome.
-
-    Hashes every response's placement, simulated-time event and output
-    tensor bytes — the same fields the scheduler golden pins — so two
-    digests match iff the reports are bit-identical where it matters
-    (wall-clock and cache-counter fields are intentionally excluded;
-    counters are compared separately where their shape is defined).
-    """
-    import hashlib
-
-    digest = hashlib.sha256()
-    for resp in report.responses:
-        digest.update(
-            repr(
-                (
-                    resp.index,
-                    resp.model_key,
-                    resp.node_id,
-                    resp.event.arrival_s,
-                    resp.event.start_s,
-                    resp.event.finish_s,
-                    resp.event.dropped,
-                    resp.event.remapped,
-                    resp.degraded,
-                )
-            ).encode()
-        )
-        if resp.output is not None:
-            digest.update(
-                np.ascontiguousarray(resp.output, dtype=float).tobytes()
-            )
-    digest.update(repr(report.stream.total_energy_j).encode())
-    return digest.hexdigest()
+    """SHA-256 of ``report.record()`` without its two cache counters:
+    equal digests mean bit-identical serves."""
+    record = report.record()
+    del record["cache_hits"], record["cache_misses"]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
 #: The warm-store zoo: every family at two bit widths (matches the

@@ -482,9 +482,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if report.health is not None and report.health.events:
         print("\nhealth events:")
         for event in report.health.events:
+            detail = f": {event.detail}" if event.detail else ""
             print(
                 f"  t={event.time_s * 1e3:8.2f} ms  node {event.node_id}  "
-                f"{event.kind}: {event.detail}"
+                f"{event.kind}{detail}"
             )
     if args.check_slo:
         # SLO gate (CI-friendly): every class with a deadline must hit it

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass, field, replace as dataclass_replace
 
 from repro.core.config import OISAConfig
@@ -579,8 +580,10 @@ class ControlPlane:
         :class:`~repro.engine.server.ServeReport` with global indices,
         global node ids and recomputed SLO percentiles.  The merged
         report carries the routing/scaling accounting as
-        ``report.controlplane``.
+        ``report.controlplane``, and its ``wall_clock_s`` covers this
+        whole call: routing, capacity estimation, shard serves and merge.
         """
+        started = time.perf_counter()
         rate = (
             offered_fps
             if offered_fps is not None
@@ -620,11 +623,14 @@ class ControlPlane:
                 node_seconds=nodes * duration,
                 static_node_seconds=nodes * duration,
             )
-            return report
-
-        if self.autoscaler_config is None:
-            return self._serve_static(requests, per_shard, rate, duration)
-        return self._serve_autoscaled(requests, per_shard, rate, duration)
+        elif self.autoscaler_config is None:
+            report = self._serve_static(requests, per_shard, rate, duration)
+        else:
+            report = self._serve_autoscaled(
+                requests, per_shard, rate, duration
+            )
+        report.wall_clock_s = time.perf_counter() - started
+        return report
 
     def serve_scenario(
         self,
@@ -893,7 +899,6 @@ class ControlPlane:
                     served_model=response.served_model,
                 )
             stream.total_energy_j += sub_report.stream.total_energy_j
-            merged.wall_clock_s += sub_report.wall_clock_s
             merged.cache_hits += sub_report.cache_hits
             merged.cache_misses += sub_report.cache_misses
             merged.payload_bytes += sub_report.payload_bytes

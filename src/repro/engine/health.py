@@ -206,7 +206,8 @@ class HealthEvent:
     #: ``"chaos-upset"``, ``"chaos-cache-storm"``, ``"chaos-latency-spike"``
     #: (node id -1 for fleet-wide spikes).
     kind: str
-    #: Human-readable context (equivalent bits, drift excursion, ...).
+    #: Human-readable context (equivalent bits, drift excursion, ...);
+    #: simulated state only, so never a host-cache count.
     detail: str = ""
 
 
@@ -460,7 +461,7 @@ class HealthMonitor:
         state = self._states[node_id]
         if state.dead:
             return
-        invalidated = self.cache.invalidate_die(node.opc.seed)
+        self.cache.invalidate_die(node.opc.seed)
         state.monitor_model = node.programmed_model or state.monitor_model
         node.programmed_model = None
         # Simulated residency is gone too: the next frame per (node,
@@ -468,11 +469,7 @@ class HealthMonitor:
         node.active_model = None
         self.report.events.append(
             HealthEvent(
-                event.time_s,
-                node_id,
-                "chaos-cache-storm",
-                f"invalidated {invalidated} cached program(s) "
-                f"({event.detail})",
+                event.time_s, node_id, "chaos-cache-storm", event.detail
             )
         )
 
@@ -605,7 +602,7 @@ class HealthMonitor:
         # Stale programs: drop the die's cache entries and force the next
         # activate() through the (deterministic) mapping chain.  The remap
         # reproduces the pre-fault programs bit-identically.
-        invalidated = self.cache.invalidate_die(node.opc.seed)
+        self.cache.invalidate_die(node.opc.seed)
         if node.opc.is_programmed:
             self.report.recalibration_energy_j += (
                 node.opc.programmed.tuning.energy_j
@@ -616,12 +613,7 @@ class HealthMonitor:
         # frame on this node pays a remap phase in stream time/energy.
         node.active_model = None
         self.report.events.append(
-            HealthEvent(
-                done,
-                node.node_id,
-                "recalibrated",
-                f"invalidated {invalidated} cached program(s)",
-            )
+            HealthEvent(done, node.node_id, "recalibrated")
         )
 
     # ------------------------------------------------------------------

@@ -57,7 +57,9 @@ configuration — ``policy="greedy"``, no SLO classes,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -154,9 +156,10 @@ class ServeReport:
     #: same shape :mod:`repro.sim.stream` reports.
     stream: StreamReport
     responses: list[FrameResponse] = field(default_factory=list)
-    #: Host wall-clock of the whole :meth:`FrameServer.serve` call, from
-    #: entry to return: validation, scheduling, compute (when on) and
-    #: report assembly.
+    #: Host wall-clock of the whole :meth:`FrameServer.serve` or
+    #: :meth:`~repro.engine.controlplane.ControlPlane.serve` call, from
+    #: entry to return: validation, routing, scheduling, compute (when
+    #: on) and report assembly.
     wall_clock_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -194,6 +197,81 @@ class ServeReport:
         if self.wall_clock_s <= 0.0:
             return 0.0
         return self.delivered / self.wall_clock_s
+
+    def record(self) -> dict:
+        """This report as exact, wall-clock-free JSON: two serves are
+        bit-identical exactly when their records are equal.
+
+        Floats are ``repr`` strings, each output tensor is the SHA-256 of
+        its float64 bytes, and ``node_frames`` has str keys in numeric
+        order.  The ``health``, ``slo``, ``resilience``, ``brownout`` and
+        ``controlplane`` parts are their dataclasses field by field, or
+        ``None`` when absent.  The only host-side fields are cache
+        counters: ``cache_hits``, ``cache_misses`` and, through a control
+        plane, ``controlplane.preloads`` and
+        ``controlplane.cache_invalidations``.
+        """
+        responses = []
+        for response in self.responses:
+            event, output = response.event, response.output
+            responses.append(
+                {
+                    "index": response.index,
+                    "model_key": response.model_key,
+                    "node_id": response.node_id,
+                    "arrival_s": repr(float(event.arrival_s)),
+                    "start_s": repr(float(event.start_s)),
+                    "finish_s": repr(float(event.finish_s)),
+                    "dropped": event.dropped,
+                    "remapped": event.remapped,
+                    "degraded": response.degraded,
+                    "output_sha256": (
+                        None
+                        if output is None
+                        else hashlib.sha256(
+                            np.ascontiguousarray(output, dtype=float).tobytes()
+                        ).hexdigest()
+                    ),
+                    "served_model": response.served_model,
+                }
+            )
+        return {
+            "responses": responses,
+            "total_energy_j": repr(float(self.stream.total_energy_j)),
+            "frames": self.stream.frames,
+            "dropped": self.stream.dropped,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "payload_bytes": self.payload_bytes,
+            "radio_energy_j": repr(float(self.radio_energy_j)),
+            "node_frames": {
+                str(node): count
+                for node, count in sorted(self.node_frames.items())
+            },
+            **{part: _exact(getattr(self, part)) for part in _LAYER_PARTS},
+        }
+
+
+#: The optional report parts, in record order.
+_LAYER_PARTS = ("health", "slo", "resilience", "brownout", "controlplane")
+
+
+def _exact(value):
+    """``value`` as exact JSON: dataclasses become dicts of their fields,
+    tuples lists, and floats ``repr`` strings (of ``float(value)``, so a
+    NumPy float64 encodes as a Python float on NumPy 1 and 2)."""
+    if dataclasses.is_dataclass(value):
+        return {
+            item.name: _exact(getattr(value, item.name))
+            for item in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
 
 
 @functools.lru_cache(maxsize=1024)

@@ -11,7 +11,6 @@ plane must reproduce the committed ``serve_default.json`` golden byte
 for byte.
 """
 
-import hashlib
 import json
 import os
 
@@ -21,39 +20,11 @@ import pytest
 from repro.engine import ControlPlane, FrameRequest, FrameServer
 from repro.engine.workloads import build_scenario, scenario_registry
 from repro.nn.models import build_lenet
+from test_engine_scheduler import _golden_view
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "goldens", "serve_default.json"
 )
-
-
-def _assert_reports_identical(plane_report, server_report):
-    assert len(plane_report.responses) == len(server_report.responses)
-    for ours, theirs in zip(plane_report.responses, server_report.responses):
-        assert ours.index == theirs.index
-        assert ours.model_key == theirs.model_key
-        assert ours.node_id == theirs.node_id
-        assert ours.event == theirs.event
-        assert ours.degraded == theirs.degraded
-        assert (ours.output is None) == (theirs.output is None)
-        if ours.output is not None:
-            assert np.array_equal(ours.output, theirs.output)
-    assert repr(plane_report.stream.total_energy_j) == repr(
-        server_report.stream.total_energy_j
-    )
-    assert plane_report.stream.frames == server_report.stream.frames
-    assert plane_report.stream.dropped == server_report.stream.dropped
-    assert repr(plane_report.wall_clock_s) != ""  # host-time: present, not pinned
-    assert plane_report.cache_hits == server_report.cache_hits
-    assert plane_report.cache_misses == server_report.cache_misses
-    assert plane_report.payload_bytes == server_report.payload_bytes
-    assert repr(plane_report.radio_energy_j) == repr(
-        server_report.radio_energy_j
-    )
-    assert plane_report.node_frames == server_report.node_frames
-    assert (plane_report.slo is None) == (server_report.slo is None)
-    if plane_report.slo is not None:
-        assert plane_report.slo == server_report.slo
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +43,9 @@ def test_one_shard_plane_matches_plain_server(key, policy):
     server = FrameServer(num_nodes=2, micro_batch=8, seed=0, policy=policy)
     server_report = server.serve_scenario(scenario_again)
 
-    _assert_reports_identical(plane_report, server_report)
+    assert plane_report.record() | {"controlplane": None} == (
+        server_report.record()
+    )
     # The plane annotates its report but never autoscales here.
     assert plane_report.controlplane is not None
     assert plane_report.controlplane.autoscaled is False
@@ -95,7 +68,9 @@ def test_one_shard_plane_matches_explicit_request_stream():
     server_report = server.serve(
         [FrameRequest(frame, "m") for frame in frames], offered_fps=1200.0
     )
-    _assert_reports_identical(plane_report, server_report)
+    assert plane_report.record() | {"controlplane": None} == (
+        server_report.record()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +79,7 @@ def test_one_shard_plane_matches_explicit_request_stream():
 def test_one_shard_plane_reproduces_serve_default_golden():
     """Byte-for-byte identity with ``tests/goldens/serve_default.json``.
 
-    Same serialization as ``tests/test_engine_scheduler.py`` writes, but
+    Same projection as ``tests/test_engine_scheduler.py`` writes, but
     the stream runs through a 1-shard, autoscale-off control plane: the
     control plane may not perturb the pinned default path even by one
     ULP, one cache counter, or one payload byte.
@@ -118,45 +93,6 @@ def test_one_shard_plane_reproduces_serve_default_golden():
         for i in range(48)
     ]
     report = plane.serve(requests, offered_fps=1800.0)
-
-    responses = []
-    for resp in report.responses:
-        output = resp.output
-        responses.append(
-            {
-                "index": resp.index,
-                "model_key": resp.model_key,
-                "node_id": resp.node_id,
-                "arrival_s": repr(resp.event.arrival_s),
-                "start_s": repr(resp.event.start_s),
-                "finish_s": repr(resp.event.finish_s),
-                "dropped": resp.event.dropped,
-                "remapped": resp.event.remapped,
-                "degraded": resp.degraded,
-                "output_sha256": (
-                    None
-                    if output is None
-                    else hashlib.sha256(
-                        np.ascontiguousarray(output, dtype=float).tobytes()
-                    ).hexdigest()
-                ),
-            }
-        )
-    actual = {
-        "responses": responses,
-        "total_energy_j": repr(report.stream.total_energy_j),
-        "frames": report.stream.frames,
-        "dropped": report.stream.dropped,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-        "payload_bytes": report.payload_bytes,
-        "radio_energy_j": repr(report.radio_energy_j),
-        "node_frames": {
-            str(node): count
-            for node, count in sorted(report.node_frames.items())
-        },
-        "health": report.health is not None,
-    }
     with open(GOLDEN_PATH) as handle:
         expected = json.load(handle)
-    assert actual == expected["mixed_two_nodes_1800fps"]
+    assert _golden_view(report) == expected["mixed_two_nodes_1800fps"]

@@ -132,26 +132,11 @@ def _serve_chaos(plan, frames=96, **kwargs):
     return server.serve_scenario(scenario)
 
 
-def _digest(report):
-    import hashlib
-
-    parts = []
-    for resp in report.responses:
-        parts.append(
-            (resp.index, resp.node_id, resp.event.dropped,
-             repr(resp.event.finish_s),
-             None if resp.output is None else hashlib.sha256(
-                 np.ascontiguousarray(resp.output, dtype=float).tobytes()
-             ).hexdigest())
-        )
-    return parts, repr(report.stream.total_energy_j)
-
-
 @pytest.mark.parametrize(
     "plan", ["node-loss", "correlated-upsets", "cache-storm", "latency-spike"]
 )
 def test_chaos_serving_is_deterministic(plan):
-    assert _digest(_serve_chaos(plan)) == _digest(_serve_chaos(plan))
+    assert _serve_chaos(plan).record() == _serve_chaos(plan).record()
 
 
 def test_node_loss_fires_and_is_audited():
@@ -201,10 +186,4 @@ def test_chaos_none_is_bit_identical_to_plain_server():
 
     plain = run()
     gated = run(chaos_plan=None, retry_policy=None, spares=0, brownout=None)
-    assert gated.health is None
-    assert gated.resilience is None and gated.brownout is None
-    assert plain.stream.total_energy_j == gated.stream.total_energy_j
-    for left, right in zip(plain.responses, gated.responses):
-        assert left.event == right.event
-        if left.output is not None:
-            np.testing.assert_array_equal(left.output, right.output)
+    assert gated.record() == plain.record()

@@ -9,6 +9,8 @@ merge (index bijection, global node ids, additive SLO accounting), and
 the ``node_limit`` prefix contract the whole warm-spare design rides on.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,23 @@ def test_partition_placement_deals_models_round_robin():
         plane.serve_scenario(scenario, placement="sharded")
 
 
+def test_wall_clock_covers_the_whole_call(monkeypatch):
+    """The autoscaler's capacity probe runs inside ``serve``, so its host
+    time is in ``wall_clock_s`` with the shard serves'."""
+    resolve = ControlPlane._resolve_fps_per_node
+
+    def slow_resolve(self):
+        time.sleep(0.3)
+        return resolve(self)
+
+    monkeypatch.setattr(ControlPlane, "_resolve_fps_per_node", slow_resolve)
+    frames = np.random.default_rng(0).uniform(0.0, 1.0, (8, 1, 28, 28))
+    plane = _autoscaled_plane()
+    plane.register_model("m", build_lenet(seed=0))
+    report = plane.serve([FrameRequest(frame, "m") for frame in frames])
+    assert report.wall_clock_s >= 0.3
+
+
 # ----------------------------------------------------------------------
 # Drains
 # ----------------------------------------------------------------------
@@ -334,16 +353,7 @@ def test_node_limit_prefix_is_bit_identical_to_a_smaller_fleet():
     small.register_model("m", build_lenet(seed=0))
     plain = small.serve(requests, offered_fps=1200.0)
 
-    assert len(limited.responses) == len(plain.responses)
-    for ours, theirs in zip(limited.responses, plain.responses):
-        assert ours.node_id == theirs.node_id
-        assert ours.event == theirs.event
-        if ours.output is not None:
-            assert np.array_equal(ours.output, theirs.output)
-    assert repr(limited.stream.total_energy_j) == repr(
-        plain.stream.total_energy_j
-    )
-    assert limited.node_frames == plain.node_frames
+    assert limited.record() == plain.record()
 
 
 @pytest.mark.parametrize(

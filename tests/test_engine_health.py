@@ -74,17 +74,23 @@ def test_profile_none_serving_is_bit_identical(frames):
     none = _server("none")
     report_plain = plain.serve_frames(frames[:48], "a", offered_fps=1000.0)
     report_none = none.serve_frames(frames[:48], "a", offered_fps=1000.0)
-    assert report_none.health is None
-    assert (
-        report_plain.stream.total_energy_j == report_none.stream.total_energy_j
+    assert report_none.record() == report_plain.record()
+
+
+def test_health_events_carry_no_host_cache_count():
+    """A warmed unrelated model leaves more cached programs for each
+    recalibration to drop; the count is a cache counter, not event text."""
+    frames = np.random.default_rng(5).uniform(0.0, 1.0, (400, 1, 28, 28))
+    fresh = _server("transient")
+    warmed = _server("transient")
+    warmed.register_model("other", build_lenet(seed=1))
+    warmed.warmup(["other"])
+    first, second = (
+        server.serve_frames(frames, "a") for server in (fresh, warmed)
     )
-    for left, right in zip(report_plain.responses, report_none.responses):
-        assert left.event == right.event
-        assert not right.degraded
-        if left.output is None:
-            assert right.output is None
-        else:
-            np.testing.assert_array_equal(left.output, right.output)
+    assert first.health.recalibrations >= 1
+    assert second.record() == first.record()
+    assert warmed.cache.stats.invalidations > fresh.cache.stats.invalidations
 
 
 # ----------------------------------------------------------------------
@@ -103,13 +109,7 @@ def test_mid_stream_fault_changes_outputs_deterministically(frames):
             first.responses[index].output, healthy.responses[index].output
         )
     # ...and the whole degraded stream is reproducible bit-for-bit.
-    assert [r.index for r in second.responses if r.degraded] == degraded
-    for left, right in zip(first.responses, second.responses):
-        if left.output is not None:
-            np.testing.assert_array_equal(left.output, right.output)
-    assert [e.kind for e in first.health.events] == [
-        e.kind for e in second.health.events
-    ]
+    assert first.record() == second.record()
 
 
 def test_health_report_counters(frames):
@@ -311,14 +311,7 @@ def test_monitor_runs_under_queueing_policies(policy):
     health = first.health
     assert health is not None
     assert health.upsets >= 1 and health.recalibrations >= 1
-    second = run()
-    assert [
-        (e.time_s, e.kind, e.node_id) for e in health.events
-    ] == [(e.time_s, e.kind, e.node_id) for e in second.health.events]
-    for left, right in zip(first.responses, second.responses):
-        assert left.event == right.event
-        if left.output is not None:
-            np.testing.assert_array_equal(left.output, right.output)
+    assert run().record() == first.record()
 
 
 # ----------------------------------------------------------------------

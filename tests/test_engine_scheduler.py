@@ -4,9 +4,10 @@ The engine split (scheduler/admission/workloads) must leave the default
 ``FrameServer`` configuration — greedy policy, no SLO classes,
 ``fault_profile="none"`` — **bit-identical** to the pre-split (PR 4)
 engine.  ``tests/goldens/serve_default.json`` was generated from that
-engine and pins every simulated-time field (arrival/start/finish/energy as
-exact ``repr`` floats), the scheduling decisions (node placements, remap
-events, cache counters) and a SHA-256 over each delivered output tensor.
+engine and pins a projection of ``ServeReport.record()``: every
+simulated-time field (arrival/start/finish/energy as exact ``repr``
+floats), the scheduling decisions (node placements, remap events, cache
+counters) and a SHA-256 over each delivered output tensor.
 
 Regenerate only after an *intentional* numeric change with::
 
@@ -17,7 +18,6 @@ and review the diff — this file changing is the review event.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -57,45 +57,16 @@ def _homogeneous_requests():
     return [FrameRequest(frame, "model-a") for frame in frames]
 
 
-def _serialize(report) -> dict:
-    """Exact, wall-clock-free serialization of one ServeReport."""
-    responses = []
-    for resp in report.responses:
-        output = resp.output
-        responses.append(
-            {
-                "index": resp.index,
-                "model_key": resp.model_key,
-                "node_id": resp.node_id,
-                "arrival_s": repr(resp.event.arrival_s),
-                "start_s": repr(resp.event.start_s),
-                "finish_s": repr(resp.event.finish_s),
-                "dropped": resp.event.dropped,
-                "remapped": resp.event.remapped,
-                "degraded": resp.degraded,
-                "output_sha256": (
-                    None
-                    if output is None
-                    else hashlib.sha256(
-                        np.ascontiguousarray(output, dtype=float).tobytes()
-                    ).hexdigest()
-                ),
-            }
-        )
-    return {
-        "responses": responses,
-        "total_energy_j": repr(report.stream.total_energy_j),
-        "frames": report.stream.frames,
-        "dropped": report.stream.dropped,
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-        "payload_bytes": report.payload_bytes,
-        "radio_energy_j": repr(report.radio_energy_j),
-        "node_frames": {
-            str(node): count for node, count in sorted(report.node_frames.items())
-        },
-        "health": report.health is not None,
-    }
+def _golden_view(report) -> dict:
+    """The golden's projection of ``report.record()``: no layer parts, no
+    ``served_model``, and ``health`` as a presence flag."""
+    record = report.record()
+    for part in ("slo", "resilience", "brownout", "controlplane"):
+        del record[part]
+    for response in record["responses"]:
+        del response["served_model"]
+    record["health"] = record["health"] is not None
+    return record
 
 
 def _capture() -> dict:
@@ -106,9 +77,14 @@ def _capture() -> dict:
     )
     return {
         "schema": 1,
-        "mixed_two_nodes_1800fps": _serialize(mixed),
-        "oversubscribed_one_node_2500fps": _serialize(oversub),
+        "mixed_two_nodes_1800fps": _golden_view(mixed),
+        "oversubscribed_one_node_2500fps": _golden_view(oversub),
     }
+
+
+def _text() -> str:
+    """The golden's exact text, as :func:`write_golden` writes it."""
+    return json.dumps(_capture(), indent=2) + "\n"
 
 
 def test_default_path_bit_identical_to_pr4_engine():
@@ -117,15 +93,13 @@ def test_default_path_bit_identical_to_pr4_engine():
         "`PYTHONPATH=src python tests/test_engine_scheduler.py --write`"
     )
     with open(GOLDEN_PATH) as handle:
-        expected = json.load(handle)
-    actual = _capture()
-    for case in ("mixed_two_nodes_1800fps", "oversubscribed_one_node_2500fps"):
-        assert actual[case] == expected[case], (
-            f"default serving path drifted from the PR 4 engine on {case!r}; "
-            "the facade/scheduler split must keep the default configuration "
-            "bit-identical (regenerate the golden only for an intentional "
-            "numeric change)"
-        )
+        expected = handle.read()
+    assert _text() == expected, (
+        "default serving path drifted from the pre-split engine; the "
+        "facade/scheduler split must keep the default configuration "
+        "bit-identical (regenerate the golden only for an intentional "
+        "numeric change)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +116,7 @@ def test_serve_is_deterministic_per_policy(policy):
         server = FrameServer(
             num_nodes=2, micro_batch=8, seed=3, policy=policy
         )
-        return _serialize(server.serve_scenario(scenario))
+        return server.serve_scenario(scenario).record()
 
     assert one_run() == one_run()
 
@@ -426,8 +400,7 @@ def test_serve_scenario_rejects_conflicting_model_keys():
 def write_golden() -> None:
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as handle:
-        json.dump(_capture(), handle, indent=2)
-        handle.write("\n")
+        handle.write(_text())
     print(f"wrote {GOLDEN_PATH}")
 
 

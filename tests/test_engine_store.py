@@ -8,7 +8,6 @@ store-restored serves against the pinned golden stream
 (``tests/goldens/serve_default.json``).
 """
 
-import importlib.util
 import json
 import os
 import shutil
@@ -27,16 +26,10 @@ from repro.engine import (
 from repro.engine.workloads import ModelSpec
 from repro.nn.quant import UniformWeightQuantizer
 
-TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
-
-# The scheduler-golden helpers (_build_server/_mixed_requests/_serialize)
+# The scheduler-golden helpers (_build_server/_mixed_requests/_golden_view)
 # define the pinned default stream; reuse them so the oracles below cannot
-# drift from the golden's serialization.
-_spec = importlib.util.spec_from_file_location(
-    "scheduler_golden", os.path.join(TESTS_DIR, "test_engine_scheduler.py")
-)
-scheduler_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(scheduler_golden)
+# drift from the golden's projection.
+import test_engine_scheduler
 
 
 def _kernel_set(seed, bits=4, shape=(8, 1, 3, 3)):
@@ -391,14 +384,14 @@ WARMUP_SENSITIVE_FIELDS = ("cache_hits", "cache_misses", "total_energy_j")
 
 def _warmed_serve(store=None):
     """The golden mixed stream served after a warmup (optionally stored)."""
-    server = scheduler_golden._build_server(num_nodes=2)
+    server = test_engine_scheduler._build_server(num_nodes=2)
     if store is not None:
         server.cache.attach_store(ProgramStore(store))
     stats = server.warmup()
     report = server.serve(
-        scheduler_golden._mixed_requests(), offered_fps=1800.0
+        test_engine_scheduler._mixed_requests(), offered_fps=1800.0
     )
-    return scheduler_golden._serialize(report), stats, server
+    return test_engine_scheduler._golden_view(report), stats, server
 
 
 def _store_warmed_serve(store):
@@ -418,7 +411,7 @@ def test_warmup_serves_golden_stream(backing, tmp_path):
     if store is not None:
         # Every program the warmup built cold is now on disk.
         assert len(ProgramStore(store)) == server.cache.stats.misses > 0
-    with open(scheduler_golden.GOLDEN_PATH) as handle:
+    with open(test_engine_scheduler.GOLDEN_PATH) as handle:
         golden = json.load(handle)["mixed_two_nodes_1800fps"]
     trimmed = {
         k: v for k, v in warmed.items() if k not in WARMUP_SENSITIVE_FIELDS

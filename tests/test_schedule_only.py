@@ -92,23 +92,14 @@ LAYERS = {
 }
 
 
-def _plan_view(report) -> tuple[str, ...]:
-    """Everything a schedule-only serve must reproduce, as exact reprs."""
-    placements = [
-        (r.index, r.model_key, r.node_id, r.served_model, r.degraded)
-        for r in report.responses
-    ]
-    return (
-        repr(report.stream.events),
-        repr(placements),
-        repr(report.stream.total_energy_j),
-        repr(sorted(report.node_frames.items())),
-        repr((report.payload_bytes, report.radio_energy_j)),
-        repr(report.slo),
-        repr(report.health),
-        repr(report.resilience),
-        repr(report.brownout),
-    )
+def _plan_view(report) -> dict:
+    """Everything a schedule-only serve must reproduce: the record without
+    outputs and cache counters."""
+    record = report.record()
+    del record["cache_hits"], record["cache_misses"]
+    for response in record["responses"]:
+        del response["output_sha256"]
+    return record
 
 
 def _equivalence_cases():

@@ -18,11 +18,9 @@ and review the diff — this file changing is the review event.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 GOLDEN_PATH = os.path.join(
@@ -32,9 +30,24 @@ GOLDEN_PATH = os.path.join(
 #: case name -> chaos plan the stream is served under.
 CASES = {"plain": None, "correlated-upsets": "correlated-upsets"}
 
+#: Record fields a summary row pins as they are (``node_frames`` and the
+#: cache counters are reshaped), the response fields a response row pins,
+#: and the ones it packs into its ``event`` list.
+SUMMARY_KEYS = (
+    "frames", "dropped", "total_energy_j", "payload_bytes", "radio_energy_j"
+)
+RESPONSE_KEYS = (
+    "index", "model_key", "node_id", "served_model", "degraded",
+    "output_sha256",
+)
+EVENT_KEYS = (
+    "index", "arrival_s", "start_s", "finish_s", "dropped", "remapped"
+)
+
 
 def _rows(case: str) -> list[dict]:
-    """One summary row plus one row per response for one served case."""
+    """One summary row plus one row per response for one served case: a
+    projection of ``ServeReport.record()``."""
     from repro.engine import FrameServer
     from repro.engine.workloads import build_scenario
 
@@ -42,67 +55,45 @@ def _rows(case: str) -> list[dict]:
     server = FrameServer(
         num_nodes=4, micro_batch=16, seed=0, chaos_plan=CASES[case]
     )
-    report = server.serve_scenario(scenario)
-    rows = [
+    record = server.serve_scenario(scenario).record()
+    summary = {
+        "case": case,
+        **{key: record[key] for key in SUMMARY_KEYS},
+        "node_frames": [
+            [int(node), count] for node, count in record["node_frames"].items()
+        ],
+        "cache": [record["cache_hits"], record["cache_misses"]],
+    }
+    return [summary] + [
         {
             "case": case,
-            "frames": report.stream.frames,
-            "dropped": report.stream.dropped,
-            "total_energy_j": repr(report.stream.total_energy_j),
-            "payload_bytes": report.payload_bytes,
-            "radio_energy_j": repr(report.radio_energy_j),
-            "node_frames": sorted(report.node_frames.items()),
-            "cache": [report.cache_hits, report.cache_misses],
+            **{key: response[key] for key in RESPONSE_KEYS},
+            "event": [response[key] for key in EVENT_KEYS],
         }
+        for response in record["responses"]
     ]
-    for response in report.responses:
-        event = response.event
-        output = response.output
-        rows.append(
-            {
-                "case": case,
-                "index": response.index,
-                "model_key": response.model_key,
-                "node_id": response.node_id,
-                "served_model": response.served_model,
-                "degraded": response.degraded,
-                "event": [
-                    event.index,
-                    repr(event.arrival_s),
-                    repr(event.start_s),
-                    repr(event.finish_s),
-                    event.dropped,
-                    event.remapped,
-                ],
-                "output_sha256": (
-                    None
-                    if output is None
-                    else hashlib.sha256(
-                        np.ascontiguousarray(output, dtype=float).tobytes()
-                    ).hexdigest()
-                ),
-            }
-        )
-    return rows
+
+
+def _text(case: str) -> str:
+    """One case's exact golden lines, as :func:`write_golden` writes them."""
+    rows = _rows(case)
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def _golden_lines(case: str) -> list[str]:
+    with open(GOLDEN_PATH) as handle:
+        return [line for line in handle if json.loads(line)["case"] == case]
 
 
 def _golden_rows(case: str) -> list[dict]:
-    with open(GOLDEN_PATH) as handle:
-        rows = [json.loads(line) for line in handle]
-    return [row for row in rows if row["case"] == case]
+    return [json.loads(line) for line in _golden_lines(case)]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_zoo_stream_matches_golden(case):
-    expected = _golden_rows(case)
-    # JSON has no tuples; round-trip the live rows the same way.
-    actual = [json.loads(json.dumps(row)) for row in _rows(case)]
-    assert len(actual) == len(expected)
-    for live, pinned in zip(actual, expected):
-        assert live == pinned, (
-            f"zoo stream drifted from the golden on {case!r}: {live} != "
-            f"{pinned}"
-        )
+    assert _text(case) == "".join(_golden_lines(case)), (
+        f"zoo stream drifted from the golden on {case!r}"
+    )
 
 
 def test_golden_pins_degraded_frames():
@@ -118,8 +109,7 @@ def test_golden_pins_degraded_frames():
 def write_golden() -> None:
     with open(GOLDEN_PATH, "w") as handle:
         for case in CASES:
-            for row in _rows(case):
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+            handle.write(_text(case))
     print(f"wrote {GOLDEN_PATH}")
 
 
