@@ -234,21 +234,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--chaos-plan/--retry-policy/--spares/--brownout; "
                 "shard servers are built plain"
             )
-        from repro.engine import AutoscalerConfig, ControlPlane
+        from repro.engine import ControlPlane
 
-        autoscaler = (
-            AutoscalerConfig.parse(args.autoscale)
-            if args.autoscale is not None
-            else None
-        )
         plane = ControlPlane(
             shards=args.shards,
             nodes_per_shard=args.nodes,
             micro_batch=args.batch,
             seed=args.seed,
             policy=args.policy,
-            router=args.router,
-            autoscaler=autoscaler,
+            autoscaler=args.autoscale,
             program_store=args.program_store,
         )
         report = plane.serve_scenario(
@@ -599,24 +593,35 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive(kind: type):
-    """argparse ``type=`` for a finite ``kind`` value above zero.
+def _number(kind: type, accepts, requirement: str):
+    """argparse ``type=`` for a finite ``kind`` value ``accepts`` holds for.
 
-    A bad count or rate is a usage error (exit 2) at parse time, not a
-    ``ValueError`` from inside the engine.
+    A bad count, rate or fraction is a usage error (exit 2) at parse
+    time, not a ``ValueError`` from inside the engine.
     """
 
     def parse(text: str):
         value = kind(text)
-        if not (value > 0 and math.isfinite(value)):
+        if not (math.isfinite(value) and accepts(value)):
             raise argparse.ArgumentTypeError(
-                f"must be a finite number above zero, got {text!r}"
+                f"must be {requirement}, got {text!r}"
             )
         return value
 
     # argparse names the type in its "invalid ... value" message.
     parse.__name__ = kind.__name__
     return parse
+
+
+def _positive(kind: type):
+    """argparse ``type=`` for a finite ``kind`` value above zero."""
+    return _number(kind, lambda value: value > 0, "a finite number above zero")
+
+
+#: A count that may be zero (``--spares``, ``--shards``).
+_count = _number(int, lambda value: value >= 0, "zero or more")
+#: A hit-rate target (``--slo-target``).
+_fraction = _number(float, lambda value: 0 < value <= 1, "in (0, 1]")
 
 
 def _comma_list(item):
@@ -636,14 +641,23 @@ def _comma_list(item):
     return parse
 
 
+def _accept(resolve, text: str):
+    """``resolve(text)``, with its ``ValueError`` as a usage error.
+
+    Each ``type=`` below hands its flag to the registry that owns the
+    names, so a name is spelled once, there.
+    """
+    try:
+        return resolve(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _policy(text: str) -> str:
     """argparse ``type=`` for a registered scheduling-policy name."""
     from repro.engine.scheduler import scheduling_policy
 
-    try:
-        scheduling_policy(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    _accept(scheduling_policy, text)
     return text
 
 
@@ -651,11 +665,54 @@ def _scenario(text: str) -> str:
     """argparse ``type=`` for a registered scenario key."""
     from repro.engine.workloads import scenario_description
 
-    try:
-        scenario_description(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    _accept(scenario_description, text)
     return text
+
+
+def _fault_profile(text: str) -> str:
+    """argparse ``type=`` for a named fault profile."""
+    from repro.engine.health import FaultProfile
+
+    _accept(FaultProfile.named, text)
+    return text
+
+
+def _chaos_plan(text: str) -> str:
+    """argparse ``type=`` for a named chaos plan."""
+    from repro.engine.chaos import ChaosPlan
+
+    _accept(ChaosPlan.named, text)
+    return text
+
+
+def _retry_policy(text: str) -> str:
+    """argparse ``type=`` for a named retry policy."""
+    from repro.engine.failover import RetryPolicy
+
+    _accept(RetryPolicy.named, text)
+    return text
+
+
+def _brownout(text: str) -> str:
+    """argparse ``type=`` for a named brownout config."""
+    from repro.engine.failover import BrownoutConfig
+
+    _accept(BrownoutConfig.named, text)
+    return text
+
+
+def _models(text: str):
+    """argparse ``type=`` for a ``family[:bits]`` zoo mix (its specs)."""
+    from repro.engine.workloads import parse_model_specs
+
+    return _accept(parse_model_specs, text)
+
+
+def _autoscale(text: str):
+    """argparse ``type=`` for a ``MIN:MAX[:WINDOW_S]`` autoscaler spec."""
+    from repro.engine.controlplane import AutoscalerConfig
+
+    return _accept(AutoscalerConfig.parse, text)
 
 
 def _add_store_flag(sub: argparse.ArgumentParser) -> None:
@@ -710,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--fault-profile",
         default="none",
-        choices=("none", "drift", "transient", "harsh"),
+        type=_fault_profile,
         help="also run the accuracy-vs-fault-rate robustness sweep "
         "(any non-none profile enables it and contributes its fault classes)",
     )
@@ -754,16 +811,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--chaos-plan",
         default="node-loss",
+        type=_chaos_plan,
         help="chaos plan for --resilience (engine/chaos registry)",
     )
     sweep.add_argument(
         "--retry-policy",
         default="deadline",
+        type=_retry_policy,
         help="retry policy for the --resilience failover rungs",
     )
     sweep.add_argument(
         "--spares",
-        type=int,
+        type=_count,
         default=1,
         help="spare budget for the --resilience retry+spares rung",
     )
@@ -780,53 +839,45 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--scenario",
         default="default",
-        help="workload scenario (engine/workloads registry: default, "
-        "poisson, poisson-burst, diurnal, mixed-tenants, chaos, "
-        "diurnal-regions, zoo)",
+        type=_scenario,
+        help="workload scenario (engine/workloads registry)",
     )
     serve.add_argument(
         "--models",
         default=None,
+        type=_models,
         help="ad-hoc zoo mix overriding --scenario, e.g. "
         "'lenet:4,mlp:2,vgg16:1' (family[:weight_bits])",
     )
     serve.add_argument(
         "--policy",
         default="greedy",
-        choices=("greedy", "edf", "slo"),
+        type=_policy,
         help="scheduling policy (greedy-FIFO, earliest-deadline-first, "
         "priority + per-tenant weighted fair queuing)",
     )
     serve.add_argument(
         "--fault-profile",
         default="none",
-        choices=("none", "drift", "transient", "harsh"),
+        type=_fault_profile,
         help="degradation scenario to serve under",
     )
     serve.add_argument(
         "--chaos-plan",
         default="none",
-        choices=(
-            "none",
-            "node-loss",
-            "region-outage",
-            "correlated-upsets",
-            "cache-storm",
-            "latency-spike",
-            "rolling",
-        ),
+        type=_chaos_plan,
         help="injected fleet-failure schedule (engine/chaos registry); "
         "deterministic per seed",
     )
     serve.add_argument(
         "--retry-policy",
         default="none",
-        choices=("none", "deadline", "aggressive"),
+        type=_retry_policy,
         help="deadline-aware re-dispatch of frames killed in flight",
     )
     serve.add_argument(
         "--spares",
-        type=int,
+        type=_count,
         default=0,
         help="warm-standby spare budget (spares adopt the failed node's "
         "die seed, so pre-warmed programs activate as cache hits)",
@@ -834,26 +885,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--brownout",
         default="none",
-        choices=("none", "standard"),
+        type=_brownout,
         help="degradation-tier admission ladder under overload/capacity loss",
     )
     serve.add_argument(
         "--shards",
-        type=int,
+        type=_count,
         default=0,
         help="serve through the sharded control plane with this many "
         "shards (0 = plain single-fleet path); --nodes becomes the "
         "per-shard node count",
     )
     serve.add_argument(
-        "--router",
-        default="rendezvous",
-        choices=("rendezvous", "hash"),
-        help="tenant-to-shard routing policy (engine/router registry)",
-    )
-    serve.add_argument(
         "--autoscale",
         default=None,
+        type=_autoscale,
         metavar="MIN:MAX[:WINDOW_S]",
         help="autoscale each shard's active node count between MIN and "
         "MAX, observing load every WINDOW_S simulated seconds "
@@ -874,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--slo-target",
-        type=float,
+        type=_fraction,
         default=0.95,
         help="deadline-hit target for --check-slo (default 0.95)",
     )

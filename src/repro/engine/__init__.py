@@ -40,13 +40,15 @@
   (cache-hit activation, bit-identical programs), and the
   :class:`BrownoutController` degradation-tier admission ladder.
 * :mod:`repro.engine.router` — deterministic tenant-to-shard routing:
-  rendezvous (HRW) hashing with draining-shard spillover, plus the
-  hash-modulo contrast policy.
+  rendezvous (HRW) hashing with draining-shard spillover.
 * :mod:`repro.engine.controlplane` — the sharded fleet control plane:
   named shards over plain frame servers, zoo placement, shard drains,
   and the windowed :class:`Autoscaler` (capacity-model scale-up,
   dwell-hysteresis scale-down) with a byte-deterministic
-  scaling-decision audit trail.
+  scaling-decision audit trail.  One serve path: the plain server's
+  validation step, routing, per-shard (per-window) serves and one
+  merge; a 1-shard plane serves through it bit-identically to the
+  plain server.
 """
 
 from repro.engine.admission import (
@@ -70,7 +72,6 @@ from repro.engine.chaos import (
     ChaosPlan,
     ChaosSpec,
     ChaosTimeline,
-    chaos_plan,
 )
 from repro.engine.failover import (
     BROWNOUT_TIERS,
@@ -85,7 +86,6 @@ from repro.engine.failover import (
     SparePool,
     availability,
     recovery_time_s,
-    retry_policy,
 )
 from repro.engine.health import (
     FaultProfile,
@@ -103,14 +103,7 @@ from repro.engine.scheduler import (
     SloAwarePolicy,
     scheduling_policy,
 )
-from repro.engine.router import (
-    ROUTERS,
-    HashModuloRouter,
-    RendezvousRouter,
-    TenantRouter,
-    rendezvous_score,
-    tenant_router,
-)
+from repro.engine.router import RendezvousRouter, rendezvous_score
 from repro.engine.server import (
     FrameRequest,
     FrameResponse,
@@ -134,7 +127,6 @@ __all__ = [
     "BROWNOUT_TIERS",
     "CHAOS_KINDS",
     "POLICIES",
-    "ROUTERS",
     "AdmissionController",
     "Autoscaler",
     "AutoscalerConfig",
@@ -157,7 +149,6 @@ __all__ = [
     "FrameScheduler",
     "FrameServer",
     "GreedyFifoPolicy",
-    "HashModuloRouter",
     "HealthEvent",
     "HealthMonitor",
     "HealthReport",
@@ -180,16 +171,12 @@ __all__ = [
     "SnrWatchdog",
     "SpareActivation",
     "SparePool",
-    "TenantRouter",
     "WeightProgramCache",
     "availability",
     "build_scenario",
-    "chaos_plan",
     "models_scenario",
     "recovery_time_s",
     "rendezvous_score",
-    "retry_policy",
     "scenario_registry",
     "scheduling_policy",
-    "tenant_router",
 ]

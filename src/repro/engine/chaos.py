@@ -302,13 +302,6 @@ class ChaosPlan:
         return plans[key]
 
 
-def chaos_plan(spec: "str | ChaosPlan | None") -> ChaosPlan | None:
-    """Resolve a plan name or pass a plan (or ``None``) through."""
-    if spec is None or isinstance(spec, ChaosPlan):
-        return spec
-    return ChaosPlan.named(spec)
-
-
 class ChaosTimeline:
     """One serve call's resolved chaos schedule + firing cursor.
 
@@ -354,5 +347,4 @@ __all__ = [
     "ChaosPlan",
     "ChaosSpec",
     "ChaosTimeline",
-    "chaos_plan",
 ]

@@ -10,9 +10,9 @@ machinery on top *without touching the data path*:
   its own plain ``FrameServer``; the zoo is placed per shard (replicate
   or partition), so a shard only programs the kernel sets it hosts;
 * **routing** — every (tenant, model) pair lands on exactly one shard
-  via a deterministic :mod:`repro.engine.router` policy (rendezvous by
-  default: stable under node-count changes, bounded churn under
-  shard-set changes, spillover around draining shards);
+  by rendezvous hashing (:mod:`repro.engine.router`: stable under
+  node-count changes, bounded churn under shard-set changes, spillover
+  around draining shards);
 * **autoscaling** — each shard's *active* node count tracks its own
   offered load window by window, using the capacity model from
   :func:`repro.analysis.capacity.sustainable_fps_per_node` (scale-up on
@@ -37,15 +37,21 @@ machinery on top *without touching the data path*:
   determinism contract of :mod:`repro.core.reference`), so the tradeoff
   costs host time, never changes a simulated quantity.
 
-Bit-identity contract: a 1-shard, autoscale-off control plane routes
-everything to its only shard and delegates the serve call wholesale —
-the report is byte-identical to the plain ``FrameServer`` path
+One serve path: :meth:`ControlPlane.serve` validates the stream with
+:func:`~repro.engine.server.resolve_arrivals` (the plain server's own
+boundary check) before anything is routed, routes every request,
+serves each shard's partition (one bucket when static, one per control
+window when autoscaled) and merges the pieces into one report.
+Bit-identity contract: on a 1-shard, autoscale-off plane the one
+partition is the whole (non-empty) stream, so the merged report is
+byte-identical to the plain ``FrameServer`` path
 (``tests/test_controlplane_equivalence.py`` pins it against the serving
-golden).  Determinism contract: routing hashes only (salt, shard,
-tenant), the capacity estimate is a seeded search, and the autoscaler is
-a pure function of the windowed offered load — so the scaling-decision
-audit trail (:meth:`ControlPlaneReport.decision_trail`) reproduces
-byte-for-byte for a fixed (scenario, seed, config).
+golden).  Determinism contract: routing
+hashes only (salt, shard, tenant), the capacity estimate is a seeded
+search, and the autoscaler is a pure function of the windowed offered
+load — so the scaling-decision audit trail
+(:meth:`ControlPlaneReport.decision_trail`) reproduces byte-for-byte for
+a fixed (scenario, seed, config).
 
 Windowed serving semantics (autoscale path only): the stream is chopped
 into ``window_s`` slices per shard, each served as its own
@@ -77,22 +83,21 @@ from dataclasses import dataclass, field, replace as dataclass_replace
 from repro.core.config import OISAConfig
 from repro.engine.admission import (
     AdmissionController,
-    SloClass,
     SloClassStats,
     SloReport,
 )
 from repro.engine.cache import WeightProgramCache
-from repro.engine.router import TenantRouter, tenant_router
+from repro.engine.router import RendezvousRouter
 from repro.engine.store import ProgramStore
 from repro.engine.server import (
     FrameRequest,
     FrameResponse,
     FrameServer,
     ServeReport,
+    resolve_arrivals,
 )
 from repro.engine.workloads import scenario_registry
 from repro.nn.layers import Sequential
-from repro.sim.fleet import RadioModel
 from repro.sim.stream import StreamEvent, StreamReport, nearest_rank_percentile
 from repro.util.validation import check_positive
 
@@ -308,11 +313,10 @@ class Shard:
         self.name = name
         self.server = server
         self.draining = False
-        self.hosted: set[str] = set()
 
     def hosts(self, model_key: str) -> bool:
         """Whether this shard's zoo slice includes ``model_key``."""
-        return model_key in self.hosted
+        return model_key in self.server._models
 
     def __repr__(self) -> str:
         return (
@@ -325,7 +329,7 @@ class Shard:
 class ControlPlaneReport:
     """Routing + scaling accounting of one control-plane serve call."""
 
-    #: Router spec (policy + salt) the routes were computed under.
+    #: Router spec (salt included) the routes were computed under.
     router: str
     #: Shard names in registration order.
     shards: list[str]
@@ -373,9 +377,12 @@ class ControlPlane:
     Parameters mirror :class:`~repro.engine.server.FrameServer` where
     they configure the per-shard servers (every shard shares the same
     base ``seed`` — identical die-seed sets are what make cross-shard
-    program reuse and warm-spare scale-up free).  The fault/chaos/
+    program reuse and warm-spare scale-up free — and one fresh
+    :class:`~repro.engine.cache.WeightProgramCache`).  The fault/chaos/
     failover layers deliberately do not compose here: shard servers are
     built plain (see ``FrameServer.serve``'s ``node_limit`` contract).
+    Tenants route by :class:`~repro.engine.router.RendezvousRouter`
+    salted with the base seed.
 
     Parameters
     ----------
@@ -384,9 +391,6 @@ class ControlPlane:
     nodes_per_shard:
         Static node count per shard; ignored when ``autoscaler`` is set
         (shards are then built at ``autoscaler.max_nodes``).
-    router:
-        Routing policy name or instance (:mod:`repro.engine.router`);
-        the salt defaults to the base seed.
     autoscaler:
         Per-shard scaling policy; ``None`` serves statically.
     program_store:
@@ -403,13 +407,8 @@ class ControlPlane:
         shards: int | list[str] | tuple[str, ...] = 2,
         nodes_per_shard: int = 1,
         micro_batch: int = 16,
-        cache: WeightProgramCache | None = None,
         seed: int | None = 0,
-        enable_noise: bool = True,
-        radio: RadioModel | None = None,
         policy: str = "greedy",
-        slo_classes: dict[str, SloClass] | AdmissionController | None = None,
-        router: str | TenantRouter = "rendezvous",
         autoscaler: AutoscalerConfig | None = None,
         program_store: ProgramStore | str | None = None,
     ) -> None:
@@ -424,12 +423,12 @@ class ControlPlane:
             raise ValueError(f"duplicate shard names in {names!r}")
         check_positive("nodes_per_shard", nodes_per_shard)
         self.config = config or OISAConfig()
-        self.cache = cache if cache is not None else WeightProgramCache()
+        self.cache = WeightProgramCache()
         if isinstance(program_store, (str, os.PathLike)):
             program_store = ProgramStore(program_store)
         if program_store is not None:
             self.cache.attach_store(program_store)
-        self.router = tenant_router(router, salt=seed or 0)
+        self.router = RendezvousRouter(salt=seed or 0)
         self.autoscaler_config = autoscaler
         self._seed = seed
         size = autoscaler.max_nodes if autoscaler is not None else nodes_per_shard
@@ -442,10 +441,7 @@ class ControlPlane:
                     micro_batch=micro_batch,
                     cache=self.cache,
                     seed=seed,
-                    enable_noise=enable_noise,
-                    radio=radio,
                     policy=policy,
-                    slo_classes=slo_classes,
                 ),
             )
             for name in names
@@ -496,7 +492,6 @@ class ControlPlane:
             target.server.adopt_models(
                 {key: model}, origin=f"shard {target.name!r} placement"
             )
-            target.hosted.add(key)
         self._zoo[key] = model
 
     def drain(self, name: str) -> int:
@@ -552,10 +547,9 @@ class ControlPlane:
                     {model_key: model},
                     origin=f"shard {shard.name!r} spillover placement",
                 )
-                shard.hosted.add(model_key)
         if previous is not None:
             self._reroutes += 1
-            if model_key in shard.server._models:
+            if shard.hosts(model_key):
                 warmed = shard.server.warmup([model_key])
                 self._preloads += int(
                     warmed["cache_hits"] + warmed["cache_misses"]
@@ -571,17 +565,21 @@ class ControlPlane:
         requests: list[FrameRequest],
         offered_fps: float | None = None,
     ) -> ServeReport:
-        """Route, (optionally) autoscale and serve one request stream.
+        """Validate, route, (optionally) autoscale and serve one stream.
 
-        Single shard + no autoscaler delegates the call wholesale to the
-        shard's server (byte-identical to the plain path); otherwise the
-        stream is partitioned per routed shard — and, when autoscaling,
-        chopped into control windows — served, and merged back into one
+        The stream is checked against every model the shards host by
+        :func:`~repro.engine.server.resolve_arrivals` before anything is
+        routed, so bad input raises ``ValueError`` naming its index in
+        ``requests`` with routes and caches untouched.  Then every
+        request is routed, each shard's partition is served — as one
+        bucket, or, when autoscaling, one bucket per control window —
+        and the pieces merge back into one
         :class:`~repro.engine.server.ServeReport` with global indices,
         global node ids and recomputed SLO percentiles.  The merged
         report carries the routing/scaling accounting as
         ``report.controlplane``, and its ``wall_clock_s`` covers this
-        whole call: routing, capacity estimation, shard serves and merge.
+        whole call: validation, routing, capacity estimation, shard
+        serves and merge.
         """
         started = time.perf_counter()
         rate = (
@@ -589,46 +587,96 @@ class ControlPlane:
             if offered_fps is not None
             else self.config.frame_rate_hz
         )
-        check_positive("offered_fps", rate)
-        interval = 1.0 / rate
-        arrivals = [
-            request.arrival_s
-            if request.arrival_s is not None
-            else index * interval
-            for index, request in enumerate(requests)
-        ]
+        models = {}
+        for shard in self.shards:
+            models.update(shard.server._models)
+        arrivals = resolve_arrivals(requests, models, rate)
         duration = max(arrivals, default=0.0)
 
-        assignments: list[Shard] = []
-        for request in requests:
-            assignments.append(
-                self.route(request.tenant or request.model_key, request.model_key)
-            )
         per_shard: dict[str, list[tuple[int, FrameRequest, float]]] = {}
-        for index, (request, arrival, shard) in enumerate(
-            zip(requests, arrivals, assignments)
-        ):
+        for index, (request, arrival) in enumerate(zip(requests, arrivals)):
+            shard = self.route(
+                request.tenant or request.model_key, request.model_key
+            )
             per_shard.setdefault(shard.name, []).append(
                 (index, request, arrival)
             )
 
-        if len(self.shards) == 1 and self.autoscaler_config is None:
-            shard = self.shards[0]
-            report = shard.server.serve(requests, offered_fps=rate)
-            nodes = len(shard.server.nodes)
-            report.controlplane = self._base_report(
-                autoscaled=False,
-                window_s=None,
-                windows=0,
-                node_seconds=nodes * duration,
-                static_node_seconds=nodes * duration,
+        config = self.autoscaler_config
+        plane = ControlPlaneReport(
+            router=repr(self.router),
+            shards=[shard.name for shard in self.shards],
+            shard_nodes={
+                shard.name: len(shard.server.nodes) for shard in self.shards
+            },
+            autoscaled=config is not None,
+            window_s=None if config is None else config.window_s,
+            windows=0,
+            routes={
+                f"{tenant}|{model_key}": shard_name
+                for (tenant, model_key), shard_name in sorted(
+                    self._route_of.items()
+                )
+            },
+            reroutes=self._reroutes,
+            preloads=self._preloads,
+            drained=tuple(self._drained),
+            cache_invalidations=self._invalidations,
+        )
+        pieces = []
+        if config is None:
+            for shard in self.shards:
+                bucket = per_shard.get(shard.name)
+                if bucket:
+                    pieces.append(self._serve_bucket(shard, bucket, 0.0, rate))
+            plane.node_seconds = plane.static_node_seconds = (
+                sum(len(shard.server.nodes) for shard in self.shards)
+                * duration
             )
-        elif self.autoscaler_config is None:
-            report = self._serve_static(requests, per_shard, rate, duration)
         else:
-            report = self._serve_autoscaled(
-                requests, per_shard, rate, duration
+            plane.windows = max(
+                1, math.ceil((duration + 1e-12) / config.window_s)
             )
+            fps_per_node = self._resolve_fps_per_node()
+            for shard in self.shards:
+                scaler = Autoscaler(shard.name, config, fps_per_node)
+                trajectory = plane.nodes_by_window[shard.name] = []
+                buckets: list[list[tuple[int, FrameRequest, float]]] = [
+                    [] for _ in range(plane.windows)
+                ]
+                for entry in per_shard.get(shard.name, []):
+                    window = int(entry[2] // config.window_s)
+                    buckets[min(window, plane.windows - 1)].append(entry)
+                admission = shard.server.admission
+                for window, bucket in enumerate(buckets):
+                    active = scaler.nodes
+                    trajectory.append(active)
+                    plane.node_seconds += active * config.window_s
+                    if bucket:
+                        start = window * config.window_s
+                        pieces.append(
+                            self._serve_bucket(
+                                shard, bucket, start, rate, active
+                            )
+                        )
+                    weighted = 0.0
+                    for _, request, _ in bucket:
+                        slo = admission.slo_for(request.model_key)
+                        weighted += (
+                            1.0
+                            if slo.deadline_s is not None
+                            else config.best_effort_weight
+                        )
+                    scaler.observe(window, weighted / config.window_s)
+                plane.decisions.extend(scaler.decisions)
+            plane.static_node_seconds = (
+                len(self.shards)
+                * config.max_nodes
+                * plane.windows
+                * config.window_s
+            )
+        report = self._merge(requests, pieces)
+        report.controlplane = plane
         report.wall_clock_s = time.perf_counter() - started
         return report
 
@@ -643,10 +691,9 @@ class ControlPlane:
         Places the scenario's zoo (``"replicate"`` puts every model on
         every shard; ``"partition"`` deals models round-robin across
         shards, leaving the router's spillover placement to fill gaps),
-        adopts its SLO classes on every shard that was not built with
-        explicit classes, and serves its request list.  While serving, a
-        measured-capacity autoscaler resolves its per-node FPS against
-        this scenario's name.
+        adopts its SLO classes on every shard, and serves its request
+        list.  While serving, a measured-capacity autoscaler resolves its
+        per-node FPS against this scenario's name.
         """
         if placement not in PLACEMENTS:
             raise ValueError(
@@ -659,10 +706,7 @@ class ControlPlane:
                 target = self.shards[index % len(self.shards)]
                 self.register_model(key, model, shards=[target.name])
         for shard in self.shards:
-            if not shard.server._explicit_slo:
-                shard.server.admission = AdmissionController(
-                    scenario.slo_classes
-                )
+            shard.server.admission = AdmissionController(scenario.slo_classes)
         rate = (
             offered_fps if offered_fps is not None else scenario.offered_fps
         )
@@ -675,112 +719,22 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Serve internals
     # ------------------------------------------------------------------
-    def _serve_static(
+    def _serve_bucket(
         self,
-        requests: list[FrameRequest],
-        per_shard: dict[str, list[tuple[int, FrameRequest, float]]],
+        shard: Shard,
+        bucket: list[tuple[int, FrameRequest, float]],
+        start: float,
         rate: float,
-        duration: float,
-    ) -> ServeReport:
-        pieces = []
-        for shard in self.shards:
-            entries = per_shard.get(shard.name)
-            if not entries:
-                continue
-            sub = [
-                dataclass_replace(request, arrival_s=arrival)
-                for _, request, arrival in entries
-            ]
-            pieces.append(
-                (shard, 0.0, entries, shard.server.serve(sub, offered_fps=rate))
-            )
-        report = self._merge(requests, pieces)
-        node_seconds = (
-            sum(len(shard.server.nodes) for shard in self.shards) * duration
-        )
-        report.controlplane = self._base_report(
-            autoscaled=False,
-            window_s=None,
-            windows=0,
-            node_seconds=node_seconds,
-            static_node_seconds=node_seconds,
-        )
-        return report
-
-    def _serve_autoscaled(
-        self,
-        requests: list[FrameRequest],
-        per_shard: dict[str, list[tuple[int, FrameRequest, float]]],
-        rate: float,
-        duration: float,
-    ) -> ServeReport:
-        config = self.autoscaler_config
-        windows = max(1, math.ceil((duration + 1e-12) / config.window_s))
-        fps_per_node = self._resolve_fps_per_node()
-        pieces = []
-        scalers: list[Autoscaler] = []
-        nodes_by_window: dict[str, list[int]] = {}
-        node_seconds = 0.0
-        for shard in self.shards:
-            scaler = Autoscaler(shard.name, config, fps_per_node)
-            scalers.append(scaler)
-            trajectory: list[int] = []
-            nodes_by_window[shard.name] = trajectory
-            entries = per_shard.get(shard.name, [])
-            buckets: list[list[tuple[int, FrameRequest, float]]] = [
-                [] for _ in range(windows)
-            ]
-            for entry in entries:
-                w = min(int(entry[2] // config.window_s), windows - 1)
-                buckets[w].append(entry)
-            admission = shard.server.admission
-            for w in range(windows):
-                active = scaler.nodes
-                trajectory.append(active)
-                node_seconds += active * config.window_s
-                bucket = buckets[w]
-                if bucket:
-                    start = w * config.window_s
-                    sub = [
-                        dataclass_replace(
-                            request, arrival_s=arrival - start
-                        )
-                        for _, request, arrival in bucket
-                    ]
-                    pieces.append(
-                        (
-                            shard,
-                            start,
-                            bucket,
-                            shard.server.serve(
-                                sub, offered_fps=rate, node_limit=active
-                            ),
-                        )
-                    )
-                weighted = 0.0
-                for _, request, _ in bucket:
-                    slo = admission.slo_for(request.model_key)
-                    weighted += (
-                        1.0
-                        if slo.deadline_s is not None
-                        else config.best_effort_weight
-                    )
-                scaler.observe(w, weighted / config.window_s)
-        report = self._merge(requests, pieces)
-        decisions = [
-            decision for scaler in scalers for decision in scaler.decisions
+        nodes: int | None = None,
+    ) -> tuple[Shard, float, list, ServeReport]:
+        """Serve ``bucket`` on ``shard``'s first ``nodes`` nodes (all by
+        default) with arrivals rebased to its window ``start`` [s]."""
+        sub = [
+            dataclass_replace(request, arrival_s=arrival - start)
+            for _, request, arrival in bucket
         ]
-        static = len(self.shards) * config.max_nodes * windows * config.window_s
-        report.controlplane = self._base_report(
-            autoscaled=True,
-            window_s=config.window_s,
-            windows=windows,
-            node_seconds=node_seconds,
-            static_node_seconds=static,
-            decisions=decisions,
-            nodes_by_window=nodes_by_window,
-        )
-        return report
+        served = shard.server.serve(sub, offered_fps=rate, node_limit=nodes)
+        return shard, start, bucket, served
 
     def _resolve_fps_per_node(self) -> float:
         """The controller's per-node capacity estimate [FPS]."""
@@ -811,41 +765,6 @@ class ControlPlane:
             value = FleetModel(self.config).sustainable_fps(LENET_FIRST_LAYER)
         self._fps_per_node_cache[key] = value
         return value
-
-    def _base_report(
-        self,
-        autoscaled: bool,
-        window_s: float | None,
-        windows: int,
-        node_seconds: float,
-        static_node_seconds: float,
-        decisions: list[ScalingDecision] | None = None,
-        nodes_by_window: dict[str, list[int]] | None = None,
-    ) -> ControlPlaneReport:
-        return ControlPlaneReport(
-            router=repr(self.router),
-            shards=[shard.name for shard in self.shards],
-            shard_nodes={
-                shard.name: len(shard.server.nodes) for shard in self.shards
-            },
-            autoscaled=autoscaled,
-            window_s=window_s,
-            windows=windows,
-            routes={
-                f"{tenant}|{model_key}": shard_name
-                for (tenant, model_key), shard_name in sorted(
-                    self._route_of.items()
-                )
-            },
-            reroutes=self._reroutes,
-            preloads=self._preloads,
-            decisions=list(decisions or []),
-            nodes_by_window=dict(nodes_by_window or {}),
-            node_seconds=node_seconds,
-            static_node_seconds=static_node_seconds,
-            drained=tuple(self._drained),
-            cache_invalidations=self._invalidations,
-        )
 
     def _merge(
         self,

@@ -150,13 +150,6 @@ class RetryPolicy:
         return policies[key]
 
 
-def retry_policy(spec: "str | RetryPolicy | None") -> RetryPolicy | None:
-    """Resolve a policy name or pass a policy (or ``None``) through."""
-    if spec is None or isinstance(spec, RetryPolicy):
-        return spec
-    return RetryPolicy.named(spec)
-
-
 # ----------------------------------------------------------------------
 # Spares
 # ----------------------------------------------------------------------
@@ -682,5 +675,4 @@ __all__ = [
     "SparePool",
     "availability",
     "recovery_time_s",
-    "retry_policy",
 ]

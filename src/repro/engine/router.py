@@ -10,19 +10,13 @@ tenants — moves invalidate cache locality), and *bounded* under shard-set
 churn (adding or draining one shard may move only the tenants whose
 rendezvous winner actually changed).
 
-Two policies are registered:
-
-* ``"rendezvous"`` — highest-random-weight (HRW) hashing: each
-  ``(tenant, shard)`` pair gets a stable SHA-256 score and the tenant
-  routes to the highest-scoring *eligible* shard.  Classic rendezvous
-  guarantees follow: routing never depends on node counts at all, and
-  removing a shard moves exactly the tenants that were on it while adding
-  one moves only the tenants whose new top score is the newcomer
-  (``tests/test_properties.py`` pins both).
-* ``"hash"`` — stable-hash modulo over the eligible shard list.  Kept as
-  the contrast policy: it is deterministic but *not* churn-bounded (a
-  shard-set change can reshuffle every tenant), which is exactly why
-  rendezvous is the default.
+The policy is highest-random-weight (HRW, rendezvous) hashing: each
+``(tenant, shard)`` pair gets a stable SHA-256 score and the tenant
+routes to the highest-scoring *eligible* shard.  Classic rendezvous
+guarantees follow: routing never depends on node counts at all, and
+removing a shard moves exactly the tenants that were on it while adding
+one moves only the tenants whose new top score is the newcomer
+(``tests/test_properties.py`` pins both).
 
 Eligibility and spillover: a shard is eligible for a request when it
 hosts the request's model key (zoo sharding) and is not draining.  When
@@ -70,10 +64,8 @@ def rendezvous_score(salt: int, shard_name: str, tenant: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class TenantRouter:
-    """Base router: eligibility + spillover shared by every policy."""
-
-    name = "base"
+class RendezvousRouter:
+    """Highest-random-weight tenant routing with draining spillover."""
 
     def __init__(self, salt: int = 0) -> None:
         self.salt = int(salt)
@@ -102,20 +94,6 @@ class TenantRouter:
         self, tenant: str, model_key: str, shards: Sequence[ShardView]
     ) -> ShardView:
         """The one shard this (tenant, model) pair lands on."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # audit trails embed the router spec
-        return f"{type(self).__name__}(salt={self.salt})"
-
-
-class RendezvousRouter(TenantRouter):
-    """Highest-random-weight tenant routing (the default policy)."""
-
-    name = "rendezvous"
-
-    def route(
-        self, tenant: str, model_key: str, shards: Sequence[ShardView]
-    ) -> ShardView:
         candidates = self.eligible(model_key, shards)
         # Max score wins; the (score, name) key makes an (astronomically
         # unlikely) score tie deterministic rather than list-order-bound.
@@ -127,52 +105,12 @@ class RendezvousRouter(TenantRouter):
             ),
         )
 
-
-class HashModuloRouter(TenantRouter):
-    """Stable-hash modulo routing — deterministic, not churn-bounded.
-
-    The contrast policy: one shard joining or draining renumbers the
-    eligible list and can move *every* tenant.  Useful as a baseline when
-    measuring how much program-cache locality rendezvous preserves.
-    """
-
-    name = "hash"
-
-    def route(
-        self, tenant: str, model_key: str, shards: Sequence[ShardView]
-    ) -> ShardView:
-        candidates = sorted(
-            self.eligible(model_key, shards), key=lambda shard: shard.name
-        )
-        digest = hashlib.sha256(f"{self.salt}|{tenant}".encode()).digest()
-        return candidates[int.from_bytes(digest[:8], "big") % len(candidates)]
-
-
-#: Registered router policies (CLI ``--router`` choices).
-ROUTERS: dict[str, type[TenantRouter]] = {
-    "rendezvous": RendezvousRouter,
-    "hash": HashModuloRouter,
-}
-
-
-def tenant_router(spec: str | TenantRouter, salt: int = 0) -> TenantRouter:
-    """Resolve a router spec (name or instance) to a router."""
-    if isinstance(spec, TenantRouter):
-        return spec
-    cls = ROUTERS.get(str(spec).lower())
-    if cls is None:
-        raise ValueError(
-            f"unknown router {spec!r}; known: {', '.join(sorted(ROUTERS))}"
-        )
-    return cls(salt=salt)
+    def __repr__(self) -> str:  # audit trails embed the router spec
+        return f"{type(self).__name__}(salt={self.salt})"
 
 
 __all__ = [
-    "ROUTERS",
-    "HashModuloRouter",
     "RendezvousRouter",
     "ShardView",
-    "TenantRouter",
     "rendezvous_score",
-    "tenant_router",
 ]

@@ -490,6 +490,59 @@ class _Node:
         return pipeline
 
 
+def resolve_arrivals(
+    requests: list[FrameRequest],
+    models: dict[str, _ModelEntry],
+    offered_fps: float,
+) -> list[float]:
+    """Validate a request stream and return each request's arrival [s].
+
+    The one boundary check of :meth:`FrameServer.serve` and
+    :meth:`~repro.engine.controlplane.ControlPlane.serve`: an unknown
+    model key, a non-finite or negative ``arrival_s``, a frame that is
+    not a ``numpy.ndarray`` or a frame shape the model's on-die layer
+    cannot take raises ``ValueError`` naming the request's index in
+    ``requests``.  Requests without ``arrival_s`` arrive uniformly at
+    ``offered_fps``.  The shape check runs once per distinct (model key,
+    frame shape) pair, which keeps the pass at a set lookup per request.
+    """
+    check_positive("offered_fps", offered_fps)
+    interval = 1.0 / offered_fps
+    checked: set[tuple[str, tuple[int, ...]]] = set()
+    arrivals: list[float] = []
+    append = arrivals.append
+    for index, request in enumerate(requests):
+        arrival = request.arrival_s
+        if arrival is None:
+            arrival = index * interval
+        elif not 0.0 <= arrival < math.inf:
+            raise ValueError(
+                f"request {index}: arrival_s must be finite and "
+                f"non-negative, got {arrival!r}"
+            )
+        frame = request.frame
+        if not isinstance(frame, np.ndarray):
+            raise ValueError(
+                f"request {index}: frame must be a numpy.ndarray, got "
+                f"{type(frame).__name__}"
+            )
+        append(arrival)
+        pair = (request.model_key, frame.shape)
+        if pair in checked:
+            continue
+        entry = models.get(request.model_key)
+        if entry is None:
+            raise ValueError(
+                f"request {index}: unknown model key {request.model_key!r}"
+            )
+        try:
+            entry.check_frame_shape(pair[1])
+        except ValueError as error:
+            raise ValueError(f"request {index}: {error}") from None
+        checked.add(pair)
+    return arrivals
+
+
 class FrameServer:
     """Micro-batched, cache-backed frame serving across N simulated nodes.
 
@@ -508,8 +561,6 @@ class FrameServer:
         Base seed; node die seeds are spawned deterministically from it.
     enable_noise:
         Crosstalk + BPD read noise on each node's optics.
-    radio:
-        Edge-radio model for the feature payload accounting.
     fault_profile:
         Degradation scenario to serve under — a
         :class:`~repro.engine.health.FaultProfile`, a named profile string
@@ -562,7 +613,6 @@ class FrameServer:
         cache: WeightProgramCache | None = None,
         seed: int | None = 0,
         enable_noise: bool = True,
-        radio: RadioModel | None = None,
         fault_profile: FaultProfile | str | None = None,
         policy: str | SchedulingPolicy = "greedy",
         slo_classes: dict[str, SloClass] | AdmissionController | None = None,
@@ -583,7 +633,7 @@ class FrameServer:
             # Read-through/write-behind on-disk tier: a second run against
             # the same store directory programs nothing (engine/store.py).
             self.cache.attach_store(program_store)
-        self.fleet = FleetModel(self.config, radio=radio)
+        self.fleet = FleetModel(self.config)
         self._seed = seed
         self.policy = scheduling_policy(policy)
         #: Whether the caller pinned the service levels at construction —
@@ -734,11 +784,10 @@ class FrameServer:
         the admitted frames then compute in micro-batches, grouped into
         consecutive same-model, same-shape runs per node.
 
-        Every request is validated before anything is scheduled: an
-        unknown model key, a non-finite or negative ``arrival_s``, a
-        frame that is not a ``numpy.ndarray`` or a frame shape the
-        model's on-die layer cannot take raises ``ValueError`` naming the
-        request index, with node state and cache counters untouched.
+        Every request is validated before anything is scheduled
+        (:func:`resolve_arrivals`): bad input raises ``ValueError``
+        naming the request index, with node state and cache counters
+        untouched.
 
         ``compute=False`` serves schedule-only: arrival resolution,
         admission, scheduling, the health/chaos/failover layers and
@@ -766,9 +815,6 @@ class FrameServer:
         every node — byte-identical to a server without the parameter.
         """
         started = time.perf_counter()
-        rate = offered_fps if offered_fps is not None else self.config.frame_rate_hz
-        check_positive("offered_fps", rate)
-        interval = 1.0 / rate
         if node_limit is not None:
             if not 1 <= node_limit <= len(self.nodes):
                 raise ValueError(
@@ -785,35 +831,8 @@ class FrameServer:
                     "node_limit does not compose with fault/chaos/"
                     "failover layers; configure the shard server plain"
                 )
-        # One shape check per distinct (model key, frame shape) pair keeps
-        # the pass at a set lookup per request.
-        checked: set[tuple[str, tuple[int, ...]]] = set()
-        for index, request in enumerate(requests):
-            arrival = request.arrival_s
-            if arrival is not None and not 0.0 <= arrival < math.inf:
-                raise ValueError(
-                    f"request {index}: arrival_s must be finite and "
-                    f"non-negative, got {arrival!r}"
-                )
-            frame = request.frame
-            if not isinstance(frame, np.ndarray):
-                raise ValueError(
-                    f"request {index}: frame must be a numpy.ndarray, got "
-                    f"{type(frame).__name__}"
-                )
-            pair = (request.model_key, frame.shape)
-            if pair in checked:
-                continue
-            entry = self._models.get(request.model_key)
-            if entry is None:
-                raise ValueError(
-                    f"request {index}: unknown model key {request.model_key!r}"
-                )
-            try:
-                entry.check_frame_shape(pair[1])
-            except ValueError as error:
-                raise ValueError(f"request {index}: {error}") from None
-            checked.add(pair)
+        rate = offered_fps if offered_fps is not None else self.config.frame_rate_hz
+        arrivals = resolve_arrivals(requests, self._models, rate)
 
         # Each serve() call simulates one stream starting at t = 0; kernel
         # residency (active/programmed models, cache) carries over, busy
@@ -830,12 +849,6 @@ class FrameServer:
 
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
 
-        # Arrival resolution stays here (the rate default is server
-        # policy); the simulated-time walk is the scheduler's.
-        arrivals = [
-            request.arrival_s if request.arrival_s is not None else index * interval
-            for index, request in enumerate(requests)
-        ]
         scheduler = FrameScheduler(
             active, self._models, self.policy, layers, admission=self.admission
         )

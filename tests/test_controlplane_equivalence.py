@@ -1,10 +1,12 @@
 """Differential tests: a trivial control plane IS the plain frame server.
 
 The sharded control plane earns its complexity budget only if the
-degenerate configuration — one shard, autoscaling off — delegates
-wholesale to the underlying :class:`~repro.engine.server.FrameServer`
-and changes **nothing**: same floats, same per-die read-noise RNG
-consumption, same cache hit/miss counters, same SLO accounting.  These
+degenerate configuration — one shard, autoscaling off — serving its one
+partition (the whole stream) through the plane's route-serve-merge path
+changes **nothing** against the underlying
+:class:`~repro.engine.server.FrameServer`: same floats, same per-die
+read-noise RNG consumption, same cache hit/miss counters, same SLO
+accounting.  These
 tests pin that claim differentially over the whole scenario zoo under
 every scheduling policy, and then pin the absolute anchor: the 1-shard
 plane must reproduce the committed ``serve_default.json`` golden byte
@@ -53,7 +55,7 @@ def test_one_shard_plane_matches_plain_server(key, policy):
 
 
 def test_one_shard_plane_matches_explicit_request_stream():
-    """Raw ``serve`` (no scenario wrapper) is equally a pure delegation."""
+    """Raw ``serve`` (no scenario wrapper) is equally unchanged."""
     frames = np.random.default_rng(7).uniform(0.0, 1.0, (24, 1, 28, 28))
     model = build_lenet(seed=3)
 

@@ -2,12 +2,15 @@
 
 Runs the same checks as the CI docs job (``tools/check_docs.py``): every
 ``repro.*`` pointer in ``docs/architecture.md``/``README.md`` must import,
-every referenced file must exist, and every ``src/repro`` package must
-have a paper-to-code row.
+every referenced file must exist, every ``src/repro`` package must
+have a paper-to-code row, and every README flag table must list exactly
+its command's parser flags.
 """
 
 import importlib.util
 import os
+
+import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKER_PATH = os.path.join(REPO_ROOT, "tools", "check_docs.py")
@@ -41,6 +44,37 @@ def test_path_references_exist():
 def test_every_package_has_a_paper_to_code_row():
     checker = _load_checker()
     assert checker.check_package_coverage() == []
+
+
+def test_readme_flag_tables_match_the_parser():
+    checker = _load_checker()
+    assert checker.check_flag_tables() == []
+
+
+@pytest.mark.parametrize(
+    "rows, failure",
+    [
+        (
+            ["--output", "--quick", "--seed", "--frobnicate"],
+            "table lists unknown `--frobnicate`",
+        ),
+        (["--output", "--quick"], "table misses `--seed`"),
+    ],
+    ids=["extra-row", "missing-row"],
+)
+def test_flag_table_check_catches_stale_rows(
+    rows, failure, tmp_path, monkeypatch
+):
+    """A flag table out of step with the parser fails the check."""
+    checker = _load_checker()
+    table = "".join(f"| `{flag}` | - | - |\n" for flag in rows)
+    (tmp_path / "README.md").write_text(
+        "### `repro bench`\n\n| Flag | Default | Meaning |\n"
+        f"| --- | --- | --- |\n{table}\n### Next section\n"
+        "| `--seed` | - | - |\n"
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", str(tmp_path))
+    assert checker.check_flag_tables() == [f"README.md: `repro bench` {failure}"]
 
 
 def test_checker_catches_broken_pointers(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from repro.engine.chaos import (
     ChaosPlan,
     ChaosSpec,
     ChaosTimeline,
-    chaos_plan,
 )
 from repro.engine.workloads import build_scenario
 from repro.nn.models import build_lenet
@@ -32,7 +31,6 @@ def test_spec_validation():
 
 def test_named_plans_resolve():
     assert ChaosPlan.named("none") is None
-    assert chaos_plan(None) is None
     for name in (
         "node-loss",
         "region-outage",
@@ -43,8 +41,6 @@ def test_named_plans_resolve():
     ):
         plan = ChaosPlan.named(name)
         assert plan is not None and plan.specs
-        assert chaos_plan(name) == plan
-        assert chaos_plan(plan) is plan
         for spec in plan.specs:
             assert spec.kind in CHAOS_KINDS
     with pytest.raises(ValueError, match="unknown chaos plan"):

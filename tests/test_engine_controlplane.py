@@ -9,6 +9,7 @@ merge (index bijection, global node ids, additive SLO accounting), and
 the ``node_limit`` prefix contract the whole warm-spare design rides on.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -245,6 +246,62 @@ def test_static_multi_shard_merge_preserves_the_stream():
     assert set(cp.routes.values()) <= {"s0", "s1", "s2"}
 
 
+#: sha256 of ``json.dumps(report.record(), sort_keys=True)`` for three
+#: serves of the 600-frame diurnal-regions stream on 3-node shards: the
+#: full record, ``controlplane`` part included.  Case -> (shards,
+#: placement, autoscaled, digest).
+_PINNED_RECORDS = {
+    "1-shard-replicate": (
+        1,
+        "replicate",
+        False,
+        "97906bb4909cf4f9aa3d35506191b498687be99db71945a7990aee961c45a726",
+    ),
+    "3-shard-partition": (
+        3,
+        "partition",
+        False,
+        "20d6fec57f67e3ff9e3243951fc7426e7fe811cb2035f108635fffe92baa742d",
+    ),
+    "3-shard-partition-autoscaled": (
+        3,
+        "partition",
+        True,
+        "30ed5041d4345524c9bc30db1bc2e763308a2c09af66c411541d9eb071e73a0e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_RECORDS))
+def test_control_plane_records_are_pinned(case):
+    """Every response, counter and control-plane field of a plane serve,
+    end to end, against its recorded digest."""
+    import hashlib
+    import json
+
+    shards, placement, autoscaled, expected = _PINNED_RECORDS[case]
+    scenario = build_scenario(
+        "diurnal-regions", frames=600, offered_fps=800.0, seed=0
+    )
+    plane = ControlPlane(
+        shards=shards,
+        nodes_per_shard=3,
+        micro_batch=8,
+        seed=0,
+        policy="greedy",
+        autoscaler=(
+            AutoscalerConfig(window_s=0.01, min_nodes=1, max_nodes=3)
+            if autoscaled
+            else None
+        ),
+    )
+    record = plane.serve_scenario(scenario, placement=placement).record()
+    digest = hashlib.sha256(
+        json.dumps(record, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == expected
+
+
 def test_partition_placement_deals_models_round_robin():
     scenario = build_scenario(
         "diurnal-regions", frames=40, offered_fps=800.0, seed=0
@@ -253,13 +310,51 @@ def test_partition_placement_deals_models_round_robin():
         shards=["na", "eu", "ap"], nodes_per_shard=1, micro_batch=8, seed=0
     )
     plane.serve_scenario(scenario, placement="partition")
-    hosted = {shard.name: sorted(shard.hosted) for shard in plane.shards}
+    hosted = {
+        shard.name: sorted(shard.server.model_keys) for shard in plane.shards
+    }
     # Four zoo entries dealt over three shards: the fourth wraps to "na".
     assert hosted["na"] == ["lenet-4b@na", "mlp-2b"]
     assert hosted["eu"][0] == "lenet-4b@eu"
     assert hosted["ap"][0] == "lenet-4b@ap"
     with pytest.raises(ValueError, match="placement"):
         plane.serve_scenario(scenario, placement="sharded")
+
+
+def _plane_state(plane):
+    """Everything a rejected serve must leave untouched."""
+    return (
+        dict(plane._route_of),
+        plane._reroutes,
+        plane._preloads,
+        plane.cache.stats.hits,
+        plane.cache.stats.misses,
+    )
+
+
+@pytest.mark.parametrize(
+    "index, bad, message",
+    [
+        (5, dict(model_key="missing"), "unknown model key 'missing'"),
+        (4, dict(arrival_s=float("nan")), "arrival_s must be finite"),
+        (3, dict(frame=[[0.0]]), "frame must be a numpy.ndarray"),
+    ],
+    ids=["unknown-key", "nan-arrival", "non-ndarray-frame"],
+)
+def test_serve_rejects_bad_input_before_routing(index, bad, message):
+    """Bad input fails before any route is recorded, naming the request's
+    index in the whole stream rather than in its shard's partition."""
+    frames = np.random.default_rng(3).uniform(0.0, 1.0, (6, 1, 28, 28))
+    requests = [
+        FrameRequest(frames[i], "m", tenant=f"t{i}") for i in range(6)
+    ]
+    requests[index] = dataclasses.replace(requests[index], **bad)
+    plane = ControlPlane(shards=2, nodes_per_shard=1, micro_batch=8, seed=0)
+    plane.register_model("m", build_lenet(seed=0))
+    before = _plane_state(plane)
+    with pytest.raises(ValueError, match=f"^request {index}: {message}"):
+        plane.serve(requests, offered_fps=900.0)
+    assert _plane_state(plane) == before
 
 
 def test_wall_clock_covers_the_whole_call(monkeypatch):

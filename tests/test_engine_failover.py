@@ -18,7 +18,6 @@ from repro.engine.failover import (
     SparePool,
     availability,
     recovery_time_s,
-    retry_policy,
 )
 from repro.engine.workloads import build_scenario
 
@@ -28,13 +27,10 @@ from repro.engine.workloads import build_scenario
 # ----------------------------------------------------------------------
 def test_named_retry_policies_resolve():
     assert RetryPolicy.named("none") is None
-    assert retry_policy(None) is None
     deadline = RetryPolicy.named("deadline")
     aggressive = RetryPolicy.named("aggressive")
     assert deadline.name == "deadline" and aggressive.name == "aggressive"
     assert aggressive.max_retries > deadline.max_retries
-    assert retry_policy("deadline") == deadline
-    assert retry_policy(deadline) is deadline
     with pytest.raises(ValueError, match="unknown retry policy"):
         RetryPolicy.named("hopeful")
 

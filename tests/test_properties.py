@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from repro.circuits.awc import AwcCircuit, AwcDesign
 from repro.core.config import OISAConfig
 from repro.core.mapping import ConvWorkload, macs_per_cycle, plan_convolution
-from repro.engine.router import HashModuloRouter, RendezvousRouter
+from repro.engine.router import RendezvousRouter
 from repro.nn import functional as F
 from repro.nn.quant import TernaryActivation, UniformWeightQuantizer, ternarize
 from repro.photonics.microring import MicroringResonator
@@ -237,15 +237,14 @@ _tenants = st.lists(
     names=_names,
     tenants=_tenants,
     salt=st.integers(0, 2**32),
-    router_cls=st.sampled_from([RendezvousRouter, HashModuloRouter]),
 )
 @settings(max_examples=60, deadline=None)
-def test_routing_total_and_deterministic(names, tenants, salt, router_cls):
+def test_routing_total_and_deterministic(names, tenants, salt):
     """Every admitted (tenant, model) pair lands on exactly one shard,
     and two independently built routers with the same salt agree."""
     shards = [_FakeShard(name) for name in names]
-    first = router_cls(salt=salt)
-    second = router_cls(salt=salt)
+    first = RendezvousRouter(salt=salt)
+    second = RendezvousRouter(salt=salt)
     for tenant in tenants:
         target = first.route(tenant, "m", shards)
         assert target in shards  # exactly one, drawn from the fleet

@@ -169,7 +169,7 @@ def _controlplane() -> dict:
         )
         plane = ControlPlane(
             shards=3, nodes_per_shard=config.max_nodes, micro_batch=8, seed=0,
-            policy="greedy", router="rendezvous", autoscaler=autoscaler,
+            policy="greedy", autoscaler=autoscaler,
         )
         return plane.serve_scenario(scenario, placement="partition")
 

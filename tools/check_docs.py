@@ -10,7 +10,10 @@ the documentation layer cannot rot silently:
    ``docs/...``, ``tools/...``) must exist;
 3. every package under ``src/repro`` must appear in
    ``docs/architecture.md`` at least once (the paper-to-code map must be
-   total).
+   total);
+4. every ``### `repro <command>``` table in ``README.md`` must list
+   exactly the ``--flags`` that ``repro.cli.build_parser()`` defines for
+   that command.
 
 Run from the repo root (CI docs job)::
 
@@ -22,6 +25,7 @@ line.  ``tests/test_docs.py`` runs the same checks in the tier-1 suite.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import os
 import re
@@ -39,6 +43,10 @@ PATH_RE = re.compile(
 #: Documented paths that are *generated* by running the benches and are
 #: legitimately absent from a clean checkout.
 GENERATED_PATHS = frozenset({"benchmarks/output/"})
+#: README heading of one command's flag table, e.g. ### `repro serve`.
+COMMAND_HEADING_RE = re.compile(r"^### `repro (\w+)`$", re.MULTILINE)
+#: A flag in a table row's first cell, e.g. | `--program-store DIR` |.
+FLAG_ROW_RE = re.compile(r"^\| `(--[\w-]+)[^`]*` \|", re.MULTILINE)
 
 
 def _read(relative: str) -> str:
@@ -103,12 +111,54 @@ def check_package_coverage(doc: str = "docs/architecture.md") -> list[str]:
     return failures
 
 
+def parser_flags() -> dict[str, set[str]]:
+    """The ``--flags`` of every ``repro`` command, read from the parser."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            flag
+            for action in command._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, command in commands.choices.items()
+    }
+
+
+def check_flag_tables(doc: str = "README.md") -> list[str]:
+    """Each command's flag table lists exactly its parser flags."""
+    sections = COMMAND_HEADING_RE.split(_read(doc))
+    flags = parser_flags()
+    failures = []
+    for command, body in zip(sections[1::2], sections[2::2]):
+        if command not in flags:
+            failures.append(f"{doc}: `repro {command}` is not a command")
+            continue
+        table = re.split(r"^#", body, maxsplit=1, flags=re.MULTILINE)[0]
+        listed = set(FLAG_ROW_RE.findall(table))
+        for flag in sorted(flags[command] - listed):
+            failures.append(f"{doc}: `repro {command}` table misses `{flag}`")
+        for flag in sorted(listed - flags[command]):
+            failures.append(
+                f"{doc}: `repro {command}` table lists unknown `{flag}`"
+            )
+    return failures
+
+
 def run_all_checks() -> list[str]:
     """Every check, concatenated failure list (empty = docs are sound)."""
     return (
         check_module_references()
         + check_path_references()
         + check_package_coverage()
+        + check_flag_tables()
     )
 
 
@@ -119,7 +169,7 @@ def main() -> int:
     if failures:
         print(f"{len(failures)} broken documentation pointer(s)")
         return 1
-    print("docs check: every module/path pointer resolves")
+    print("docs check: every module/path pointer and flag table resolves")
     return 0
 
 
