@@ -17,6 +17,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=2.0", "scipy>=1.10"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -7,8 +7,9 @@ search over the offered rate.  A study builds its base scenario (models
 and traffic at the search floor) and one prewarmed program cache once;
 each probe then re-times that base scenario to the probe rate
 (:meth:`~repro.engine.workloads.Scenario.at_rate`: the same model
-objects, the traffic regenerated exactly as a fresh build at that rate
-would be — arrival processes scale with the rate by construction,
+objects and read-only frame arrays, with arrivals, model choices and
+keys regenerated exactly as a fresh build at that rate would draw them —
+arrival processes scale with the rate by construction,
 :mod:`repro.engine.workloads`), serves it schedule-only
 (``compute=False``: the simulated-time outcome without logits) on a
 fresh :class:`~repro.engine.FrameServer`, and checks the outcome against
@@ -50,7 +51,11 @@ from dataclasses import dataclass, field
 from repro.core.mapping import ConvWorkload
 from repro.sim.fleet import FleetModel
 from repro.util.tables import format_table
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import (
+    check_count,
+    check_positive,
+    check_probability,
+)
 
 #: LeNet's first convolution — the analytic-bound reference workload
 #: (matches the ``default``/``poisson`` scenarios' interactive model).
@@ -87,26 +92,24 @@ class CapacitySettings:
     def __post_init__(self) -> None:
         from repro.engine.scheduler import scheduling_policy
 
-        check_positive("frames", self.frames)
+        check_count("frames", self.frames)
         check_positive("fps_floor", self.fps_floor)
-        check_positive("search_iterations", self.search_iterations)
+        if not math.isfinite(self.fps_floor):
+            raise ValueError(
+                f"fps_floor must be finite, got {self.fps_floor!r}"
+            )
+        check_count("search_iterations", self.search_iterations)
         check_probability("max_drop_rate", self.max_drop_rate)
         check_probability("min_hit_rate", self.min_hit_rate)
-        if self.micro_batch < 1:
-            raise ValueError(
-                f"micro_batch must be at least 1, got {self.micro_batch!r}"
-            )
+        check_count("micro_batch", self.micro_batch)
         if not self.policies:
             raise ValueError("policies must name at least one policy")
         for policy in self.policies:
             scheduling_policy(policy)  # raises on an unknown name
         if not self.node_counts:
             raise ValueError("node_counts must name at least one node count")
-        if min(self.node_counts) < 1:
-            raise ValueError(
-                "node_counts entries must be at least 1, got "
-                f"{self.node_counts!r}"
-            )
+        for nodes in self.node_counts:
+            check_count("each node_counts entry", nodes)
 
     @staticmethod
     def fast() -> "CapacitySettings":
@@ -179,10 +182,12 @@ def _probe(
     """Re-time the study's base scenario to ``offered_fps``, serve, judge.
 
     ``base.at_rate(offered_fps)`` keeps the study's model objects and
-    regenerates only the traffic, exactly as a fresh build at that rate
-    would.  The serve is schedule-only (``compute=False``): the verdict
-    reads only simulated-time stream and SLO statistics, which on a
-    fresh server equal a full serve's, so no logits are computed.
+    the base build's read-only frame arrays, and regenerates arrivals,
+    model choices and keys exactly as a fresh build at that rate would,
+    so no probe draws pixels.  The serve is schedule-only
+    (``compute=False``): the verdict reads only simulated-time stream and
+    SLO statistics, which on a fresh server equal a full serve's, so no
+    logits are computed.
 
     ``cache`` is the study-wide :class:`WeightProgramCache`: programs are
     deterministic in (kernel set, bits, die seed), so sharing it across

@@ -20,12 +20,15 @@ makes scenarios *data*:
   :func:`scenario_registry`, mirroring :mod:`repro.sim.platforms`).
   Each registration is two parts: a *models builder* ``models(seed)``
   and a *traffic generator* ``traffic(models, frames, offered_fps,
-  seed)`` that builds the request stream around those models;
-  :func:`build_scenario` composes them.  No model depends on the rate,
-  so :meth:`Scenario.at_rate` re-times a registry-built scenario —
-  same model objects, traffic regenerated exactly as
+  seed, draws)`` that builds the request stream around those models,
+  drawing every frame's pixels through ``draws``;
+  :func:`build_scenario` composes them.  No model and no pixel depends
+  on the rate, so :meth:`Scenario.at_rate` re-times a registry-built
+  scenario — same model objects and the base build's frame arrays, with
+  arrivals, model choices and keys regenerated exactly as
   :func:`build_scenario` would at the new rate — which is how a
-  capacity study builds its models once instead of once per probe.
+  capacity study builds its models and frames once instead of once per
+  probe.
   The registered keys:
   ``default`` (the historical two-LeNet demo, kept bit-compatible),
   ``poisson`` (memoryless arrivals), ``poisson-burst`` (ON/OFF bursts),
@@ -41,11 +44,13 @@ and therefore, via the scheduler's determinism contract, the same
 draw order allows it (:func:`_frames_batch` replaces the historical
 per-frame loop with one flat draw, bit-identically); generators whose
 frame draws interleave with arrival draws keep the sequential loop.
-Stream merging breaks arrival ties on an explicit
-``(arrival_s, tenant, index)`` key.
+Either way the draw goes through one recorder (:class:`_PixelRecorder`),
+which a re-time replays instead of drawing again.  Stream merging breaks
+arrival ties on an explicit ``(arrival_s, tenant, index)`` key.
 
 Units: arrival times in *simulated* seconds, rates in frames/second;
-frames are (C, H, W) float arrays on a unit pixel scale.
+frames are read-only (C, H, W) float arrays on a unit pixel scale, shared
+by a scenario and its re-times.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from repro.nn.models import (
 )
 from repro.nn.quant import QuantConv2D
 from repro.util.rng import spawn_seeds
-from repro.util.validation import check_positive
+from repro.util.validation import check_count, check_positive
 
 #: Frame geometry per family: (in_channels, height, width).
 _FAMILY_FRAME_SHAPES: dict[str, tuple[int, int, int]] = {
@@ -177,11 +182,11 @@ class Scenario:
     #: Rate the arrivals were generated for (and the fallback interval for
     #: requests without explicit timestamps).
     offered_fps: float | None = None
-    #: ``(registry key, frames, seed)`` the traffic was generated from.
-    #: Not an ``__init__`` field, so only the registry sets it: a
-    #: hand-built scenario, or a copy made by ``dataclasses.replace``,
-    #: has none and cannot be re-timed.
-    _origin: tuple[str, int, int] | None = field(
+    #: ``(registry key, frames, seed, pixel recording)`` the traffic was
+    #: generated from.  Not an ``__init__`` field, so only the registry
+    #: sets it: a hand-built scenario, or a copy made by
+    #: ``dataclasses.replace``, has none and cannot be re-timed.
+    _origin: tuple[str, int, int, list] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -192,11 +197,15 @@ class Scenario:
     def at_rate(self, offered_fps: float) -> "Scenario":
         """This scenario at another offered rate.
 
-        Keeps these model objects and regenerates the traffic exactly as
-        :func:`build_scenario` would at ``offered_fps`` (same key, frames
-        and seed).  Raises ``ValueError`` for a scenario the registry did
-        not build, or one changed with ``dataclasses.replace`` — re-timing
-        it would silently discard the edit.
+        Keeps these model objects and reuses this scenario's read-only
+        frame arrays; arrivals, model choices and keys are regenerated
+        exactly as :func:`build_scenario` would at ``offered_fps`` (same
+        key, frames and seed), which skips each pixel draw by advancing
+        the generator past it (:class:`_PixelRecorder`).  The frames and
+        keys therefore equal a fresh build's byte for byte.  Raises
+        ``ValueError`` for a scenario the registry did not build, or one
+        changed with ``dataclasses.replace`` — re-timing it would
+        silently discard the edit.
         """
         if self._origin is None:
             raise ValueError(
@@ -204,14 +213,24 @@ class Scenario:
                 "(or was changed since); it cannot be re-timed"
             )
         check_positive("offered_fps", offered_fps)
-        key, frames, seed = self._origin
-        return _generate(key, dict(self.models), frames, offered_fps, seed)
+        key, frames, seed, recording = self._origin
+        return _generate(
+            key,
+            dict(self.models),
+            frames,
+            offered_fps,
+            seed,
+            _PixelRecorder(recording),
+        )
 
 
 #: Builds a scenario's models from its seed alone.
 ModelsBuilder = Callable[[int], dict[str, Sequential]]
-#: Builds a scenario's request stream: (models, frames, offered_fps, seed).
-TrafficGenerator = Callable[[dict[str, Sequential], int, float, int], Scenario]
+#: Builds a scenario's request stream:
+#: (models, frames, offered_fps, seed, pixel recorder).
+TrafficGenerator = Callable[
+    [dict[str, Sequential], int, float, int, "_PixelRecorder"], Scenario
+]
 
 #: Registered generators: key -> (description, models, traffic).
 _SCENARIOS: dict[str, tuple[str, ModelsBuilder, TrafficGenerator]] = {}
@@ -221,10 +240,13 @@ def register_scenario(key: str, description: str, models: ModelsBuilder):
     """Decorator registering a scenario's traffic generator under ``key``.
 
     ``models(seed)`` builds the scenario's models; the decorated
-    ``traffic(models, frames, offered_fps, seed)`` builds the request
-    stream around them.  The models depend on the seed alone, never on
-    the rate, so :meth:`Scenario.at_rate` reproduces
-    :func:`build_scenario` exactly.
+    ``traffic(models, frames, offered_fps, seed, draws)`` builds the
+    request stream around them, drawing every frame through ``draws``
+    (:func:`_frames_batch`).  The models depend on the seed alone, and
+    the sequence of frame shapes drawn must not depend on the rate
+    either: :meth:`Scenario.at_rate` reuses the frames of the base build
+    and regenerates only arrivals, choices and keys, and its replay
+    raises if a generator breaks that.
     """
 
     def decorator(fn: TrafficGenerator):
@@ -254,10 +276,10 @@ def build_scenario(
     seed: int = 0,
 ) -> Scenario:
     """Generate a registered scenario's models + request stream."""
-    check_positive("frames", frames)
+    check_count("frames", frames)
     check_positive("offered_fps", offered_fps)
     models = _lookup(key)[1](seed)
-    return _generate(key, models, frames, offered_fps, seed)
+    return _generate(key, models, frames, offered_fps, seed, _PixelRecorder())
 
 
 def _generate(
@@ -266,10 +288,11 @@ def _generate(
     frames: int,
     offered_fps: float,
     seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     """Run ``key``'s traffic generator and record what can re-time it."""
-    scenario = _lookup(key)[2](models, frames, offered_fps, seed)
-    scenario._origin = (key, frames, seed)
+    scenario = _lookup(key)[2](models, frames, offered_fps, seed, draws)
+    scenario._origin = (key, frames, seed, draws.finish())
     return scenario
 
 
@@ -293,35 +316,88 @@ def _build_models(
     return {spec.key: spec.build(seeds[i]) for i, spec in enumerate(specs)}
 
 
-def _frame(rng: np.random.Generator, spec: ModelSpec) -> np.ndarray:
-    """Reference per-frame draw; :func:`_frames_batch` hoists this."""
-    return rng.uniform(0.0, 1.0, spec.frame_shape)
+class _PixelRecorder:
+    """Every pixel draw of one traffic generation, recorded or replayed.
+
+    A registry build records: each :meth:`draw` takes one flat
+    ``uniform(0, 1, n)``, marks it read-only and keeps the frames it
+    splits into.  A re-time (:meth:`Scenario.at_rate`) replays that
+    recording: each draw returns the recorded frames of the same call and
+    ``advance(n)``-s the generator past the doubles it skips — PCG64,
+    NumPy's default bit generator, spends exactly one 64-bit output per
+    uniform double — so every later arrival, choice and key draw reads
+    the stream a fresh build would.  A replay that meets frames of other
+    shapes, or ends with recorded draws unused, raises rather than
+    return misaligned frames.
+    """
+
+    def __init__(self, recording: list | None = None) -> None:
+        self._replaying = recording is not None
+        #: ``(shapes, n, frames)`` per draw call, in draw order.
+        self.recording: list[tuple[list, int, list[np.ndarray]]] = (
+            [] if recording is None else recording
+        )
+        self._next = 0
+
+    def draw(
+        self, rng: np.random.Generator, shapes: list[tuple[int, ...]]
+    ) -> list[np.ndarray]:
+        """One read-only frame per shape, from one flat ``uniform`` draw."""
+        if self._replaying:
+            index = self._next
+            recording = self.recording
+            if index == len(recording) or recording[index][0] != shapes:
+                raise RuntimeError(
+                    f"pixel draw {index} of this re-time differs from the "
+                    "base build's: a traffic generator's frame draws must "
+                    "not depend on the rate"
+                )
+            self._next += 1
+            _, n, frames = recording[index]
+            rng.bit_generator.advance(n)
+            return frames
+        # ``math.prod``, not ``np.prod``: this runs once per frame.
+        sizes = [math.prod(shape) for shape in shapes]
+        n = sum(sizes)
+        flat = rng.uniform(0.0, 1.0, n)
+        flat.flags.writeable = False
+        frames = []
+        offset = 0
+        for shape, size in zip(shapes, sizes):
+            frames.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        self.recording.append((shapes, n, frames))
+        return frames
+
+    def finish(self) -> list:
+        """The recording, once a replay has used all of it."""
+        if self._replaying and self._next != len(self.recording):
+            raise RuntimeError(
+                f"this re-time made {self._next} pixel draws, the base "
+                f"build {len(self.recording)}: a traffic generator's frame "
+                "draws must not depend on the rate"
+            )
+        return self.recording
 
 
 def _frames_batch(
-    rng: np.random.Generator, specs: list[ModelSpec]
+    rng: np.random.Generator, specs: list[ModelSpec], draws: _PixelRecorder
 ) -> list[np.ndarray]:
     """Draw one frame per spec in a single flat ``uniform`` call.
 
-    Bit-identical to ``[_frame(rng, spec) for spec in specs]``: a NumPy
-    ``Generator`` fills a ``uniform`` request element-wise from one
-    stream, so one flat draw split at the per-frame sizes reproduces the
-    exact floats of the per-frame draws it replaces — even across
-    heterogeneous frame shapes.  Generators that interleave frame draws
-    with other stochastic draws (the bursty ON/OFF scenarios) keep the
-    sequential :func:`_frame` loop instead.
+    Bit-identical to one ``rng.uniform(0, 1, spec.frame_shape)`` per
+    spec: a NumPy ``Generator`` fills a ``uniform`` request element-wise
+    from one stream, so one flat draw split at the per-frame sizes
+    reproduces the exact floats of the per-frame draws it replaces — even
+    across heterogeneous frame shapes.  Generators that interleave frame
+    draws with other stochastic draws (the bursty ON/OFF scenarios) draw
+    one frame per call in a sequential loop instead.  The frames are
+    read-only: ``draws`` records them on a registry build and hands the
+    same arrays back on a re-time.
     ``test_frames_batch_matches_per_frame_draws`` in
     ``tests/test_engine_workloads.py`` pins the equality.
     """
-    # ``math.prod``, not ``np.prod``: this runs once per frame.
-    sizes = [math.prod(spec.frame_shape) for spec in specs]
-    flat = rng.uniform(0.0, 1.0, sum(sizes))
-    frames: list[np.ndarray] = []
-    offset = 0
-    for spec, size in zip(specs, sizes):
-        frames.append(flat[offset : offset + size].reshape(spec.frame_shape))
-        offset += size
-    return frames
+    return draws.draw(rng, [spec.frame_shape for spec in specs])
 
 
 def _interleave(streams: list[list[FrameRequest]]) -> list[FrameRequest]:
@@ -349,12 +425,16 @@ def _poisson_arrivals(
 
 
 def _round_robin(
-    specs: tuple[ModelSpec, ...], frames: int, offered_fps: float, seed: int
+    specs: tuple[ModelSpec, ...],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> list[FrameRequest]:
     """Uniform arrivals cycling through ``specs`` in order."""
     rng = np.random.default_rng(seed)
     chosen = [specs[i % len(specs)] for i in range(frames)]
-    stacks = _frames_batch(rng, chosen)
+    stacks = _frames_batch(rng, chosen, draws)
     return [
         FrameRequest(stacks[i], chosen[i].key, arrival_s=i / offered_fps)
         for i in range(frames)
@@ -377,13 +457,17 @@ def _default_models(seed: int) -> dict[str, Sequential]:
     _default_models,
 )
 def _default_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     # Byte-for-byte the stream `repro serve` always generated: frames from
     # default_rng(seed), model-a/b = LeNets at seed/seed+1, implicit
     # uniform arrivals (the server derives them from the offered rate).
     rng = np.random.default_rng(seed)
-    stack = rng.uniform(0.0, 1.0, (frames, 1, 28, 28))
+    stack = draws.draw(rng, [(1, 28, 28)] * frames)
     requests = [
         FrameRequest(stack[i], "model-a" if i < frames // 2 else "model-b")
         for i in range(frames)
@@ -408,14 +492,18 @@ _LENET_MLP = (ModelSpec("lenet", 4), ModelSpec("mlp", 2))
     functools.partial(_build_models, _LENET_MLP),
 )
 def _poisson_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     rng = np.random.default_rng(seed)
     specs = _LENET_MLP
     arrivals = _poisson_arrivals(rng, frames, offered_fps)
     choices = rng.random(frames)
     chosen = [specs[0] if choices[i] < 0.7 else specs[1] for i in range(frames)]
-    stacks = _frames_batch(rng, chosen)
+    stacks = _frames_batch(rng, chosen, draws)
     requests = [
         FrameRequest(stacks[i], chosen[i].key, arrival_s=arrivals[i])
         for i in range(frames)
@@ -437,7 +525,11 @@ def _poisson_scenario(
     functools.partial(_build_models, _LENET_MLP),
 )
 def _burst_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     rng = np.random.default_rng(seed)
     specs = _LENET_MLP
@@ -453,9 +545,8 @@ def _burst_scenario(
         rate = offered_fps * multiplier if in_burst else off_rate
         now += rng.exponential(1.0 / rate)
         spec = specs[0] if choices[i] < 0.6 else specs[1]
-        requests.append(
-            FrameRequest(_frame(rng, spec), spec.key, arrival_s=now)
-        )
+        frame = _frames_batch(rng, [spec], draws)[0]
+        requests.append(FrameRequest(frame, spec.key, arrival_s=now))
     slo = SloClass(name="stream", deadline_s=0.02, drop_policy="deadline")
     return Scenario(
         name="poisson-burst",
@@ -476,7 +567,11 @@ _LENET_WIDTHS = (ModelSpec("lenet", 4), ModelSpec("lenet", 2))
     functools.partial(_build_models, _LENET_WIDTHS),
 )
 def _diurnal_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     rng = np.random.default_rng(seed)
     specs = _LENET_WIDTHS
@@ -491,7 +586,7 @@ def _diurnal_scenario(
         now += 1.0 / rate
         arrivals.append(now)
     chosen = [specs[i % len(specs)] for i in range(frames)]
-    stacks = _frames_batch(rng, chosen)
+    stacks = _frames_batch(rng, chosen, draws)
     requests = [
         FrameRequest(stacks[i], chosen[i].key, arrival_s=arrivals[i])
         for i in range(frames)
@@ -550,7 +645,11 @@ _MIXED_TENANTS = (
     functools.partial(_build_models, _MIXED_TENANTS),
 )
 def _mixed_tenant_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     rng = np.random.default_rng(seed)
     interactive, *batch_specs = _MIXED_TENANTS
@@ -559,7 +658,9 @@ def _mixed_tenant_scenario(
     n_batch = frames - n_interactive
     # Interactive: steady uniform arrivals at just over half the offered
     # rate — a well-behaved tenant.
-    interactive_frames = _frames_batch(rng, [interactive] * n_interactive)
+    interactive_frames = _frames_batch(
+        rng, [interactive] * n_interactive, draws
+    )
     interactive_stream = [
         FrameRequest(
             interactive_frames[i],
@@ -584,7 +685,10 @@ def _mixed_tenant_scenario(
         spec = batch_specs[0] if choices[i] < 0.7 else batch_specs[1]
         batch_stream.append(
             FrameRequest(
-                _frame(rng, spec), spec.key, arrival_s=now, tenant="batch"
+                _frames_batch(rng, [spec], draws)[0],
+                spec.key,
+                arrival_s=now,
+                tenant="batch",
             )
         )
     return Scenario(
@@ -626,7 +730,11 @@ CHAOS_CLASSES: dict[str, SloClass] = {
     functools.partial(_build_models, _LENET_MLP),
 )
 def _chaos_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     # The resilience-drill stream: interactive traffic is a steady,
     # well-behaved tenant at two thirds of the offered rate — enough that
@@ -638,7 +746,9 @@ def _chaos_scenario(
 
     n_interactive = (2 * frames) // 3
     n_batch = frames - n_interactive
-    interactive_frames = _frames_batch(rng, [interactive] * n_interactive)
+    interactive_frames = _frames_batch(
+        rng, [interactive] * n_interactive, draws
+    )
     interactive_stream = [
         FrameRequest(
             interactive_frames[i],
@@ -649,7 +759,7 @@ def _chaos_scenario(
         for i in range(n_interactive)
     ]
     batch_arrivals = _poisson_arrivals(rng, n_batch, offered_fps / 3.0)
-    batch_frames = _frames_batch(rng, [batch] * n_batch)
+    batch_frames = _frames_batch(rng, [batch] * n_batch, draws)
     batch_stream = [
         FrameRequest(
             batch_frames[i],
@@ -722,7 +832,11 @@ def _diurnal_regions_models(seed: int) -> dict[str, Sequential]:
     _diurnal_regions_models,
 )
 def _diurnal_regions_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     # The multi-region story: each region's interactive demand swings
     # through a deep diurnal cycle (0.15x..1.85x), but the three phases
@@ -751,7 +865,7 @@ def _diurnal_regions_scenario(
             rate = base * (1.0 + 0.85 * math.sin(phase))
             now += 1.0 / rate
             arrivals.append(now)
-        region_frames = _frames_batch(rng, [lenet] * count)
+        region_frames = _frames_batch(rng, [lenet] * count, draws)
         streams.append(
             [
                 FrameRequest(
@@ -764,7 +878,7 @@ def _diurnal_regions_scenario(
             ]
         )
     batch_arrivals = _poisson_arrivals(rng, n_batch, 0.2 * offered_fps)
-    batch_frames = _frames_batch(rng, [batch] * n_batch)
+    batch_frames = _frames_batch(rng, [batch] * n_batch, draws)
     streams.append(
         [
             FrameRequest(
@@ -804,13 +918,17 @@ _ZOO = (
     functools.partial(_build_models, _ZOO),
 )
 def _zoo_scenario(
-    models: dict[str, Sequential], frames: int, offered_fps: float, seed: int
+    models: dict[str, Sequential],
+    frames: int,
+    offered_fps: float,
+    seed: int,
+    draws: _PixelRecorder,
 ) -> Scenario:
     return Scenario(
         name="zoo",
         description=scenario_description("zoo"),
         models=models,
-        requests=_round_robin(_ZOO, frames, offered_fps, seed),
+        requests=_round_robin(_ZOO, frames, offered_fps, seed, draws),
         offered_fps=offered_fps,
     )
 
@@ -829,13 +947,15 @@ def models_scenario(
     if isinstance(specs, str):
         specs = parse_model_specs(specs)
     specs = tuple(specs)
-    check_positive("frames", frames)
+    check_count("frames", frames)
     check_positive("offered_fps", offered_fps)
     return Scenario(
         name="models",
         description=f"uniform round-robin over {', '.join(s.key for s in specs)}",
         models=_build_models(specs, seed),
-        requests=_round_robin(specs, frames, offered_fps, seed),
+        requests=_round_robin(
+            specs, frames, offered_fps, seed, _PixelRecorder()
+        ),
         offered_fps=offered_fps,
     )
 

@@ -7,11 +7,24 @@ close to their source instead of surfacing as NaNs deep inside a sweep.
 
 from __future__ import annotations
 
+import numbers
+
 
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0`` and return it."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def check_count(name: str, value: int) -> int:
+    """Require an integral ``value >= 1`` (``np.int64`` too, not ``bool``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     return value
 
 

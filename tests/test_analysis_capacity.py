@@ -1,5 +1,7 @@
 """Tests for repro.analysis.capacity — capacity-planning curves."""
 
+import math
+
 import pytest
 
 from repro.analysis.capacity import (
@@ -93,6 +95,29 @@ def test_settings_validation():
     ):
         with pytest.raises(ValueError):
             CapacitySettings(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("frames", True),
+        ("frames", 2.5),
+        ("frames", 4.0),
+        ("search_iterations", True),
+        ("search_iterations", 2.5),
+        ("micro_batch", True),
+        ("micro_batch", 2.5),
+        ("node_counts", (True,)),
+        ("node_counts", (1.5,)),
+        ("node_counts", (1, 2.0)),
+        ("fps_floor", math.inf),
+    ],
+)
+def test_settings_reject_non_integer_counts_and_infinite_floor(field, value):
+    """Each bad value names its field before any study starts (a
+    ``frames=True`` study used to probe 1-frame streams)."""
+    with pytest.raises(ValueError, match=field):
+        CapacitySettings(**{field: value})
 
 
 def test_unknown_scenario_fails_at_the_base_build():

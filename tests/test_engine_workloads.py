@@ -6,8 +6,8 @@ import pytest
 from repro.engine.workloads import (
     ModelSpec,
     Scenario,
-    _frame,
     _frames_batch,
+    _PixelRecorder,
     build_scenario,
     models_scenario,
     parse_model_specs,
@@ -55,8 +55,8 @@ def test_parse_model_specs():
 
 
 def test_frames_batch_matches_per_frame_draws():
-    """One flat draw split per spec equals the per-frame draws it
-    replaces, across heterogeneous zoo frame shapes, and leaves the
+    """One flat draw split per spec equals one ``uniform`` draw per
+    frame, across heterogeneous zoo frame shapes, and leaves the
     generator in the same state."""
     specs = [
         ModelSpec(family, bits)
@@ -70,13 +70,71 @@ def test_frames_batch_matches_per_frame_draws():
     ]
     batched_rng = np.random.default_rng(11)
     per_frame_rng = np.random.default_rng(11)
-    batched = _frames_batch(batched_rng, specs)
-    per_frame = [_frame(per_frame_rng, spec) for spec in specs]
+    batched = _frames_batch(batched_rng, specs, _PixelRecorder())
+    per_frame = [
+        per_frame_rng.uniform(0.0, 1.0, spec.frame_shape) for spec in specs
+    ]
     assert len(batched) == len(per_frame) == len(specs)
     for ours, theirs in zip(batched, per_frame):
         assert ours.shape == theirs.shape
         assert np.array_equal(ours, theirs)
     assert batched_rng.random() == per_frame_rng.random()
+
+
+def test_advance_skips_exactly_one_uniform_draw():
+    """What a re-time relies on: ``advance(n)`` moves NumPy's default
+    generator exactly as far as one ``uniform(0, 1, n)`` draw, between
+    the exponential and ``random`` draws the generators make."""
+    drawn = np.random.default_rng(29)
+    skipped = np.random.default_rng(29)
+    for n in (784, 3072, 12288):
+        for rng in (drawn, skipped):
+            rng.exponential(1.0 / 700.0, 5)
+        drawn.uniform(0.0, 1.0, n)
+        skipped.bit_generator.advance(n)
+        for rng in (drawn, skipped):
+            rng.random(7)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    np.testing.assert_array_equal(
+        drawn.exponential(1.0, 4), skipped.exponential(1.0, 4)
+    )
+    np.testing.assert_array_equal(drawn.random(4), skipped.random(4))
+
+
+def test_pixel_replay_returns_the_recorded_frames():
+    lenet, vgg = (1, 28, 28), (3, 32, 32)
+    recorded_rng = np.random.default_rng(5)
+    recorder = _PixelRecorder()
+    first = recorder.draw(recorded_rng, [lenet, lenet])
+    second = recorder.draw(recorded_rng, [vgg])
+    recording = recorder.finish()
+    assert all(not frame.flags.writeable for frame in first + second)
+    replayed_rng = np.random.default_rng(5)
+    replay = _PixelRecorder(recording)
+    assert replay.draw(replayed_rng, [lenet, lenet]) is first
+    assert replay.draw(replayed_rng, [vgg]) is second
+    assert replay.finish() is recording
+    assert replayed_rng.bit_generator.state == recorded_rng.bit_generator.state
+
+
+def test_pixel_replay_refuses_misaligned_draws():
+    lenet, vgg = (1, 28, 28), (3, 32, 32)
+    rng = np.random.default_rng(5)
+    recorder = _PixelRecorder()
+    recorder.draw(rng, [lenet, vgg])
+    recording = recorder.finish()
+    # Another size, the same pixels in other shapes, one draw too many.
+    with pytest.raises(RuntimeError, match="pixel draw 0"):
+        _PixelRecorder(recording).draw(rng, [lenet])
+    with pytest.raises(RuntimeError, match="pixel draw 0"):
+        _PixelRecorder(recording).draw(rng, [vgg, lenet])
+    replay = _PixelRecorder(recording)
+    replay.draw(rng, [lenet, vgg])
+    with pytest.raises(RuntimeError, match="pixel draw 1"):
+        replay.draw(rng, [lenet])
+    # A replay that leaves recorded draws unused.
+    with pytest.raises(RuntimeError, match="made 0 pixel draws"):
+        _PixelRecorder(recording).finish()
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +160,13 @@ def test_registry_contains_the_documented_scenarios():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         build_scenario("rush-hour")
+
+
+@pytest.mark.parametrize("frames", [True, 2.5, 4.0])
+@pytest.mark.parametrize("name", scenario_registry())
+def test_build_scenario_rejects_non_integer_frames(name, frames):
+    with pytest.raises(ValueError, match="frames"):
+        build_scenario(name, frames=frames)
 
 
 @pytest.mark.parametrize("name", EXPECTED_SCENARIOS)
@@ -182,6 +247,12 @@ def test_models_scenario_round_robins_uniformly():
     assert scenario.requests[1].arrival_s == pytest.approx(1.0 / 400.0)
 
 
+@pytest.mark.parametrize("frames", [True, 2.5, 4.0])
+def test_models_scenario_rejects_non_integer_frames(frames):
+    with pytest.raises(ValueError, match="frames"):
+        models_scenario("lenet:4", frames=frames)
+
+
 def test_scenarios_serve_end_to_end():
     """Three distinct generators run through the full engine."""
     from repro.engine import FrameServer
@@ -229,7 +300,17 @@ def test_at_rate_matches_a_fresh_build(name):
     for key, model in base.models.items():
         assert retimed.models[key] is model
     # A re-timed scenario re-times again, back to the base stream.
-    _assert_same_scenario(base, retimed.at_rate(500.0))
+    again = retimed.at_rate(500.0)
+    _assert_same_scenario(base, again)
+    # Both re-times serve the base build's frame arrays, which are
+    # read-only so no serve can change another's pixels.
+    frame_ids = {id(request.frame) for request in base.requests}
+    assert len(frame_ids) == len(base.requests)
+    assert {id(request.frame) for request in retimed.requests} == frame_ids
+    assert {id(request.frame) for request in again.requests} == frame_ids
+    assert all(not r.frame.flags.writeable for r in base.requests)
+    with pytest.raises(ValueError, match="read-only"):
+        base.requests[0].frame[0, 0, 0] = 0.5
 
 
 def test_at_rate_refuses_scenarios_the_registry_did_not_build():

@@ -1,8 +1,10 @@
 """Tests for repro.util.validation."""
 
+import numpy as np
 import pytest
 
 from repro.util.validation import (
+    check_count,
     check_in_range,
     check_int_in,
     check_non_negative,
@@ -17,6 +19,14 @@ def test_check_positive():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="x"):
             check_positive("x", bad)
+
+
+def test_check_count():
+    for good in (1, 240, np.int64(3)):
+        assert check_count("n", good) == good
+    for bad in (0, -2, True, np.True_, 2.5, 4.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            check_count("n", bad)
 
 
 def test_check_non_negative():
