@@ -553,8 +553,9 @@ class FrameServer:
     num_nodes:
         Simulated dies serving the stream (distinct AWC mismatch seeds).
     micro_batch:
-        Frames per forward call; the sweet spot for the NumPy substrate
-        sits around 8-32 (larger batches thrash the im2col working set).
+        Frames per forward call.  For LeNet-sized models the cost per
+        frame moves little with it: batches 1 and 8 tie, and 16-128 cost
+        10-30 % more per frame (README, tuning notes).
     cache:
         Weight-program cache; defaults to a fresh unbounded cache.
     seed:

@@ -25,7 +25,10 @@ def pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad the two spatial axes of an NCHW tensor."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    padded[:, :, padding:-padding, padding:-padding] = x
+    return padded
 
 
 def im2col(
@@ -40,16 +43,13 @@ def im2col(
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
     x = pad_nchw(x, padding)
-
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (kernel_h, kernel_w), axis=(2, 3)
-    )  # (N, C, H', W', KH, KW)
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # -> (N, C, KH, KW, OH, OW) -> (N, C*KH*KW, OH*OW)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        n, c * kernel_h * kernel_w, out_h * out_w
-    )
-    return np.ascontiguousarray(cols)
+    cols = np.empty((n, c, kernel_h, kernel_w, out_h, out_w), dtype=x.dtype)
+    for ky in range(kernel_h):
+        y_end = ky + stride * out_h
+        for kx in range(kernel_w):
+            x_end = kx + stride * out_w
+            cols[:, :, ky, kx] = x[:, :, ky:y_end:stride, kx:x_end:stride]
+    return cols.reshape(n, c * kernel_h * kernel_w, out_h * out_w)
 
 
 def col2im(
@@ -100,7 +100,19 @@ def conv2d_forward(
     out_w = conv_output_size(x.shape[3], kernel_w, stride, padding)
     cols = im2col(x, kernel_h, kernel_w, stride, padding)
     flat_w = weight.reshape(f, -1)
-    out = np.einsum("fk,nkp->nfp", flat_w, cols, optimize=True)
+    _, k, p = cols.shape
+    if k == 1:
+        # The pinned outputs here are einsum's: a broadcast product, not a
+        # GEMM, of operands first summed from +0.0 over their size-1 axis
+        # (so -0.0 reads +0.0).
+        out = (cols + 0.0) * (flat_w.reshape(1, f, 1) + 0.0)
+    else:
+        # One GEMM of (N*P, K) patch rows against W^T.  BLAS's summation
+        # order follows the operands' layout, which the goldens pin: the
+        # rows are a free F-ordered view of ``cols`` at N = 1 and a
+        # C-ordered copy otherwise.
+        rows = cols.transpose(0, 2, 1).reshape(n * p, k)
+        out = np.matmul(rows, flat_w.T).reshape(n, p, f).transpose(0, 2, 1)
     if bias is not None:
         out += bias[None, :, None]
     return out.reshape(n, f, out_h, out_w), cols
@@ -130,6 +142,31 @@ def conv2d_backward(
     grad_cols = np.einsum("fk,nfp->nkp", flat_w, grad_flat, optimize=True)
     grad_x = col2im(grad_cols, x_shape, kernel_h, kernel_w, stride, padding)
     return grad_x, grad_weight, grad_bias
+
+
+def maxpool2d(x: np.ndarray, pool: int, stride: int) -> np.ndarray:
+    """Max pooling forward: a running maximum over the pool offsets.
+
+    Equal, bit for bit, to the output of :func:`maxpool2d_forward`, which
+    also computes the argmax.  On a tie (only ``-0.0`` against ``+0.0``
+    can tell) the earliest element wins, as under ``argmax``: the running
+    maximum is passed as ``np.maximum``'s second operand, which NumPy's
+    x86 SIMD loops return when the operands compare equal.  A NaN anywhere
+    in a window propagates; only a window holding NaNs of different sign
+    or payload can tell that the last of them wins, not the first.
+    """
+    _, _, h, w = x.shape
+    out_h = conv_output_size(h, pool, stride, 0)
+    out_w = conv_output_size(w, pool, stride, 0)
+    windows = [
+        x[:, :, ky : ky + stride * out_h : stride, kx : kx + stride * out_w : stride]
+        for ky in range(pool)
+        for kx in range(pool)
+    ]
+    out = windows[0].copy()
+    for window in windows[1:]:
+        np.maximum(window, out, out=out)
+    return out
 
 
 def maxpool2d_forward(

@@ -255,36 +255,49 @@ class BatchNorm2D(Layer):
         )
 
 
+def _pool_stride(pool: int, stride: int | None) -> int:
+    """The validated stride of a square pool; it defaults to the pool size."""
+    if pool < 1:
+        raise ValueError(f"pool must be positive, got {pool}")
+    if stride is None:
+        return pool
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    return stride
+
+
 class MaxPool2D(Layer):
-    """Max pooling with square window."""
+    """Max pooling with square window.
+
+    ``forward`` keeps a reference to its input and computes no argmax;
+    ``backward`` derives the argmax from that cached input, so the caller
+    must not mutate the input in between.
+    """
 
     def __init__(self, pool: int = 2, stride: int | None = None) -> None:
-        if pool < 1:
-            raise ValueError(f"pool must be positive, got {pool}")
+        self.stride = _pool_stride(pool, stride)
         self.pool = pool
-        self.stride = stride if stride is not None else pool
-        self._cache: tuple | None = None
+        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out, arg = F.maxpool2d_forward(x, self.pool, self.stride)
-        self._cache = (arg, x.shape)
-        return out
+        self._x = x
+        return F.maxpool2d(x, self.pool, self.stride)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._x is None:
             raise RuntimeError("backward called before forward")
-        arg, x_shape = self._cache
-        return F.maxpool2d_backward(grad_out, arg, x_shape, self.pool, self.stride)
+        _, arg = F.maxpool2d_forward(self._x, self.pool, self.stride)
+        return F.maxpool2d_backward(
+            grad_out, arg, self._x.shape, self.pool, self.stride
+        )
 
 
 class AvgPool2D(Layer):
     """Average pooling with square window."""
 
     def __init__(self, pool: int = 2, stride: int | None = None) -> None:
-        if pool < 1:
-            raise ValueError(f"pool must be positive, got {pool}")
+        self.stride = _pool_stride(pool, stride)
         self.pool = pool
-        self.stride = stride if stride is not None else pool
         self._x_shape: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

@@ -95,7 +95,9 @@ class TernaryActivation:
 
     ``forward`` returns symbols scaled to {0, 0.5, 1} so downstream layers
     see unit-range inputs; ``backward`` passes gradients through inside the
-    clip range [0, 1].
+    clip range [0, 1].  ``forward`` keeps a reference to its input and
+    ``backward`` derives the clip mask from it, so the caller must not
+    mutate the input in between.
     """
 
     def __init__(
@@ -107,17 +109,18 @@ class TernaryActivation:
             raise ValueError("invalid ternary thresholds")
         self.low_threshold = low_threshold
         self.high_threshold = high_threshold
-        self._mask: np.ndarray | None = None
+        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = (x >= 0.0) & (x <= 1.0)
+        self._x = x
         symbols = ternarize(x, self.low_threshold, self.high_threshold)
         return symbols.astype(float) / 2.0
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._x is None:
             raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_out, 0.0)
+        x = self._x
+        return np.where((x >= 0.0) & (x <= 1.0), grad_out, 0.0)
 
     def symbols(self, x: np.ndarray) -> np.ndarray:
         """Raw ternary symbols {0, 1, 2} (what the VCSEL actually emits)."""

@@ -123,6 +123,20 @@ def test_avgpool_layer_gradients():
     _layer_grad_check(AvgPool2D(2), rng.normal(size=(2, 2, 6, 6)))
 
 
+@pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
+@pytest.mark.parametrize("stride", [0, -1])
+def test_pool_rejects_non_positive_stride(pool_cls, stride):
+    with pytest.raises(ValueError, match="stride"):
+        pool_cls(2, stride=stride)
+
+
+@pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
+def test_pool_stride_defaults_to_pool(pool_cls):
+    layer = pool_cls(3)
+    assert (layer.pool, layer.stride) == (3, 3)
+    assert pool_cls(3, stride=1).stride == 1
+
+
 def test_global_avgpool_gradients():
     rng = np.random.default_rng(9)
     _layer_grad_check(GlobalAvgPool2D(), rng.normal(size=(3, 4, 5, 5)))

@@ -1,9 +1,12 @@
 """Tests for repro.nn.train — the trainer loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, ReLU, Sequential
+from repro.nn.layers import BatchNorm2D, Dense, ReLU, Sequential
+from repro.nn.models import FirstLayerConfig, build_lenet
 from repro.nn.optim import SGD, ConstantLR
 from repro.nn.train import Trainer, TrainingHistory
 
@@ -79,3 +82,31 @@ def test_fit_validation():
 def test_history_dataclass():
     history = TrainingHistory(val_accuracy=[0.5, 0.8, 0.7])
     assert history.best_val_accuracy() == 0.8
+
+
+#: A 2-epoch QAT run of the 2-bit LeNet, pinned bit for bit.  Its backward
+#: passes read the conv columns, pool inputs and STE inputs that the forward
+#: kernels cache, so a kernel rewrite that changes any bit shows here.  The
+#: values were taken with the argmax pool and the eager STE mask.
+QAT_LOSSES = "[5.884061013123748, 2.4818383289730153]"
+QAT_STATE_SHA256 = "375ff10d272ec41031c3bd0340c14e1d554908324febdc829becb9d447cb847d"
+
+
+def test_qat_lenet_training_is_bit_stable():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, size=(96, 1, 28, 28))
+    y = rng.integers(0, 10, size=96)
+    model = build_lenet(first_layer=FirstLayerConfig(weight_bits=2), seed=0)
+    optimizer = SGD(model.parameters(), momentum=0.9)
+    history = Trainer(model, optimizer, ConstantLR(0.05), seed=0).fit(
+        x, y, epochs=2, batch_size=16
+    )
+    digest = hashlib.sha256()
+    for parameter in model.parameters():
+        digest.update(parameter.data.tobytes())
+    for layer in model:
+        if isinstance(layer, BatchNorm2D):
+            digest.update(layer.running_mean.tobytes())
+            digest.update(layer.running_var.tobytes())
+    assert repr(history.train_loss) == QAT_LOSSES
+    assert digest.hexdigest() == QAT_STATE_SHA256
