@@ -142,19 +142,6 @@ def _serve_digest(report) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
-#: The warm-store zoo: every family at two bit widths (matches the
-#: ``zoo`` scenario's model list, engine/workloads).
-STORE_BENCH_ZOO: tuple[tuple[str, int], ...] = (
-    ("lenet", 4),
-    ("lenet", 2),
-    ("mlp", 4),
-    ("mlp", 2),
-    ("vgg16", 4),
-    ("vgg16", 1),
-    ("resnet18", 4),
-    ("resnet18", 2),
-)
-
 #: The warm-store headline workload: a production-scale dense layer
 #: (0.5M weights).  The zoo's first layers are small enough that the
 #: vectorized mapping chain runs in ~0.5ms — there the fixed per-entry
@@ -174,10 +161,12 @@ def bench_warm_store(
     Two claims, measured on two workloads against throwaway
     :class:`~repro.engine.store.ProgramStore` directories:
 
-    * **a second run programs nothing** — two zoo warmups over the same
-      store: the cold pass runs every (model, node) mapping chain and
-      writes behind; the warm pass (fresh server, fresh *empty*
-      in-memory cache) must restore every pair from its npz record
+    * **a second run programs nothing** — two warmups of the ``zoo``
+      scenario's models (:data:`~repro.engine.workloads.ZOO`, its first
+      three in quick mode) over the same store: the cold pass runs every
+      (model, node) mapping chain and writes behind; the warm pass
+      (fresh server, fresh *empty* in-memory cache) must restore every
+      pair from its npz record
       (``warm_programs_zero`` pins ``misses == 0``, and ``bit_identical``
       pins that restored programs serve byte-for-byte what freshly
       programmed ones serve, via :func:`_serve_digest` of a short
@@ -200,13 +189,10 @@ def bench_warm_store(
     from repro.engine.cache import WeightProgramCache
     from repro.engine.server import FrameRequest, FrameServer
     from repro.engine.store import ProgramStore
-    from repro.engine.workloads import ModelSpec
+    from repro.engine.workloads import ZOO
     from repro.nn.quant import UniformWeightQuantizer
 
-    specs = [
-        ModelSpec(family, bits)
-        for family, bits in (STORE_BENCH_ZOO[:3] if quick else STORE_BENCH_ZOO)
-    ]
+    specs = ZOO[:3] if quick else ZOO
     models = {spec.key: spec.build(seed) for spec in specs}
 
     def warmed_server(store: ProgramStore) -> tuple[FrameServer, float]:

@@ -95,12 +95,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_compare(_args: argparse.Namespace) -> int:
     from repro.core.energy import resnet18_first_layer_workload
+    from repro.sim.platforms import iter_platforms
     from repro.sim.reports import render_report
-    from repro.sim.simulator import InHouseSimulator
 
-    simulator = InHouseSimulator()
     workload = resnet18_first_layer_workload()
-    reports = simulator.compare_all(workload, weight_bits=4)
+    reports = [
+        platform.simulate_conv(workload, weight_bits=4)
+        for platform in iter_platforms()
+        if platform.supports_conv
+    ]
     print(render_report(reports, title="Platform comparison — ResNet-18 first layer"))
     return 0
 

@@ -566,8 +566,13 @@ class FailoverCoordinator(ServeLayers):
         )
         return self._retries_by_class.get(class_name, 0) < allowed
 
-    def _schedule(self, item, now_s: float, service_hint_s: float):
-        """Common retry gate: attempts, budget, deadline feasibility."""
+    def schedule_retry(self, item, now_s: float, service_hint_s: float):
+        """Retry time for a frame a node loss killed in flight at
+        ``now_s`` (hedged first attempt) or a retry that found no free
+        node (next backoff step), or ``None`` to abandon it.
+
+        One gate for both: attempts, class budget, deadline feasibility.
+        """
         attempt = item.attempt + 1
         if self.retry is None or attempt > self.retry.max_retries:
             return None
@@ -584,15 +589,6 @@ class FailoverCoordinator(ServeLayers):
         )
         self.report.retries_scheduled += 1
         return retry_at
-
-    def retry_after_loss(self, item, now_s: float, service_hint_s: float):
-        """Retry time for an in-flight frame killed at ``now_s`` (hedged
-        first attempt), or ``None`` to abandon."""
-        return self._schedule(item, now_s, service_hint_s)
-
-    def retry_after_busy(self, item, now_s: float, service_hint_s: float):
-        """Next backoff step for a retry that found no free node."""
-        return self._schedule(item, now_s, service_hint_s)
 
     # -- spares ---------------------------------------------------------
     def request_spare(self, failed_node, now_s: float):

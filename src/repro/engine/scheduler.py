@@ -311,8 +311,7 @@ class ServeLayers:
     implementation is :class:`~repro.engine.failover.FailoverCoordinator`
     (health with its chaos timeline, retry, spares, brownout).  Only it
     fires the node-loss callback, so only it is asked the loss-path
-    questions (``retry_after_loss``, ``retry_after_busy``,
-    ``request_spare``).
+    questions (``schedule_retry``, ``request_spare``).
     """
 
     #: Whether a loss can kill a frame in flight (and so revoke it).
@@ -568,7 +567,7 @@ class FrameScheduler:
             _, item, position, energy_j = entries.pop(index)
             self._revoked[position] = (index, energy_j)
             node.frames -= 1
-            retry_at = self.layers.retry_after_loss(
+            retry_at = self.layers.schedule_retry(
                 item, now_s, self._service_hint_s
             )
             self._retry_or_drop(item, retry_at)
@@ -602,7 +601,7 @@ class FrameScheduler:
                 for candidate in self.nodes:
                     self._push_free_event(candidate)
                 return
-            retry_at = self.layers.retry_after_busy(
+            retry_at = self.layers.schedule_retry(
                 item, now_s, self._service_hint_s
             )
             self._retry_or_drop(item, retry_at)

@@ -499,7 +499,8 @@ def resolve_arrivals(
 
     The one boundary check of :meth:`FrameServer.serve` and
     :meth:`~repro.engine.controlplane.ControlPlane.serve`: an unknown
-    model key, a non-finite or negative ``arrival_s``, a frame that is
+    model key (a brownout variant's hidden ``@brownout`` key included), a
+    non-finite or negative ``arrival_s``, a frame that is
     not a ``numpy.ndarray`` or a frame shape the model's on-die layer
     cannot take raises ``ValueError`` naming the request's index in
     ``requests``.  Requests without ``arrival_s`` arrive uniformly at
@@ -531,7 +532,7 @@ def resolve_arrivals(
         if pair in checked:
             continue
         entry = models.get(request.model_key)
-        if entry is None:
+        if entry is None or "@brownout" in request.model_key:
             raise ValueError(
                 f"request {index}: unknown model key {request.model_key!r}"
             )
@@ -676,6 +677,11 @@ class FrameServer:
         """Register a QAT model under ``key`` (its first layer serves on-die)."""
         if key in self._models:
             raise ValueError(f"model key {key!r} is already registered")
+        if "@brownout" in key:
+            raise ValueError(
+                f"model key {key!r}: '@brownout' marks the server's own "
+                "reduced-bits variants"
+            )
         self._models[key] = _ModelEntry(key, model, self.config, self.fleet)
 
     def adopt_models(

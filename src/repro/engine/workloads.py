@@ -18,11 +18,15 @@ makes scenarios *data*:
 * scenario generators registered under stable keys
   (:func:`register_scenario` / :func:`build_scenario` /
   :func:`scenario_registry`, mirroring :mod:`repro.sim.platforms`).
-  Each registration is two parts: a *models builder* ``models(seed)``
-  and a *traffic generator* ``traffic(models, frames, offered_fps,
-  seed, draws)`` that builds the request stream around those models,
-  drawing every frame's pixels through ``draws``;
-  :func:`build_scenario` composes them.  No model and no pixel depends
+  A registration holds everything a key is built from, once: its
+  description, a *models builder* ``models(seed)``, its
+  ``{model_key: SloClass}`` map and a *traffic generator*
+  ``traffic(frames, offered_fps, seed, draws)`` that returns the request
+  list alone, drawing every frame's pixels through ``draws``.  One
+  function (:func:`_generate`) builds every :class:`Scenario` from a
+  registration, named by its lower-case key — for
+  :func:`build_scenario`, for a re-time and, from an unregistered entry,
+  for :func:`models_scenario`.  No model and no pixel depends
   on the rate, so :meth:`Scenario.at_rate` re-times a registry-built
   scenario — same model objects and the base build's frame arrays, with
   arrivals, model choices and keys regenerated exactly as
@@ -34,7 +38,9 @@ makes scenarios *data*:
   ``poisson`` (memoryless arrivals), ``poisson-burst`` (ON/OFF bursts),
   ``diurnal`` (deterministic sinusoidal rate ramp), ``mixed-tenants``
   (interactive vs. batch tenants with SLO classes — the policy-bench
-  scenario) and ``zoo`` (round-robin over every family and bit width).
+  scenario), ``chaos`` (the resilience-drill stream),
+  ``diurnal-regions`` (phase-shifted regional streams — the autoscaling
+  drill) and ``zoo`` (round-robin over every family and bit width).
 
 Determinism: every stochastic draw comes from
 ``np.random.default_rng(seed)`` streams derived per scenario, so a fixed
@@ -58,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -182,11 +188,11 @@ class Scenario:
     #: Rate the arrivals were generated for (and the fallback interval for
     #: requests without explicit timestamps).
     offered_fps: float | None = None
-    #: ``(registry key, frames, seed, pixel recording)`` the traffic was
+    #: ``(registration, frames, seed, pixel recording)`` the traffic was
     #: generated from.  Not an ``__init__`` field, so only the registry
     #: sets it: a hand-built scenario, or a copy made by
     #: ``dataclasses.replace``, has none and cannot be re-timed.
-    _origin: tuple[str, int, int, list] | None = field(
+    _origin: tuple[_Registration, int, int, list] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -213,9 +219,9 @@ class Scenario:
                 "(or was changed since); it cannot be re-timed"
             )
         check_positive("offered_fps", offered_fps)
-        key, frames, seed, recording = self._origin
+        entry, frames, seed, recording = self._origin
         return _generate(
-            key,
+            entry,
             dict(self.models),
             frames,
             offered_fps,
@@ -226,34 +232,55 @@ class Scenario:
 
 #: Builds a scenario's models from its seed alone.
 ModelsBuilder = Callable[[int], dict[str, Sequential]]
-#: Builds a scenario's request stream:
-#: (models, frames, offered_fps, seed, pixel recorder).
+#: Builds a scenario's request list:
+#: (frames, offered_fps, seed, pixel recorder).
 TrafficGenerator = Callable[
-    [dict[str, Sequential], int, float, int, "_PixelRecorder"], Scenario
+    [int, float, int, "_PixelRecorder"], list[FrameRequest]
 ]
 
-#: Registered generators: key -> (description, models, traffic).
-_SCENARIOS: dict[str, tuple[str, ModelsBuilder, TrafficGenerator]] = {}
+
+class _Registration(NamedTuple):
+    """What one scenario key is built from, defined once."""
+
+    key: str
+    description: str
+    models: ModelsBuilder
+    slo_classes: dict[str, SloClass]
+    traffic: TrafficGenerator
 
 
-def register_scenario(key: str, description: str, models: ModelsBuilder):
+#: Registered scenarios by lower-case key, in registration order.
+_SCENARIOS: dict[str, _Registration] = {}
+
+
+def register_scenario(
+    key: str,
+    description: str,
+    models: ModelsBuilder,
+    slo_classes: dict[str, SloClass],
+):
     """Decorator registering a scenario's traffic generator under ``key``.
 
-    ``models(seed)`` builds the scenario's models; the decorated
-    ``traffic(models, frames, offered_fps, seed, draws)`` builds the
-    request stream around them, drawing every frame through ``draws``
-    (:func:`_frames_batch`).  The models depend on the seed alone, and
-    the sequence of frame shapes drawn must not depend on the rate
-    either: :meth:`Scenario.at_rate` reuses the frames of the base build
-    and regenerates only arrivals, choices and keys, and its replay
-    raises if a generator breaks that.
+    The registration holds the scenario's metadata: its description, its
+    models builder ``models(seed)`` and its ``{model_key: SloClass}`` map
+    (``{}`` serves every model best-effort).  The decorated
+    ``traffic(frames, offered_fps, seed, draws)`` returns the request list
+    alone, drawing every frame through ``draws`` (:func:`_frames_batch`);
+    :func:`_generate` builds the :class:`Scenario` around it, named by the
+    lower-case key.  The models depend on the seed alone, and the sequence
+    of frame shapes drawn must not depend on the rate either:
+    :meth:`Scenario.at_rate` reuses the frames of the base build and
+    regenerates only arrivals, choices and keys, and its replay raises if
+    a generator breaks that.
     """
 
     def decorator(fn: TrafficGenerator):
         lowered = key.lower()
         if lowered in _SCENARIOS:
             raise ValueError(f"scenario {lowered!r} is already registered")
-        _SCENARIOS[lowered] = (description, models, fn)
+        _SCENARIOS[lowered] = _Registration(
+            lowered, description, models, slo_classes, fn
+        )
         return fn
 
     return decorator
@@ -266,7 +293,7 @@ def scenario_registry() -> tuple[str, ...]:
 
 def scenario_description(key: str) -> str:
     """One-line description of a registered scenario."""
-    return _lookup(key)[0]
+    return _lookup(key).description
 
 
 def build_scenario(
@@ -278,25 +305,44 @@ def build_scenario(
     """Generate a registered scenario's models + request stream."""
     check_count("frames", frames)
     check_positive("offered_fps", offered_fps)
-    models = _lookup(key)[1](seed)
-    return _generate(key, models, frames, offered_fps, seed, _PixelRecorder())
+    entry = _lookup(key)
+    return _generate(
+        entry, entry.models(seed), frames, offered_fps, seed, _PixelRecorder()
+    )
 
 
 def _generate(
-    key: str,
+    entry: _Registration,
     models: dict[str, Sequential],
     frames: int,
     offered_fps: float,
     seed: int,
-    draws: _PixelRecorder,
+    draws: _PixelRecorder | None,
 ) -> Scenario:
-    """Run ``key``'s traffic generator and record what can re-time it."""
-    scenario = _lookup(key)[2](models, frames, offered_fps, seed, draws)
-    scenario._origin = (key, frames, seed, draws.finish())
+    """Run ``entry``'s traffic generator into a :class:`Scenario`.
+
+    Every scenario this module returns is built here.  ``draws`` records
+    the pixel draws of a
+    registry build, or replays them on a re-time, and the scenario keeps
+    them as its origin; ``None`` builds an ad-hoc scenario
+    (:func:`models_scenario`), which keeps no origin and cannot be
+    re-timed.
+    """
+    recorder = _PixelRecorder() if draws is None else draws
+    scenario = Scenario(
+        name=entry.key,
+        description=entry.description,
+        models=models,
+        requests=entry.traffic(frames, offered_fps, seed, recorder),
+        slo_classes=dict(entry.slo_classes),
+        offered_fps=offered_fps,
+    )
+    if draws is not None:
+        scenario._origin = (entry, frames, seed, draws.finish())
     return scenario
 
 
-def _lookup(key: str) -> tuple[str, ModelsBuilder, TrafficGenerator]:
+def _lookup(key: str) -> _Registration:
     entry = _SCENARIOS.get(key.lower())
     if entry is None:
         raise ValueError(
@@ -442,6 +488,35 @@ def _round_robin(
 
 
 # ----------------------------------------------------------------------
+# SLO classes
+# ----------------------------------------------------------------------
+# The admission controller requires classes sharing a name to be equal,
+# so each class several scenarios use is defined once, here.
+
+#: A queueable 20 ms deadline for every frame of a stream.
+_STREAM = SloClass(name="stream", deadline_s=0.02, drop_policy="deadline")
+
+#: A latency-critical tenant: 8 ms deadline, top tier, triple WFQ share.
+_INTERACTIVE = SloClass(
+    name="interactive",
+    priority=2,
+    deadline_s=0.008,
+    drop_policy="deadline",
+    weight=3.0,
+)
+
+#: A tenant that queues long and sheds first.
+_BATCH = SloClass(
+    name="batch",
+    priority=0,
+    deadline_s=0.05,
+    drop_policy="deadline",
+    weight=1.0,
+    max_queue_s=0.02,
+)
+
+
+# ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
 def _default_models(seed: int) -> dict[str, Sequential]:
@@ -455,30 +530,20 @@ def _default_models(seed: int) -> dict[str, Sequential]:
     "default",
     "historical two-LeNet demo: uniform arrivals, half/half model split",
     _default_models,
+    {},
 )
-def _default_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _default_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     # Byte-for-byte the stream `repro serve` always generated: frames from
     # default_rng(seed), model-a/b = LeNets at seed/seed+1, implicit
     # uniform arrivals (the server derives them from the offered rate).
     rng = np.random.default_rng(seed)
     stack = draws.draw(rng, [(1, 28, 28)] * frames)
-    requests = [
+    return [
         FrameRequest(stack[i], "model-a" if i < frames // 2 else "model-b")
         for i in range(frames)
     ]
-    return Scenario(
-        name="default",
-        description=scenario_description("default"),
-        models=models,
-        requests=requests,
-        offered_fps=offered_fps,
-    )
 
 
 #: The LeNet + MLP mix of the ``poisson``, ``poisson-burst`` and ``chaos``
@@ -490,47 +555,32 @@ _LENET_MLP = (ModelSpec("lenet", 4), ModelSpec("mlp", 2))
     "poisson",
     "memoryless arrivals over a LeNet+MLP mix (queueable 20 ms deadline)",
     functools.partial(_build_models, _LENET_MLP),
+    {spec.key: _STREAM for spec in _LENET_MLP},
 )
-def _poisson_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _poisson_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     rng = np.random.default_rng(seed)
     specs = _LENET_MLP
     arrivals = _poisson_arrivals(rng, frames, offered_fps)
     choices = rng.random(frames)
     chosen = [specs[0] if choices[i] < 0.7 else specs[1] for i in range(frames)]
     stacks = _frames_batch(rng, chosen, draws)
-    requests = [
+    return [
         FrameRequest(stacks[i], chosen[i].key, arrival_s=arrivals[i])
         for i in range(frames)
     ]
-    slo = SloClass(name="stream", deadline_s=0.02, drop_policy="deadline")
-    return Scenario(
-        name="poisson",
-        description=scenario_description("poisson"),
-        models=models,
-        requests=requests,
-        slo_classes={spec.key: slo for spec in specs},
-        offered_fps=offered_fps,
-    )
 
 
 @register_scenario(
     "poisson-burst",
     "ON/OFF Poisson bursts (4x rate, 30% duty) over a LeNet+MLP mix",
     functools.partial(_build_models, _LENET_MLP),
+    {spec.key: _STREAM for spec in _LENET_MLP},
 )
-def _burst_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _burst_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     rng = np.random.default_rng(seed)
     specs = _LENET_MLP
     period_s, duty, multiplier = 0.04, 0.3, 4.0
@@ -547,15 +597,7 @@ def _burst_scenario(
         spec = specs[0] if choices[i] < 0.6 else specs[1]
         frame = _frames_batch(rng, [spec], draws)[0]
         requests.append(FrameRequest(frame, spec.key, arrival_s=now))
-    slo = SloClass(name="stream", deadline_s=0.02, drop_policy="deadline")
-    return Scenario(
-        name="poisson-burst",
-        description=scenario_description("poisson-burst"),
-        models=models,
-        requests=requests,
-        slo_classes={spec.key: slo for spec in specs},
-        offered_fps=offered_fps,
-    )
+    return requests
 
 
 _LENET_WIDTHS = (ModelSpec("lenet", 4), ModelSpec("lenet", 2))
@@ -565,14 +607,11 @@ _LENET_WIDTHS = (ModelSpec("lenet", 4), ModelSpec("lenet", 2))
     "diurnal",
     "deterministic sinusoidal rate ramp (0.4x-1.6x) over two LeNet widths",
     functools.partial(_build_models, _LENET_WIDTHS),
+    {},
 )
-def _diurnal_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _diurnal_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     rng = np.random.default_rng(seed)
     specs = _LENET_WIDTHS
     # Arrivals stay a sequential accumulation (``math.sin`` per step, the
@@ -587,22 +626,15 @@ def _diurnal_scenario(
         arrivals.append(now)
     chosen = [specs[i % len(specs)] for i in range(frames)]
     stacks = _frames_batch(rng, chosen, draws)
-    requests = [
+    return [
         FrameRequest(stacks[i], chosen[i].key, arrival_s=arrivals[i])
         for i in range(frames)
     ]
-    return Scenario(
-        name="diurnal",
-        description=scenario_description("diurnal"),
-        models=models,
-        requests=requests,
-        offered_fps=offered_fps,
-    )
 
 
 #: SLO classes of the ``mixed-tenants`` scenario (also used by the
-#: serving-policy bench): an interactive tenant with a tight deadline and
-#: triple WFQ share, and a batch tenant that queues long and sheds first.
+#: serving-policy bench): an interactive tenant with a 6 ms deadline and
+#: triple WFQ share, and shed-first batch tenants.
 MIXED_TENANT_CLASSES: dict[str, SloClass] = {
     "lenet-4b": SloClass(
         name="interactive",
@@ -611,22 +643,8 @@ MIXED_TENANT_CLASSES: dict[str, SloClass] = {
         drop_policy="deadline",
         weight=3.0,
     ),
-    "mlp-2b": SloClass(
-        name="batch",
-        priority=0,
-        deadline_s=0.05,
-        drop_policy="deadline",
-        weight=1.0,
-        max_queue_s=0.02,
-    ),
-    "vgg16-1b": SloClass(
-        name="batch",
-        priority=0,
-        deadline_s=0.05,
-        drop_policy="deadline",
-        weight=1.0,
-        max_queue_s=0.02,
-    ),
+    "mlp-2b": _BATCH,
+    "vgg16-1b": _BATCH,
 }
 
 
@@ -643,14 +661,11 @@ _MIXED_TENANTS = (
     "interactive LeNet tenant (tight SLO) vs bursty batch tenants "
     "(MLP + VGG16 stem) oversubscribing the fleet",
     functools.partial(_build_models, _MIXED_TENANTS),
+    MIXED_TENANT_CLASSES,
 )
-def _mixed_tenant_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _mixed_tenant_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     rng = np.random.default_rng(seed)
     interactive, *batch_specs = _MIXED_TENANTS
 
@@ -691,36 +706,7 @@ def _mixed_tenant_scenario(
                 tenant="batch",
             )
         )
-    return Scenario(
-        name="mixed-tenants",
-        description=scenario_description("mixed-tenants"),
-        models=models,
-        requests=_interleave([interactive_stream, batch_stream]),
-        slo_classes=dict(MIXED_TENANT_CLASSES),
-        offered_fps=offered_fps,
-    )
-
-
-#: SLO classes of the ``chaos`` scenario (also used by the chaos bench):
-#: a latency-critical interactive tenant whose deadline a node-loss window
-#: visibly endangers, and a shed-first batch tenant.
-CHAOS_CLASSES: dict[str, SloClass] = {
-    "lenet-4b": SloClass(
-        name="interactive",
-        priority=2,
-        deadline_s=0.008,
-        drop_policy="deadline",
-        weight=3.0,
-    ),
-    "mlp-2b": SloClass(
-        name="batch",
-        priority=0,
-        deadline_s=0.05,
-        drop_policy="deadline",
-        weight=1.0,
-        max_queue_s=0.02,
-    ),
-}
+    return _interleave([interactive_stream, batch_stream])
 
 
 @register_scenario(
@@ -728,14 +714,11 @@ CHAOS_CLASSES: dict[str, SloClass] = {
     "steady interactive LeNet tenant + Poisson batch MLP tenant, sized "
     "so a chaos node-loss window endangers the interactive deadline",
     functools.partial(_build_models, _LENET_MLP),
+    {"lenet-4b": _INTERACTIVE, "mlp-2b": _BATCH},
 )
-def _chaos_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _chaos_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     # The resilience-drill stream: interactive traffic is a steady,
     # well-behaved tenant at two thirds of the offered rate — enough that
     # losing a node mid-stream (the ``node-loss`` chaos plan) overloads
@@ -769,14 +752,7 @@ def _chaos_scenario(
         )
         for i in range(n_batch)
     ]
-    return Scenario(
-        name="chaos",
-        description=scenario_description("chaos"),
-        models=models,
-        requests=_interleave([interactive_stream, batch_stream]),
-        slo_classes=dict(CHAOS_CLASSES),
-        offered_fps=offered_fps,
-    )
+    return _interleave([interactive_stream, batch_stream])
 
 
 #: Regions of the ``diurnal-regions`` scenario, in stream order.  Each
@@ -784,34 +760,6 @@ def _chaos_scenario(
 #: LeNet) so a sharded control plane can place one region per shard and
 #: route by model hosting rather than by tenant-hash luck.
 DIURNAL_REGIONS: tuple[str, ...] = ("na", "eu", "ap")
-
-#: One shared interactive class instance across the regional keys — the
-#: admission controller requires classes sharing a name to be identical.
-_REGION_INTERACTIVE = SloClass(
-    name="interactive",
-    priority=2,
-    deadline_s=0.008,
-    drop_policy="deadline",
-    weight=3.0,
-)
-
-#: SLO classes of the ``diurnal-regions`` scenario (also used by the
-#: control-plane bench): per-region interactive LeNets plus one
-#: fleet-wide shed-first batch tenant.
-REGION_CLASSES: dict[str, SloClass] = {
-    **{
-        f"lenet-4b@{region}": _REGION_INTERACTIVE
-        for region in DIURNAL_REGIONS
-    },
-    "mlp-2b": SloClass(
-        name="batch",
-        priority=0,
-        deadline_s=0.05,
-        drop_policy="deadline",
-        weight=1.0,
-        max_queue_s=0.02,
-    ),
-}
 
 
 def _diurnal_regions_models(seed: int) -> dict[str, Sequential]:
@@ -830,14 +778,14 @@ def _diurnal_regions_models(seed: int) -> dict[str, Sequential]:
     "three phase-shifted regional diurnal interactive streams (one LeNet "
     "per region) + a Poisson batch MLP tail — the autoscaling drill",
     _diurnal_regions_models,
+    {
+        **{f"lenet-4b@{region}": _INTERACTIVE for region in DIURNAL_REGIONS},
+        "mlp-2b": _BATCH,
+    },
 )
-def _diurnal_regions_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
+def _diurnal_regions_traffic(
+    frames: int, offered_fps: float, seed: int, draws: _PixelRecorder
+) -> list[FrameRequest]:
     # The multi-region story: each region's interactive demand swings
     # through a deep diurnal cycle (0.15x..1.85x), but the three phases
     # are spaced a third of a "day" apart, so the *global* rate is nearly
@@ -855,6 +803,8 @@ def _diurnal_regions_scenario(
         count = n_interactive // len(DIURNAL_REGIONS) + (
             1 if index < n_interactive % len(DIURNAL_REGIONS) else 0
         )
+        # Not ``diurnal``'s loop with an offset: ``i / count + index / 3``
+        # rounds differently from ``i / frames`` even at index 0.
         arrivals = []
         now = 0.0
         for i in range(count):
@@ -890,17 +840,12 @@ def _diurnal_regions_scenario(
             for i in range(n_batch)
         ]
     )
-    return Scenario(
-        name="diurnal-regions",
-        description=scenario_description("diurnal-regions"),
-        models=models,
-        requests=_interleave(streams),
-        slo_classes=dict(REGION_CLASSES),
-        offered_fps=offered_fps,
-    )
+    return _interleave(streams)
 
 
-_ZOO = (
+#: The ``zoo`` scenario's models: every family at two bit widths (also
+#: the warm-store bench's zoo, analysis/perf).
+ZOO: tuple[ModelSpec, ...] = (
     ModelSpec("lenet", 4),
     ModelSpec("lenet", 2),
     ModelSpec("mlp", 4),
@@ -911,26 +856,12 @@ _ZOO = (
     ModelSpec("resnet18", 2),
 )
 
-
-@register_scenario(
+register_scenario(
     "zoo",
     "round-robin over every model family at several bit widths",
-    functools.partial(_build_models, _ZOO),
-)
-def _zoo_scenario(
-    models: dict[str, Sequential],
-    frames: int,
-    offered_fps: float,
-    seed: int,
-    draws: _PixelRecorder,
-) -> Scenario:
-    return Scenario(
-        name="zoo",
-        description=scenario_description("zoo"),
-        models=models,
-        requests=_round_robin(_ZOO, frames, offered_fps, seed, draws),
-        offered_fps=offered_fps,
-    )
+    functools.partial(_build_models, ZOO),
+    {},
+)(functools.partial(_round_robin, ZOO))
 
 
 def models_scenario(
@@ -942,29 +873,28 @@ def models_scenario(
     """Ad-hoc scenario: uniform arrivals round-robin over ``specs``.
 
     Backs the ``repro serve --models`` flag — pick any zoo subset without
-    registering a scenario.  ``specs`` may be the CLI string form.
+    registering a scenario.  ``specs`` may be the CLI string form.  The
+    result is not registered, so it cannot be re-timed.
     """
     if isinstance(specs, str):
         specs = parse_model_specs(specs)
     specs = tuple(specs)
     check_count("frames", frames)
     check_positive("offered_fps", offered_fps)
-    return Scenario(
-        name="models",
-        description=f"uniform round-robin over {', '.join(s.key for s in specs)}",
-        models=_build_models(specs, seed),
-        requests=_round_robin(
-            specs, frames, offered_fps, seed, _PixelRecorder()
-        ),
-        offered_fps=offered_fps,
+    entry = _Registration(
+        "models",
+        f"uniform round-robin over {', '.join(s.key for s in specs)}",
+        functools.partial(_build_models, specs),
+        {},
+        functools.partial(_round_robin, specs),
     )
+    return _generate(entry, entry.models(seed), frames, offered_fps, seed, None)
 
 
 __all__ = [
-    "CHAOS_CLASSES",
     "DIURNAL_REGIONS",
     "MIXED_TENANT_CLASSES",
-    "REGION_CLASSES",
+    "ZOO",
     "ModelSpec",
     "Scenario",
     "build_scenario",

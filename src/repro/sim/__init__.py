@@ -1,14 +1,13 @@
 """The paper's "custom in-house simulator" (Fig. 7, bottom-right box).
 
-* :mod:`repro.sim.simulator` — latency/power/energy simulation of network
-  execution on OISA and the baseline platforms, with configurable array
-  geometry and peripheral selection.
+* :mod:`repro.sim.platforms` — latency/power/energy simulation of
+  first-layer workloads: the platform registry, one adapter per evaluated
+  platform (OISA + rebuilt baselines) behind a uniform
+  ``simulate_conv``/``simulate_mlp`` interface, bound to one array
+  configuration.  Iterate it with :func:`iter_platforms`.
 * :mod:`repro.sim.accuracy` — the full Fig. 7 loop: quantization-aware
   training (NumPy substrate), first layer through the behavioral hardware,
   remaining layers as the behavioral DNN model, inference accuracy out.
-* :mod:`repro.sim.platforms` — the platform registry: one adapter per
-  evaluated platform (OISA + rebuilt baselines) behind a uniform
-  ``simulate_conv``/``simulate_mlp`` interface.
 * :mod:`repro.sim.reports` — typed result records and text rendering.
 """
 
@@ -29,7 +28,6 @@ from repro.sim.platforms import (
     register_platform,
 )
 from repro.sim.reports import SimulationReport, render_report
-from repro.sim.simulator import InHouseSimulator
 from repro.sim.stream import StreamReport, StreamSimulator
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "FaultyOpticalCore",
     "FleetModel",
     "FleetReport",
-    "InHouseSimulator",
     "Platform",
     "RadioModel",
     "SimulationReport",

@@ -80,8 +80,7 @@ def platform_registry() -> tuple[str, ...]:
 def get_platform(key: str, config: OISAConfig | None = None) -> "Platform":
     """Construct the adapter registered under ``key``.
 
-    Raises ``ValueError`` for unknown keys (the error the old hand-rolled
-    ``simulate_baseline`` dispatch raised).
+    Raises ``ValueError`` for unknown keys.
     """
     cls = _REGISTRY.get(key.lower())
     if cls is None:

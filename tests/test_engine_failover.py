@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.engine import FrameServer
+from repro.engine import FrameRequest, FrameServer
 from repro.engine.admission import SloClass
 from repro.engine.failover import (
     BROWNOUT_TIERS,
@@ -19,7 +19,7 @@ from repro.engine.failover import (
     availability,
     recovery_time_s,
 )
-from repro.engine.workloads import build_scenario
+from repro.engine.workloads import ModelSpec, build_scenario
 
 
 # ----------------------------------------------------------------------
@@ -73,12 +73,12 @@ def test_retry_gate_attempts_budget_and_deadline():
     for _ in range(4):
         coordinator.record_offered("interactive")
     # Attempts beyond max are abandoned.
-    assert coordinator.retry_after_loss(_item(attempt=2), 0.0, 1e-3) is None
+    assert coordinator.schedule_retry(_item(attempt=2), 0.0, 1e-3) is None
     # A retry that cannot meet the frame's deadline is abandoned up front.
     late = _item(deadline_s=1e-4)
-    assert coordinator.retry_after_loss(late, 0.0, 1e-3) is None
+    assert coordinator.schedule_retry(late, 0.0, 1e-3) is None
     # A feasible retry is scheduled strictly after the failure instant.
-    ok = coordinator.retry_after_loss(_item(), 0.05, 1e-5)
+    ok = coordinator.schedule_retry(_item(), 0.05, 1e-5)
     assert ok is not None and ok > 0.05
     assert coordinator.report.retries_scheduled == 1
 
@@ -90,12 +90,12 @@ def test_retry_class_budget_denials():
     )
     coordinator.record_offered("interactive")
     coordinator.record_offered("interactive")
-    assert coordinator.retry_after_loss(_item(index=0), 0.0, 0.0) is not None
-    assert coordinator.retry_after_loss(_item(index=1), 0.0, 0.0) is None
+    assert coordinator.schedule_retry(_item(index=0), 0.0, 0.0) is not None
+    assert coordinator.schedule_retry(_item(index=1), 0.0, 0.0) is None
     assert coordinator.report.retry_budget_denials == 1
     # Another class has its own budget.
     assert (
-        coordinator.retry_after_loss(_item(index=2, cls="batch"), 0.0, 0.0)
+        coordinator.schedule_retry(_item(index=2, cls="batch"), 0.0, 0.0)
         is not None
     )
 
@@ -373,6 +373,47 @@ def test_reduced_variants_hidden_from_model_keys():
     server.warmup()
     server.serve_scenario(scenario)
     assert all("@brownout" not in key for key in server.model_keys)
+
+
+@pytest.mark.parametrize("compute", [True, False])
+def test_serve_rejects_hidden_brownout_variant_keys(compute):
+    """A reduced-bits variant is registered but hidden, so a request for
+    it is refused at the boundary like any key ``model_keys`` lacks."""
+    server = FrameServer(num_nodes=1, seed=0, brownout="standard")
+    scenario = build_scenario("chaos", frames=16, offered_fps=500.0, seed=0)
+    server.adopt_models(scenario.models)
+    server.serve_scenario(scenario)
+    assert server.model_keys == ("lenet-4b", "mlp-2b")
+
+    def state():
+        return (
+            server.cache.stats.hits,
+            server.cache.stats.misses,
+            [
+                (n.free_at, n.frames, n.active_model, n.programmed_model)
+                for n in server.nodes
+            ],
+        )
+
+    before = state()
+    request = FrameRequest(scenario.requests[0].frame, "lenet-4b@brownout2b")
+    with pytest.raises(
+        ValueError, match="request 0: unknown model key 'lenet-4b@brownout2b'"
+    ):
+        server.serve([request], compute=compute)
+    assert state() == before
+
+
+def test_register_model_refuses_brownout_variant_keys():
+    """A caller's model cannot take a variant's key, where the brownout
+    tier would serve it as another model's reduced-bits twin."""
+    server = FrameServer(num_nodes=1, seed=0, brownout="standard")
+    server.register_model("lenet-4b", ModelSpec("lenet", 4).build(seed=0))
+    with pytest.raises(ValueError, match="'lenet-4b@brownout2b': '@brownout'"):
+        server.register_model(
+            "lenet-4b@brownout2b", ModelSpec("mlp", 4).build(seed=1)
+        )
+    assert server.model_keys == ("lenet-4b",)
 
 
 @pytest.mark.parametrize(

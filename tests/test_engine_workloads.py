@@ -1,5 +1,7 @@
 """Tests for repro.engine.workloads — the scenario/zoo layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -328,3 +330,106 @@ def test_at_rate_refuses_scenarios_the_registry_did_not_build():
         hand_built.at_rate(900.0)
     with pytest.raises(ValueError, match="offered_fps"):
         scenario.at_rate(0.0)
+
+
+# ----------------------------------------------------------------------
+# Build pins
+# ----------------------------------------------------------------------
+def _scenario_digest(scenario):
+    """sha256 over everything a build produces: name, description, SLO
+    classes, offered rate, model keys and parameter bytes, and per
+    request its key, exact arrival, tenant, frame shape and frame bytes."""
+    digest = hashlib.sha256()
+
+    def feed(value):
+        digest.update(str(value).encode())
+        digest.update(b"\0")
+
+    feed(scenario.name)
+    feed(scenario.description)
+    feed(repr(scenario.slo_classes))
+    feed(repr(scenario.offered_fps))
+    for key, model in scenario.models.items():
+        feed(key)
+        for parameter in model.parameters():
+            digest.update(parameter.data.tobytes())
+    for request in scenario.requests:
+        arrival = request.arrival_s
+        feed(request.model_key)
+        feed(None if arrival is None else repr(float(arrival)))
+        feed(request.tenant)
+        feed(request.frame.shape)
+        digest.update(request.frame.tobytes())
+    return digest.hexdigest()
+
+
+#: Per registered key: digests of the builds at (frames, fps, seed) =
+#: (24, 700, 0) and (13, 2600, 3), then of the second re-timed to 777
+#: FPS.  They move only with an intentional change to a scenario's
+#: traffic, models or SLO classes.
+SCENARIO_PINS = {
+    "default": (
+        "c569069eba90768adac5f9c205f6971815dbaaa1d4f6167a44f09485e4168dc8",
+        "6ec3c14bb8852fbac2b2eb3bcc0f1a1c3e1133471f5980876c0a091d59e398cc",
+        "8034a745a8a932fa6b4072fb7eac881814f1d1056e1f801e00425764a3ab1d6f",
+    ),
+    "poisson": (
+        "f9199da0c9da6b0f673d647e08c774b2d24313ba1ca0c0f798843eb70e040311",
+        "b521b62e91640f735fc248dca538afc68c48adaa4784c87ba5890a58528507c3",
+        "df0d2bbb72ea7747fb22123f2bde3c16d1f60cf4183836d8f3fbfd24cd7693b5",
+    ),
+    "poisson-burst": (
+        "cb7b3f76693bd4eaaa4389e3fba7f478e03a52d8ecaccf84b71891dd55d8da49",
+        "36a81247bb8f32777fb49699d49d65f6e6d5a349e397eb5a24cb68fe57510bc1",
+        "3705ada0f7ec85b6640d43e4a670e1c1d178178a30a37613456b3897dfc0c115",
+    ),
+    "diurnal": (
+        "5b2c02b10f7e73934c1b1f439ed695afecac02750f1c24173b1974d4e60628d2",
+        "5ce3469e381f01e53c48b6716bcfab845015d07ee303a1103d109ffe4f6eef3b",
+        "17ee19e1147277d11aff39a2bf450241f3d396aef277b8ef34e97270a3e64ab3",
+    ),
+    "mixed-tenants": (
+        "ab0f8d2116b3d74cd6940e1eb5df3bb8b48f5081ee1070380eef0a27c9f2fb78",
+        "853ee95ea2234f6e5ef5d3f04b270d18e68298d7ea262495865121d82374da45",
+        "ac928fa74410e2e511dda00159db8b69b88e883983a547f9a9d48028863a0639",
+    ),
+    "chaos": (
+        "a649360b23c9a5eb06174bcaecff061363ab239a5d16528cc44f1052c69a4f90",
+        "a7d4fe7180ff041967aa281d1831aa1ea5c72c141413370b48557b1e975a9f09",
+        "7876754a5247301cce5e5a04d79a4dd61487bf5ecd33b21ebad1a4433e70d2bd",
+    ),
+    "diurnal-regions": (
+        "05adbdf35381f940e1519565b713e1ba459f40f770a02e56210cc7a1f063cf6f",
+        "51e822dd5fe77f3fb093c4395838394c5042ba4c522b42edc5d3c16ccc15511e",
+        "c4a1255f768b2fc59d207d06c13e1ce50c23c05e188854cdd53844b1c6ef79fd",
+    ),
+    "zoo": (
+        "2dc8e46ef0e8755e68a292af9b122c988155c9e4d3478844e4a05b3d5bc44d34",
+        "a576998853a1110cda70f2cf9a942e238de5a2a291e2ce7863635267696194f6",
+        "95fad36f68e077dbacfcef42853058ae3ca9ba69b061677a5d8205e00187336a",
+    ),
+}
+
+
+def test_every_registered_scenario_is_pinned():
+    assert tuple(SCENARIO_PINS) == scenario_registry()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_PINS))
+def test_scenario_builds_match_their_pins(name):
+    first, second, retimed = SCENARIO_PINS[name]
+    assert _scenario_digest(
+        build_scenario(name, frames=24, offered_fps=700.0, seed=0)
+    ) == first
+    base = build_scenario(name, frames=13, offered_fps=2600.0, seed=3)
+    assert _scenario_digest(base) == second
+    assert _scenario_digest(base.at_rate(777.0)) == retimed
+
+
+def test_models_scenario_build_is_pinned():
+    scenario = models_scenario(
+        "lenet:4,mlp:2,vgg16:1", frames=9, offered_fps=400.0, seed=2
+    )
+    assert _scenario_digest(scenario) == (
+        "05a79fab49a50c1a4331e92c314bd5a96a4ec0a6312486fe79941cd460e18eee"
+    )

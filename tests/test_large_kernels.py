@@ -8,7 +8,7 @@ from repro.core.config import OISAConfig
 from repro.core.energy import OISAEnergyModel
 from repro.core.mapping import ConvWorkload, plan_convolution
 from repro.nn.functional import conv2d_forward
-from repro.sim.simulator import InHouseSimulator
+from repro.sim.platforms import get_platform
 
 
 @pytest.mark.parametrize("kernel,expected_macs", [(5, 2000), (7, 3920)])
@@ -49,9 +49,8 @@ def test_large_kernel_crosstalk_chunks_across_arms():
 
 @pytest.mark.parametrize("kernel", [5, 7])
 def test_large_kernel_simulator_reports(kernel):
-    simulator = InHouseSimulator()
     workload = ConvWorkload(kernel, 16, 1, 64, 64, padding=kernel // 2)
-    report = simulator.simulate_oisa_conv(workload)
+    report = get_platform("oisa").simulate_conv(workload)
     plan = plan_convolution(OISAConfig(), workload)
     assert report.compute_cycles == plan.compute_cycles
     assert report.frame_energy_j > 0.0

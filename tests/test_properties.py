@@ -7,11 +7,15 @@ from hypothesis.extra.numpy import arrays
 
 from repro.circuits.awc import AwcCircuit, AwcDesign
 from repro.core.config import OISAConfig
+from repro.analysis.capacity import LENET_FIRST_LAYER
 from repro.core.mapping import ConvWorkload, macs_per_cycle, plan_convolution
+from repro.engine import FrameRequest, FrameServer
 from repro.engine.router import RendezvousRouter
+from repro.engine.workloads import ModelSpec
 from repro.nn import functional as F
 from repro.nn.quant import TernaryActivation, UniformWeightQuantizer, ternarize
 from repro.photonics.microring import MicroringResonator
+from repro.sim.stream import StreamSimulator
 from repro.util.tables import format_table
 
 finite_floats = st.floats(
@@ -317,3 +321,43 @@ def test_draining_shards_never_routed_while_alternatives_exist(
             assert target is not shards[0]
         else:  # routing somewhere beats dropping on the floor
             assert target is shards[0]
+
+
+# --------------------------------------------------------------------------
+# Greedy scheduling vs its origin (sim/stream.StreamSimulator)
+# --------------------------------------------------------------------------
+@given(
+    frames=st.integers(1, 249),
+    fps=st.floats(32.0, 316_000.0),
+    die_seed=st.integers(0, 49),
+)
+@settings(max_examples=40, deadline=None)
+def test_greedy_serve_matches_the_stream_simulator(frames, fps, die_seed):
+    """A 1-node greedy serve of one LeNet's uniform stream admits, times
+    and drops every frame as the single-node stream simulation does: one
+    remap, on the first frame, at the die's programmed tuning latency.
+
+    Energy is left out: the simulation prices the remap from the energy
+    model's default mapping energy, the server from the die's tuning
+    budget.
+    """
+    server = FrameServer(num_nodes=1, seed=die_seed, policy="greedy")
+    server.register_model("lenet-4b", ModelSpec("lenet", 4).build(seed=0))
+    frame = np.zeros((1, 28, 28))
+    report = server.serve(
+        [FrameRequest(frame, "lenet-4b") for _ in range(frames)],
+        offered_fps=fps,
+        compute=False,
+    )
+    tuning_s = server.nodes[0].opc.programmed.tuning.latency_s
+    expected = StreamSimulator(OISAConfig()).run(
+        LENET_FIRST_LAYER,
+        frames,
+        fps,
+        remap_every=frames + 1,
+        tuning_latency_s=tuning_s,
+    )
+    assert [tuple(event) for event in report.stream.events] == [
+        tuple(event) for event in expected.events
+    ]
+    assert report.stream.dropped == expected.dropped

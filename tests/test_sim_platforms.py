@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.energy import resnet18_first_layer_workload
-from repro.core.mapping import ConvWorkload, MlpWorkload
+from repro.core.config import OISAConfig
+from repro.core.energy import OISAEnergyModel, resnet18_first_layer_workload
+from repro.core.mapping import ConvWorkload, MlpWorkload, plan_convolution
 from repro.sim import platforms as platforms_module
 from repro.sim.platforms import (
     Platform,
@@ -12,7 +13,6 @@ from repro.sim.platforms import (
     platform_registry,
     register_platform,
 )
-from repro.sim.simulator import InHouseSimulator
 
 
 @pytest.fixture
@@ -49,17 +49,30 @@ def test_parameters_metadata_present():
 
 
 def test_registry_reproduces_simulator_reports_bit_identically(workload):
-    """The acceptance loop: iterating the registry == the facade's answers."""
-    simulator = InHouseSimulator()
-    expected = {r.platform: r for r in simulator.compare_all(workload, weight_bits=4)}
+    """Each adapter reports its simulation model's own numbers, exactly:
+    OISA's energy model and mapping plan, each baseline's backend."""
+    config = OISAConfig().with_weight_bits(4)
+    model = OISAEnergyModel(config)
+    plan = plan_convolution(config, workload)
+    energy = model.frame_energy_j(plan)
     for adapter in iter_platforms():
         report = adapter.simulate_conv(workload, weight_bits=4, activation_bits=2)
-        reference = expected[adapter.name]
-        assert report.frame_energy_j == reference.frame_energy_j
-        assert report.average_power_w == reference.average_power_w
-        assert report.efficiency_tops_per_watt == reference.efficiency_tops_per_watt
-        assert report.compute_cycles == reference.compute_cycles
-        assert report.breakdown.components == reference.breakdown.components
+        if adapter.key == "oisa":
+            rate = config.frame_rate_hz
+            assert report.frame_energy_j == energy.total
+            assert report.average_power_w == energy.total * rate
+            assert report.compute_cycles == plan.compute_cycles
+            assert report.efficiency_tops_per_watt == (
+                model.efficiency_tops_per_watt(workload.kernel_size)
+            )
+            assert report.breakdown.components == energy.scaled(rate).components
+        else:
+            power = adapter.backend.average_power_w(
+                workload, weight_bits=4, activation_bits=2, frame_rate_hz=1000.0
+            )
+            assert report.average_power_w == power.total
+            assert report.frame_energy_j == power.total / 1000.0
+            assert report.breakdown.components == power.components
 
 
 def test_oisa_table1_row_matches_analysis():
