@@ -79,7 +79,6 @@ class CapacitySettings:
     node_counts: tuple[int, ...] = (1, 2, 4)
     frames: int = 240
     seed: int = 0
-    micro_batch: int = 8
     #: Offered-rate search floor [FPS]; also the bracket's lower edge.
     fps_floor: float = 50.0
     #: Sustainability criteria (deadline scenarios judge on hit rate,
@@ -101,7 +100,6 @@ class CapacitySettings:
         check_count("search_iterations", self.search_iterations)
         check_probability("max_drop_rate", self.max_drop_rate)
         check_probability("min_hit_rate", self.min_hit_rate)
-        check_count("micro_batch", self.micro_batch)
         if not self.policies:
             raise ValueError("policies must name at least one policy")
         for policy in self.policies:
@@ -198,11 +196,7 @@ def _probe(
 
     scenario = base.at_rate(offered_fps)
     server = FrameServer(
-        num_nodes=nodes,
-        micro_batch=settings.micro_batch,
-        seed=settings.seed,
-        policy=policy,
-        cache=cache,
+        num_nodes=nodes, seed=settings.seed, policy=policy, cache=cache
     )
     report = server.serve_scenario(scenario, compute=False)
     drop_rate = report.stream.drop_rate
@@ -331,7 +325,6 @@ def _prewarm_programs(settings: CapacitySettings, models, program_store=None):
 
     server = FrameServer(
         num_nodes=max(settings.node_counts),
-        micro_batch=settings.micro_batch,
         seed=settings.seed,
         program_store=program_store,
     )
@@ -383,7 +376,6 @@ def sustainable_fps_per_node(
     policy: str = "greedy",
     frames: int = 96,
     seed: int = 0,
-    micro_batch: int = 8,
 ) -> float:
     """One node's measured sustainable rate on ``scenario`` [FPS].
 
@@ -405,7 +397,6 @@ def sustainable_fps_per_node(
         node_counts=(1,),
         frames=frames,
         seed=seed,
-        micro_batch=micro_batch,
         search_iterations=5,
     )
     return build_capacity_report(settings).points[0].sustainable_fps

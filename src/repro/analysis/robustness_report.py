@@ -354,7 +354,6 @@ def build_resilience_report(
         )
         server = FrameServer(
             num_nodes=settings.num_nodes,
-            micro_batch=8,
             seed=settings.seed,
             policy=settings.policy,
             chaos_plan=settings.chaos_plan,

@@ -360,7 +360,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
                 ("peak thermal drift [K]", f"{health.peak_drift_k:.3f}"),
                 ("recalibration energy [nJ]", f"{health.recalibration_energy_j * 1e9:.2f}"),
-                ("dead nodes", str(health.dead_nodes) if health.dead_nodes else "-"),
             )
         )
         if health.chaos_events:
@@ -697,10 +696,10 @@ def _retry_policy(text: str) -> str:
 
 
 def _brownout(text: str) -> str:
-    """argparse ``type=`` for a named brownout config."""
-    from repro.engine.failover import BrownoutConfig
+    """argparse ``type=`` for a ``--brownout`` name."""
+    from repro.engine.failover import brownout_enabled
 
-    _accept(BrownoutConfig.named, text)
+    _accept(brownout_enabled, text)
     return text
 
 

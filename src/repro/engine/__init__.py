@@ -28,16 +28,16 @@
 * :mod:`repro.engine.health` — degraded-mode serving: named
   :class:`FaultProfile` scenarios, the :class:`SnrWatchdog` precision
   monitor, and the :class:`HealthMonitor` that samples thermal drift and
-  injected upsets mid-stream, routes frames around recalibrating/dead
-  nodes and restores bit-identical programs after recovery.
+  injected upsets mid-stream, routes frames around recalibrating nodes
+  and restores bit-identical programs after recovery.
 * :mod:`repro.engine.chaos` — deterministic fleet-scale fault injection:
   named :class:`ChaosPlan` schedules (node loss, region outages,
   correlated upsets, cache storms, latency spikes) resolved to
   seed-reproducible :class:`ChaosEvent` timelines replayed by the health
   monitor.
 * :mod:`repro.engine.failover` — surviving the chaos: deadline-aware
-  :class:`RetryPolicy` backoff, warm-standby :class:`SparePool` spares
-  (cache-hit activation, bit-identical programs), and the
+  :class:`RetryPolicy` backoff, warm-standby spares (cache-hit
+  activation, bit-identical programs), and the
   :class:`BrownoutController` degradation-tier admission ladder.
 * :mod:`repro.engine.router` — deterministic tenant-to-shard routing:
   rendezvous (HRW) hashing with draining-shard spillover.
@@ -75,7 +75,6 @@ from repro.engine.chaos import (
 )
 from repro.engine.failover import (
     BROWNOUT_TIERS,
-    BrownoutConfig,
     BrownoutController,
     BrownoutReport,
     BrownoutTransition,
@@ -83,7 +82,6 @@ from repro.engine.failover import (
     ResilienceReport,
     RetryPolicy,
     SpareActivation,
-    SparePool,
     availability,
     recovery_time_s,
 )
@@ -130,7 +128,6 @@ __all__ = [
     "AdmissionController",
     "Autoscaler",
     "AutoscalerConfig",
-    "BrownoutConfig",
     "BrownoutController",
     "BrownoutReport",
     "BrownoutTransition",
@@ -170,7 +167,6 @@ __all__ = [
     "SloReport",
     "SnrWatchdog",
     "SpareActivation",
-    "SparePool",
     "WeightProgramCache",
     "availability",
     "build_scenario",

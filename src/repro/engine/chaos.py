@@ -44,7 +44,11 @@ from dataclasses import dataclass, field
 
 from repro.sim.faults import FaultSpec
 from repro.util.rng import derive_rng
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_count,
+    check_non_negative,
+    check_positive,
+)
 
 #: Event kinds a plan may schedule (see module docstring for semantics).
 CHAOS_KINDS = (
@@ -105,7 +109,8 @@ class ChaosSpec:
         check_non_negative("duration_s", self.duration_s)
         check_non_negative("jitter_s", self.jitter_s)
         check_non_negative("every_s", self.every_s)
-        check_positive("repeats", self.repeats)
+        check_count("count", self.count, minimum=0)
+        check_count("repeats", self.repeats)
         check_positive("factor", self.factor)
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
             raise ValueError(
@@ -163,7 +168,7 @@ class ChaosPlan:
                     onset += float(rng.uniform(0.0, spec.jitter_s))
                 if spec.fraction is not None:
                     hit = max(1, int(round(spec.fraction * num_nodes)))
-                elif spec.count <= 0:
+                elif spec.count == 0:
                     hit = num_nodes
                 else:
                     hit = min(spec.count, num_nodes)

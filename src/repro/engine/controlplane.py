@@ -16,9 +16,10 @@ machinery on top *without touching the data path*:
 * **autoscaling** — each shard's *active* node count tracks its own
   offered load window by window, using the capacity model from
   :func:`repro.analysis.capacity.sustainable_fps_per_node` (scale-up on
-  predicted deadline-class pressure, scale-down only after a dwell
-  period — the same hysteresis shape as the brownout controller).  The
-  mechanism is :meth:`FrameServer.serve`'s ``node_limit``: shard servers
+  the window's offered frame rate, every frame counted the same;
+  scale-down only after a dwell period — the same hysteresis shape as
+  the brownout controller).  The mechanism is
+  :meth:`FrameServer.serve`'s ``node_limit``: shard servers
   are built at ``max_nodes`` and a window serves on the first *k* nodes
   — prefix-stable die seeds make that byte-identical to a k-node fleet,
   while the idle nodes above the limit are *warm spares* in the PR-8
@@ -104,6 +105,18 @@ from repro.util.validation import check_positive
 #: Zoo placement modes :meth:`ControlPlane.serve_scenario` accepts.
 PLACEMENTS = ("replicate", "partition")
 
+#: Scale up when a window's offered load over capacity exceeds this; the
+#: scale-up sizes the shard so the observed load sits back at or below it.
+TARGET_UTILIZATION = 0.70
+#: A window below this utilization counts toward the scale-down dwell
+#: (strictly below :data:`TARGET_UTILIZATION`: the hysteresis band).
+SCALE_DOWN_UTILIZATION = 0.35
+#: Consecutive low windows required before removing one node — and,
+#: because a scale-up resets the streak, the minimum spacing between a
+#: scale-up and any later scale-down (the no-flap guarantee
+#: ``tests/test_engine_controlplane.py`` pins).
+DWELL_WINDOWS = 2
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -117,36 +130,20 @@ class AutoscalerConfig:
     min_nodes / max_nodes:
         Active-node bounds per shard; shard servers are built at
         ``max_nodes`` so scale-ups only ever *unmask* warm nodes.
-    target_utilization:
-        Scale up when offered/capacity exceeds this; the scale-up sizes
-        the shard so the observed load sits back at or below it.
-    scale_down_utilization:
-        A window below this counts toward the scale-down dwell; must sit
-        strictly below ``target_utilization`` (the hysteresis band).
-    dwell_windows:
-        Consecutive low windows required before removing one node —
-        and, because a scale-up resets the streak, the minimum spacing
-        between a scale-up and any later scale-down (the no-flap
-        guarantee ``tests/test_engine_controlplane.py`` pins).
     fps_per_node:
         Capacity model: sustainable FPS of one node on this traffic.
         ``None`` (default) measures it per (scenario, policy) via
         :func:`repro.analysis.capacity.sustainable_fps_per_node`.
-    best_effort_weight:
-        Weight of frames whose SLO class has *no* deadline in the
-        offered-load observation — the "deadline-class pressure" knob
-        (1.0 counts everything equally; 0.0 scales only for deadline
-        traffic).
+
+    The utilization thresholds and the scale-down dwell are the module
+    constants :data:`TARGET_UTILIZATION`, :data:`SCALE_DOWN_UTILIZATION`
+    and :data:`DWELL_WINDOWS`.
     """
 
     window_s: float = 0.05
     min_nodes: int = 1
     max_nodes: int = 4
-    target_utilization: float = 0.70
-    scale_down_utilization: float = 0.35
-    dwell_windows: int = 2
     fps_per_node: float | None = None
-    best_effort_weight: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive("window_s", self.window_s)
@@ -156,24 +153,8 @@ class AutoscalerConfig:
                 f"max_nodes ({self.max_nodes}) must be >= min_nodes "
                 f"({self.min_nodes})"
             )
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ValueError(
-                "target_utilization must be in (0, 1], got "
-                f"{self.target_utilization}"
-            )
-        if not 0.0 < self.scale_down_utilization < self.target_utilization:
-            raise ValueError(
-                "scale_down_utilization must be in (0, target_utilization), "
-                f"got {self.scale_down_utilization}"
-            )
-        check_positive("dwell_windows", self.dwell_windows)
         if self.fps_per_node is not None:
             check_positive("fps_per_node", self.fps_per_node)
-        if self.best_effort_weight < 0.0:
-            raise ValueError(
-                "best_effort_weight must be >= 0, got "
-                f"{self.best_effort_weight}"
-            )
 
     @staticmethod
     def parse(spec: str) -> "AutoscalerConfig":
@@ -204,7 +185,7 @@ class ScalingDecision:
     time_s: float
     from_nodes: int
     to_nodes: int
-    #: Weighted offered load observed in ``window`` [FPS].
+    #: Offered load observed in ``window`` [FPS].
     offered_fps: float
     #: Capacity at ``from_nodes`` under the controller model [FPS].
     capacity_fps: float
@@ -252,11 +233,11 @@ class Autoscaler:
         capacity = self.nodes * self.fps_per_node
         pressure = offered_fps / capacity
         effect_s = (window + 1) * config.window_s
-        if pressure > config.target_utilization:
+        if pressure > TARGET_UTILIZATION:
             # Jump straight to the count that brings utilization back to
             # target — a one-node step would chase a fast ramp forever.
             needed = math.ceil(
-                offered_fps / (config.target_utilization * self.fps_per_node)
+                offered_fps / (TARGET_UTILIZATION * self.fps_per_node)
             )
             to_nodes = max(self.nodes, min(config.max_nodes, needed))
             self._low_streak = 0
@@ -275,10 +256,10 @@ class Autoscaler:
                     )
                 )
                 self.nodes = to_nodes
-        elif pressure < config.scale_down_utilization:
+        elif pressure < SCALE_DOWN_UTILIZATION:
             self._low_streak += 1
             if (
-                self._low_streak >= config.dwell_windows
+                self._low_streak >= DWELL_WINDOWS
                 and self.nodes > config.min_nodes
             ):
                 # One node at a time: scale-downs are the risky direction
@@ -647,7 +628,6 @@ class ControlPlane:
                 for entry in per_shard.get(shard.name, []):
                     window = int(entry[2] // config.window_s)
                     buckets[min(window, plane.windows - 1)].append(entry)
-                admission = shard.server.admission
                 for window, bucket in enumerate(buckets):
                     active = scaler.nodes
                     trajectory.append(active)
@@ -659,15 +639,7 @@ class ControlPlane:
                                 shard, bucket, start, rate, active
                             )
                         )
-                    weighted = 0.0
-                    for _, request, _ in bucket:
-                        slo = admission.slo_for(request.model_key)
-                        weighted += (
-                            1.0
-                            if slo.deadline_s is not None
-                            else config.best_effort_weight
-                        )
-                    scaler.observe(window, weighted / config.window_s)
+                    scaler.observe(window, len(bucket) / config.window_s)
                 plane.decisions.extend(scaler.decisions)
             plane.static_node_seconds = (
                 len(self.shards)
@@ -886,7 +858,10 @@ class ControlPlane:
 
 
 __all__ = [
+    "DWELL_WINDOWS",
     "PLACEMENTS",
+    "SCALE_DOWN_UTILIZATION",
+    "TARGET_UTILIZATION",
     "Autoscaler",
     "AutoscalerConfig",
     "ControlPlane",

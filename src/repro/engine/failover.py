@@ -11,12 +11,11 @@ deterministic in simulated stream time:
   deadline is abandoned immediately instead of wasting capacity) with
   per-class retry budgets so best-effort retries can never starve
   interactive traffic.
-* :class:`SparePool` / :class:`FailoverCoordinator` — warm-standby
-  spares: a spare activates against the *failed node's die seed*, so
-  every program the primary warmed via :meth:`FrameServer.warmup` is a
-  cache **hit** on the spare and the installed programs are
-  bit-identical to the primary's (the cache key includes the die seed —
-  same die, same realized weights).
+* :class:`FailoverCoordinator` — warm-standby spares: a spare activates
+  against the *failed node's die seed*, so every program the primary
+  warmed via :meth:`FrameServer.warmup` is a cache **hit** on the spare
+  and the installed programs are bit-identical to the primary's (the
+  cache key includes the die seed — same die, same realized weights).
 * :class:`BrownoutController` — admission steps through explicit
   degradation tiers under sustained overload or capacity loss: *normal* →
   *shed best-effort* → *tighten ``max_queue_s``* → *serve at reduced
@@ -45,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.scheduler import ServeLayers
 from repro.util.rng import derive_rng
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_count, check_positive
 
 #: Brownout tier names, by level (index = tier).
 BROWNOUT_TIERS = (
@@ -60,9 +59,26 @@ BROWNOUT_TIERS = (
 # ----------------------------------------------------------------------
 # Retry
 # ----------------------------------------------------------------------
+#: Time to notice a tripped node [s]: the hedged first retry fires
+#: after just this delay, and every later retry waits it on top of its
+#: backoff step.
+RETRY_DETECTION_DELAY_S = 2e-4
+#: Growth of the backoff step from one retry to the next.
+RETRY_BACKOFF_FACTOR = 2.0
+#: Uniform ±fraction applied to each backoff step.
+RETRY_JITTER_FRAC = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deadline-aware retry with exponential backoff + derived jitter.
+
+    The first retry is hedged: it fires :data:`RETRY_DETECTION_DELAY_S`
+    after the failure.  Retry *k* >= 2 waits that delay plus
+    ``backoff_base_s * RETRY_BACKOFF_FACTOR**(k-2)``, scaled by a uniform
+    ±:data:`RETRY_JITTER_FRAC` draw from
+    ``derive_rng(seed, "retry-<frame>-<attempt>")`` — deterministic per
+    (seed, frame, attempt).
 
     Parameters
     ----------
@@ -70,20 +86,8 @@ class RetryPolicy:
         Display/CLI name.
     max_retries:
         Re-dispatch attempts per frame after its first dispatch.
-    detection_delay_s:
-        Time to notice a tripped node; the hedged first retry fires after
-        just this delay.
-    backoff_base_s / backoff_factor:
-        Retry *k* (k >= 2, or every retry when ``hedge_on_trip`` is off)
-        waits ``backoff_base_s * backoff_factor**(k-1)`` after the
-        failure, scaled by the jitter draw.
-    jitter_frac:
-        Uniform ±fraction applied to the backoff delay, drawn from
-        ``derive_rng(seed, "retry-<frame>-<attempt>")`` — deterministic
-        per (seed, frame, attempt).
-    hedge_on_trip:
-        Whether the first retry is hedged (fires at detection delay
-        instead of the first backoff step).
+    backoff_base_s:
+        The first backoff step (retry 2).
     class_budget_frac:
         Per-SLO-class retry budget as a fraction of the class's offered
         frames so far (floor of one retry).  Best-effort retry storms
@@ -92,24 +96,13 @@ class RetryPolicy:
 
     name: str = "deadline"
     max_retries: int = 3
-    detection_delay_s: float = 2e-4
     backoff_base_s: float = 5e-4
-    backoff_factor: float = 2.0
-    jitter_frac: float = 0.25
-    hedge_on_trip: bool = True
     class_budget_frac: float = 0.5
 
     def __post_init__(self) -> None:
-        check_positive("max_retries", self.max_retries)
-        check_non_negative("detection_delay_s", self.detection_delay_s)
+        check_count("max_retries", self.max_retries)
         check_positive("backoff_base_s", self.backoff_base_s)
-        check_positive("backoff_factor", self.backoff_factor)
-        check_non_negative("jitter_frac", self.jitter_frac)
         check_positive("class_budget_frac", self.class_budget_frac)
-        if self.jitter_frac >= 1.0:
-            raise ValueError(
-                f"jitter_frac must be < 1, got {self.jitter_frac}"
-            )
 
     def delay_s(self, index: int, attempt: int, seed: int | None) -> float:
         """Delay before retry ``attempt`` (1-based) of frame ``index``.
@@ -117,14 +110,12 @@ class RetryPolicy:
         Deterministic: the jitter draw comes from a stream keyed by
         (seed, frame index, attempt), independent of scheduling order.
         """
-        if attempt <= 1 and self.hedge_on_trip:
-            return self.detection_delay_s
-        step = attempt - 1 if self.hedge_on_trip else attempt
-        delay = self.backoff_base_s * self.backoff_factor ** (step - 1)
-        if self.jitter_frac > 0.0:
-            rng = derive_rng(seed, f"retry-{index}-{attempt}")
-            delay *= 1.0 + self.jitter_frac * float(rng.uniform(-1.0, 1.0))
-        return self.detection_delay_s + delay
+        if attempt <= 1:
+            return RETRY_DETECTION_DELAY_S
+        delay = self.backoff_base_s * RETRY_BACKOFF_FACTOR ** (attempt - 2)
+        rng = derive_rng(seed, f"retry-{index}-{attempt}")
+        delay *= 1.0 + RETRY_JITTER_FRAC * float(rng.uniform(-1.0, 1.0))
+        return RETRY_DETECTION_DELAY_S + delay
 
     @staticmethod
     def named(name: str) -> "RetryPolicy | None":
@@ -166,88 +157,51 @@ class SpareActivation:
     ready_s: float
 
 
-@dataclass(frozen=True)
-class SparePool:
-    """Warm-standby budget: how many spares, how fast they come up."""
-
-    count: int
-    #: Power-up + attach latency before the spare takes its first frame.
-    #: Pre-warmed programs make the *programming* free (cache hits); this
-    #: is the remaining bring-up cost.
-    activation_latency_s: float = 2e-3
-
-    def __post_init__(self) -> None:
-        check_non_negative("count", self.count)
-        check_non_negative(
-            "activation_latency_s", self.activation_latency_s
-        )
+#: Power-up + attach latency before a warm spare takes its first frame
+#: [s].  Pre-warmed programs make the *programming* free (cache hits);
+#: this is the remaining bring-up cost.
+SPARE_ACTIVATION_LATENCY_S = 2e-3
 
 
 # ----------------------------------------------------------------------
 # Brownout
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Thresholds/effects of the degradation ladder.
+# The ladder's load signal is ``wait_estimate / BROWNOUT_PRESSURE_REF_S
+# + BROWNOUT_CAPACITY_WEIGHT * unavailable_fraction``: one unitless value
+# combining queueing delay and capacity loss.  Tier *k* (1-based) is
+# entered when it holds above ``BROWNOUT_ENTER_PRESSURE[k-1]`` for
+# ``BROWNOUT_DWELL_S`` and exited when it holds below that bar times
+# ``BROWNOUT_EXIT_FRACTION`` for ``BROWNOUT_DWELL_S`` (hysteresis: the
+# exit bar is strictly lower than the entry bar).
+BROWNOUT_ENTER_PRESSURE = (1.0, 2.5, 5.0, 10.0)
+BROWNOUT_EXIT_FRACTION = 0.5
+BROWNOUT_DWELL_S = 2e-3
+BROWNOUT_PRESSURE_REF_S = 5e-3
+BROWNOUT_CAPACITY_WEIGHT = 4.0
+#: Tier 1+ sheds classes at priority <= this.
+BROWNOUT_SHED_PRIORITY_MAX = 0
+#: Tier 2+ multiplies each class's ``max_queue_s`` by this...
+BROWNOUT_QUEUE_TIGHTEN_FACTOR = 0.5
+#: ...and imposes this bound [s] on classes that had none.
+BROWNOUT_IMPOSED_QUEUE_S = 0.01
+#: Tier 3+ serves through variants quantized to at most this many bits.
+BROWNOUT_REDUCED_BITS = 2
 
-    Pressure is ``wait_estimate / pressure_ref_s + capacity_weight *
-    unavailable_fraction`` — one unitless load signal combining queueing
-    delay and capacity loss.  Tier *k* (1-based) is entered when pressure
-    holds above ``enter_pressure[k-1]`` for ``dwell_s`` and exited when it
-    holds below ``enter_pressure[k-1] * exit_fraction`` for ``dwell_s``
-    (hysteresis: the exit bar is strictly lower than the entry bar).
+
+def brownout_enabled(name: str | None) -> bool:
+    """Whether the ``--brownout`` name ``name`` turns the ladder on.
+
+    ``"standard"`` runs it; ``"none"`` and ``None`` keep admission
+    tier-free.  Any other name raises ``ValueError``.
     """
-
-    enter_pressure: tuple[float, float, float, float] = (1.0, 2.5, 5.0, 10.0)
-    exit_fraction: float = 0.5
-    dwell_s: float = 2e-3
-    pressure_ref_s: float = 5e-3
-    capacity_weight: float = 4.0
-    #: Tier 1+ sheds classes at priority <= this.
-    shed_priority_max: int = 0
-    #: Tier 2+ multiplies each class's ``max_queue_s`` by this...
-    queue_tighten_factor: float = 0.5
-    #: ...and imposes this bound on classes that had none.
-    imposed_queue_s: float = 0.01
-    #: Tier 3+ serves through variants quantized to at most this many bits.
-    reduced_bits: int = 2
-
-    def __post_init__(self) -> None:
-        if len(self.enter_pressure) != len(BROWNOUT_TIERS) - 1:
-            raise ValueError(
-                f"enter_pressure needs {len(BROWNOUT_TIERS) - 1} entries, "
-                f"got {len(self.enter_pressure)}"
-            )
-        if list(self.enter_pressure) != sorted(self.enter_pressure):
-            raise ValueError("enter_pressure must be non-decreasing")
-        if not 0.0 < self.exit_fraction < 1.0:
-            raise ValueError(
-                f"exit_fraction must be in (0, 1), got {self.exit_fraction}"
-            )
-        check_non_negative("dwell_s", self.dwell_s)
-        check_positive("pressure_ref_s", self.pressure_ref_s)
-        check_non_negative("capacity_weight", self.capacity_weight)
-        check_positive("queue_tighten_factor", self.queue_tighten_factor)
-        check_positive("imposed_queue_s", self.imposed_queue_s)
-        if not 1 <= self.reduced_bits <= 4:
-            raise ValueError(
-                f"reduced_bits must be in [1, 4], got {self.reduced_bits}"
-            )
-
-    @staticmethod
-    def named(name: str) -> "BrownoutConfig | None":
-        """Look up a named config (the CLI ``--brownout`` values)."""
-        key = name.strip().lower()
-        configs = {
-            "none": None,
-            "standard": BrownoutConfig(),
-        }
-        if key not in configs:
-            raise ValueError(
-                f"unknown brownout config {name!r}; known: "
-                f"{', '.join(sorted(configs))}"
-            )
-        return configs[key]
+    if name is None:
+        return False
+    key = name.strip().lower() if isinstance(name, str) else name
+    if key not in ("none", "standard"):
+        raise ValueError(
+            f"unknown brownout config {name!r}; known: none, standard"
+        )
+    return key == "standard"
 
 
 @dataclass(frozen=True)
@@ -299,8 +253,7 @@ class BrownoutController:
     every rung of the ladder.
     """
 
-    def __init__(self, config: BrownoutConfig | None = None) -> None:
-        self.config = config if config is not None else BrownoutConfig()
+    def __init__(self) -> None:
         self.tier = 0
         self.report = BrownoutReport()
         self._above_since: float | None = None
@@ -309,41 +262,39 @@ class BrownoutController:
     # -- signal ---------------------------------------------------------
     def pressure(self, wait_s: float, unavailable_fraction: float) -> float:
         """The combined load signal (unitless)."""
-        cfg = self.config
         bounded_wait = (
             wait_s
             if math.isfinite(wait_s)
-            # Every node dead: saturate well past the top entry bar.
-            else 2.0 * cfg.enter_pressure[-1] * cfg.pressure_ref_s
+            # Every node lost for good: saturate well past the top bar.
+            else 2.0 * BROWNOUT_ENTER_PRESSURE[-1] * BROWNOUT_PRESSURE_REF_S
         )
         return (
-            bounded_wait / cfg.pressure_ref_s
-            + cfg.capacity_weight * unavailable_fraction
+            bounded_wait / BROWNOUT_PRESSURE_REF_S
+            + BROWNOUT_CAPACITY_WEIGHT * unavailable_fraction
         )
 
     def observe(
         self, now_s: float, wait_s: float, unavailable_fraction: float
     ) -> int:
         """Advance the tier state machine; returns the active tier."""
-        cfg = self.config
         pressure = self.pressure(wait_s, unavailable_fraction)
         if self.tier < len(BROWNOUT_TIERS) - 1 and (
-            pressure >= cfg.enter_pressure[self.tier]
+            pressure >= BROWNOUT_ENTER_PRESSURE[self.tier]
         ):
             self._below_since = None
             if self._above_since is None:
                 self._above_since = now_s
-            if now_s - self._above_since >= cfg.dwell_s:
+            if now_s - self._above_since >= BROWNOUT_DWELL_S:
                 self._step(now_s, self.tier + 1, pressure, "pressure above entry bar")
                 self._above_since = now_s
         elif self.tier > 0 and (
             pressure
-            <= cfg.enter_pressure[self.tier - 1] * cfg.exit_fraction
+            <= BROWNOUT_ENTER_PRESSURE[self.tier - 1] * BROWNOUT_EXIT_FRACTION
         ):
             self._above_since = None
             if self._below_since is None:
                 self._below_since = now_s
-            if now_s - self._below_since >= cfg.dwell_s:
+            if now_s - self._below_since >= BROWNOUT_DWELL_S:
                 self._step(now_s, self.tier - 1, pressure, "pressure below exit bar")
                 self._below_since = now_s
         else:
@@ -366,7 +317,7 @@ class BrownoutController:
         """Whether the active tier admits an arrival of class ``slo``."""
         if self.tier >= len(BROWNOUT_TIERS) - 1:
             return False  # reject tier: nothing gets in
-        if self.tier >= 1 and slo.priority <= self.config.shed_priority_max:
+        if self.tier >= 1 and slo.priority <= BROWNOUT_SHED_PRIORITY_MAX:
             return False
         return True
 
@@ -375,10 +326,10 @@ class BrownoutController:
         if self.tier < 2:
             return slo.max_queue_s
         if slo.max_queue_s is None:
-            return self.config.imposed_queue_s
+            return BROWNOUT_IMPOSED_QUEUE_S
         return min(
-            slo.max_queue_s * self.config.queue_tighten_factor,
-            self.config.imposed_queue_s,
+            slo.max_queue_s * BROWNOUT_QUEUE_TIGHTEN_FACTOR,
+            BROWNOUT_IMPOSED_QUEUE_S,
         )
 
     @property
@@ -438,7 +389,7 @@ class FailoverCoordinator(ServeLayers):
     retry:
         The :class:`RetryPolicy` (``None`` disables retries).
     spares:
-        The :class:`SparePool` budget (``None``/count 0 disables spares).
+        Warm-standby spare count (0 disables spares).
     brownout:
         A fresh :class:`BrownoutController` (``None`` disables tiers).
     seed:
@@ -458,7 +409,7 @@ class FailoverCoordinator(ServeLayers):
         self,
         monitor=None,
         retry: RetryPolicy | None = None,
-        spares: SparePool | None = None,
+        spares: int = 0,
         brownout: BrownoutController | None = None,
         seed: int | None = 0,
         spare_factory=None,
@@ -473,7 +424,7 @@ class FailoverCoordinator(ServeLayers):
         self._reduced_key = dict(reduced_key or {})
         self.report = ResilienceReport(
             retry_policy=retry.name if retry is not None else "none",
-            spares_configured=spares.count if spares is not None else 0,
+            spares_configured=spares,
         )
         self._offered_by_class: dict[str, int] = {}
         self._retries_by_class: dict[str, int] = {}
@@ -541,7 +492,7 @@ class FailoverCoordinator(ServeLayers):
             fields["health"] = self.monitor.report
         if (
             self.retry is not None
-            or self.spares is not None
+            or self.spares > 0
             or self.brownout is not None
         ):
             fields["resilience"] = self.report
@@ -600,14 +551,13 @@ class FailoverCoordinator(ServeLayers):
         are bit-identical to the primary's.
         """
         if (
-            self.spares is None
-            or self._spare_factory is None
-            or len(self._covered) >= self.spares.count
+            self._spare_factory is None
+            or len(self._covered) >= self.spares
             or failed_node.node_id in self._covered
         ):
             return None
         self._covered.add(failed_node.node_id)
-        ready_s = now_s + self.spares.activation_latency_s
+        ready_s = now_s + SPARE_ACTIVATION_LATENCY_S
         spare = self._spare_factory(failed_node, ready_s)
         self.report.spare_activations.append(
             SpareActivation(
@@ -659,8 +609,20 @@ def recovery_time_s(report, model_keys=None) -> float | None:
 
 
 __all__ = [
+    "BROWNOUT_CAPACITY_WEIGHT",
+    "BROWNOUT_DWELL_S",
+    "BROWNOUT_ENTER_PRESSURE",
+    "BROWNOUT_EXIT_FRACTION",
+    "BROWNOUT_IMPOSED_QUEUE_S",
+    "BROWNOUT_PRESSURE_REF_S",
+    "BROWNOUT_QUEUE_TIGHTEN_FACTOR",
+    "BROWNOUT_REDUCED_BITS",
+    "BROWNOUT_SHED_PRIORITY_MAX",
     "BROWNOUT_TIERS",
-    "BrownoutConfig",
+    "RETRY_BACKOFF_FACTOR",
+    "RETRY_DETECTION_DELAY_S",
+    "RETRY_JITTER_FRAC",
+    "SPARE_ACTIVATION_LATENCY_S",
     "BrownoutController",
     "BrownoutReport",
     "BrownoutTransition",
@@ -668,7 +630,7 @@ __all__ = [
     "ResilienceReport",
     "RetryPolicy",
     "SpareActivation",
-    "SparePool",
     "availability",
+    "brownout_enabled",
     "recovery_time_s",
 ]

@@ -8,8 +8,10 @@ healthy die forever, while the repo's three degradation physics models —
 exercised by offline analysis.  This module wires them into the stream:
 
 * :class:`FaultProfile` — a named degradation scenario (upset schedule,
-  drift rate, watchdog cadence, recalibration cost) attachable to a
-  :class:`~repro.engine.server.FrameServer` via ``fault_profile=``;
+  drift rate) attachable to a :class:`~repro.engine.server.FrameServer`
+  via ``fault_profile=``; the watchdog cadence and the recalibration
+  cost are the module constants :data:`CHECK_INTERVAL_S` and
+  :data:`RECALIBRATION_LATENCY_S`;
 * :class:`SnrWatchdog` — converts a node's monitored realized-weight error
   into an *equivalent resolvable bit count* and compares it against the
   architecture's weight precision, ceilinged by the optical link's ENOB
@@ -53,7 +55,18 @@ from repro.core.thermal import ThermalModel
 from repro.photonics.microring import MicroringResonator
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
 from repro.util.rng import derive_rng
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative
+
+#: Fraction of the EO-compensable thermal range at which the watchdog
+#: forces a re-trim (a recalibration).
+DRIFT_TRIP_FRACTION = 0.9
+#: Minimum simulated time between watchdog samples on a node [s].  Checks
+#: piggyback on frame arrivals, so detection latency is at most one check
+#: interval plus one inter-arrival gap.
+CHECK_INTERVAL_S = 2e-3
+#: Simulated downtime of a recalibrating node [s] (AWC re-measurement +
+#: remap); the scheduler routes frames around it meanwhile.
+RECALIBRATION_LATENCY_S = 5e-3
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,8 @@ class FaultProfile:
         The fault rates drawn when an upset fires (see
         :class:`~repro.sim.faults.FaultSpec`).  Upsets are modeled as
         recoverable controller/program corruptions: a recalibration remap
-        clears them (permanently dead devices are the ``fatal_upsets``
-        path).
+        clears them.  A node lost for good is a chaos ``node-loss`` of
+        infinite duration (:mod:`repro.engine.chaos`).
     fault_onset_s:
         Simulated time of the first upset on node 0; ``None`` disables
         upsets.  Node *i* sees its first upset at
@@ -83,24 +96,8 @@ class FaultProfile:
         Ambient thermal drift rate.  Within the EO fine-trim range the
         stabilisation loop compensates (no accuracy impact, per
         :class:`~repro.core.thermal.ThermalModel`); when the accumulated
-        excursion reaches ``drift_trip_fraction`` of the compensable range
-        the watchdog forces a thermal re-trim (a recalibration).
-    drift_trip_fraction:
-        Fraction of the EO-compensable range at which the watchdog re-trims.
-    check_interval_s:
-        Minimum simulated time between watchdog samples on a node (checks
-        piggyback on frame arrivals, so detection latency is at most one
-        check interval plus one inter-arrival gap).
-    recalibration_latency_s:
-        Simulated downtime of a recalibrating node (AWC re-measurement +
-        remap); the scheduler routes frames around it meanwhile.
-    snr_margin_bits:
-        Extra bits of headroom the watchdog demands on top of the
-        configured weight precision.
-    fatal_upsets:
-        Upset count at which a node dies permanently (for the rest of the
-        ``serve`` call) instead of recovering; ``None`` means nodes always
-        recover.
+        excursion reaches :data:`DRIFT_TRIP_FRACTION` of the compensable
+        range the watchdog forces a thermal re-trim (a recalibration).
     calibrated:
         Serve through :class:`~repro.core.calibration.CalibratedAwcMapper`
         pre-distortion from the start, so recalibration re-runs the same
@@ -113,33 +110,14 @@ class FaultProfile:
     fault_every_s: float = 0.0
     node_stagger_s: float = 0.0
     drift_k_per_s: float = 0.0
-    drift_trip_fraction: float = 0.9
-    check_interval_s: float = 2e-3
-    recalibration_latency_s: float = 5e-3
-    snr_margin_bits: float = 0.0
-    fatal_upsets: int | None = None
     calibrated: bool = False
 
     def __post_init__(self) -> None:
+        if self.fault_onset_s is not None:
+            check_non_negative("fault_onset_s", self.fault_onset_s)
         check_non_negative("fault_every_s", self.fault_every_s)
         check_non_negative("node_stagger_s", self.node_stagger_s)
         check_non_negative("drift_k_per_s", self.drift_k_per_s)
-        check_non_negative("snr_margin_bits", self.snr_margin_bits)
-        check_positive("check_interval_s", self.check_interval_s)
-        check_positive("recalibration_latency_s", self.recalibration_latency_s)
-        if not 0.0 < self.drift_trip_fraction <= 1.0:
-            raise ValueError(
-                f"drift_trip_fraction must be in (0, 1], got "
-                f"{self.drift_trip_fraction}"
-            )
-        if self.fault_onset_s is not None and self.fault_onset_s < 0:
-            raise ValueError(
-                f"fault_onset_s must be >= 0, got {self.fault_onset_s}"
-            )
-        if self.fatal_upsets is not None and self.fatal_upsets < 1:
-            raise ValueError(
-                f"fatal_upsets must be >= 1, got {self.fatal_upsets}"
-            )
 
     @property
     def active(self) -> bool:
@@ -202,7 +180,7 @@ class HealthEvent:
     time_s: float
     node_id: int
     #: One of ``"upset"``, ``"watchdog-trip"``, ``"drift-trip"``,
-    #: ``"recalibrated"``, ``"died"``, or an injected ``"chaos-node-loss"``,
+    #: ``"recalibrated"``, or an injected ``"chaos-node-loss"``,
     #: ``"chaos-upset"``, ``"chaos-cache-storm"``, ``"chaos-latency-spike"``
     #: (node id -1 for fleet-wide spikes).
     kind: str
@@ -229,14 +207,12 @@ class HealthReport:
     compensation_energy_j: float = 0.0
     #: Peak ambient excursion any node saw [K].
     peak_drift_k: float = 0.0
-    dead_nodes: list[int] = field(default_factory=list)
 
     @property
     def upsets(self) -> int:
-        """Fault onsets across the fleet (fatal + chaos-injected included)."""
+        """Fault onsets across the fleet (chaos-injected included)."""
         return sum(
-            event.kind in ("upset", "died", "chaos-upset")
-            for event in self.events
+            event.kind in ("upset", "chaos-upset") for event in self.events
         )
 
     @property
@@ -267,24 +243,18 @@ class SnrWatchdog:
     *b* bits is ``2^-(b+1)`` of full scale, so the error converts to an
     equivalent resolvable bit count via ``-log2(2 * error) `` — the
     watchdog trips when ``min(optical ENOB, equivalent bits)`` falls below
-    the configured weight precision plus the profile's margin.
+    the configured weight precision.
     """
 
-    def __init__(
-        self,
-        config: OISAConfig,
-        margin_bits: float = 0.0,
-        budget: SnrBudget | None = None,
-    ) -> None:
+    def __init__(self, config: OISAConfig) -> None:
         self.config = config
-        self.margin_bits = margin_bits
-        self.budget = budget or SnrBudget(num_rings=config.mrs_per_arm)
-        self._optical_bits = float(self.budget.report().effective_bits)
+        budget = SnrBudget(num_rings=config.mrs_per_arm)
+        self._optical_bits = float(budget.report().effective_bits)
 
     @property
     def required_bits(self) -> float:
         """Bits the serving configuration must resolve."""
-        return self.config.weight_bits + self.margin_bits
+        return float(self.config.weight_bits)
 
     @property
     def optical_bits(self) -> float:
@@ -310,7 +280,6 @@ class _NodeHealth:
         self.node_id = node_id
         self.upset_active = False
         self.upset_index = 0
-        self.dead = False
         #: Model whose ProgrammedWeights record is physically installed on
         #: the node's OPC while ``node.programmed_model`` is None (a
         #: recalibration wipes the latter to force reactivation, but the
@@ -362,7 +331,7 @@ class HealthMonitor:
         #: loss takes a node out — the scheduler reaps its in-flight
         #: frames and consults the failover layer.
         self.on_node_lost = None
-        self.watchdog = SnrWatchdog(config, margin_bits=profile.snr_margin_bits)
+        self.watchdog = SnrWatchdog(config)
         self.thermal = ThermalModel(
             ring=MicroringResonator(config.microring), tuning=config.tuning
         )
@@ -419,8 +388,6 @@ class HealthMonitor:
     def _chaos_lose_node(self, event, node_id: int) -> None:
         node = self.nodes[node_id]
         state = self._states[node_id]
-        if state.dead:
-            return
         until = event.end_s
         state.lost_until = max(state.lost_until, until)
         node.free_at = max(node.free_at, until)
@@ -441,8 +408,6 @@ class HealthMonitor:
 
     def _chaos_upset_node(self, event, node_id: int) -> None:
         state = self._states[node_id]
-        if state.dead:
-            return
         state.upset_index += 1
         state.upset_active = True
         self._upset_specs[(node_id, state.upset_index)] = event.fault_spec
@@ -459,8 +424,6 @@ class HealthMonitor:
     def _chaos_storm_node(self, event, node_id: int) -> None:
         node = self.nodes[node_id]
         state = self._states[node_id]
-        if state.dead:
-            return
         self.cache.invalidate_die(node.opc.seed)
         state.monitor_model = node.programmed_model or state.monitor_model
         node.programmed_model = None
@@ -474,8 +437,6 @@ class HealthMonitor:
         )
 
     def _advance_node(self, node, state: _NodeHealth, now_s: float) -> None:
-        if state.dead:
-            return
         if now_s < state.lost_until:
             return  # chaos took the node out: health machinery is frozen
         # Complete a pending recalibration first: recovery precedes any
@@ -485,16 +446,10 @@ class HealthMonitor:
         if state.recal_done_s is not None:
             return  # still recalibrating: upsets/checks wait for recovery
         # Fire scheduled upsets.
-        while (
-            state.next_onset_s is not None
-            and state.next_onset_s <= now_s
-            and not state.dead
-        ):
+        while state.next_onset_s is not None and state.next_onset_s <= now_s:
             self._fire_upset(node, state)
-        if state.dead:
-            return
-        # Watchdog sampling, throttled to the profile's check cadence.
-        if now_s - state.last_check_s >= self.profile.check_interval_s:
+        # Watchdog sampling, throttled to the check cadence.
+        if now_s - state.last_check_s >= CHECK_INTERVAL_S:
             previous_check_s = state.last_check_s
             state.last_check_s = now_s
             self._check(node, state, now_s, previous_check_s)
@@ -507,19 +462,6 @@ class HealthMonitor:
             if self.profile.fault_every_s > 0
             else None
         )
-        fatal = (
-            self.profile.fatal_upsets is not None
-            and state.upset_index >= self.profile.fatal_upsets
-        )
-        if fatal:
-            state.dead = True
-            state.upset_active = False
-            node.free_at = float("inf")
-            self.report.dead_nodes.append(node.node_id)
-            self.report.events.append(
-                HealthEvent(onset, node.node_id, "died", "fatal upset")
-            )
-            return
         state.upset_active = True
         self.report.events.append(
             HealthEvent(
@@ -547,10 +489,7 @@ class HealthMonitor:
                     max(drift_k, 1e-12), self.config.total_mrs
                 )
                 self.report.compensation_energy_j += power * elapsed
-            limit = (
-                self.profile.drift_trip_fraction
-                * self.thermal.compensable_range_k()
-            )
+            limit = DRIFT_TRIP_FRACTION * self.thermal.compensable_range_k()
             if drift_k >= limit:
                 self._start_recalibration(
                     node,
@@ -585,9 +524,7 @@ class HealthMonitor:
     def _start_recalibration(
         self, node, state: _NodeHealth, now_s: float, kind: str, detail: str
     ) -> None:
-        state.recal_done_s = max(node.free_at, now_s) + (
-            self.profile.recalibration_latency_s
-        )
+        state.recal_done_s = max(node.free_at, now_s) + RECALIBRATION_LATENCY_S
         node.free_at = state.recal_done_s
         self.report.events.append(
             HealthEvent(now_s, node.node_id, kind, detail)
@@ -669,18 +606,14 @@ class HealthMonitor:
             self.report.healthy_frames += 1
 
     def unavailable_fraction(self, now_s: float) -> float:
-        """Fraction of the *monitored* fleet dead or in a loss window.
+        """Fraction of the *monitored* fleet inside a chaos loss window.
 
         The brownout controller's capacity-loss signal; spares attached
         mid-stream count toward neither numerator nor denominator.
         """
         if not self._states:
             return 0.0
-        down = sum(
-            1
-            for state in self._states
-            if state.dead or now_s < state.lost_until
-        )
+        down = sum(now_s < state.lost_until for state in self._states)
         return down / len(self._states)
 
     def latency_factor(self, now_s: float) -> float:
@@ -691,6 +624,9 @@ class HealthMonitor:
 
 
 __all__ = [
+    "CHECK_INTERVAL_S",
+    "DRIFT_TRIP_FRACTION",
+    "RECALIBRATION_LATENCY_S",
     "FaultProfile",
     "HealthEvent",
     "HealthMonitor",

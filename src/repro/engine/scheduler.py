@@ -482,7 +482,7 @@ class FrameScheduler:
     def _push_free_event(self, node) -> None:
         """Schedule ``node``'s next completion (at most one pending)."""
         if not math.isfinite(node.free_at):
-            return  # dead node: it will never complete
+            return  # lost for good: it will never complete
         if node.node_id in self._free_event_pending:
             return
         self._free_event_pending.add(node.node_id)
@@ -492,7 +492,7 @@ class FrameScheduler:
         self._free_event_pending.discard(node_id)
         node = self.nodes[node_id]
         if not math.isfinite(node.free_at):
-            return  # node died (health) — nothing will ever dispatch here
+            return  # lost for good (chaos): nothing will dispatch here
         if now_s < node.free_at - _EPS:
             # Stale completion: the node's busy window was extended (e.g.
             # a health recalibration) after this event was scheduled.

@@ -26,7 +26,7 @@ redundant *host-side* recomputation of the realized weights.
 
 Under a :class:`~repro.engine.health.FaultProfile` the server additionally
 samples per-node health mid-stream (thermal drift, injected upsets),
-routes frames around recalibrating or dead nodes, and reports
+routes frames around recalibrating nodes, and reports
 degraded/recovered statistics (:class:`ServeReport.health`).  Health,
 chaos and failover plug in behind one
 :class:`~repro.engine.scheduler.ServeLayers` seam; with none configured
@@ -89,13 +89,13 @@ from repro.engine.admission import (
 from repro.engine.cache import WeightProgramCache
 from repro.engine.chaos import ChaosPlan, ChaosTimeline
 from repro.engine.failover import (
-    BrownoutConfig,
+    BROWNOUT_REDUCED_BITS,
     BrownoutController,
     BrownoutReport,
     FailoverCoordinator,
     ResilienceReport,
     RetryPolicy,
-    SparePool,
+    brownout_enabled,
 )
 from repro.engine.health import FaultProfile, HealthMonitor, HealthReport
 from repro.engine.scheduler import (
@@ -110,7 +110,7 @@ from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.sim.fleet import FleetModel, RadioModel
 from repro.sim.stream import StreamEvent, StreamReport
 from repro.util.rng import spawn_seeds
-from repro.util.validation import check_positive
+from repro.util.validation import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -574,9 +574,9 @@ class FrameServer:
         drop-if-busy behaviour), ``"edf"``, ``"slo"`` or a
         :class:`~repro.engine.scheduler.SchedulingPolicy` instance.
     slo_classes:
-        ``{model_key: SloClass}`` service levels (or a prebuilt
-        :class:`~repro.engine.admission.AdmissionController`); ``None``
-        serves everything best-effort.
+        ``{model_key: SloClass}`` service levels; ``None`` serves
+        everything best-effort.  :meth:`serve_scenario` replaces them
+        with the scenario's own.
     chaos_plan:
         Injected fleet-failure schedule — a
         :class:`~repro.engine.chaos.ChaosPlan`, a named plan string
@@ -590,14 +590,12 @@ class FrameServer:
         string (``"none"``, ``"deadline"``, ``"aggressive"``), or
         ``None``/``"none"`` to abandon killed frames.
     spares:
-        Warm-standby budget: a spare count or a
-        :class:`~repro.engine.failover.SparePool`; ``0`` disables
+        Warm-standby spare count (an integer >= 0); ``0`` disables
         failover spares.
     brownout:
-        Degradation-tier admission — a
-        :class:`~repro.engine.failover.BrownoutConfig`, a named config
-        string (``"none"``, ``"standard"``), or ``None``/``"none"`` to
-        keep admission tier-free.
+        Degradation-tier admission: ``"standard"`` runs the
+        :class:`~repro.engine.failover.BrownoutController` ladder, and
+        ``None``/``"none"`` keeps admission tier-free.
     program_store:
         On-disk program artifacts — a
         :class:`~repro.engine.store.ProgramStore` or a directory path —
@@ -617,15 +615,16 @@ class FrameServer:
         enable_noise: bool = True,
         fault_profile: FaultProfile | str | None = None,
         policy: str | SchedulingPolicy = "greedy",
-        slo_classes: dict[str, SloClass] | AdmissionController | None = None,
+        slo_classes: dict[str, SloClass] | None = None,
         chaos_plan: ChaosPlan | str | None = None,
         retry_policy: RetryPolicy | str | None = None,
-        spares: int | SparePool = 0,
-        brownout: BrownoutConfig | str | None = None,
+        spares: int = 0,
+        brownout: str | None = None,
         program_store: ProgramStore | str | None = None,
     ) -> None:
         check_positive("num_nodes", num_nodes)
         check_positive("micro_batch", micro_batch)
+        check_count("spares", spares, minimum=0)
         self.config = config or OISAConfig()
         self.micro_batch = micro_batch
         if isinstance(program_store, (str, os.PathLike)):
@@ -638,13 +637,7 @@ class FrameServer:
         self.fleet = FleetModel(self.config)
         self._seed = seed
         self.policy = scheduling_policy(policy)
-        #: Whether the caller pinned the service levels at construction —
-        #: scenario-carried classes then never override them.
-        self._explicit_slo = slo_classes is not None
-        if isinstance(slo_classes, AdmissionController):
-            self.admission = slo_classes
-        else:
-            self.admission = AdmissionController(slo_classes)
+        self.admission = AdmissionController(slo_classes)
         if isinstance(fault_profile, str):
             fault_profile = FaultProfile.named(fault_profile)
         if fault_profile is not None and not fault_profile.active:
@@ -656,13 +649,8 @@ class FrameServer:
         if isinstance(retry_policy, str):
             retry_policy = RetryPolicy.named(retry_policy)
         self.retry_policy = retry_policy
-        if isinstance(spares, SparePool):
-            self.spare_pool = spares if spares.count > 0 else None
-        else:
-            self.spare_pool = SparePool(count=int(spares)) if spares else None
-        if isinstance(brownout, str):
-            brownout = BrownoutConfig.named(brownout)
-        self.brownout_config = brownout
+        self.spares = spares
+        self.brownout = brownout_enabled(brownout)
         self._enable_noise = enable_noise
         seeds = spawn_seeds(seed, num_nodes)
         self.nodes = [
@@ -934,13 +922,13 @@ class FrameServer:
         """Serve a :class:`~repro.engine.workloads.Scenario` end-to-end.
 
         Registers any of the scenario's models this server hasn't seen,
-        adopts its SLO classes (unless this server was built with explicit
-        ``slo_classes`` — construction pins them), and serves its request
-        list at ``offered_fps`` (default: the scenario's suggested rate,
-        else the configured frame rate).  Adoption is per call: a later
-        scenario's classes replace an earlier one's, and a class-less
-        scenario serves best-effort again.  ``compute=False`` serves
-        schedule-only, as in :meth:`serve`.
+        adopts its SLO classes, and serves its request list at
+        ``offered_fps`` (default: the scenario's suggested rate, else the
+        configured frame rate).  Adoption is per call: the scenario's
+        classes replace any earlier ones (the constructor's
+        ``slo_classes`` included), and a class-less scenario serves
+        best-effort.  ``compute=False`` serves schedule-only, as in
+        :meth:`serve`.
 
         Raises ``ValueError`` when the scenario reuses an already
         registered model key for a *different* kernel set (e.g. the same
@@ -949,8 +937,7 @@ class FrameServer:
         statistic.
         """
         self.adopt_models(scenario.models, origin=f"scenario {scenario.name!r}")
-        if not self._explicit_slo:
-            self.admission = AdmissionController(scenario.slo_classes)
+        self.admission = AdmissionController(scenario.slo_classes)
         rate = offered_fps if offered_fps is not None else scenario.offered_fps
         return self.serve(scenario.requests, offered_fps=rate, compute=compute)
 
@@ -960,15 +947,12 @@ class FrameServer:
     @property
     def _layered(self) -> bool:
         """Whether any optional serving layer is configured."""
-        return any(
-            layer is not None
-            for layer in (
-                self.fault_profile,
-                self.chaos_plan,
-                self.retry_policy,
-                self.spare_pool,
-                self.brownout_config,
-            )
+        return (
+            self.fault_profile is not None
+            or self.chaos_plan is not None
+            or self.retry_policy is not None
+            or self.spares > 0
+            or self.brownout
         )
 
     def _build_layers(self, nodes: list[_Node]) -> ServeLayers:
@@ -987,18 +971,16 @@ class FrameServer:
             timeline = ChaosTimeline(self.chaos_plan, len(nodes), self._seed)
             carrier = f"chaos:{self.chaos_plan.name}"
         profile = self.fault_profile or FaultProfile(name=carrier)
-        if self.brownout_config is not None:
-            brownout = BrownoutController(self.brownout_config)
-            reduced = self._ensure_reduced_variants(
-                self.brownout_config.reduced_bits
-            )
+        if self.brownout:
+            brownout = BrownoutController()
+            reduced = self._ensure_reduced_variants()
         monitor = HealthMonitor(
             profile, self.config, nodes, self.cache, self._seed, chaos=timeline
         )
         return FailoverCoordinator(
             monitor,
             retry=self.retry_policy,
-            spares=self.spare_pool,
+            spares=self.spares,
             brownout=brownout,
             seed=self._seed,
             spare_factory=functools.partial(self._activate_spare, nodes),
@@ -1026,24 +1008,26 @@ class FrameServer:
         Same die seed → same cache keys: every program the primary warmed
         is a cache hit on the spare and the installed records are
         bit-identical to the primary's.  The spare joins busy until
-        ``ready_s`` (the pool's bring-up latency).
+        ``ready_s`` (the spare's bring-up latency).
         """
         spare = self._new_node(len(nodes), covering.opc.seed)
         spare.free_at = ready_s
         nodes.append(spare)
         return spare
 
-    def _ensure_reduced_variants(self, bits: int) -> dict[str, str]:
+    def _ensure_reduced_variants(self) -> dict[str, str]:
         """Register reduced-precision variants for the brownout tier.
 
-        Each registered model whose first quant layer exceeds ``bits``
-        gets a deep-copied twin quantized to ``bits``, registered under
+        Each registered model whose first quant layer exceeds
+        :data:`~repro.engine.failover.BROWNOUT_REDUCED_BITS` gets a
+        deep-copied twin quantized to that many bits, registered under
         ``"<key>@brownout<bits>b"`` (hidden from :attr:`model_keys`).
         Variants are real models — their timing/energy/accuracy books are
         the honest reduced-bit numbers, not a discount factor.
         """
         import copy
 
+        bits = BROWNOUT_REDUCED_BITS
         mapping: dict[str, str] = {}
         for key in list(self._models):
             if "@brownout" in key:

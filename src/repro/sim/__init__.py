@@ -18,7 +18,7 @@ from repro.sim.accuracy import (
     run_table2,
     train_qat_model,
 )
-from repro.sim.faults import FaultSpec, FaultyOpticalCore, accuracy_under_faults
+from repro.sim.faults import FaultSpec, FaultyOpticalCore
 from repro.sim.fleet import FleetModel, FleetReport, RadioModel
 from repro.sim.platforms import (
     Platform,
@@ -46,7 +46,6 @@ __all__ = [
     "platform_registry",
     "register_platform",
     "Table2Settings",
-    "accuracy_under_faults",
     "evaluate_hardware_accuracy",
     "render_report",
     "run_table2",

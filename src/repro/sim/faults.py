@@ -1,8 +1,9 @@
 """Fault injection for the optical core.
 
 Photonic arrays fail in characteristic ways; this module models the four
-the OISA structure exposes and measures their accuracy impact through the
-hardware-in-the-loop pipeline:
+the OISA structure exposes (:mod:`repro.analysis.robustness_report`
+measures their accuracy impact through the hardware-in-the-loop
+pipeline):
 
 * **dead MR** — a ring stuck far off resonance: both rails of the
   differential pair pass equally, so the programmed weight collapses to 0;
@@ -224,26 +225,3 @@ class FaultyOpticalCore:
         error = float(np.sqrt(np.mean((faulted - realized) ** 2)))
         return error / full_scale
 
-
-def accuracy_under_faults(
-    model,
-    dataset,
-    weight_bits: int,
-    specs: list[FaultSpec],
-    oisa_seed: int = 7,
-    fault_seed: int = 11,
-) -> list[tuple[FaultSpec, float]]:
-    """Evaluate a trained QAT model under a sweep of fault specs."""
-    from repro.core.config import OISAConfig
-    from repro.core.pipeline import HardwareFirstLayerPipeline
-
-    results = []
-    for spec in specs:
-        opc = OpticalProcessingCore(
-            OISAConfig().with_weight_bits(weight_bits), seed=oisa_seed
-        )
-        faulty = FaultyOpticalCore(opc, spec, seed=fault_seed)
-        pipeline = HardwareFirstLayerPipeline(model, faulty)
-        accuracy = pipeline.evaluate(dataset.x_test, dataset.y_test)
-        results.append((spec, accuracy))
-    return results

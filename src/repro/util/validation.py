@@ -17,20 +17,23 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def check_count(name: str, value: int) -> int:
-    """Require an integral ``value >= 1`` (``np.int64`` too, not ``bool``)."""
+def check_count(name: str, value: int, minimum: int = 1) -> int:
+    """Require an integral ``value >= minimum`` (``np.int64`` too, not
+    ``bool``)."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)
-        or value < 1
+        or value < minimum
     ):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
     return value
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Require ``value >= 0`` and return it."""
-    if value < 0:
+    """Require ``value >= 0`` (so not NaN) and return it."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 

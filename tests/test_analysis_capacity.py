@@ -87,7 +87,6 @@ def test_settings_validation():
         ("policies", ("greedy", "bogus")),
         ("node_counts", ()),
         ("node_counts", (1, 0)),
-        ("micro_batch", 0),
         ("max_drop_rate", -0.01),
         ("max_drop_rate", 1.5),
         ("min_hit_rate", -0.5),
@@ -105,8 +104,6 @@ def test_settings_validation():
         ("frames", 4.0),
         ("search_iterations", True),
         ("search_iterations", 2.5),
-        ("micro_batch", True),
-        ("micro_batch", 2.5),
         ("node_counts", (True,)),
         ("node_counts", (1.5,)),
         ("node_counts", (1, 2.0)),

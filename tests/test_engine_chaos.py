@@ -1,9 +1,11 @@
 """Tests for repro.engine.chaos — deterministic fleet fault injection."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.engine import FrameServer
+from repro.engine import FaultProfile, FrameServer
 from repro.engine.chaos import (
     CHAOS_KINDS,
     ChaosPlan,
@@ -13,6 +15,7 @@ from repro.engine.chaos import (
 from repro.engine.workloads import build_scenario
 from repro.nn.models import build_lenet
 from repro.sim.faults import FaultSpec
+from repro.util.validation import check_non_negative
 
 
 # ----------------------------------------------------------------------
@@ -27,6 +30,27 @@ def test_spec_validation():
         ChaosSpec(kind="region-outage", at_s=0.0, duration_s=0.01, fraction=1.5)
     with pytest.raises(ValueError):
         ChaosSpec(kind="latency-spike", at_s=0.0, duration_s=0.01, factor=0.0)
+
+
+#: One NaN setting per checked name.
+_NAN_SETTINGS = {
+    "value": lambda: check_non_negative("value", math.nan),
+    "at_s": lambda: ChaosSpec(
+        kind="node-loss", at_s=math.nan, duration_s=0.01
+    ),
+    "every_s": lambda: ChaosSpec(
+        kind="cache-storm", at_s=0.0, every_s=math.nan
+    ),
+    "fault_onset_s": lambda: FaultProfile(fault_onset_s=math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAN_SETTINGS))
+def test_nan_is_not_non_negative(name):
+    """NaN fails every comparison, so a ``value < 0`` check let it pass: a
+    NaN onset scheduled a chaos event or an upset that never fired."""
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        _NAN_SETTINGS[name]()
 
 
 def test_named_plans_resolve():

@@ -23,6 +23,7 @@ from repro.engine import (
     FrameServer,
     build_scenario,
 )
+from repro.engine.controlplane import DWELL_WINDOWS
 from repro.nn.models import build_lenet
 
 
@@ -45,10 +46,6 @@ def test_config_rejects_inverted_bounds():
         AutoscalerConfig(min_nodes=3, max_nodes=2)
     with pytest.raises(ValueError, match="window_s"):
         AutoscalerConfig(window_s=0.0)
-    with pytest.raises(ValueError, match="target_utilization"):
-        AutoscalerConfig(target_utilization=1.5)
-    with pytest.raises(ValueError, match="scale_down_utilization"):
-        AutoscalerConfig(target_utilization=0.5, scale_down_utilization=0.6)
     with pytest.raises(ValueError, match="fps_per_node"):
         AutoscalerConfig(fps_per_node=-1.0)
 
@@ -68,7 +65,7 @@ def test_config_parse_cli_spec():
 # Autoscaler mechanics
 # ----------------------------------------------------------------------
 def test_warm_start_and_dwell_gated_scale_down():
-    scaler = Autoscaler("s0", _config(dwell_windows=2), 100.0)
+    scaler = Autoscaler("s0", _config(), 100.0)
     assert scaler.nodes == 4  # warm start at max
     assert scaler.observe(0, 30.0) == 4  # first low window: dwell
     assert scaler.observe(1, 30.0) == 3  # second: one node trimmed
@@ -93,7 +90,7 @@ def test_scale_up_jumps_to_target_and_clamps():
 
 
 def test_mid_band_resets_the_dwell_streak():
-    scaler = Autoscaler("s0", _config(dwell_windows=2), 100.0)
+    scaler = Autoscaler("s0", _config(), 100.0)
     scaler.observe(0, 30.0)  # low
     scaler.observe(1, 200.0)  # hysteresis band (0.5 pressure): forgives
     scaler.observe(2, 30.0)  # low again, but the streak restarted
@@ -146,9 +143,7 @@ def test_decision_trail_is_byte_deterministic(key):
 def test_no_flapping_within_the_dwell_window(key):
     """A scale-up is never answered by a scale-down inside the dwell."""
     scenario = build_scenario(key, frames=72, offered_fps=900.0, seed=0)
-    plane = _autoscaled_plane()
-    dwell = plane.autoscaler_config.dwell_windows
-    report = plane.serve_scenario(scenario)
+    report = _autoscaled_plane().serve_scenario(scenario)
     by_shard: dict = {}
     for decision in report.controlplane.decisions:
         by_shard.setdefault(decision.shard, []).append(decision)
@@ -159,9 +154,9 @@ def test_no_flapping_within_the_dwell_window(key):
                 previous.reason == "scale-up:pressure"
                 and current.reason == "scale-down:idle"
             ):
-                assert current.window - previous.window >= dwell, (
+                assert current.window - previous.window >= DWELL_WINDOWS, (
                     f"flap: up at w{previous.window}, down at "
-                    f"w{current.window} (dwell {dwell})"
+                    f"w{current.window} (dwell {DWELL_WINDOWS})"
                 )
 
 

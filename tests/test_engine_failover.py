@@ -8,15 +8,23 @@ import pytest
 
 from repro.engine import FrameRequest, FrameServer
 from repro.engine.admission import SloClass
+from repro.engine.chaos import ChaosPlan, ChaosSpec
 from repro.engine.failover import (
+    BROWNOUT_CAPACITY_WEIGHT,
+    BROWNOUT_DWELL_S,
+    BROWNOUT_ENTER_PRESSURE,
+    BROWNOUT_EXIT_FRACTION,
+    BROWNOUT_IMPOSED_QUEUE_S,
+    BROWNOUT_PRESSURE_REF_S,
+    BROWNOUT_QUEUE_TIGHTEN_FACTOR,
     BROWNOUT_TIERS,
-    BrownoutConfig,
+    RETRY_DETECTION_DELAY_S,
     BrownoutController,
     FailoverCoordinator,
     ResilienceReport,
     RetryPolicy,
-    SparePool,
     availability,
+    brownout_enabled,
     recovery_time_s,
 )
 from repro.engine.workloads import ModelSpec, build_scenario
@@ -38,10 +46,10 @@ def test_named_retry_policies_resolve():
 def test_retry_delays_deterministic_and_backing_off():
     policy = RetryPolicy()
     # Hedged first attempt: exactly the detection delay, no jitter.
-    assert policy.delay_s(7, 1, seed=0) == policy.detection_delay_s
+    assert policy.delay_s(7, 1, seed=0) == RETRY_DETECTION_DELAY_S
     second = policy.delay_s(7, 2, seed=0)
     third = policy.delay_s(7, 3, seed=0)
-    assert second > policy.detection_delay_s
+    assert second > RETRY_DETECTION_DELAY_S
     # Exponential growth dominates the ±25% jitter band.
     assert third > second
     # Deterministic per (seed, frame, attempt), independent draws per frame.
@@ -54,9 +62,40 @@ def test_retry_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_retries=0)
     with pytest.raises(ValueError):
-        RetryPolicy(jitter_frac=1.0)
-    with pytest.raises(ValueError):
         RetryPolicy(backoff_base_s=0.0)
+
+
+#: Builds an object of each owner with one count set (``ChaosSpec`` as a
+#: valid node loss otherwise).
+_COUNT_OWNERS = {
+    "RetryPolicy": RetryPolicy,
+    "ChaosSpec": lambda **count: ChaosSpec(
+        kind="node-loss", at_s=0.01, duration_s=0.01, **count
+    ),
+    "FrameServer": FrameServer,
+}
+
+
+@pytest.mark.parametrize(
+    "owner, field, value",
+    [
+        ("RetryPolicy", "max_retries", 2.5),
+        ("RetryPolicy", "max_retries", True),
+        ("ChaosSpec", "repeats", 2.5),
+        ("ChaosSpec", "repeats", True),
+        ("ChaosSpec", "count", 1.5),
+        ("ChaosSpec", "count", True),
+        ("ChaosSpec", "count", -1),
+        ("FrameServer", "spares", 2.5),
+        ("FrameServer", "spares", True),
+        ("FrameServer", "spares", -1),
+    ],
+)
+def test_counts_reject_non_integers_at_construction(owner, field, value):
+    """A count names itself when built, instead of failing deep inside a
+    serve (``range``, ``rng.choice``) or being truncated silently."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _COUNT_OWNERS[owner](**{field: value})
 
 
 def _item(index=0, attempt=0, deadline_s=math.inf, cls="interactive"):
@@ -104,29 +143,30 @@ def test_retry_class_budget_denials():
 # Brownout controller
 # ----------------------------------------------------------------------
 def test_brownout_config_validation():
-    assert BrownoutConfig.named("none") is None
-    assert BrownoutConfig.named("standard") == BrownoutConfig()
-    with pytest.raises(ValueError, match="unknown brownout config"):
-        BrownoutConfig.named("polite")
-    with pytest.raises(ValueError):
-        BrownoutConfig(enter_pressure=(1.0, 2.0, 3.0))  # wrong arity
-    with pytest.raises(ValueError):
-        BrownoutConfig(enter_pressure=(5.0, 2.5, 1.0, 0.5))  # decreasing
-    with pytest.raises(ValueError):
-        BrownoutConfig(exit_fraction=1.0)
-    with pytest.raises(ValueError):
-        BrownoutConfig(reduced_bits=8)
+    """One name check serves the server and the CLI's ``--brownout``."""
+    assert brownout_enabled("standard")
+    assert brownout_enabled(" Standard ")
+    assert not brownout_enabled("none")
+    assert not brownout_enabled(None)
+    for bad in ("polite", True):
+        with pytest.raises(ValueError, match="unknown brownout config"):
+            brownout_enabled(bad)
+        with pytest.raises(ValueError, match="unknown brownout config"):
+            FrameServer(brownout=bad)
+    assert FrameServer(brownout="standard").brownout
+    assert not FrameServer(brownout="none").brownout
 
 
 def test_brownout_pressure_signal():
     controller = BrownoutController()
-    cfg = controller.config
-    assert controller.pressure(cfg.pressure_ref_s, 0.0) == pytest.approx(1.0)
-    assert controller.pressure(0.0, 0.5) == pytest.approx(
-        cfg.capacity_weight * 0.5
+    assert controller.pressure(BROWNOUT_PRESSURE_REF_S, 0.0) == pytest.approx(
+        1.0
     )
-    # A dead fleet (infinite wait) saturates past the top entry bar.
-    assert controller.pressure(math.inf, 1.0) > cfg.enter_pressure[-1]
+    assert controller.pressure(0.0, 0.5) == pytest.approx(
+        BROWNOUT_CAPACITY_WEIGHT * 0.5
+    )
+    # A fleet lost for good (infinite wait) saturates past the top bar.
+    assert controller.pressure(math.inf, 1.0) > BROWNOUT_ENTER_PRESSURE[-1]
 
 
 def _escalate(controller, target_tier, start_s=0.0):
@@ -134,7 +174,7 @@ def _escalate(controller, target_tier, start_s=0.0):
     now = start_s
     while controller.tier < target_tier:
         controller.observe(now, math.inf, 1.0)
-        now += controller.config.dwell_s
+        now += BROWNOUT_DWELL_S
     return now
 
 
@@ -154,10 +194,12 @@ def test_brownout_climbs_every_rung_and_applies_effects():
     assert controller.admits(interactive)
 
     _escalate(controller, 2)
-    cfg = controller.config
-    assert controller.effective_max_queue_s(interactive) == cfg.imposed_queue_s
+    assert (
+        controller.effective_max_queue_s(interactive)
+        == BROWNOUT_IMPOSED_QUEUE_S
+    )
     assert controller.effective_max_queue_s(best_effort) == min(
-        0.04 * cfg.queue_tighten_factor, cfg.imposed_queue_s
+        0.04 * BROWNOUT_QUEUE_TIGHTEN_FACTOR, BROWNOUT_IMPOSED_QUEUE_S
     )
 
     _escalate(controller, 3)
@@ -174,18 +216,19 @@ def test_brownout_climbs_every_rung_and_applies_effects():
 def test_brownout_hysteresis_exit_below_entry_bar():
     controller = BrownoutController()
     now = _escalate(controller, 1)
-    cfg = controller.config
-    entry = cfg.enter_pressure[0]
+    entry = BROWNOUT_ENTER_PRESSURE[0]
     # Pressure between exit and entry bars: the tier holds.
-    held = entry * (cfg.exit_fraction + 1.0) / 2.0 * cfg.pressure_ref_s
+    held = (
+        entry * (BROWNOUT_EXIT_FRACTION + 1.0) / 2.0 * BROWNOUT_PRESSURE_REF_S
+    )
     for _ in range(5):
         controller.observe(now, held, 0.0)
-        now += cfg.dwell_s
+        now += BROWNOUT_DWELL_S
     assert controller.tier == 1
     # Below the exit bar for a dwell window: de-escalates.
     for _ in range(3):
         controller.observe(now, 0.0, 0.0)
-        now += cfg.dwell_s
+        now += BROWNOUT_DWELL_S
     assert controller.tier == 0
     assert controller.report.transitions[-1].to_tier == 0
 
@@ -212,9 +255,9 @@ def test_recovery_time_none_without_loss_events():
 # ----------------------------------------------------------------------
 # End-to-end: chaos + failover through the server
 # ----------------------------------------------------------------------
-def _serve(frames=120, **kwargs):
+def _serve(frames=120, offered_fps=2400.0, **kwargs):
     scenario = build_scenario(
-        "chaos", frames=frames, offered_fps=2400.0, seed=0
+        "chaos", frames=frames, offered_fps=offered_fps, seed=0
     )
     server = FrameServer(
         num_nodes=2, micro_batch=8, seed=0, policy="slo", **kwargs
@@ -259,8 +302,7 @@ def test_spares_trimmed_back_after_serve():
     scenario = build_scenario("chaos", frames=120, offered_fps=2400.0, seed=0)
     server = FrameServer(
         num_nodes=2, micro_batch=8, seed=0, policy="slo",
-        chaos_plan="node-loss", retry_policy="deadline",
-        spares=SparePool(count=1),
+        chaos_plan="node-loss", retry_policy="deadline", spares=1,
     )
     for key, model in scenario.models.items():
         server.register_model(key, model)
@@ -344,23 +386,44 @@ def test_brownout_engages_under_region_outage():
 
 
 def test_brownout_reduced_bits_serves_real_variants():
-    """A floor-level ladder forces tier 3: frames serve at reduced bits."""
-    harsh = BrownoutConfig(
-        enter_pressure=(0.01, 0.02, 0.03, 1e9),
-        dwell_s=1e-4,
-        capacity_weight=0.0,
-        pressure_ref_s=1e-5,
-    )
-    report = _serve(frames=200, brownout=harsh)
+    """Ten times the chaos drill's rate drives the standard ladder up to
+    tier 3: frames serve through the reduced-bits variant."""
+    report = _serve(frames=200, offered_fps=24000.0, brownout="standard")
     brownout = report.brownout
     assert brownout.peak_tier == 3
-    assert brownout.reduced_bits_frames >= 1
+    assert [t.to_tier for t in brownout.transitions] == [1, 2, 3]
+    assert brownout.reduced_bits_frames == 12
     reduced = [
         r for r in report.responses
         if r.served_model and "@brownout" in r.served_model
     ]
     assert len(reduced) == brownout.reduced_bits_frames
     assert all(not r.dropped and r.output is not None for r in reduced)
+    assert {r.served_model for r in reduced} == {"lenet-4b@brownout2b"}
+
+
+def test_permanent_node_loss():
+    """A chaos node loss of infinite duration takes a node out for the
+    rest of the serve; a warm spare and retries cover it."""
+    plan = ChaosPlan(
+        name="permanent",
+        specs=(ChaosSpec(kind="node-loss", at_s=0.03, duration_s=math.inf),),
+    )
+    plain = _serve(chaos_plan=plan)
+    after = [
+        r for r in plain.responses
+        if not r.dropped and r.event.start_s >= 0.03
+    ]
+    assert after and {r.node_id for r in after} == {0}
+    assert [e.kind for e in plain.health.events] == ["chaos-node-loss"]
+
+    covered = _serve(chaos_plan=plan, retry_policy="deadline", spares=1)
+    resilience = covered.resilience
+    assert [a.spare_id for a in resilience.spare_activations] == [2]
+    assert covered.delivered == covered.stream.frames == 120
+    assert resilience.frames_lost_in_flight == 1
+    assert resilience.frames_recovered == 1
+    assert covered.node_frames[2] > 0
 
 
 def test_reduced_variants_hidden_from_model_keys():

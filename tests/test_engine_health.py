@@ -11,6 +11,7 @@ from repro.engine import (
 )
 from repro.core.config import OISAConfig
 from repro.core.opc import KernelSet, OpticalProcessingCore
+from repro.engine.health import RECALIBRATION_LATENCY_S
 from repro.nn.models import build_lenet, build_mlp
 from repro.nn.quant import UniformWeightQuantizer
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
@@ -51,11 +52,7 @@ def test_named_profiles_resolve():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        FaultProfile(drift_trip_fraction=0.0)
-    with pytest.raises(ValueError):
         FaultProfile(fault_onset_s=-1.0)
-    with pytest.raises(ValueError):
-        FaultProfile(fatal_upsets=0)
     assert not FaultProfile().active  # no upsets, no drift
 
 
@@ -168,7 +165,6 @@ def test_recalibrating_node_is_routed_around(frames):
         fault_spec=FaultSpec(dead_mr_rate=0.5),
         fault_onset_s=0.05,
         node_stagger_s=10.0,  # only node 0 faults within the stream
-        recalibration_latency_s=0.02,
     )
     server = _server(profile)
     report = server.serve_frames(frames, "a", offered_fps=1000.0)
@@ -176,36 +172,17 @@ def test_recalibrating_node_is_routed_around(frames):
     assert health.recalibrations == 1
     trip = next(e for e in health.events if e.kind.endswith("-trip"))
     done = next(e for e in health.events if e.kind == "recalibrated")
-    # Every frame arriving inside the recalibration window lands on node 1.
+    assert done.time_s - trip.time_s == pytest.approx(RECALIBRATION_LATENCY_S)
+    # Every frame arriving inside the recalibration window (5 ms at
+    # 1000 FPS) lands on node 1.
     in_window = [
         resp
         for resp in report.responses
         if trip.time_s <= resp.event.arrival_s < done.time_s
         and not resp.dropped
     ]
-    assert in_window
+    assert len(in_window) == 5
     assert all(resp.node_id == 1 for resp in in_window)
-
-
-def test_fatal_upset_kills_node_and_survivor_carries_on(frames):
-    profile = FaultProfile(
-        name="test-fatal",
-        fault_spec=FaultSpec(dead_mr_rate=0.5),
-        fault_onset_s=0.05,
-        node_stagger_s=10.0,
-        fatal_upsets=1,
-    )
-    server = _server(profile)
-    report = server.serve_frames(frames, "a", offered_fps=1000.0)
-    health = report.health
-    assert health.dead_nodes == [0]
-    assert any(e.kind == "died" for e in health.events)
-    after_death = [
-        resp
-        for resp in report.responses
-        if resp.event.arrival_s >= 0.05 and not resp.dropped
-    ]
-    assert after_death and all(resp.node_id == 1 for resp in after_death)
 
 
 def test_repeated_upsets_keep_tripping_the_watchdog():
@@ -243,18 +220,6 @@ def test_watchdog_sees_dead_vcsel_faults():
     )
     assert faulty.weight_error_relative > 0.0
     assert SnrWatchdog(OISAConfig()).trips(faulty.weight_error_relative)
-
-
-def test_fatal_upsets_count_as_upsets(frames):
-    profile = FaultProfile(
-        name="test-fatal-count",
-        fault_spec=FaultSpec(dead_mr_rate=0.5),
-        fault_onset_s=0.05,
-        node_stagger_s=10.0,
-        fatal_upsets=1,
-    )
-    report = _server(profile).serve_frames(frames, "a", offered_fps=1000.0)
-    assert report.health.upsets == 1  # the fatal one
 
 
 def test_drift_profile_forces_thermal_retrims(frames):
@@ -327,11 +292,6 @@ def test_watchdog_bit_arithmetic():
     assert watchdog.equivalent_bits(2.0**-5) == pytest.approx(4.0)
     assert not watchdog.trips(2.0**-5)
     assert watchdog.trips(2.0**-4)
-
-
-def test_watchdog_margin_raises_the_bar():
-    watchdog = SnrWatchdog(OISAConfig(), margin_bits=1.0)
-    assert watchdog.trips(2.0**-5)  # fine at 4.0 bits, trips at 5.0
 
 
 # ----------------------------------------------------------------------

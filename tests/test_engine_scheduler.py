@@ -348,8 +348,8 @@ def test_queued_frames_survive_idle_node_recalibration():
 
 def test_serve_scenario_adopts_classes_per_call():
     """A later scenario's SLO classes replace an earlier one's (and a
-    class-less scenario serves best-effort again) unless the server was
-    constructed with explicit classes."""
+    class-less scenario serves best-effort again), the constructor's
+    classes included."""
     from repro.engine import FrameServer, SloClass, build_scenario
 
     server = FrameServer(num_nodes=2, micro_batch=8, seed=0, policy="slo")
@@ -362,18 +362,17 @@ def test_serve_scenario_adopts_classes_per_call():
     )
     assert set(second.slo.classes) == {"stream"}
 
-    pinned_class = SloClass(name="pinned", deadline_s=0.5)
-    pinned = FrameServer(
+    configured = FrameServer(
         num_nodes=2,
         micro_batch=8,
         seed=0,
         policy="slo",
-        slo_classes={"lenet-4b": pinned_class},
+        slo_classes={"lenet-4b": SloClass(name="own", deadline_s=0.5)},
     )
-    report = pinned.serve_scenario(
+    report = configured.serve_scenario(
         build_scenario("mixed-tenants", frames=20, offered_fps=1000.0, seed=0)
     )
-    assert "pinned" in report.slo.classes  # construction wins
+    assert report.record() == first.record()
 
 
 def test_serve_scenario_rejects_conflicting_model_keys():
