@@ -139,12 +139,12 @@ class ThreeTransistorPixel:
                 np.where(times < reset_end, charging, exposure),
             )
         )
-        draining = rc_settle(
+        discharging = rc_settle(
             times, v_at_discharge, 0.0, design.discharge_tau_s, discharge_start_s
         )
 
         vpd = np.where(times < reset_end, charging, exposure)
-        vpd = np.where(times >= discharge_start_s, draining, vpd)
+        vpd = np.where(times >= discharge_start_s, discharging, vpd)
 
         out = design.source_follower_gain * (design.reset_voltage_v - vpd)
         # The follower output is only meaningful between reset and discharge.

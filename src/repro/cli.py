@@ -324,10 +324,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     or "-",
                 ),
                 (
-                    "reroutes / preloads",
-                    f"{plane_report.reroutes} / {plane_report.preloads}",
-                ),
-                (
                     "node-seconds (active / static)",
                     f"{plane_report.node_seconds:.4f} / "
                     f"{plane_report.static_node_seconds:.4f}",
@@ -655,52 +651,57 @@ def _accept(resolve, text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _key(resolve, text: str) -> str:
+    """The registry key ``text`` names, once ``resolve`` accepts it.
+
+    A registry matches a name in any case, most with surrounding spaces
+    stripped too, so the key is returned in one spelling: every later
+    comparison and table sees ``"none"``, never ``"NONE"`` or ``" None"``.
+    """
+    _accept(resolve, text)
+    return text.strip().lower()
+
+
 def _policy(text: str) -> str:
     """argparse ``type=`` for a registered scheduling-policy name."""
     from repro.engine.scheduler import scheduling_policy
 
-    _accept(scheduling_policy, text)
-    return text
+    return _key(scheduling_policy, text)
 
 
 def _scenario(text: str) -> str:
     """argparse ``type=`` for a registered scenario key."""
     from repro.engine.workloads import scenario_description
 
-    _accept(scenario_description, text)
-    return text
+    return _key(scenario_description, text)
 
 
 def _fault_profile(text: str) -> str:
     """argparse ``type=`` for a named fault profile."""
     from repro.engine.health import FaultProfile
 
-    _accept(FaultProfile.named, text)
-    return text
+    return _key(FaultProfile.named, text)
 
 
 def _chaos_plan(text: str) -> str:
     """argparse ``type=`` for a named chaos plan."""
     from repro.engine.chaos import ChaosPlan
 
-    _accept(ChaosPlan.named, text)
-    return text
+    return _key(ChaosPlan.named, text)
 
 
 def _retry_policy(text: str) -> str:
     """argparse ``type=`` for a named retry policy."""
     from repro.engine.failover import RetryPolicy
 
-    _accept(RetryPolicy.named, text)
-    return text
+    return _key(RetryPolicy.named, text)
 
 
 def _brownout(text: str) -> str:
     """argparse ``type=`` for a ``--brownout`` name."""
     from repro.engine.failover import brownout_enabled
 
-    _accept(brownout_enabled, text)
-    return text
+    return _key(brownout_enabled, text)
 
 
 def _models(text: str):
@@ -912,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="replicate",
         choices=("replicate", "partition"),
         help="zoo placement across shards (replicate everywhere, or "
-        "partition round-robin with spillover)",
+        "partition round-robin)",
     )
     serve.add_argument(
         "--check-slo",

@@ -42,7 +42,6 @@ from repro.core.opc import OpticalProcessingCore, ProgrammedWeights
 from repro.core.pipeline import HardwareFirstLayerPipeline
 from repro.core.snr_budget import SnrBudget, SnrReport
 from repro.core.vam import ActivationModulator
-from repro.core.vom import OutputModulator
 
 __all__ = [
     "ActivationModulator",
@@ -60,7 +59,6 @@ __all__ = [
     "OISAConfig",
     "OISAEnergyModel",
     "OpticalProcessingCore",
-    "OutputModulator",
     "PAPER_CONFIG",
     "PowerBreakdown",
     "ProgrammedWeights",

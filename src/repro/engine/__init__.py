@@ -40,9 +40,9 @@
   activation, bit-identical programs), and the
   :class:`BrownoutController` degradation-tier admission ladder.
 * :mod:`repro.engine.router` — deterministic tenant-to-shard routing:
-  rendezvous (HRW) hashing with draining-shard spillover.
+  rendezvous (HRW) hashing over the shards that host a model.
 * :mod:`repro.engine.controlplane` — the sharded fleet control plane:
-  named shards over plain frame servers, zoo placement, shard drains,
+  shards over plain frame servers, zoo placement, per-serve routing,
   and the windowed :class:`Autoscaler` (capacity-model scale-up,
   dwell-hysteresis scale-down) with a byte-deterministic
   scaling-decision audit trail.  One serve path: the plain server's

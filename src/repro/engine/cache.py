@@ -29,9 +29,9 @@ when a node's watchdog trips — the die's stale programs are dropped and
 the next activation re-runs the mapping chain.  Because programming is
 deterministic per (die, config, kernel set) — the scalar-reference
 bit-identity contract of :mod:`repro.core.reference` — the reprogrammed
-entries are bit-identical to the invalidated ones.  The sharded control
-plane (:mod:`repro.engine.controlplane`) reuses the same hook for shard
-drains.  Nothing else removes an entry: the cache is unbounded, one
+entries are bit-identical to the invalidated ones.  A chaos cache storm
+(:mod:`repro.engine.chaos`, replayed by the health monitor) reuses the
+same hook.  Nothing else removes an entry: the cache is unbounded, one
 realized tensor per (kernel set, die) mapped in this process.
 
 On-disk tier: a :class:`~repro.engine.store.ProgramStore` attached with

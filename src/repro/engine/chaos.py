@@ -46,6 +46,7 @@ from repro.sim.faults import FaultSpec
 from repro.util.rng import derive_rng
 from repro.util.validation import (
     check_count,
+    check_finite_non_negative,
     check_non_negative,
     check_positive,
 )
@@ -105,10 +106,10 @@ class ChaosSpec:
                 f"unknown chaos kind {self.kind!r}; known: "
                 f"{', '.join(CHAOS_KINDS)}"
             )
-        check_non_negative("at_s", self.at_s)
+        check_finite_non_negative("at_s", self.at_s)
         check_non_negative("duration_s", self.duration_s)
-        check_non_negative("jitter_s", self.jitter_s)
-        check_non_negative("every_s", self.every_s)
+        check_finite_non_negative("jitter_s", self.jitter_s)
+        check_finite_non_negative("every_s", self.every_s)
         check_count("count", self.count, minimum=0)
         check_count("repeats", self.repeats)
         check_positive("factor", self.factor)

@@ -1,4 +1,4 @@
-"""Sharded fleet control plane: tenant routing, autoscaling, drains.
+"""Sharded fleet control plane: tenant routing and autoscaling.
 
 The ROADMAP's "millions of users" step: one :class:`~repro.engine.server.
 FrameServer` is a single fleet with a single scheduler, which stops
@@ -6,13 +6,15 @@ scaling the moment the model zoo outgrows one node group or regional
 demand stops being flat.  :class:`ControlPlane` layers the missing
 machinery on top *without touching the data path*:
 
-* **sharding** — the fleet splits into named shards (node groups), each
-  its own plain ``FrameServer``; the zoo is placed per shard (replicate
-  or partition), so a shard only programs the kernel sets it hosts;
-* **routing** — every (tenant, model) pair lands on exactly one shard
-  by rendezvous hashing (:mod:`repro.engine.router`: stable under
-  node-count changes, bounded churn under shard-set changes, spillover
-  around draining shards);
+* **sharding** — the fleet splits into ``n`` shards (node groups
+  ``s0..s{n-1}``), each its own plain ``FrameServer``; the zoo is placed
+  per shard (replicate or partition), so a shard only programs the
+  kernel sets it hosts;
+* **routing** — every (tenant, model) pair of a stream lands on exactly
+  one shard by rendezvous hashing over the shards that host the model
+  (:mod:`repro.engine.router`: stable under node-count changes).  Routes
+  are a function of the placement and the stream being served, so a
+  plane keeps none from one serve to the next;
 * **autoscaling** — each shard's *active* node count tracks its own
   offered load window by window, using the capacity model from
   :func:`repro.analysis.capacity.sustainable_fps_per_node` (scale-up on
@@ -29,20 +31,14 @@ machinery on top *without touching the data path*:
   :class:`~repro.engine.cache.WeightProgramCache`.  All shard servers
   are built from the same base seed, so their die-seed sets are
   identical and a program computed on any shard is a cache hit on its
-  siblings (cross-shard reuse).  Routing warms the landing dies of
-  re-routed (tenant, model) pairs (preload-on-route), and a shard drain
-  drops its dies' programs via
-  :meth:`~repro.engine.cache.WeightProgramCache.invalidate_die` — which,
-  because the seeds are shared, also drops the siblings' identical
-  records; they reprogram bit-identically on next activation (the
-  determinism contract of :mod:`repro.core.reference`), so the tradeoff
-  costs host time, never changes a simulated quantity.
+  siblings (cross-shard reuse).
 
 One serve path: :meth:`ControlPlane.serve` validates the stream with
 :func:`~repro.engine.server.resolve_arrivals` (the plain server's own
-boundary check) before anything is routed, routes every request,
-serves each shard's partition (one bucket when static, one per control
-window when autoscaled) and merges the pieces into one report.
+boundary check) before anything is routed, routes each of the stream's
+(tenant, model) pairs once, serves each shard's partition (one bucket
+when static, one per control window when autoscaled) and merges the
+pieces into one report.
 Bit-identity contract: on a 1-shard, autoscale-off plane the one
 partition is the whole (non-empty) stream, so the merged report is
 byte-identical to the plain ``FrameServer`` path
@@ -100,7 +96,11 @@ from repro.engine.server import (
 from repro.engine.workloads import scenario_registry
 from repro.nn.layers import Sequential
 from repro.sim.stream import StreamEvent, StreamReport, nearest_rank_percentile
-from repro.util.validation import check_positive
+from repro.util.validation import (
+    check_count,
+    check_finite_non_negative,
+    check_positive,
+)
 
 #: Zoo placement modes :meth:`ControlPlane.serve_scenario` accepts.
 PLACEMENTS = ("replicate", "partition")
@@ -146,7 +146,10 @@ class AutoscalerConfig:
     fps_per_node: float | None = None
 
     def __post_init__(self) -> None:
+        # Finite as well as positive: window starts are multiples of
+        # ``window_s``, and 0 * inf is NaN.
         check_positive("window_s", self.window_s)
+        check_finite_non_negative("window_s", self.window_s)
         check_positive("min_nodes", self.min_nodes)
         if self.max_nodes < self.min_nodes:
             raise ValueError(
@@ -155,6 +158,7 @@ class AutoscalerConfig:
             )
         if self.fps_per_node is not None:
             check_positive("fps_per_node", self.fps_per_node)
+            check_finite_non_negative("fps_per_node", self.fps_per_node)
 
     @staticmethod
     def parse(spec: str) -> "AutoscalerConfig":
@@ -288,22 +292,18 @@ class Autoscaler:
 
 
 class Shard:
-    """One named node group: a plain ``FrameServer`` plus placement state."""
+    """One node group: a plain ``FrameServer`` and the name routes use."""
 
     def __init__(self, name: str, server: FrameServer) -> None:
         self.name = name
         self.server = server
-        self.draining = False
 
     def hosts(self, model_key: str) -> bool:
         """Whether this shard's zoo slice includes ``model_key``."""
         return model_key in self.server._models
 
     def __repr__(self) -> str:
-        return (
-            f"Shard({self.name!r}, nodes={len(self.server.nodes)}, "
-            f"draining={self.draining})"
-        )
+        return f"Shard({self.name!r}, nodes={len(self.server.nodes)})"
 
 
 @dataclass
@@ -321,12 +321,8 @@ class ControlPlaneReport:
     window_s: float | None
     #: Windows served (0 on the static path).
     windows: int
-    #: Routing table snapshot: ``"tenant|model_key" -> shard name``.
+    #: This serve's routes, sorted: ``"tenant|model_key" -> shard name``.
     routes: dict[str, str] = field(default_factory=dict)
-    #: (tenant, model) pairs whose shard changed during this run's routing.
-    reroutes: int = 0
-    #: (die, program) pairs warmed by preload-on-route.
-    preloads: int = 0
     #: Scaling audit trail, in shard order then window order.
     decisions: list[ScalingDecision] = field(default_factory=list)
     #: Per-shard active-node count per window (autoscale path only).
@@ -335,10 +331,6 @@ class ControlPlaneReport:
     node_seconds: float = 0.0
     #: Counterfactual: every shard at its built size over the same span.
     static_node_seconds: float = 0.0
-    #: Shards drained before/under this serve call.
-    drained: tuple[str, ...] = ()
-    #: Cache entries released by drain-driven ``invalidate_die`` calls.
-    cache_invalidations: int = 0
 
     @property
     def node_seconds_saved_frac(self) -> float:
@@ -368,7 +360,7 @@ class ControlPlane:
     Parameters
     ----------
     shards:
-        Shard count (names ``s0..s{n-1}``) or explicit name list.
+        Shard count; the shards are named ``s0..s{n-1}``.
     nodes_per_shard:
         Static node count per shard; ignored when ``autoscaler`` is set
         (shards are then built at ``autoscaler.max_nodes``).
@@ -385,7 +377,7 @@ class ControlPlane:
     def __init__(
         self,
         config: OISAConfig | None = None,
-        shards: int | list[str] | tuple[str, ...] = 2,
+        shards: int = 2,
         nodes_per_shard: int = 1,
         micro_batch: int = 16,
         seed: int | None = 0,
@@ -393,15 +385,7 @@ class ControlPlane:
         autoscaler: AutoscalerConfig | None = None,
         program_store: ProgramStore | str | None = None,
     ) -> None:
-        if isinstance(shards, int):
-            check_positive("shards", shards)
-            names = [f"s{index}" for index in range(shards)]
-        else:
-            names = [str(name) for name in shards]
-        if not names:
-            raise ValueError("a control plane needs at least one shard")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate shard names in {names!r}")
+        check_count("shards", shards)
         check_positive("nodes_per_shard", nodes_per_shard)
         self.config = config or OISAConfig()
         self.cache = WeightProgramCache()
@@ -415,7 +399,7 @@ class ControlPlane:
         size = autoscaler.max_nodes if autoscaler is not None else nodes_per_shard
         self.shards = [
             Shard(
-                name,
+                f"s{index}",
                 FrameServer(
                     self.config,
                     num_nodes=size,
@@ -425,118 +409,21 @@ class ControlPlane:
                     policy=policy,
                 ),
             )
-            for name in names
+            for index in range(shards)
         ]
-        #: Master zoo: every model any shard hosts (spillover placement
-        #: registers from here when routing lands on a non-hosting shard).
-        self._zoo: dict[str, Sequential] = {}
-        self._route_of: dict[tuple[str, str], str] = {}
-        self._reroutes = 0
-        self._preloads = 0
-        self._drained: list[str] = []
-        self._invalidations = 0
-        self._fps_per_node_cache: dict[tuple[str, str], float] = {}
-        self._serving_scenario: str | None = None
 
-    # ------------------------------------------------------------------
-    # Placement and drains
-    # ------------------------------------------------------------------
-    def shard(self, name: str) -> Shard:
-        """Look up a shard by name."""
-        for shard in self.shards:
-            if shard.name == name:
-                return shard
-        raise ValueError(
-            f"unknown shard {name!r}; known: "
-            f"{', '.join(s.name for s in self.shards)}"
-        )
-
-    def register_model(
-        self,
-        key: str,
-        model: Sequential,
-        shards: list[str] | tuple[str, ...] | None = None,
-    ) -> None:
-        """Place ``key`` on the named shards (default: replicate on all).
+    def register_model(self, key: str, model: Sequential) -> None:
+        """Place ``key`` on every shard (replication).
 
         Placement is idempotent and weight-checked per shard
         (:meth:`~repro.engine.server.FrameServer.adopt_models`), so
         re-registering the same model is a no-op and a conflicting
         redefinition fails loudly.
         """
-        targets = (
-            self.shards
-            if shards is None
-            else [self.shard(name) for name in shards]
-        )
-        for target in targets:
-            target.server.adopt_models(
-                {key: model}, origin=f"shard {target.name!r} placement"
+        for shard in self.shards:
+            shard.server.adopt_models(
+                {key: model}, origin=f"shard {shard.name!r} placement"
             )
-        self._zoo[key] = model
-
-    def drain(self, name: str) -> int:
-        """Take a shard out of routing and drop its dies' programs.
-
-        The router skips draining shards (spillover: the next-best
-        rendezvous winner absorbs each tenant), and each of the shard's
-        dies' programs leave the shared cache via
-        :meth:`~repro.engine.cache.WeightProgramCache.invalidate_die`.
-        Because every shard shares the base seed, sibling shards'
-        identical records are dropped too; they reprogram bit-identically
-        on next activation (host-time cost only).  Returns the entries
-        dropped.
-        """
-        shard = self.shard(name)
-        if shard.draining:
-            return 0
-        shard.draining = True
-        self._drained.append(name)
-        dropped = 0
-        for node in shard.server.nodes:
-            dropped += self.cache.invalidate_die(node.opc.seed)
-        self._invalidations += dropped
-        # Routes into the drained shard stay in the table on purpose:
-        # the next serve re-routes each of them (the router now skips the
-        # drainee), and :meth:`route` sees the *change* — which is what
-        # triggers spillover placement and preload-on-route for the
-        # moved tenants.
-        return dropped
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def route(self, tenant: str, model_key: str) -> Shard:
-        """The shard this (tenant, model) pair serves on, with side effects.
-
-        First assignment just records the route (no server or cache
-        perturbation — the 1-shard bit-identity contract rides on this).
-        A *changed* route additionally places the model on the landing
-        shard if it does not host it (spillover placement) and warms the
-        landing dies (preload-on-route: with shared seeds this is pure
-        O(1) cache installs).
-        """
-        shard = self.router.route(tenant, model_key, self.shards)
-        route_key = (tenant, model_key)
-        previous = self._route_of.get(route_key)
-        if previous == shard.name:
-            return shard
-        if not shard.hosts(model_key):
-            model = self._zoo.get(model_key)
-            if model is not None:
-                shard.server.adopt_models(
-                    {model_key: model},
-                    origin=f"shard {shard.name!r} spillover placement",
-                )
-        if previous is not None:
-            self._reroutes += 1
-            if shard.hosts(model_key):
-                warmed = shard.server.warmup([model_key])
-                self._preloads += int(
-                    warmed["cache_hits"] + warmed["cache_misses"]
-                )
-        self._route_of[route_key] = shard.name
-        return shard
 
     # ------------------------------------------------------------------
     # Serving
@@ -551,10 +438,10 @@ class ControlPlane:
         The stream is checked against every model the shards host by
         :func:`~repro.engine.server.resolve_arrivals` before anything is
         routed, so bad input raises ``ValueError`` naming its index in
-        ``requests`` with routes and caches untouched.  Then every
-        request is routed, each shard's partition is served — as one
-        bucket, or, when autoscaling, one bucket per control window —
-        and the pieces merge back into one
+        ``requests`` with the shards and the cache untouched.  Then each
+        (tenant, model) pair is routed once, each shard's partition is
+        served — as one bucket, or, when autoscaling, one bucket per
+        control window — and the pieces merge back into one
         :class:`~repro.engine.server.ServeReport` with global indices,
         global node ids and recomputed SLO percentiles.  The merged
         report carries the routing/scaling accounting as
@@ -562,6 +449,52 @@ class ControlPlane:
         whole call: validation, routing, capacity estimation, shard
         serves and merge.
         """
+        return self._serve(requests, offered_fps, scenario="")
+
+    def serve_scenario(
+        self,
+        scenario,
+        offered_fps: float | None = None,
+        placement: str = "replicate",
+    ) -> ServeReport:
+        """Serve a :class:`~repro.engine.workloads.Scenario` end-to-end.
+
+        Places the scenario's zoo (``"replicate"`` puts every model on
+        every shard; ``"partition"`` deals models round-robin across
+        shards), adopts its SLO classes on every shard, and serves its
+        request list.  A measured-capacity autoscaler resolves its
+        per-node FPS against this scenario's name.
+        """
+        if placement not in PLACEMENTS:
+            raise ValueError(
+                f"placement must be one of {PLACEMENTS}, got {placement!r}"
+            )
+        for index, (key, model) in enumerate(scenario.models.items()):
+            if placement == "replicate":
+                self.register_model(key, model)
+            else:
+                target = self.shards[index % len(self.shards)]
+                target.server.adopt_models(
+                    {key: model}, origin=f"shard {target.name!r} placement"
+                )
+        for shard in self.shards:
+            shard.server.admission = AdmissionController(scenario.slo_classes)
+        rate = (
+            offered_fps if offered_fps is not None else scenario.offered_fps
+        )
+        return self._serve(scenario.requests, rate, scenario=scenario.name)
+
+    # ------------------------------------------------------------------
+    # Serve internals
+    # ------------------------------------------------------------------
+    def _serve(
+        self,
+        requests: list[FrameRequest],
+        offered_fps: float | None,
+        scenario: str,
+    ) -> ServeReport:
+        """:meth:`serve`, with the name of the scenario (empty for none)
+        a measured-capacity autoscaler resolves its per-node FPS on."""
         started = time.perf_counter()
         rate = (
             offered_fps
@@ -574,11 +507,13 @@ class ControlPlane:
         arrivals = resolve_arrivals(requests, models, rate)
         duration = max(arrivals, default=0.0)
 
+        routes: dict[tuple[str, str], Shard] = {}
         per_shard: dict[str, list[tuple[int, FrameRequest, float]]] = {}
         for index, (request, arrival) in enumerate(zip(requests, arrivals)):
-            shard = self.route(
-                request.tenant or request.model_key, request.model_key
-            )
+            pair = (request.tenant or request.model_key, request.model_key)
+            shard = routes.get(pair)
+            if shard is None:
+                shard = routes[pair] = self.router.route(*pair, self.shards)
             per_shard.setdefault(shard.name, []).append(
                 (index, request, arrival)
             )
@@ -594,15 +529,9 @@ class ControlPlane:
             window_s=None if config is None else config.window_s,
             windows=0,
             routes={
-                f"{tenant}|{model_key}": shard_name
-                for (tenant, model_key), shard_name in sorted(
-                    self._route_of.items()
-                )
+                f"{tenant}|{model_key}": routes[tenant, model_key].name
+                for tenant, model_key in sorted(routes)
             },
-            reroutes=self._reroutes,
-            preloads=self._preloads,
-            drained=tuple(self._drained),
-            cache_invalidations=self._invalidations,
         )
         pieces = []
         if config is None:
@@ -618,7 +547,7 @@ class ControlPlane:
             plane.windows = max(
                 1, math.ceil((duration + 1e-12) / config.window_s)
             )
-            fps_per_node = self._resolve_fps_per_node()
+            fps_per_node = self._resolve_fps_per_node(scenario)
             for shard in self.shards:
                 scaler = Autoscaler(shard.name, config, fps_per_node)
                 trajectory = plane.nodes_by_window[shard.name] = []
@@ -652,45 +581,6 @@ class ControlPlane:
         report.wall_clock_s = time.perf_counter() - started
         return report
 
-    def serve_scenario(
-        self,
-        scenario,
-        offered_fps: float | None = None,
-        placement: str = "replicate",
-    ) -> ServeReport:
-        """Serve a :class:`~repro.engine.workloads.Scenario` end-to-end.
-
-        Places the scenario's zoo (``"replicate"`` puts every model on
-        every shard; ``"partition"`` deals models round-robin across
-        shards, leaving the router's spillover placement to fill gaps),
-        adopts its SLO classes on every shard, and serves its request
-        list.  While serving, a measured-capacity autoscaler resolves its
-        per-node FPS against this scenario's name.
-        """
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {placement!r}"
-            )
-        for index, (key, model) in enumerate(scenario.models.items()):
-            if placement == "replicate":
-                self.register_model(key, model)
-            else:
-                target = self.shards[index % len(self.shards)]
-                self.register_model(key, model, shards=[target.name])
-        for shard in self.shards:
-            shard.server.admission = AdmissionController(scenario.slo_classes)
-        rate = (
-            offered_fps if offered_fps is not None else scenario.offered_fps
-        )
-        self._serving_scenario = scenario.name
-        try:
-            return self.serve(scenario.requests, offered_fps=rate)
-        finally:
-            self._serving_scenario = None
-
-    # ------------------------------------------------------------------
-    # Serve internals
-    # ------------------------------------------------------------------
     def _serve_bucket(
         self,
         shard: Shard,
@@ -708,17 +598,13 @@ class ControlPlane:
         served = shard.server.serve(sub, offered_fps=rate, node_limit=nodes)
         return shard, start, bucket, served
 
-    def _resolve_fps_per_node(self) -> float:
-        """The controller's per-node capacity estimate [FPS]."""
+    def _resolve_fps_per_node(self, scenario: str) -> float:
+        """The controller's per-node capacity estimate [FPS] on the
+        scenario named ``scenario``."""
         config = self.autoscaler_config
         if config.fps_per_node is not None:
             return config.fps_per_node
         policy = self.shards[0].server.policy.name
-        scenario = self._serving_scenario or ""
-        key = (scenario, policy)
-        cached = self._fps_per_node_cache.get(key)
-        if cached is not None:
-            return cached
         value = 0.0
         if scenario.lower() in scenario_registry():
             from repro.analysis.capacity import sustainable_fps_per_node
@@ -735,7 +621,6 @@ class ControlPlane:
             from repro.sim.fleet import FleetModel
 
             value = FleetModel(self.config).sustainable_fps(LENET_FIRST_LAYER)
-        self._fps_per_node_cache[key] = value
         return value
 
     def _merge(

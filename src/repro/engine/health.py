@@ -55,7 +55,7 @@ from repro.core.thermal import ThermalModel
 from repro.photonics.microring import MicroringResonator
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
 from repro.util.rng import derive_rng
-from repro.util.validation import check_non_negative
+from repro.util.validation import check_finite_non_negative
 
 #: Fraction of the EO-compensable thermal range at which the watchdog
 #: forces a re-trim (a recalibration).
@@ -114,10 +114,10 @@ class FaultProfile:
 
     def __post_init__(self) -> None:
         if self.fault_onset_s is not None:
-            check_non_negative("fault_onset_s", self.fault_onset_s)
-        check_non_negative("fault_every_s", self.fault_every_s)
-        check_non_negative("node_stagger_s", self.node_stagger_s)
-        check_non_negative("drift_k_per_s", self.drift_k_per_s)
+            check_finite_non_negative("fault_onset_s", self.fault_onset_s)
+        check_finite_non_negative("fault_every_s", self.fault_every_s)
+        check_finite_non_negative("node_stagger_s", self.node_stagger_s)
+        check_finite_non_negative("drift_k_per_s", self.drift_k_per_s)
 
     @property
     def active(self) -> bool:

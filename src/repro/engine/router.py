@@ -1,14 +1,12 @@
 """Tenant-to-shard routing for the sharded fleet control plane.
 
 A control plane (:mod:`repro.engine.controlplane`) splits the fleet into
-named shards — node groups hosting a slice (or a replica) of the model
-zoo — and every admitted frame must land on exactly one of them.  The
-routing decision has to be *deterministic* (the control plane's
-bit-reproducibility contract extends the scheduler's), *stable* under
+shards — node groups hosting a slice (or a replica) of the model zoo —
+and every admitted frame must land on exactly one of them.  The routing
+decision has to be *deterministic* (the control plane's
+bit-reproducibility contract extends the scheduler's) and *stable* under
 fleet churn (an autoscaler resizing a shard's node count must never move
-tenants — moves invalidate cache locality), and *bounded* under shard-set
-churn (adding or draining one shard may move only the tenants whose
-rendezvous winner actually changed).
+tenants — moves invalidate cache locality).
 
 The policy is highest-random-weight (HRW, rendezvous) hashing: each
 ``(tenant, shard)`` pair gets a stable SHA-256 score and the tenant
@@ -18,15 +16,9 @@ removing a shard moves exactly the tenants that were on it while adding
 one moves only the tenants whose new top score is the newcomer
 (``tests/test_properties.py`` pins both).
 
-Eligibility and spillover: a shard is eligible for a request when it
-hosts the request's model key (zoo sharding) and is not draining.  When
-no shard hosts the model the whole non-draining fleet is eligible (the
-control plane registers the model on the routed shard — preload-on-route)
-and when everything eligible is draining the drain flag is ignored —
-routing somewhere beats dropping on the floor.  The skip-the-draining
-step *is* the spillover: the next-best rendezvous score takes over, and
-because scores are per ``(tenant, shard)`` the spilled tenants spread
-over the survivors instead of piling onto one.
+Eligibility: a shard is eligible for a request when it hosts the
+request's model key (zoo sharding); when no shard hosts it, every shard
+is.
 
 Determinism: scores hash only ``(salt, shard name, tenant)`` — no
 ``hash()`` randomization, no wall clock, no RNG state.
@@ -46,7 +38,6 @@ class ShardView(Protocol):
     """
 
     name: str
-    draining: bool
 
     def hosts(self, model_key: str) -> bool: ...
 
@@ -65,7 +56,7 @@ def rendezvous_score(salt: int, shard_name: str, tenant: str) -> int:
 
 
 class RendezvousRouter:
-    """Highest-random-weight tenant routing with draining spillover."""
+    """Highest-random-weight tenant routing over the hosting shards."""
 
     def __init__(self, salt: int = 0) -> None:
         self.salt = int(salt)
@@ -73,21 +64,11 @@ class RendezvousRouter:
     def eligible(
         self, model_key: str, shards: Sequence[ShardView]
     ) -> list[ShardView]:
-        """Shards a request may land on, after spillover rules.
-
-        Live hosting shards first; then the live fleet (the control
-        plane's spillover placement fills the zoo gap on the landing
-        shard); draining shards only when nothing live is left.
-        """
+        """Shards a request may land on: those hosting ``model_key``, or
+        every shard when none does."""
         if not shards:
             raise ValueError("cannot route with zero shards")
         hosting = [shard for shard in shards if shard.hosts(model_key)]
-        live_hosting = [shard for shard in hosting if not shard.draining]
-        if live_hosting:
-            return live_hosting
-        live = [shard for shard in shards if not shard.draining]
-        if live:
-            return live
         return hosting or list(shards)
 
     def route(

@@ -206,10 +206,8 @@ class ServeReport:
         its float64 bytes, and ``node_frames`` has str keys in numeric
         order.  The ``health``, ``slo``, ``resilience``, ``brownout`` and
         ``controlplane`` parts are their dataclasses field by field, or
-        ``None`` when absent.  The only host-side fields are cache
-        counters: ``cache_hits``, ``cache_misses`` and, through a control
-        plane, ``controlplane.preloads`` and
-        ``controlplane.cache_invalidations``.
+        ``None`` when absent.  The only host-side fields are the cache
+        counters ``cache_hits`` and ``cache_misses``.
         """
         responses = []
         for response in self.responses:

@@ -15,19 +15,13 @@ consumes:
 * :mod:`repro.photonics.waveguide` — loss budget along an arm.
 * :mod:`repro.photonics.tuning` — thermo-optic / electro-optic hybrid tuning
   power and latency.
-* :mod:`repro.photonics.noise` — composable noise injectors applied to
-  photonic dot products.
+
+The noise the optics inject is drawn where it arises: the optical
+processing core (:mod:`repro.core.opc`) draws its own crosstalk and
+balanced-photodiode read noise.
 """
 
 from repro.photonics.microring import MicroringDesign, MicroringResonator
-from repro.photonics.noise import (
-    CompositeNoise,
-    CrosstalkNoise,
-    FixedPatternNoise,
-    GaussianReadNoise,
-    NoiseModel,
-    RelativeIntensityNoise,
-)
 from repro.photonics.photodiode import BalancedPhotodiode, Photodiode
 from repro.photonics.tuning import HybridTuning, TuningBudget
 from repro.photonics.vcsel import TernaryVcselEncoder, Vcsel
@@ -43,16 +37,10 @@ from repro.photonics.wdm import (
 __all__ = [
     "ArmLossBudget",
     "BalancedPhotodiode",
-    "CompositeNoise",
-    "CrosstalkNoise",
-    "FixedPatternNoise",
-    "GaussianReadNoise",
     "HybridTuning",
     "MicroringDesign",
     "MicroringResonator",
-    "NoiseModel",
     "Photodiode",
-    "RelativeIntensityNoise",
     "TernaryVcselEncoder",
     "TuningBudget",
     "Vcsel",

@@ -7,6 +7,7 @@ close to their source instead of surfacing as NaNs deep inside a sweep.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -35,6 +36,15 @@ def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0`` (so not NaN) and return it."""
     if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
+def check_finite_non_negative(name: str, value: float) -> float:
+    """Require a finite ``value >= 0`` (so not NaN or infinity) and return
+    it: an onset or a period at infinity never comes round."""
+    check_non_negative(name, value)
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

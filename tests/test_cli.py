@@ -176,6 +176,7 @@ def test_serve_exercises_every_workload_generator(scenario, capsys):
         ("--autoscale", "0:3"),
         ("--autoscale", "1:x"),
         ("--autoscale", "3:1"),
+        ("--autoscale", "1:3:inf"),
         ("--policy", "bogus"),
         ("--fault-profile", "bogus"),
         ("--chaos-plan", "bogus"),
@@ -190,6 +191,38 @@ def test_serve_rejects_bad_numeric_flags_at_parse_time(flag, value, capsys):
         main(["serve", flag, value])
     assert excinfo.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--frames", "8", "--brownout", "NONE", "--shards", "1"],
+        [
+            "serve", "--frames", "8",
+            "--chaos-plan", "NONE", "--retry-policy", " None",
+        ],
+        [
+            "serve", "--frames", "8", "--scenario", "Mixed-Tenants",
+            "--policy", " SLO", "--fault-profile", "None ",
+        ],
+        ["sweep", "--fault-profile", "NONE"],
+    ],
+    ids=["brownout-shards", "chaos-retry", "scenario-policy", "sweep"],
+)
+def test_registry_names_parse_to_one_spelling(argv, capsys):
+    """A name any registry accepts (any case, surrounding spaces) parses
+    to its key, so every later comparison and table sees one spelling:
+    the run equals the lower-case spelling's but for wall-clock rows."""
+
+    def stdout(args):
+        assert main(args) == 0
+        return [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if "wall-clock" not in line
+        ]
+
+    assert stdout(argv) == stdout([arg.strip().lower() for arg in argv])
 
 
 def test_sweep_capacity_command(capsys):

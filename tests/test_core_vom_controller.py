@@ -1,58 +1,10 @@
-"""Tests for repro.core.vom and repro.core.controller."""
+"""Tests for repro.core.controller."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import OISAConfig
 from repro.core.controller import TimingController
 from repro.core.mapping import ConvWorkload, plan_convolution
-from repro.core.vom import OutputModulator
-
-
-# --------------------------------------------------------------------------
-# OutputModulator
-# --------------------------------------------------------------------------
-def test_combine_exact_when_noiseless():
-    vom = OutputModulator(remodulation_sigma=0.0)
-    partials = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    np.testing.assert_allclose(vom.combine(partials), [6.0, 15.0])
-
-
-def test_combine_noise_small():
-    vom = OutputModulator(remodulation_sigma=0.002, seed=0)
-    partials = np.ones((1000, 4))
-    combined = vom.combine(partials)
-    assert combined.mean() == pytest.approx(4.0, rel=1e-3)
-    assert combined.std() < 0.02
-
-
-def test_combine_energy():
-    vom = OutputModulator()
-    assert vom.combine_energy_j(1, 100) == 0.0  # nothing to combine
-    assert vom.combine_energy_j(3, 100) == pytest.approx(
-        200 * vom.energy_per_combine_j
-    )
-
-
-def test_combine_latency_log_depth():
-    vom = OutputModulator()
-    assert vom.combine_latency(1) == 0.0
-    assert vom.combine_latency(2) == pytest.approx(vom.combine_latency_s)
-    assert vom.combine_latency(8) == pytest.approx(3 * vom.combine_latency_s)
-
-
-def test_split_dot_product_covers_vector():
-    vom = OutputModulator()
-    chunks = vom.split_dot_product(123, 50)
-    assert chunks[0] == (0, 50)
-    assert chunks[-1] == (100, 123)
-    covered = sum(stop - start for start, stop in chunks)
-    assert covered == 123
-
-
-def test_split_validation():
-    with pytest.raises(ValueError):
-        OutputModulator().split_dot_product(0, 50)
 
 
 # --------------------------------------------------------------------------

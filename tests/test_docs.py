@@ -2,8 +2,8 @@
 
 Runs the same checks as the CI docs job (``tools/check_docs.py``): every
 ``repro.*`` pointer in ``docs/architecture.md``/``README.md`` must import,
-every referenced file must exist, every ``src/repro`` package must
-have a paper-to-code row, and every README flag table must list exactly
+every referenced file must exist, every module under ``src/repro``
+must have a paper-to-code row, and every README flag table must list exactly
 its command's parser flags.
 """
 
@@ -42,8 +42,32 @@ def test_path_references_exist():
 
 
 def test_every_package_has_a_paper_to_code_row():
+    """Every module, each package's ``__init__`` included."""
     checker = _load_checker()
-    assert checker.check_package_coverage() == []
+    assert checker.check_module_coverage() == []
+
+
+def test_module_coverage_check_catches_an_unmapped_module(
+    tmp_path, monkeypatch
+):
+    """A module no backticked path names or lies inside fails the check,
+    though its package has a row."""
+    checker = _load_checker()
+    package = tmp_path / "src" / "repro" / "photonics"
+    package.mkdir(parents=True)
+    for name in ("__init__.py", "microring.py", "noise.py"):
+        (package / name).write_text("")
+    (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+    docs_dir = tmp_path / "docs"
+    docs_dir.mkdir()
+    (docs_dir / "architecture.md").write_text(
+        "| Rings | `repro.photonics.microring.MicroringResonator` |\n"
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", str(tmp_path))
+    assert checker.check_module_coverage() == [
+        "docs/architecture.md: module `repro.photonics.noise` has no "
+        "paper-to-code row"
+    ]
 
 
 def test_readme_flag_tables_match_the_parser():

@@ -15,7 +15,10 @@ from repro.engine.chaos import (
 from repro.engine.workloads import build_scenario
 from repro.nn.models import build_lenet
 from repro.sim.faults import FaultSpec
-from repro.util.validation import check_non_negative
+from repro.util.validation import (
+    check_finite_non_negative,
+    check_non_negative,
+)
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +54,40 @@ def test_nan_is_not_non_negative(name):
     NaN onset scheduled a chaos event or an upset that never fired."""
     with pytest.raises(ValueError, match=f"{name} must be non-negative"):
         _NAN_SETTINGS[name]()
+
+
+#: One infinite setting per onset or period that must be finite.
+_INF_SETTINGS = {
+    "value": lambda: check_finite_non_negative("value", math.inf),
+    "at_s": lambda: ChaosSpec(
+        kind="node-loss", at_s=math.inf, duration_s=0.01
+    ),
+    "jitter_s": lambda: ChaosSpec(
+        kind="node-loss", at_s=0.0, duration_s=0.01, jitter_s=math.inf
+    ),
+    "every_s": lambda: ChaosSpec(
+        kind="cache-storm", at_s=0.0, repeats=2, every_s=math.inf
+    ),
+    "fault_onset_s": lambda: FaultProfile(fault_onset_s=math.inf),
+    "fault_every_s": lambda: FaultProfile(
+        fault_onset_s=0.0, fault_every_s=math.inf
+    ),
+    "node_stagger_s": lambda: FaultProfile(
+        fault_onset_s=0.0, node_stagger_s=math.inf
+    ),
+    "drift_k_per_s": lambda: FaultProfile(drift_k_per_s=math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INF_SETTINGS))
+def test_onsets_and_periods_must_be_finite(name):
+    """An onset or a period at infinity never comes round: a chaos event
+    at ``inf`` never fires, and a profile whose onset is ``inf`` would
+    still count as active and monitor a fleet it can never degrade.  (A
+    node loss of infinite *duration* stays valid: it is the permanent
+    loss.)"""
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _INF_SETTINGS[name]()
 
 
 def test_named_plans_resolve():

@@ -1,15 +1,17 @@
-"""Control-plane unit tests: autoscaler, drains, merge integrity, limits.
+"""Control-plane unit tests: autoscaler, routing, merge integrity, limits.
 
 Covers the pieces :mod:`repro.engine.controlplane` layers on top of the
 plain frame server — the reactive :class:`Autoscaler` (warm start,
 jump-to-target scale-up, dwell-gated scale-down, the no-flap guarantee),
 the byte-determinism of the scaling audit trail over real scenarios,
-shard drains (router spillover + cache invalidation), the multi-shard
-merge (index bijection, global node ids, additive SLO accounting), and
-the ``node_limit`` prefix contract the whole warm-spare design rides on.
+per-serve routing (each report lists its own stream's routes), the
+multi-shard merge (index bijection, global node ids, additive SLO
+accounting), and the ``node_limit`` prefix contract the whole
+warm-spare design rides on.
 """
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -48,6 +50,11 @@ def test_config_rejects_inverted_bounds():
         AutoscalerConfig(window_s=0.0)
     with pytest.raises(ValueError, match="fps_per_node"):
         AutoscalerConfig(fps_per_node=-1.0)
+    # Window starts are multiples of window_s, and 0 * inf is NaN.
+    with pytest.raises(ValueError, match="window_s must be finite"):
+        AutoscalerConfig(window_s=math.inf)
+    with pytest.raises(ValueError, match="fps_per_node must be finite"):
+        AutoscalerConfig(fps_per_node=math.inf)
 
 
 def test_config_parse_cli_spec():
@@ -250,19 +257,19 @@ _PINNED_RECORDS = {
         1,
         "replicate",
         False,
-        "97906bb4909cf4f9aa3d35506191b498687be99db71945a7990aee961c45a726",
+        "d4d8ca017edca3398d0e7d7da8a09f5d451c4d9974034d6dd82d7458bef774e0",
     ),
     "3-shard-partition": (
         3,
         "partition",
         False,
-        "20d6fec57f67e3ff9e3243951fc7426e7fe811cb2035f108635fffe92baa742d",
+        "3c88788a16ae3c6da6711199b30bc90c15d2b01e57cf19f3d50f2c12cff5ba14",
     ),
     "3-shard-partition-autoscaled": (
         3,
         "partition",
         True,
-        "30ed5041d4345524c9bc30db1bc2e763308a2c09af66c411541d9eb071e73a0e",
+        "265e603a67aadb64007648765df322d085b8aadb6a046051d7e11583fb28dfa5",
     ),
 }
 
@@ -301,30 +308,26 @@ def test_partition_placement_deals_models_round_robin():
     scenario = build_scenario(
         "diurnal-regions", frames=40, offered_fps=800.0, seed=0
     )
-    plane = ControlPlane(
-        shards=["na", "eu", "ap"], nodes_per_shard=1, micro_batch=8, seed=0
-    )
+    plane = ControlPlane(shards=3, nodes_per_shard=1, micro_batch=8, seed=0)
     plane.serve_scenario(scenario, placement="partition")
     hosted = {
         shard.name: sorted(shard.server.model_keys) for shard in plane.shards
     }
-    # Four zoo entries dealt over three shards: the fourth wraps to "na".
-    assert hosted["na"] == ["lenet-4b@na", "mlp-2b"]
-    assert hosted["eu"][0] == "lenet-4b@eu"
-    assert hosted["ap"][0] == "lenet-4b@ap"
+    # Four zoo entries dealt over three shards: the fourth wraps to s0,
+    # and each shard hosts exactly what it was dealt.
+    assert hosted == {
+        "s0": ["lenet-4b@na", "mlp-2b"],
+        "s1": ["lenet-4b@eu"],
+        "s2": ["lenet-4b@ap"],
+    }
     with pytest.raises(ValueError, match="placement"):
         plane.serve_scenario(scenario, placement="sharded")
 
 
 def _plane_state(plane):
-    """Everything a rejected serve must leave untouched."""
-    return (
-        dict(plane._route_of),
-        plane._reroutes,
-        plane._preloads,
-        plane.cache.stats.hits,
-        plane.cache.stats.misses,
-    )
+    """What a rejected serve must leave untouched: a plane keeps no
+    routes between serves, so only its shared cache's counters."""
+    return (plane.cache.stats.hits, plane.cache.stats.misses)
 
 
 @pytest.mark.parametrize(
@@ -357,9 +360,9 @@ def test_wall_clock_covers_the_whole_call(monkeypatch):
     time is in ``wall_clock_s`` with the shard serves'."""
     resolve = ControlPlane._resolve_fps_per_node
 
-    def slow_resolve(self):
+    def slow_resolve(self, scenario):
         time.sleep(0.3)
-        return resolve(self)
+        return resolve(self, scenario)
 
     monkeypatch.setattr(ControlPlane, "_resolve_fps_per_node", slow_resolve)
     frames = np.random.default_rng(0).uniform(0.0, 1.0, (8, 1, 28, 28))
@@ -370,58 +373,47 @@ def test_wall_clock_covers_the_whole_call(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Drains
+# Per-serve routing
 # ----------------------------------------------------------------------
-def test_drain_reroutes_tenants_and_releases_cache_bytes():
-    plane = ControlPlane(shards=3, nodes_per_shard=1, micro_batch=8, seed=0)
-    plane.register_model("m", build_lenet(seed=0))
-    # A second model placed *only* on the shard we will drain: its
-    # tenants must spill over onto shards that never programmed it.
-    plane.register_model("m2", build_lenet(seed=1), shards=["s0"])
-    frames = np.random.default_rng(5).uniform(0.0, 1.0, (12, 1, 28, 28))
-    tenants = [f"t{i}" for i in range(6)]
-    requests = [
-        FrameRequest(
-            frames[i], "m" if i % 2 == 0 else "m2", tenant=tenants[i % 6]
+def test_each_serve_lists_only_its_own_routes():
+    """A plane keeps no routes between serves: serving it twice with
+    disjoint tenants, each report lists exactly its own stream's pairs,
+    routed as a fresh plane routes them."""
+    frames = np.random.default_rng(5).uniform(0.0, 1.0, (16, 1, 28, 28))
+
+    def stream(tenants):
+        return [
+            FrameRequest(frames[i], "m", tenant=tenants[i % len(tenants)])
+            for i in range(16)
+        ]
+
+    def fresh_plane():
+        plane = ControlPlane(
+            shards=3, nodes_per_shard=1, micro_batch=8, seed=0
         )
-        for i in range(12)
+        plane.register_model("m", build_lenet(seed=0))
+        return plane
+
+    first_tenants = [f"a{i}" for i in range(8)]
+    second_tenants = [f"b{i}" for i in range(8)]
+    plane = fresh_plane()
+    first = plane.serve(stream(first_tenants), offered_fps=900.0)
+    second = plane.serve(stream(second_tenants), offered_fps=900.0)
+    assert sorted(first.controlplane.routes) == [
+        f"{tenant}|m" for tenant in first_tenants
     ]
-    first = plane.serve(requests, offered_fps=900.0).controlplane
-    assert len(set(first.routes.values())) > 1  # rendezvous spread them
-    assert all(
-        shard == "s0"
-        for route, shard in first.routes.items()
-        if route.endswith("|m2")
-    )
-    moved = sum(1 for shard in first.routes.values() if shard == "s0")
-    assert moved > 0
-
-    dropped = plane.drain("s0")
-    assert dropped > 0  # the shared cache released die programs
-    assert plane.drain("s0") == 0  # idempotent
-    second = plane.serve(requests, offered_fps=900.0).controlplane
-    assert "s0" not in set(second.routes.values())
-    assert second.drained == ("s0",)
-    assert second.cache_invalidations == dropped
-    assert second.reroutes >= moved
-    # The m2 movers landed on cold shards: spillover placement adopted
-    # the model there and preload-on-route programmed its dies.
-    assert second.preloads > 0
-    landing = {
-        shard
-        for route, shard in second.routes.items()
-        if route.endswith("|m2")
-    }
-    for name in landing:
-        assert plane.shard(name).hosts("m2")
+    assert sorted(second.controlplane.routes) == [
+        f"{tenant}|m" for tenant in second_tenants
+    ]
+    alone = fresh_plane().serve(stream(second_tenants), offered_fps=900.0)
+    assert second.controlplane.routes == alone.controlplane.routes
+    assert len(set(second.controlplane.routes.values())) > 1
 
 
-def test_unknown_shard_name_fails_loudly():
-    plane = ControlPlane(shards=2, nodes_per_shard=1, seed=0)
-    with pytest.raises(ValueError, match="unknown shard"):
-        plane.shard("nope")
-    with pytest.raises(ValueError, match="duplicate shard names"):
-        ControlPlane(shards=["a", "a"], nodes_per_shard=1)
+@pytest.mark.parametrize("shards", [0, True, 2.5, "2"])
+def test_shards_must_be_a_positive_count(shards):
+    with pytest.raises(ValueError, match="shards must be an integer >= 1"):
+        ControlPlane(shards=shards, nodes_per_shard=1)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Tests for the add-drop port and RIN noise extensions."""
+"""Tests for the microring add-drop port extension."""
 
 import numpy as np
 import pytest
 
 from repro.photonics.microring import MicroringResonator
-from repro.photonics.noise import RelativeIntensityNoise
 
 
 # --------------------------------------------------------------------------
@@ -46,33 +45,3 @@ def test_weaker_drop_coupling_lower_peak():
     weak = float(ring.drop_transmission(lam, drop_coupling=0.999))
     assert weak < strong
 
-
-# --------------------------------------------------------------------------
-# RIN
-# --------------------------------------------------------------------------
-def test_rin_sigma_formula():
-    noise = RelativeIntensityNoise(rin_db_per_hz=-140.0, bandwidth_hz=25e9)
-    expected = np.sqrt(10 ** (-14.0) * 25e9)
-    assert noise.relative_sigma == pytest.approx(expected)
-    assert noise.relative_sigma < 0.02  # ~1.6% over the full bandwidth
-
-
-def test_rin_statistics():
-    noise = RelativeIntensityNoise(rin_db_per_hz=-120.0, bandwidth_hz=25e9, seed=0)
-    values = np.full(20000, 2.0)
-    noisy = noise.apply(values)
-    assert noisy.mean() == pytest.approx(2.0, rel=1e-2)
-    assert noisy.std() == pytest.approx(2.0 * noise.relative_sigma, rel=0.05)
-
-
-def test_rin_scales_with_signal():
-    noise = RelativeIntensityNoise(rin_db_per_hz=-120.0, seed=1)
-    small = noise.apply(np.full(5000, 1.0)).std()
-    noise2 = RelativeIntensityNoise(rin_db_per_hz=-120.0, seed=1)
-    large = noise2.apply(np.full(5000, 10.0)).std()
-    assert large == pytest.approx(10 * small, rel=1e-9)
-
-
-def test_rin_rejects_positive_db():
-    with pytest.raises(ValueError):
-        RelativeIntensityNoise(rin_db_per_hz=3.0)

@@ -213,10 +213,9 @@ def test_format_table_alignment_property(rows):
 class _FakeShard:
     """Minimal :class:`repro.engine.router.ShardView` for router tests."""
 
-    def __init__(self, name, hosted=(), draining=False, nodes=1):
+    def __init__(self, name, hosted=(), nodes=1):
         self.name = name
         self.hosted = set(hosted)
-        self.draining = draining
         self.nodes = nodes  # routers must never read this
 
     def hosts(self, model_key):
@@ -307,20 +306,28 @@ def test_rendezvous_addition_churn_is_bounded(names, tenants, salt):
             assert after == newcomer.name
 
 
-@given(names=_names, tenants=_tenants, salt=st.integers(0, 2**32))
+@given(
+    names=_names,
+    tenants=_tenants,
+    salt=st.integers(0, 2**32),
+    hosting=st.integers(1, 6),
+)
 @settings(max_examples=60, deadline=None)
-def test_draining_shards_never_routed_while_alternatives_exist(
-    names, tenants, salt
+def test_routing_lands_on_a_hosting_shard_when_one_exists(
+    names, tenants, salt, hosting
 ):
-    shards = [_FakeShard(name) for name in names]
-    shards[0].draining = True
+    """A model hosted somewhere routes only onto its hosts, by the same
+    scores as a fleet of just those hosts."""
+    shards = [
+        _FakeShard(name, hosted=("m",) if index < hosting else ())
+        for index, name in enumerate(names)
+    ]
+    hosts = [shard for shard in shards if shard.hosts("m")]
     router = RendezvousRouter(salt=salt)
     for tenant in tenants:
-        target = router.route(tenant, "m", shards)
-        if len(shards) > 1:
-            assert target is not shards[0]
-        else:  # routing somewhere beats dropping on the floor
-            assert target is shards[0]
+        assert router.route(tenant, "m", shards) is router.route(
+            tenant, "m", hosts
+        )
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,9 @@ the documentation layer cannot rot silently:
 2. every backticked repo-relative file/directory reference
    (``src/...``, ``tests/...``, ``benchmarks/...``, ``examples/...``,
    ``docs/...``, ``tools/...``) must exist;
-3. every package under ``src/repro`` must appear in
-   ``docs/architecture.md`` at least once (the paper-to-code map must be
-   total);
+3. every module under ``src/repro`` must appear in
+   ``docs/architecture.md`` at least once, as a backticked dotted path or
+   inside one (the paper-to-code map must be total);
 4. every ``### `repro <command>``` table in ``README.md`` must list
    exactly the ``--flags`` that ``repro.cli.build_parser()`` defines for
    that command.
@@ -93,21 +93,32 @@ def check_path_references(doc_files=DOC_FILES) -> list[str]:
     return failures
 
 
-def check_package_coverage(doc: str = "docs/architecture.md") -> list[str]:
-    """Every ``src/repro`` package needs at least one row in the map."""
-    text = _read(doc)
-    mentioned = set(MODULE_RE.findall(text))
-    mentioned_packages = {dotted.split(".")[1] for dotted in mentioned}
+def check_module_coverage(doc: str = "docs/architecture.md") -> list[str]:
+    """Every module under ``src/repro`` needs a row in the map.
+
+    A module is covered when a backticked dotted path names it or lies
+    inside it: `repro.engine.server` and `repro.engine.server.FrameServer`
+    both cover ``repro.engine.server`` (and the ``repro.engine`` package).
+    """
+    covered = set()
+    for dotted in set(MODULE_RE.findall(_read(doc))):
+        while dotted:  # the path and every path it lies inside
+            covered.add(dotted)
+            dotted = dotted.rpartition(".")[0]
     failures = []
-    packages_dir = os.path.join(REPO_ROOT, "src", "repro")
-    for name in sorted(os.listdir(packages_dir)):
-        package_init = os.path.join(packages_dir, name, "__init__.py")
-        if not os.path.isfile(package_init):
-            continue
-        if name not in mentioned_packages:
-            failures.append(
-                f"{doc}: package `repro.{name}` has no paper-to-code row"
-            )
+    source_root = os.path.join(REPO_ROOT, "src")
+    walk = os.walk(os.path.join(source_root, "repro"))
+    for directory, _, files in sorted(walk):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.relpath(os.path.join(directory, name), source_root)
+            module = path[: -len(".py")].replace(os.sep, ".")
+            module = module.removesuffix(".__init__")
+            if module not in covered:
+                failures.append(
+                    f"{doc}: module `{module}` has no paper-to-code row"
+                )
     return failures
 
 
@@ -157,7 +168,7 @@ def run_all_checks() -> list[str]:
     return (
         check_module_references()
         + check_path_references()
-        + check_package_coverage()
+        + check_module_coverage()
         + check_flag_tables()
     )
 
