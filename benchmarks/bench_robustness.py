@@ -8,6 +8,11 @@ recover.
 import numpy as np
 import pytest
 
+from repro.analysis.robustness_report import (
+    RobustnessSettings,
+    build_robustness_report,
+    train_probe_model,
+)
 from repro.circuits.awc import AwcDesign
 from repro.core.awc import AwcWeightMapper
 from repro.core.calibration import CalibratedAwcMapper
@@ -15,11 +20,6 @@ from repro.core.config import OISAConfig
 from repro.core.opc import OpticalProcessingCore
 from repro.core.pipeline import HardwareFirstLayerPipeline
 from repro.core.thermal import ThermalModel
-from repro.datasets.synthetic import SyntheticSpec, generate_dataset
-from repro.datasets.catalog import Dataset
-from repro.nn.models import FirstLayerConfig, build_lenet
-from repro.nn.optim import SGD, CosineLR
-from repro.nn.train import Trainer
 from repro.photonics.microring import MicroringResonator
 from repro.photonics.tuning import HybridTuning
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
@@ -28,40 +28,18 @@ from repro.util.tables import format_table
 
 @pytest.fixture(scope="module")
 def trained_model_and_data():
-    """A small trained QAT model reused by every robustness sweep."""
-    spec = SyntheticSpec(
-        name="robustness", num_classes=4, image_size=16, channels=1,
-        train_size=240, test_size=120, noise_sigma=0.05, jitter_px=1,
-        clutter=0.08, seed=5,
-    )
-    x_train, y_train, x_test, y_test = generate_dataset(spec)
-    dataset = Dataset(
-        "robustness", x_train, y_train, x_test, y_test, 4, 16, 1, "LeNet"
-    )
-    model = build_lenet(
-        num_classes=4, input_size=16,
-        first_layer=FirstLayerConfig(weight_bits=3), seed=0,
-    )
-    trainer = Trainer(
-        model, SGD(model.parameters(), momentum=0.9, weight_decay=1e-4),
-        CosineLR(0.05, 1e-4), seed=0,
-    )
-    trainer.fit(x_train, y_train, epochs=4, batch_size=32)
-    return model, dataset
+    """The robustness report's trained QAT probe model and its data."""
+    return train_probe_model(RobustnessSettings())
 
 
-def test_fault_sweep_graceful_degradation(trained_model_and_data, save_artifact):
+def test_fault_sweep_graceful_degradation(save_artifact):
     """Accuracy vs dead-MR rate: the array degrades gracefully."""
-    model, dataset = trained_model_and_data
-    rows = []
-    accuracies = []
-    for rate in (0.0, 0.02, 0.05, 0.1, 0.3):
-        opc = OpticalProcessingCore(OISAConfig().with_weight_bits(3), seed=7)
-        faulty = FaultyOpticalCore(opc, FaultSpec(dead_mr_rate=rate), seed=9)
-        pipeline = HardwareFirstLayerPipeline(model, faulty)
-        accuracy = pipeline.evaluate(dataset.x_test, dataset.y_test)
-        accuracies.append(accuracy)
-        rows.append((f"{rate * 100:.0f}%", accuracy * 100))
+    report = build_robustness_report(
+        RobustnessSettings(include_calibrated=False)
+    )
+    sweep = report.accuracy_matrix()["OISA"]
+    rows = [(f"{rate * 100:.0f}%", acc * 100) for rate, acc in sweep.items()]
+    accuracies = list(sweep.values())
     text = format_table(
         ("dead MR rate", "accuracy [%]"),
         rows,

@@ -5,11 +5,12 @@ in-sensor, and ship the (much smaller, already-convolved) feature maps to a
 cloud aggregator — versus the conventional cloud-centric flow where every
 node digitises and transmits raw 8-bit frames.
 
-The example quantifies, per node and for the fleet:
+The example prints :meth:`repro.sim.fleet.FleetModel.compare` for one
+first layer, per node and for the fleet:
 
-* bytes on the wire (raw frames vs first-layer features),
-* node-side energy (ADC-based capture vs OISA's ADC-less path),
-* sustained frame rates.
+* bytes on the wire (raw frames vs pooled first-layer features),
+* node-side energy (ADC-based capture vs OISA's ADC-less path) plus the
+  radio energy of the payload.
 
 Usage::
 
@@ -18,102 +19,54 @@ Usage::
 
 import sys
 
-import numpy as np
-
-from repro.circuits.adc_dac import AdcModel
-from repro.core.accelerator import OISAAccelerator
-from repro.core.config import OISAConfig
+from repro.core.mapping import ConvWorkload
+from repro.sim.fleet import FleetModel
 from repro.util.tables import format_table
 
-#: Per-byte radio energy for an edge IoT link (BLE/802.15.4 class) [J].
-RADIO_ENERGY_PER_BYTE_J = 180e-9
-
-
-def cloud_centric_node(config: OISAConfig) -> dict:
-    """Conventional node: 8-bit ADC per pixel, raw frame to the cloud."""
-    adc = AdcModel(bits=8)
-    pixels = config.num_pixels * 3  # RGB planes
-    capture_j = adc.energy_per_conversion_j() * pixels
-    bytes_out = pixels  # 1 byte per pixel
-    radio_j = RADIO_ENERGY_PER_BYTE_J * bytes_out
-    return {
-        "capture_j": capture_j,
-        "bytes_out": bytes_out,
-        "radio_j": radio_j,
-        "total_j": capture_j + radio_j,
-    }
-
-
-def oisa_node(config: OISAConfig, oisa: OISAAccelerator, frame: np.ndarray) -> dict:
-    """OISA node: ternary capture, photonic first layer, features out.
-
-    Features are 2x2 average-pooled before transmission (the standard
-    conv-pool front of the CNNs the paper evaluates), then packed at
-    5 bits per value (4-bit magnitude + sign).
-    """
-    result = oisa.process_frame(frame)
-    features = result.features
-    channels, height, width = features.shape
-    pooled = features[:, : height // 2 * 2, : width // 2 * 2]
-    pooled = pooled.reshape(channels, height // 2, 2, width // 2, 2).mean(axis=(2, 4))
-    bytes_out = int(np.ceil(pooled.size * 5 / 8))
-    radio_j = RADIO_ENERGY_PER_BYTE_J * bytes_out
-    return {
-        "capture_j": result.energy.total,
-        "bytes_out": bytes_out,
-        "radio_j": radio_j,
-        "total_j": result.energy.total + radio_j,
-        "fps": result.timing.pipelined_fps,
-    }
+#: The first layer every node computes: 8 3x3 kernels at stride 2 on
+#: 128x128 RGB frames.
+WORKLOAD = ConvWorkload(
+    kernel_size=3,
+    num_kernels=8,
+    in_channels=3,
+    image_height=128,
+    image_width=128,
+    stride=2,
+    padding=1,
+)
 
 
 def main() -> None:
     num_nodes = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    config = OISAConfig()
-    rng = np.random.default_rng(0)
-    weights = rng.normal(size=(8, 3, 3, 3)) * 0.1
-
-    rows = []
-    fleet_oisa_j = 0.0
-    fleet_cloud_j = 0.0
-    for node in range(num_nodes):
-        oisa = OISAAccelerator(config, seed=node)
-        oisa.program_conv(weights, stride=2, padding=1)
-        frame = rng.uniform(0.0, 1.0, (3, 128, 128))
-        oisa.process_frame(frame)  # mapping frame
-        edge = oisa_node(config, oisa, frame)
-        cloud = cloud_centric_node(config)
-        fleet_oisa_j += edge["total_j"]
-        fleet_cloud_j += cloud["total_j"]
-        rows.append(
-            (
-                f"node {node}",
-                cloud["bytes_out"],
-                edge["bytes_out"],
-                cloud["total_j"] * 1e6,
-                edge["total_j"] * 1e6,
-                cloud["total_j"] / edge["total_j"],
-            )
+    report = FleetModel().compare(WORKLOAD, num_nodes)
+    rows = [
+        (
+            node.strategy,
+            node.payload_bytes,
+            node.compute_energy_j * 1e6,
+            node.radio_energy_j * 1e6,
+            node.total_energy_j * 1e6,
+            report.fleet_energy_per_frame_j(node.strategy) * 1e6,
         )
-
+        for node in (report.cloud_centric, report.oisa)
+    ]
     print(
         format_table(
             (
-                "node",
-                "raw bytes",
-                "feature bytes",
-                "cloud-centric [uJ/frame]",
-                "OISA [uJ/frame]",
-                "saving",
+                "strategy",
+                "bytes/frame",
+                "capture [uJ]",
+                "radio [uJ]",
+                "node [uJ/frame]",
+                "fleet [uJ/frame]",
             ),
             rows,
             title=f"Multi-node IoT deployment ({num_nodes} nodes, Fig. 2 scenario)",
         )
     )
     print(
-        f"\nfleet energy per frame: cloud-centric {fleet_cloud_j * 1e6:.1f} uJ "
-        f"vs OISA {fleet_oisa_j * 1e6:.1f} uJ "
-        f"({fleet_cloud_j / fleet_oisa_j:.1f}x reduction)"
+        f"\n{report.traffic_reduction:.1f}x less traffic, "
+        f"{report.energy_reduction:.1f}x energy reduction (per node and fleet)"
     )
     print(
         "note: the thing-centric win comes from shipping stride-2 first-layer"

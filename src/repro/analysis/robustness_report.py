@@ -114,7 +114,7 @@ class RobustnessReport:
         return matrix
 
 
-def _train_probe_model(settings: RobustnessSettings):
+def train_probe_model(settings: RobustnessSettings):
     """Train the shared QAT probe model on a seeded synthetic task."""
     spec = SyntheticSpec(
         name="robustness",
@@ -204,7 +204,7 @@ def build_robustness_report(
     order.
     """
     settings = settings or RobustnessSettings()
-    model, dataset = _train_probe_model(settings)
+    model, dataset = train_probe_model(settings)
     software = _software_accuracy(model, dataset)
     report = RobustnessReport(settings=settings, software_accuracy=software)
     for platform in iter_platforms():

@@ -22,6 +22,8 @@ import argparse
 import math
 import sys
 
+from repro.util.validation import registry_key
+
 
 def _cmd_summary(_args: argparse.Namespace) -> int:
     import numpy as np
@@ -640,68 +642,44 @@ def _comma_list(item):
 
 
 def _accept(resolve, text: str):
-    """``resolve(text)``, with its ``ValueError`` as a usage error.
-
-    Each ``type=`` below hands its flag to the registry that owns the
-    names, so a name is spelled once, there.
-    """
+    """``resolve(text)``, with its ``ValueError`` as a usage error."""
     try:
         return resolve(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _key(resolve, text: str) -> str:
-    """The registry key ``text`` names, once ``resolve`` accepts it.
+def _name_registries() -> dict:
+    """Each name flag's registry of lower-case keys, by the kind of name
+    it holds (imported when a flag is parsed, not with the CLI)."""
+    from repro.engine.chaos import CHAOS_PLANS
+    from repro.engine.controlplane import PLACEMENTS
+    from repro.engine.failover import BROWNOUT_CONFIGS, RETRY_POLICIES
+    from repro.engine.health import FAULT_PROFILES
+    from repro.engine.scheduler import POLICIES
+    from repro.engine.workloads import scenario_registry
 
-    A registry matches a name in any case, most with surrounding spaces
-    stripped too, so the key is returned in one spelling: every later
-    comparison and table sees ``"none"``, never ``"NONE"`` or ``" None"``.
-    """
-    _accept(resolve, text)
-    return text.strip().lower()
-
-
-def _policy(text: str) -> str:
-    """argparse ``type=`` for a registered scheduling-policy name."""
-    from repro.engine.scheduler import scheduling_policy
-
-    return _key(scheduling_policy, text)
-
-
-def _scenario(text: str) -> str:
-    """argparse ``type=`` for a registered scenario key."""
-    from repro.engine.workloads import scenario_description
-
-    return _key(scenario_description, text)
+    return {
+        "scheduling policy": POLICIES,
+        "scenario": scenario_registry(),
+        "fault profile": FAULT_PROFILES,
+        "chaos plan": CHAOS_PLANS,
+        "retry policy": RETRY_POLICIES,
+        "brownout config": BROWNOUT_CONFIGS,
+        "placement": PLACEMENTS,
+    }
 
 
-def _fault_profile(text: str) -> str:
-    """argparse ``type=`` for a named fault profile."""
-    from repro.engine.health import FaultProfile
+def _name(kind: str):
+    """argparse ``type=`` parsing a ``kind`` name to its registry key, so
+    every later comparison and table sees one spelling (``"none"``,
+    never ``" None"``)."""
 
-    return _key(FaultProfile.named, text)
+    def parse(text: str) -> str:
+        known = _name_registries()[kind]
+        return _accept(lambda name: registry_key(kind, name, known), text)
 
-
-def _chaos_plan(text: str) -> str:
-    """argparse ``type=`` for a named chaos plan."""
-    from repro.engine.chaos import ChaosPlan
-
-    return _key(ChaosPlan.named, text)
-
-
-def _retry_policy(text: str) -> str:
-    """argparse ``type=`` for a named retry policy."""
-    from repro.engine.failover import RetryPolicy
-
-    return _key(RetryPolicy.named, text)
-
-
-def _brownout(text: str) -> str:
-    """argparse ``type=`` for a ``--brownout`` name."""
-    from repro.engine.failover import brownout_enabled
-
-    return _key(brownout_enabled, text)
+    return parse
 
 
 def _models(text: str):
@@ -770,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--fault-profile",
         default="none",
-        type=_fault_profile,
+        type=_name("fault profile"),
         help="also run the accuracy-vs-fault-rate robustness sweep "
         "(any non-none profile enables it and contributes its fault classes)",
     )
@@ -788,14 +766,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--capacity-scenario",
-        type=_scenario,
+        type=_name("scenario"),
         default=None,
         help="workload scenario for --capacity (default: poisson, "
         "or diurnal with --fast)",
     )
     sweep.add_argument(
         "--capacity-policies",
-        type=_comma_list(_policy),
+        type=_comma_list(_name("scheduling policy")),
         default=None,
         help="comma list of policies for --capacity (e.g. 'greedy,slo')",
     )
@@ -814,13 +792,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--chaos-plan",
         default="node-loss",
-        type=_chaos_plan,
+        type=_name("chaos plan"),
         help="chaos plan for --resilience (engine/chaos registry)",
     )
     sweep.add_argument(
         "--retry-policy",
         default="deadline",
-        type=_retry_policy,
+        type=_name("retry policy"),
         help="retry policy for the --resilience failover rungs",
     )
     sweep.add_argument(
@@ -842,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--scenario",
         default="default",
-        type=_scenario,
+        type=_name("scenario"),
         help="workload scenario (engine/workloads registry)",
     )
     serve.add_argument(
@@ -855,27 +833,27 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--policy",
         default="greedy",
-        type=_policy,
+        type=_name("scheduling policy"),
         help="scheduling policy (greedy-FIFO, earliest-deadline-first, "
         "priority + per-tenant weighted fair queuing)",
     )
     serve.add_argument(
         "--fault-profile",
         default="none",
-        type=_fault_profile,
+        type=_name("fault profile"),
         help="degradation scenario to serve under",
     )
     serve.add_argument(
         "--chaos-plan",
         default="none",
-        type=_chaos_plan,
+        type=_name("chaos plan"),
         help="injected fleet-failure schedule (engine/chaos registry); "
         "deterministic per seed",
     )
     serve.add_argument(
         "--retry-policy",
         default="none",
-        type=_retry_policy,
+        type=_name("retry policy"),
         help="deadline-aware re-dispatch of frames killed in flight",
     )
     serve.add_argument(
@@ -888,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--brownout",
         default="none",
-        type=_brownout,
+        type=_name("brownout config"),
         help="degradation-tier admission ladder under overload/capacity loss",
     )
     serve.add_argument(
@@ -911,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--placement",
         default="replicate",
-        choices=("replicate", "partition"),
+        type=_name("placement"),
         help="zoo placement across shards (replicate everywhere, or "
         "partition round-robin)",
     )

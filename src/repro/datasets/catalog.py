@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.synthetic import SyntheticSpec, generate_dataset
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, registry_key
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,5 @@ DATASET_PRESETS = {
 
 def load_preset(name: str, scale: float = 1.0, seed: int = 0) -> Dataset:
     """Load a preset by paper dataset name (``mnist``/``svhn``/``cifar10``/``cifar100``)."""
-    key = name.lower()
-    if key not in DATASET_PRESETS:
-        raise KeyError(
-            f"unknown dataset {name!r}; choose from {sorted(DATASET_PRESETS)}"
-        )
+    key = registry_key("dataset", name, DATASET_PRESETS)
     return DATASET_PRESETS[key](scale=scale, seed=seed)

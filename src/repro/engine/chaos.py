@@ -49,6 +49,7 @@ from repro.util.validation import (
     check_finite_non_negative,
     check_non_negative,
     check_positive,
+    registry_key,
 )
 
 #: Event kinds a plan may schedule (see module docstring for semantics).
@@ -157,7 +158,7 @@ class ChaosPlan:
         f"chaos-{name}-{spec}-{repeat}")`` so the timeline is a pure
         function of (plan, fleet size, seed).
         """
-        check_positive("num_nodes", num_nodes)
+        check_count("num_nodes", num_nodes)
         events: list[ChaosEvent] = []
         for spec_index, spec in enumerate(self.specs):
             for repeat in range(spec.repeats):
@@ -202,7 +203,7 @@ class ChaosPlan:
 
     @staticmethod
     def named(name: str) -> "ChaosPlan | None":
-        """Look up a named plan (the CLI ``--chaos-plan`` values).
+        """The :data:`CHAOS_PLANS` entry ``name`` spells.
 
         ``"none"`` returns ``None`` — the server then builds no chaos
         timeline and serves byte-identically to a server without the
@@ -210,102 +211,99 @@ class ChaosPlan:
         serving-demo streams (a few hundred frames at ~1-3 kFPS) cross
         the full fail → recover arc.
         """
-        key = name.strip().lower()
-        plans = {
-            "none": None,
-            # One node drops out mid-stream for a long window — the
-            # failover bench's plan: without retry+spares its in-flight
-            # and queued frames burn deadlines.
-            "node-loss": ChaosPlan(
-                name="node-loss",
-                specs=(
-                    ChaosSpec(kind="node-loss", at_s=0.03, duration_s=0.08),
+        return CHAOS_PLANS[registry_key("chaos plan", name, CHAOS_PLANS)]
+
+
+#: Named chaos plans by lower-case key: the ``--chaos-plan`` values.
+CHAOS_PLANS: dict[str, ChaosPlan | None] = {
+    "none": None,
+    # One node drops out mid-stream for a long window — the
+    # failover bench's plan: without retry+spares its in-flight
+    # and queued frames burn deadlines.
+    "node-loss": ChaosPlan(
+        name="node-loss",
+        specs=(
+            ChaosSpec(kind="node-loss", at_s=0.03, duration_s=0.08),
+        ),
+    ),
+    # Half the fleet (>= 1 node) vanishes at once — the
+    # region-style grouped outage.
+    "region-outage": ChaosPlan(
+        name="region-outage",
+        specs=(
+            ChaosSpec(
+                kind="region-outage",
+                at_s=0.04,
+                duration_s=0.05,
+                fraction=0.5,
+            ),
+        ),
+    ),
+    # Every node's program corrupts in the same instant; the
+    # watchdogs trip and the fleet recalibrates in waves.
+    "correlated-upsets": ChaosPlan(
+        name="correlated-upsets",
+        specs=(
+            ChaosSpec(
+                kind="correlated-upset",
+                at_s=0.03,
+                count=0,
+                fault_spec=FaultSpec(
+                    dead_mr_rate=0.3, bpd_gain_sigma=0.15
                 ),
             ),
-            # Half the fleet (>= 1 node) vanishes at once — the
-            # region-style grouped outage.
-            "region-outage": ChaosPlan(
-                name="region-outage",
-                specs=(
-                    ChaosSpec(
-                        kind="region-outage",
-                        at_s=0.04,
-                        duration_s=0.05,
-                        fraction=0.5,
-                    ),
-                ),
+        ),
+    ),
+    # A train of fleet-wide cache invalidations: every wave forces
+    # a full (deterministic) remap per (node, model).
+    "cache-storm": ChaosPlan(
+        name="cache-storm",
+        specs=(
+            ChaosSpec(
+                kind="cache-storm",
+                at_s=0.02,
+                count=0,
+                repeats=3,
+                every_s=0.04,
             ),
-            # Every node's program corrupts in the same instant; the
-            # watchdogs trip and the fleet recalibrates in waves.
-            "correlated-upsets": ChaosPlan(
-                name="correlated-upsets",
-                specs=(
-                    ChaosSpec(
-                        kind="correlated-upset",
-                        at_s=0.03,
-                        count=0,
-                        fault_spec=FaultSpec(
-                            dead_mr_rate=0.3, bpd_gain_sigma=0.15
-                        ),
-                    ),
-                ),
+        ),
+    ),
+    # Congested readout/link: dispatch service times triple for a
+    # window.
+    "latency-spike": ChaosPlan(
+        name="latency-spike",
+        specs=(
+            ChaosSpec(
+                kind="latency-spike",
+                at_s=0.03,
+                duration_s=0.04,
+                factor=3.0,
             ),
-            # A train of fleet-wide cache invalidations: every wave forces
-            # a full (deterministic) remap per (node, model).
-            "cache-storm": ChaosPlan(
-                name="cache-storm",
-                specs=(
-                    ChaosSpec(
-                        kind="cache-storm",
-                        at_s=0.02,
-                        count=0,
-                        repeats=3,
-                        every_s=0.04,
-                    ),
-                ),
+        ),
+    ),
+    # The kitchen sink: staggered loss + a storm + a spike, with
+    # jittered onsets — the "everything at once" drill.
+    "rolling": ChaosPlan(
+        name="rolling",
+        specs=(
+            ChaosSpec(
+                kind="node-loss",
+                at_s=0.02,
+                duration_s=0.04,
+                jitter_s=0.01,
             ),
-            # Congested readout/link: dispatch service times triple for a
-            # window.
-            "latency-spike": ChaosPlan(
-                name="latency-spike",
-                specs=(
-                    ChaosSpec(
-                        kind="latency-spike",
-                        at_s=0.03,
-                        duration_s=0.04,
-                        factor=3.0,
-                    ),
-                ),
+            ChaosSpec(
+                kind="cache-storm", at_s=0.05, count=0, jitter_s=0.01
             ),
-            # The kitchen sink: staggered loss + a storm + a spike, with
-            # jittered onsets — the "everything at once" drill.
-            "rolling": ChaosPlan(
-                name="rolling",
-                specs=(
-                    ChaosSpec(
-                        kind="node-loss",
-                        at_s=0.02,
-                        duration_s=0.04,
-                        jitter_s=0.01,
-                    ),
-                    ChaosSpec(
-                        kind="cache-storm", at_s=0.05, count=0, jitter_s=0.01
-                    ),
-                    ChaosSpec(
-                        kind="latency-spike",
-                        at_s=0.08,
-                        duration_s=0.03,
-                        factor=2.0,
-                    ),
-                ),
+            ChaosSpec(
+                kind="latency-spike",
+                at_s=0.08,
+                duration_s=0.03,
+                factor=2.0,
             ),
-        }
-        if key not in plans:
-            raise ValueError(
-                f"unknown chaos plan {name!r}; known: "
-                f"{', '.join(sorted(plans))}"
-            )
-        return plans[key]
+        ),
+    ),
+}
 
 
 class ChaosTimeline:
@@ -349,6 +347,7 @@ class ChaosTimeline:
 
 __all__ = [
     "CHAOS_KINDS",
+    "CHAOS_PLANS",
     "ChaosEvent",
     "ChaosPlan",
     "ChaosSpec",

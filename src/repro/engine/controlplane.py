@@ -100,6 +100,7 @@ from repro.util.validation import (
     check_count,
     check_finite_non_negative,
     check_positive,
+    registry_key,
 )
 
 #: Zoo placement modes :meth:`ControlPlane.serve_scenario` accepts.
@@ -150,12 +151,8 @@ class AutoscalerConfig:
         # ``window_s``, and 0 * inf is NaN.
         check_positive("window_s", self.window_s)
         check_finite_non_negative("window_s", self.window_s)
-        check_positive("min_nodes", self.min_nodes)
-        if self.max_nodes < self.min_nodes:
-            raise ValueError(
-                f"max_nodes ({self.max_nodes}) must be >= min_nodes "
-                f"({self.min_nodes})"
-            )
+        check_count("min_nodes", self.min_nodes)
+        check_count("max_nodes", self.max_nodes, minimum=self.min_nodes)
         if self.fps_per_node is not None:
             check_positive("fps_per_node", self.fps_per_node)
             check_finite_non_negative("fps_per_node", self.fps_per_node)
@@ -386,7 +383,7 @@ class ControlPlane:
         program_store: ProgramStore | str | None = None,
     ) -> None:
         check_count("shards", shards)
-        check_positive("nodes_per_shard", nodes_per_shard)
+        check_count("nodes_per_shard", nodes_per_shard)
         self.config = config or OISAConfig()
         self.cache = WeightProgramCache()
         if isinstance(program_store, (str, os.PathLike)):
@@ -465,10 +462,7 @@ class ControlPlane:
         request list.  A measured-capacity autoscaler resolves its
         per-node FPS against this scenario's name.
         """
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {placement!r}"
-            )
+        placement = registry_key("placement", placement, PLACEMENTS)
         for index, (key, model) in enumerate(scenario.models.items()):
             if placement == "replicate":
                 self.register_model(key, model)
@@ -606,7 +600,7 @@ class ControlPlane:
             return config.fps_per_node
         policy = self.shards[0].server.policy.name
         value = 0.0
-        if scenario.lower() in scenario_registry():
+        if scenario in scenario_registry():
             from repro.analysis.capacity import sustainable_fps_per_node
 
             value = sustainable_fps_per_node(

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.scheduler import ServeLayers
 from repro.util.rng import derive_rng
-from repro.util.validation import check_count, check_positive
+from repro.util.validation import check_count, check_positive, registry_key
 
 #: Brownout tier names, by level (index = tier).
 BROWNOUT_TIERS = (
@@ -119,26 +119,25 @@ class RetryPolicy:
 
     @staticmethod
     def named(name: str) -> "RetryPolicy | None":
-        """Look up a named policy (the CLI ``--retry-policy`` values)."""
-        key = name.strip().lower()
-        policies = {
-            "none": None,
-            "deadline": RetryPolicy(),
-            # More attempts, tighter backoff, full class budgets — for
-            # drills where losing frames is worse than wasting capacity.
-            "aggressive": RetryPolicy(
-                name="aggressive",
-                max_retries=5,
-                backoff_base_s=2.5e-4,
-                class_budget_frac=1.0,
-            ),
-        }
-        if key not in policies:
-            raise ValueError(
-                f"unknown retry policy {name!r}; known: "
-                f"{', '.join(sorted(policies))}"
-            )
-        return policies[key]
+        """The :data:`RETRY_POLICIES` entry ``name`` spells."""
+        return RETRY_POLICIES[
+            registry_key("retry policy", name, RETRY_POLICIES)
+        ]
+
+
+#: Named retry policies by lower-case key: the ``--retry-policy`` values.
+RETRY_POLICIES: dict[str, RetryPolicy | None] = {
+    "none": None,
+    "deadline": RetryPolicy(),
+    # More attempts, tighter backoff, full class budgets — for
+    # drills where losing frames is worse than wasting capacity.
+    "aggressive": RetryPolicy(
+        name="aggressive",
+        max_retries=5,
+        backoff_base_s=2.5e-4,
+        class_budget_frac=1.0,
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +187,17 @@ BROWNOUT_IMPOSED_QUEUE_S = 0.01
 BROWNOUT_REDUCED_BITS = 2
 
 
-def brownout_enabled(name: str | None) -> bool:
-    """Whether the ``--brownout`` name ``name`` turns the ladder on.
+#: The ``--brownout`` names: ``"standard"`` runs the ladder, ``"none"``
+#: keeps admission tier-free.
+BROWNOUT_CONFIGS = ("none", "standard")
 
-    ``"standard"`` runs it; ``"none"`` and ``None`` keep admission
-    tier-free.  Any other name raises ``ValueError``.
-    """
+
+def brownout_enabled(name: str | None) -> bool:
+    """Whether the :data:`BROWNOUT_CONFIGS` name ``name`` (or ``None``,
+    tier-free) turns the ladder on."""
     if name is None:
         return False
-    key = name.strip().lower() if isinstance(name, str) else name
-    if key not in ("none", "standard"):
-        raise ValueError(
-            f"unknown brownout config {name!r}; known: none, standard"
-        )
+    key = registry_key("brownout config", name, BROWNOUT_CONFIGS)
     return key == "standard"
 
 
@@ -610,6 +607,7 @@ def recovery_time_s(report, model_keys=None) -> float | None:
 
 __all__ = [
     "BROWNOUT_CAPACITY_WEIGHT",
+    "BROWNOUT_CONFIGS",
     "BROWNOUT_DWELL_S",
     "BROWNOUT_ENTER_PRESSURE",
     "BROWNOUT_EXIT_FRACTION",
@@ -622,6 +620,7 @@ __all__ = [
     "RETRY_BACKOFF_FACTOR",
     "RETRY_DETECTION_DELAY_S",
     "RETRY_JITTER_FRAC",
+    "RETRY_POLICIES",
     "SPARE_ACTIVATION_LATENCY_S",
     "BrownoutController",
     "BrownoutReport",

@@ -55,7 +55,7 @@ from repro.core.thermal import ThermalModel
 from repro.photonics.microring import MicroringResonator
 from repro.sim.faults import FaultSpec, FaultyOpticalCore
 from repro.util.rng import derive_rng
-from repro.util.validation import check_finite_non_negative
+from repro.util.validation import check_finite_non_negative, registry_key
 
 #: Fraction of the EO-compensable thermal range at which the watchdog
 #: forces a re-trim (a recalibration).
@@ -126,51 +126,50 @@ class FaultProfile:
 
     @staticmethod
     def named(name: str) -> "FaultProfile | None":
-        """Look up a named profile (the CLI ``--fault-profile`` values).
+        """The :data:`FAULT_PROFILES` entry ``name`` spells.
 
         ``"none"`` returns ``None`` — the server then skips health
         monitoring entirely and serves bit-identically to a server built
         without a profile.
         """
-        key = name.strip().lower()
-        profiles = {
-            "none": None,
-            # Thermal-only: a fast ambient ramp that exhausts the EO trim
-            # budget mid-stream and forces periodic re-trims.
-            "drift": FaultProfile(
-                name="drift",
-                drift_k_per_s=8.0,
-            ),
-            # Upset-only: one recoverable program corruption per node,
-            # staggered across the fleet.
-            "transient": FaultProfile(
-                name="transient",
-                fault_spec=FaultSpec(dead_mr_rate=0.3, bpd_gain_sigma=0.15),
-                fault_onset_s=0.03,
-                node_stagger_s=0.015,
-            ),
-            # Both mechanisms plus calibrated serving — the full
-            # degraded-mode scenario the bench measures.
-            "harsh": FaultProfile(
-                name="harsh",
-                fault_spec=FaultSpec(
-                    dead_mr_rate=0.3,
-                    stuck_awc_branch_rate=0.1,
-                    bpd_gain_sigma=0.2,
-                ),
-                fault_onset_s=0.03,
-                fault_every_s=0.12,
-                node_stagger_s=0.015,
-                drift_k_per_s=4.0,
-                calibrated=True,
-            ),
-        }
-        if key not in profiles:
-            raise ValueError(
-                f"unknown fault profile {name!r}; known: "
-                f"{', '.join(sorted(profiles))}"
-            )
-        return profiles[key]
+        return FAULT_PROFILES[
+            registry_key("fault profile", name, FAULT_PROFILES)
+        ]
+
+
+#: Named fault profiles by lower-case key: the ``--fault-profile`` values.
+FAULT_PROFILES: dict[str, FaultProfile | None] = {
+    "none": None,
+    # Thermal-only: a fast ambient ramp that exhausts the EO trim
+    # budget mid-stream and forces periodic re-trims.
+    "drift": FaultProfile(
+        name="drift",
+        drift_k_per_s=8.0,
+    ),
+    # Upset-only: one recoverable program corruption per node,
+    # staggered across the fleet.
+    "transient": FaultProfile(
+        name="transient",
+        fault_spec=FaultSpec(dead_mr_rate=0.3, bpd_gain_sigma=0.15),
+        fault_onset_s=0.03,
+        node_stagger_s=0.015,
+    ),
+    # Both mechanisms plus calibrated serving — the full
+    # degraded-mode scenario the bench measures.
+    "harsh": FaultProfile(
+        name="harsh",
+        fault_spec=FaultSpec(
+            dead_mr_rate=0.3,
+            stuck_awc_branch_rate=0.1,
+            bpd_gain_sigma=0.2,
+        ),
+        fault_onset_s=0.03,
+        fault_every_s=0.12,
+        node_stagger_s=0.015,
+        drift_k_per_s=4.0,
+        calibrated=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -626,6 +625,7 @@ class HealthMonitor:
 __all__ = [
     "CHECK_INTERVAL_S",
     "DRIFT_TRIP_FRACTION",
+    "FAULT_PROFILES",
     "RECALIBRATION_LATENCY_S",
     "FaultProfile",
     "HealthEvent",

@@ -56,6 +56,7 @@ from repro.engine.admission import (
     SloClass,
 )
 from repro.sim.stream import StreamEvent, StreamReport
+from repro.util.validation import registry_key
 
 #: Busy/free float tolerance — same constant the pre-split engine used.
 _EPS = 1e-12
@@ -269,13 +270,7 @@ def scheduling_policy(spec: "str | SchedulingPolicy") -> SchedulingPolicy:
     """Resolve a policy name or pass an instance through."""
     if isinstance(spec, SchedulingPolicy):
         return spec
-    cls = POLICIES.get(str(spec).strip().lower())
-    if cls is None:
-        raise ValueError(
-            f"unknown scheduling policy {spec!r}; known: "
-            f"{', '.join(sorted(POLICIES))}"
-        )
-    return cls()
+    return POLICIES[registry_key("scheduling policy", spec, POLICIES)]()
 
 
 @dataclass

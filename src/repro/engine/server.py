@@ -620,8 +620,8 @@ class FrameServer:
         brownout: str | None = None,
         program_store: ProgramStore | str | None = None,
     ) -> None:
-        check_positive("num_nodes", num_nodes)
-        check_positive("micro_batch", micro_batch)
+        check_count("num_nodes", num_nodes)
+        check_count("micro_batch", micro_batch)
         check_count("spares", spares, minimum=0)
         self.config = config or OISAConfig()
         self.micro_batch = micro_batch

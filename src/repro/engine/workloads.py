@@ -79,7 +79,7 @@ from repro.nn.models import (
 )
 from repro.nn.quant import QuantConv2D
 from repro.util.rng import spawn_seeds
-from repro.util.validation import check_count, check_positive
+from repro.util.validation import check_count, check_positive, registry_key
 
 #: Frame geometry per family: (in_channels, height, width).
 _FAMILY_FRAME_SHAPES: dict[str, tuple[int, int, int]] = {
@@ -170,7 +170,8 @@ def parse_model_specs(text: str) -> tuple[ModelSpec, ...]:
         if not token:
             continue
         family, _, bits = token.partition(":")
-        specs.append(ModelSpec(family.strip(), int(bits) if bits else 4))
+        family = registry_key("model family", family, _FAMILY_FRAME_SHAPES)
+        specs.append(ModelSpec(family, int(bits) if bits else 4))
     if not specs:
         raise ValueError(f"no model specs in {text!r}")
     return tuple(specs)
@@ -291,11 +292,6 @@ def scenario_registry() -> tuple[str, ...]:
     return tuple(_SCENARIOS)
 
 
-def scenario_description(key: str) -> str:
-    """One-line description of a registered scenario."""
-    return _lookup(key).description
-
-
 def build_scenario(
     key: str,
     frames: int = 64,
@@ -305,7 +301,7 @@ def build_scenario(
     """Generate a registered scenario's models + request stream."""
     check_count("frames", frames)
     check_positive("offered_fps", offered_fps)
-    entry = _lookup(key)
+    entry = _SCENARIOS[registry_key("scenario", key, _SCENARIOS)]
     return _generate(
         entry, entry.models(seed), frames, offered_fps, seed, _PixelRecorder()
     )
@@ -340,16 +336,6 @@ def _generate(
     if draws is not None:
         scenario._origin = (entry, frames, seed, draws.finish())
     return scenario
-
-
-def _lookup(key: str) -> _Registration:
-    entry = _SCENARIOS.get(key.lower())
-    if entry is None:
-        raise ValueError(
-            f"unknown scenario {key!r}; known: "
-            f"{', '.join(sorted(_SCENARIOS))}"
-        )
-    return entry
 
 
 # ----------------------------------------------------------------------
@@ -901,6 +887,5 @@ __all__ = [
     "models_scenario",
     "parse_model_specs",
     "register_scenario",
-    "scenario_description",
     "scenario_registry",
 ]

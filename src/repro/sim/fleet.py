@@ -16,7 +16,14 @@ from repro.circuits.adc_dac import AdcModel
 from repro.core.config import OISAConfig
 from repro.core.energy import OISAEnergyModel
 from repro.core.mapping import ConvWorkload, plan_convolution
-from repro.util.validation import check_positive
+from repro.util.validation import (
+    check_count,
+    check_positive,
+    registry_key,
+)
+
+#: The two node strategies a :class:`FleetReport` compares.
+FLEET_STRATEGIES = ("oisa", "cloud-centric")
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,10 @@ class FleetReport:
         return self.cloud_centric.payload_bytes / self.oisa.payload_bytes
 
     def fleet_energy_per_frame_j(self, strategy: str) -> float:
-        """Total fleet energy per captured frame under a strategy."""
-        report = self.oisa if strategy == "oisa" else self.cloud_centric
+        """Total fleet energy per captured frame under a
+        :data:`FLEET_STRATEGIES` strategy."""
+        key = registry_key("fleet strategy", strategy, FLEET_STRATEGIES)
+        report = self.oisa if key == "oisa" else self.cloud_centric
         return report.total_energy_j * self.num_nodes
 
 
@@ -149,12 +158,12 @@ class FleetModel:
         self, workload: ConvWorkload, num_nodes: int
     ) -> float:
         """Aggregate drop-free rate of ``num_nodes`` nodes [FPS]."""
-        check_positive("num_nodes", num_nodes)
+        check_count("num_nodes", num_nodes)
         return num_nodes * self.sustainable_fps(workload)
 
     def compare(self, workload: ConvWorkload, num_nodes: int) -> FleetReport:
         """Fleet-level comparison of the two strategies."""
-        check_positive("num_nodes", num_nodes)
+        check_count("num_nodes", num_nodes)
         return FleetReport(
             num_nodes=num_nodes,
             oisa=self.oisa_node(workload),

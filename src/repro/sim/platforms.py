@@ -54,6 +54,7 @@ from repro.core.mapping import (
     plan_mlp,
 )
 from repro.sim.reports import SimulationReport
+from repro.util.validation import registry_key
 
 _REGISTRY: dict[str, type["Platform"]] = {}
 
@@ -82,10 +83,7 @@ def get_platform(key: str, config: OISAConfig | None = None) -> "Platform":
 
     Raises ``ValueError`` for unknown keys.
     """
-    cls = _REGISTRY.get(key.lower())
-    if cls is None:
-        raise ValueError(f"unknown platform {key!r}")
-    return cls(config)
+    return _REGISTRY[registry_key("platform", key, _REGISTRY)](config)
 
 
 def iter_platforms(config: OISAConfig | None = None) -> Iterator["Platform"]:

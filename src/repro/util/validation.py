@@ -9,6 +9,22 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Collection
+
+
+def registry_key(kind: str, name: str, known: Collection[str]) -> str:
+    """The key among ``known`` (lower-case keys) that ``name`` spells.
+
+    The one rule for every registry name a user types: surrounding
+    spaces and case do not matter.  An unknown name (or a non-string)
+    raises ``ValueError`` listing the keys.
+    """
+    key = name.strip().lower() if isinstance(name, str) else name
+    if key not in known:
+        raise ValueError(
+            f"unknown {kind} {name!r}; known: {', '.join(sorted(known))}"
+        )
+    return key
 
 
 def check_positive(name: str, value: float) -> float:

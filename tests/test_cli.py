@@ -206,8 +206,21 @@ def test_serve_rejects_bad_numeric_flags_at_parse_time(flag, value, capsys):
             "--policy", " SLO", "--fault-profile", "None ",
         ],
         ["sweep", "--fault-profile", "NONE"],
+        ["serve", "--frames", "8", "--scenario", " Mixed-Tenants "],
+        ["serve", "--frames", "8", "--shards", "2", "--placement", "Partition"],
+        ["serve", "--frames", "8", "--models", "LeNet:4, MLP:2"],
+        ["sweep", "--capacity", "--fast", "--capacity-scenario", " Diurnal"],
     ],
-    ids=["brownout-shards", "chaos-retry", "scenario-policy", "sweep"],
+    ids=[
+        "brownout-shards",
+        "chaos-retry",
+        "scenario-policy",
+        "sweep",
+        "scenario-spaces",
+        "placement",
+        "models",
+        "capacity-scenario",
+    ],
 )
 def test_registry_names_parse_to_one_spelling(argv, capsys):
     """A name any registry accepts (any case, surrounding spaces) parses

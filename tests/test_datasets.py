@@ -110,7 +110,7 @@ def test_presets_exist_and_match_paper_shapes():
 def test_load_preset_lookup():
     dataset = load_preset("SVHN", scale=0.1)
     assert dataset.paper_model == "ResNet18"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown dataset 'imagenet'"):
         load_preset("imagenet")
 
 

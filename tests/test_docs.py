@@ -3,8 +3,9 @@
 Runs the same checks as the CI docs job (``tools/check_docs.py``): every
 ``repro.*`` pointer in ``docs/architecture.md``/``README.md`` must import,
 every referenced file must exist, every module under ``src/repro``
-must have a paper-to-code row, and every README flag table must list exactly
-its command's parser flags.
+must have a paper-to-code row, every README flag table must list exactly
+its command's parser flags, and each ``repro serve`` name flag's row must
+list exactly its registry's keys.
 """
 
 import importlib.util
@@ -99,6 +100,31 @@ def test_flag_table_check_catches_stale_rows(
     )
     monkeypatch.setattr(checker, "REPO_ROOT", str(tmp_path))
     assert checker.check_flag_tables() == [f"README.md: `repro bench` {failure}"]
+
+
+def test_readme_name_lists_match_the_registries():
+    checker = _load_checker()
+    assert checker.check_name_lists() == []
+
+
+def test_name_list_check_catches_a_missing_key(tmp_path, monkeypatch):
+    """A ``repro serve`` row that leaves out one of its registry's keys
+    fails the check."""
+    checker = _load_checker()
+    rows = "".join(
+        f"| `{flag}` | - | "
+        + ", ".join(f"`{key}`" for key in keys if key != "partition")
+        + " |\n"
+        for flag, keys in checker.registry_names().items()
+    )
+    (tmp_path / "README.md").write_text(
+        "### `repro serve`\n\n| Flag | Default | Meaning |\n"
+        f"| --- | --- | --- |\n{rows}"
+    )
+    monkeypatch.setattr(checker, "REPO_ROOT", str(tmp_path))
+    assert checker.check_name_lists() == [
+        "README.md: `repro serve` row `--placement` misses `partition`"
+    ]
 
 
 def test_checker_catches_broken_pointers(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ import pytest
 from repro.engine import (
     Autoscaler,
     AutoscalerConfig,
+    ChaosPlan,
     ControlPlane,
     FrameRequest,
     FrameServer,
@@ -414,6 +415,41 @@ def test_each_serve_lists_only_its_own_routes():
 def test_shards_must_be_a_positive_count(shards):
     with pytest.raises(ValueError, match="shards must be an integer >= 1"):
         ControlPlane(shards=shards, nodes_per_shard=1)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: FrameServer(num_nodes=2.5), "num_nodes"),
+        (lambda: FrameServer(num_nodes=True), "num_nodes"),
+        (lambda: FrameServer(micro_batch=2.5), "micro_batch"),
+        (lambda: ControlPlane(nodes_per_shard=2.5), "nodes_per_shard"),
+        (lambda: ControlPlane(nodes_per_shard=True), "nodes_per_shard"),
+        (lambda: ControlPlane(micro_batch=2.5), "micro_batch"),
+        (lambda: AutoscalerConfig(max_nodes=2.5), "max_nodes"),
+        (
+            lambda: AutoscalerConfig(min_nodes=True, max_nodes=True),
+            "min_nodes",
+        ),
+        (lambda: ChaosPlan.named("node-loss").schedule(2.5, 0), "num_nodes"),
+    ],
+    ids=[
+        "server-nodes-float",
+        "server-nodes-bool",
+        "server-batch-float",
+        "plane-nodes-float",
+        "plane-nodes-bool",
+        "plane-batch-float",
+        "autoscaler-max-float",
+        "autoscaler-bool",
+        "chaos-schedule-float",
+    ],
+)
+def test_counts_are_checked_as_counts(build, name):
+    """A non-integral or boolean node or batch count raises a
+    ``ValueError`` naming it at construction, not deep in a serve."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        build()
 
 
 # ----------------------------------------------------------------------

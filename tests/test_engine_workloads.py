@@ -13,7 +13,6 @@ from repro.engine.workloads import (
     build_scenario,
     models_scenario,
     parse_model_specs,
-    scenario_description,
     scenario_registry,
 )
 
@@ -156,7 +155,7 @@ def test_registry_contains_the_documented_scenarios():
     keys = scenario_registry()
     for name in EXPECTED_SCENARIOS:
         assert name in keys
-        assert scenario_description(name)
+        assert build_scenario(name, frames=1).description
 
 
 def test_unknown_scenario_rejected():

@@ -62,8 +62,11 @@ def test_payload_bit_packing(fleet, workload):
 
 
 def test_num_nodes_validated(fleet, workload):
-    with pytest.raises(ValueError):
-        fleet.compare(workload, num_nodes=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="num_nodes must be an integer"):
+            fleet.compare(workload, num_nodes=bad)
+        with pytest.raises(ValueError, match="num_nodes must be an integer"):
+            fleet.fleet_capacity_fps(workload, bad)
 
 
 def test_sustainable_fps_matches_stream_simulator(fleet, workload):

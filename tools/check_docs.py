@@ -13,7 +13,10 @@ the documentation layer cannot rot silently:
    inside one (the paper-to-code map must be total);
 4. every ``### `repro <command>``` table in ``README.md`` must list
    exactly the ``--flags`` that ``repro.cli.build_parser()`` defines for
-   that command.
+   that command;
+5. each ``repro serve`` name flag's row must list, backticked in its
+   default and meaning cells, exactly the keys of the registry that
+   resolves the flag.
 
 Run from the repo root (CI docs job)::
 
@@ -47,6 +50,12 @@ GENERATED_PATHS = frozenset({"benchmarks/output/"})
 COMMAND_HEADING_RE = re.compile(r"^### `repro (\w+)`$", re.MULTILINE)
 #: A flag in a table row's first cell, e.g. | `--program-store DIR` |.
 FLAG_ROW_RE = re.compile(r"^\| `(--[\w-]+)[^`]*` \|", re.MULTILINE)
+#: A flag row's flag and its default and meaning cells.
+ROW_CELLS_RE = re.compile(
+    r"^\| `(--[\w-]+)` \|([^|\n]*)\|([^|\n]*)\|$", re.MULTILINE
+)
+#: A backticked name in a table cell, e.g. `node-loss`.
+NAME_RE = re.compile(r"`([\w-]+)`")
 
 
 def _read(relative: str) -> str:
@@ -143,22 +152,72 @@ def parser_flags() -> dict[str, set[str]]:
     }
 
 
+def _command_tables(doc: str) -> dict[str, str]:
+    """Each ``### `repro <command>``` section, up to the next heading."""
+    sections = COMMAND_HEADING_RE.split(_read(doc))
+    return {
+        command: re.split(r"^#", body, maxsplit=1, flags=re.MULTILINE)[0]
+        for command, body in zip(sections[1::2], sections[2::2])
+    }
+
+
 def check_flag_tables(doc: str = "README.md") -> list[str]:
     """Each command's flag table lists exactly its parser flags."""
-    sections = COMMAND_HEADING_RE.split(_read(doc))
     flags = parser_flags()
     failures = []
-    for command, body in zip(sections[1::2], sections[2::2]):
+    for command, table in _command_tables(doc).items():
         if command not in flags:
             failures.append(f"{doc}: `repro {command}` is not a command")
             continue
-        table = re.split(r"^#", body, maxsplit=1, flags=re.MULTILINE)[0]
         listed = set(FLAG_ROW_RE.findall(table))
         for flag in sorted(flags[command] - listed):
             failures.append(f"{doc}: `repro {command}` table misses `{flag}`")
         for flag in sorted(listed - flags[command]):
             failures.append(
                 f"{doc}: `repro {command}` table lists unknown `{flag}`"
+            )
+    return failures
+
+
+def registry_names() -> dict:
+    """The registry of keys each ``repro serve`` name flag resolves
+    against, by flag."""
+    from repro.engine.chaos import CHAOS_PLANS
+    from repro.engine.controlplane import PLACEMENTS
+    from repro.engine.failover import BROWNOUT_CONFIGS, RETRY_POLICIES
+    from repro.engine.health import FAULT_PROFILES
+    from repro.engine.scheduler import POLICIES
+    from repro.engine.workloads import scenario_registry
+
+    return {
+        "--scenario": scenario_registry(),
+        "--policy": POLICIES,
+        "--fault-profile": FAULT_PROFILES,
+        "--chaos-plan": CHAOS_PLANS,
+        "--retry-policy": RETRY_POLICIES,
+        "--brownout": BROWNOUT_CONFIGS,
+        "--placement": PLACEMENTS,
+    }
+
+
+def check_name_lists(doc: str = "README.md") -> list[str]:
+    """Each ``repro serve`` name-flag row lists exactly its registry's
+    keys across its default and meaning cells."""
+    table = _command_tables(doc).get("serve", "")
+    rows = {
+        flag: NAME_RE.findall(default + meaning)
+        for flag, default, meaning in ROW_CELLS_RE.findall(table)
+    }
+    failures = []
+    for flag, keys in registry_names().items():
+        listed = set(rows.get(flag, ()))
+        for key in sorted(set(keys) - listed):
+            failures.append(
+                f"{doc}: `repro serve` row `{flag}` misses `{key}`"
+            )
+        for name in sorted(listed - set(keys)):
+            failures.append(
+                f"{doc}: `repro serve` row `{flag}` lists unknown `{name}`"
             )
     return failures
 
@@ -170,6 +229,7 @@ def run_all_checks() -> list[str]:
         + check_path_references()
         + check_module_coverage()
         + check_flag_tables()
+        + check_name_lists()
     )
 
 
@@ -180,7 +240,10 @@ def main() -> int:
     if failures:
         print(f"{len(failures)} broken documentation pointer(s)")
         return 1
-    print("docs check: every module/path pointer and flag table resolves")
+    print(
+        "docs check: every module/path pointer, flag table and name list "
+        "resolves"
+    )
     return 0
 
 
