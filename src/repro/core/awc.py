@@ -12,6 +12,11 @@ This is the mechanism behind the paper's Table II observation that
 ideal level spacing shrinks below the ladder's static error, so the extra
 quantization resolution buys nothing (and can hurt).
 
+Each code reads one *cell* ``(unit, |code|)`` of the die's level table
+(:meth:`AwcWeightMapper.code_cells`; the calibrated mapper substitutes
+cells), so a kernel set of any size realizes at most ``num_units x
+2^bits`` distinct magnitudes.
+
 A die's level table is a pure function of ``(design, num_units, seed)``,
 so every mapper on one die shares one read-only table from a small
 module-level cache instead of re-deriving its 40 ladders.  Code that
@@ -51,7 +56,56 @@ def _level_table(
     return table
 
 
-class AwcWeightMapper:
+@functools.lru_cache(maxsize=16)
+def _round_robin_cells(num_units: int, num_levels: int, size: int) -> np.ndarray:
+    """Cell of code 0 on the unit programming each of ``size`` MRs.
+
+    The controller walks the MRs in flat index order and hands them to
+    the units round-robin; unit ``u``'s cells start at
+    ``u * num_levels``.  Read-only, shared by every mapper.
+    """
+    rounds = np.empty((-(-size // num_units), num_units), dtype=int)
+    rounds[:] = np.arange(num_units) * num_levels
+    cells = rounds.reshape(-1)[:size]
+    cells.flags.writeable = False
+    return cells
+
+
+class LevelTableMapper:
+    """Weight realization shared by every AWC mapper.
+
+    A subclass says which cell of its :attr:`level_table` each code reads
+    (``code_cells``); the level there, on the rail the code's sign
+    selects, is the realized weight.
+    """
+
+    def realize_codes(
+        self, codes: np.ndarray, unit_assignment: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Realize signed integer codes as effective weight levels.
+
+        ``codes`` and ``unit_assignment`` are as in ``code_cells``; the
+        sign selects the positive or negative waveguide rail.
+        """
+        cells, signs = self.code_cells(codes, unit_assignment)
+        return signs * self.level_table.reshape(-1)[cells]
+
+    def realize_quantized_weights(
+        self, quantized: np.ndarray, scale: float
+    ) -> np.ndarray:
+        """Realize fake-quantized float weights (``codes * scale``).
+
+        The inverse of :meth:`UniformWeightQuantizer.quantize
+        <repro.nn.quant.UniformWeightQuantizer.quantize>`: recover the
+        integer codes, push them through the ladders, rescale.
+        """
+        check_positive("scale", scale)
+        quantized = np.asarray(quantized, dtype=float)
+        codes = np.round(quantized / scale).astype(int)
+        return self.realize_codes(codes) * scale
+
+
+class AwcWeightMapper(LevelTableMapper):
     """A bank of AWC units realising signed integer weight codes.
 
     Parameters
@@ -91,54 +145,47 @@ class AwcWeightMapper:
         """
         return self._level_table
 
-    def realize_codes(
+    def code_cells(
         self, codes: np.ndarray, unit_assignment: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Realize signed integer codes as effective weight levels.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The level-table cell and the rail sign each signed code reads.
+
+        A cell is the flat index ``unit * num_levels + |code|`` into
+        :attr:`level_table`; the sign (-1, 0 or +1) selects the rail, and
+        a zero code (sign 0) puts no weight on either.  Weights of one
+        kernel set that read the same cell realize the same magnitude, so
+        the OPC prices crosstalk once per (ring position, cell) pair.
 
         Parameters
         ----------
         codes:
-            Signed integers with ``|code| < 2**bits``; sign selects the
-            positive or negative waveguide rail.
+            Signed integers with ``|code| < 2**bits``.
         unit_assignment:
             Which AWC unit programs each element (same shape as ``codes``).
             Defaults to a round-robin assignment in flat index order —
             exactly how the controller walks MRs during mapping iterations.
         """
         codes = np.asarray(codes)
-        if codes.size == 0:
-            return np.zeros_like(codes, dtype=float)
-        magnitude = np.abs(codes).astype(int)
-        if magnitude.max() >= self.num_levels:
+        cells = np.abs(codes).astype(int, copy=False)
+        if codes.size and cells.max() >= self.num_levels:
             raise ValueError(
-                f"|code| must be < {self.num_levels}, got {magnitude.max()}"
+                f"|code| must be < {self.num_levels}, got {cells.max()}"
             )
         if unit_assignment is None:
-            flat = np.arange(codes.size) % self.num_units
-            unit_assignment = flat.reshape(codes.shape)
+            cells += _round_robin_cells(
+                self.num_units, self.num_levels, codes.size
+            ).reshape(codes.shape)
         else:
             unit_assignment = np.asarray(unit_assignment, dtype=int)
             if unit_assignment.shape != codes.shape:
                 raise ValueError("unit_assignment must match the codes shape")
-            if unit_assignment.min() < 0 or unit_assignment.max() >= self.num_units:
+            if codes.size and (
+                unit_assignment.min() < 0
+                or unit_assignment.max() >= self.num_units
+            ):
                 raise ValueError("unit_assignment out of range")
-        realized = self._level_table[unit_assignment, magnitude]
-        return np.sign(codes) * realized
-
-    def realize_quantized_weights(
-        self, quantized: np.ndarray, scale: float
-    ) -> np.ndarray:
-        """Realize fake-quantized float weights (``codes * scale``).
-
-        The inverse of :meth:`UniformWeightQuantizer.quantize
-        <repro.nn.quant.UniformWeightQuantizer.quantize>`: recover the
-        integer codes, push them through the ladders, rescale.
-        """
-        check_positive("scale", scale)
-        quantized = np.asarray(quantized, dtype=float)
-        codes = np.round(quantized / scale).astype(int)
-        return self.realize_codes(codes) * scale
+            cells += unit_assignment * self.num_levels
+        return cells, np.sign(codes)
 
     def worst_case_level_error_lsb(self) -> float:
         """Largest deviation |realized - ideal| across units, in LSBs."""

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.awc import AwcWeightMapper
-from repro.util.validation import check_positive
+from repro.core.awc import AwcWeightMapper, LevelTableMapper
 
 
-class CalibratedAwcMapper:
+class CalibratedAwcMapper(LevelTableMapper):
     """Pre-distorting wrapper around a measured AWC bank.
 
     Parameters
@@ -63,6 +62,15 @@ class CalibratedAwcMapper:
         self._code_lut = np.abs(
             measured[:, :, None] - targets[None, None, :]
         ).argmin(axis=1)
+        # The same lookup from nominal to read level-table cell.  A zero
+        # code stays zero whatever its substitute, and a code whose
+        # substitute is zero reads the zero cell and loses its rail.
+        substitute = self._code_lut.copy()
+        substitute[:, 0] = 0
+        self._cell_lut = (
+            np.arange(num_units)[:, None] * num_levels + substitute
+        ).reshape(-1)
+        self._keeps_rail = (substitute != 0).reshape(-1)
 
     @property
     def num_levels(self) -> int:
@@ -94,33 +102,27 @@ class CalibratedAwcMapper:
         """
         return ("awc-predistort", self._measurement_noise_lsb)
 
-    def predistorted_codes(
-        self, codes: np.ndarray, unit_assignment: np.ndarray
-    ) -> np.ndarray:
-        """Replace nominal codes with their calibrated substitutes."""
-        magnitude = np.abs(codes).astype(int)
-        chosen = self._code_lut[unit_assignment, magnitude]
-        return np.sign(codes) * chosen
+    @property
+    def level_table(self) -> np.ndarray:
+        """The wrapped bank's realized levels (delegated).
 
-    def realize_codes(
+        Pre-distortion changes which cell a code reads, not what a cell
+        holds.
+        """
+        return self.mapper.level_table
+
+    def code_cells(
         self, codes: np.ndarray, unit_assignment: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Realize signed integer codes with pre-distortion applied."""
-        codes = np.asarray(codes)
-        if unit_assignment is None:
-            flat = np.arange(codes.size) % self.mapper.num_units
-            unit_assignment = flat.reshape(codes.shape)
-        distorted = self.predistorted_codes(codes, unit_assignment)
-        return self.mapper.realize_codes(distorted, unit_assignment)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The cell and rail sign each code reads after pre-distortion.
 
-    def realize_quantized_weights(
-        self, quantized: np.ndarray, scale: float
-    ) -> np.ndarray:
-        """Pre-distorted counterpart of the raw mapper's method."""
-        check_positive("scale", scale)
-        quantized = np.asarray(quantized, dtype=float)
-        codes = np.round(quantized / scale).astype(int)
-        return self.realize_codes(codes) * scale
+        Same contract as :meth:`AwcWeightMapper.code_cells
+        <repro.core.awc.AwcWeightMapper.code_cells>`: each nominal cell
+        is replaced by its calibrated substitute, and a code whose
+        substitute is zero loses its rail.
+        """
+        cells, signs = self.mapper.code_cells(codes, unit_assignment)
+        return self._cell_lut[cells], signs * self._keeps_rail[cells]
 
     # ------------------------------------------------------------------
     # Quality metrics

@@ -18,7 +18,11 @@ The OPC realises a convolution in four physical steps (Fig. 2, circled
 ``program`` performs steps 1-2 once per kernel set (the paper notes the
 mapping "can bypass this step" afterwards); ``convolve``/``dot`` run steps
 3-4 per frame, vectorised with the same im2col kernels the NN substrate
-uses.
+uses.  A kernel set's weights take few distinct magnitudes: each reads
+one cell (unit, |code|) of the die's AWC level table, at most 40 units x
+2^bits.  Step 2 therefore evaluates the Lorentzian tails once per
+(ring position, cell) pair that occurs, not once per ring: a few hundred
+pairs for the 50k rings of a 64x784 dense layer.
 
 Units: weights and activations are dimensionless (weight units /
 ternary optical levels on a unit scale); tuning budgets are J/s/W;
@@ -27,12 +31,13 @@ Section III (OPC structure, AWC/weight mapping, MR device engineering)
 and Fig. 2's circled datapath stages.
 
 Bit-identity contract: the vectorized ``program`` chain (AWC realize →
-batched crosstalk → batched tuning budget) must produce *exactly* the
-same floats as the retained scalar loops in :mod:`repro.core.reference`
-— same elementwise operations, sequential-``sum`` accumulation order
+crosstalk priced per (position, cell) pair → batched tuning budget) must
+produce *exactly* the same floats as the retained scalar loops in
+:mod:`repro.core.reference` — same elementwise operations, each arm's
+tails multiplied in position order, sequential-``sum`` accumulation
 (``cumsum``, not pairwise) — enforced by
-``tests/test_vectorized_equivalence.py`` and the ``repr()`` goldens in
-``tests/goldens/``.  The serving cache
+``tests/test_vectorized_equivalence.py`` (full-size layers included) and
+the ``repr()`` goldens in ``tests/goldens/``.  The serving cache
 (:mod:`repro.engine.cache`) and the recalibration path
 (:mod:`repro.engine.health`) both lean on this: reprogramming a die is
 guaranteed to reproduce the cached record bit-for-bit.
@@ -52,9 +57,16 @@ from repro.core.config import OISAConfig
 from repro.nn.functional import conv2d_forward
 from repro.photonics.microring import MicroringResonator
 from repro.photonics.tuning import TuningBudget
-from repro.photonics.wdm import WdmGrid, effective_arm_transmissions
 from repro.util.rng import derive_rng
 from repro.util.validation import check_positive
+
+
+#: Arms per block of the tail product in
+#: :meth:`OpticalProcessingCore._apply_crosstalk`.  Each block gathers a
+#: (positions, arms, channels) tensor, 400 KB at 10 MRs per arm, where one
+#: gather for a whole 64x784 layer would take 4 MB; 512 was the fastest of
+#: 128-2048 on a 2-core x86 host.
+_PRODUCT_BLOCK_ARMS = 512
 
 
 @dataclass(frozen=True)
@@ -145,6 +157,8 @@ class OpticalProcessingCore:
         )
         self.ring = MicroringResonator(self.config.microring)
         self.grid = self.config.wdm
+        #: Channel wavelengths of the arm's rings, fixed with the config.
+        self._wavelengths = self.grid.wavelengths_m()
         self._read_rng = derive_rng(seed, "opc-read-noise")
         self._programmed: ProgrammedWeights | None = None
 
@@ -162,7 +176,6 @@ class OpticalProcessingCore:
         scale:
             The quantizer scale (weight units per LSB).
         """
-        check_positive("scale", scale)
         ideal = np.asarray(quantized_weights, dtype=float)
         realized = self._realize(ideal, scale)
         tuning = self._mapping_tuning_budget(realized, scale)
@@ -204,43 +217,100 @@ class OpticalProcessingCore:
         """AWC realization + (optional) crosstalk — the shared cold chain.
 
         Single owner of the realize logic for both :meth:`program` and the
-        :meth:`weight_transform` QAT hook.
+        :meth:`weight_transform` QAT hook, with the raw or the calibrated
+        mapper: the mapper reports the level-table cell and the rail sign
+        each code reads, and the cells both realize the weights and key
+        the crosstalk pricing.  The codes are padded with zeros to whole
+        arms (larger kernels chunk across arms): a padded ring carries no
+        weight and sits on its channel at T_min.
         """
-        realized = self.awc.realize_quantized_weights(quantized, scale)
+        check_positive("scale", scale)
+        quantized = np.asarray(quantized, dtype=float)
+        arm_size = self.config.mrs_per_arm
+        codes = np.zeros(-(-quantized.size // arm_size) * arm_size)
+        np.divide(quantized.reshape(-1), scale, out=codes[: quantized.size])
+        np.rint(codes, out=codes)  # np.round to 0 decimals
+        cells, signs = self.awc.code_cells(codes.astype(int))
+        realized = self.awc.level_table.reshape(-1).take(cells)
+        realized *= signs
+        realized *= scale
         if self.enable_crosstalk:
-            realized = self._apply_crosstalk(realized, scale)
-        return realized
+            realized = self._apply_crosstalk(
+                realized.reshape(-1, arm_size), cells.reshape(-1, arm_size)
+            )
+        return realized.reshape(-1)[: quantized.size].reshape(quantized.shape)
 
-    def _apply_crosstalk(self, weights: np.ndarray, scale: float) -> np.ndarray:
+    def _apply_crosstalk(self, arms: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Perturb weights by each arm's inter-channel crosstalk.
 
-        Weights are grouped into arms (one 3x3 plane per arm; larger
-        kernels chunk across arms), magnitudes are mapped onto MR
-        transmissions in [T_min, 1], every arm's effective transmissions
-        are computed in one batched Lorentzian-tail tensor, and the result
-        is mapped back to weight units.
+        ``arms`` holds the AWC-realized weights one arm per row, and
+        ``cells`` the level-table cell each one reads (from
+        :meth:`~repro.core.awc.AwcWeightMapper.code_cells`; relabelled in
+        place).  Magnitudes
+        map onto MR transmissions in [T_min, 1].  The Lorentzian tail a
+        ring casts on its arm's channels depends only on its position in
+        the arm and its transmission, and weights that read one cell share
+        one magnitude.  So the tails are evaluated once per (position,
+        cell) pair that occurs — a few hundred for a layer of 50k rings —
+        and each arm multiplies the tails of its rings in position order:
+        the float products of
+        :func:`~repro.photonics.wdm.effective_arm_transmission`.  The
+        result is mapped back to weight units.
         """
-        flat = weights.reshape(-1)
-        arm_size = self.config.mrs_per_arm
-        t_min = self.ring.min_transmission
-        full_scale = float(np.max(np.abs(flat)))
+        arm_size = arms.shape[1]
+        wavelengths = self._wavelengths
+        if wavelengths.size != arm_size:
+            raise ValueError(
+                f"crosstalk needs one WDM channel per arm MR: the grid has "
+                f"{wavelengths.size} channels, an arm {arm_size} MRs"
+            )
+        # Label every ring by its (position, cell) pair, in place of its
+        # cell, and keep the magnitude of each pair that occurs (-inf
+        # marks the rest).
+        num_cells = self.awc.num_units * self.awc.num_levels
+        labels = cells
+        labels += np.arange(arm_size) * num_cells
+        per_ring = np.abs(arms)
+        by_label = np.empty(arm_size * num_cells)
+        by_label.fill(-np.inf)
+        by_label[labels] = per_ring
+        (pairs,) = (by_label != -np.inf).nonzero()
+        magnitudes = by_label[pairs]
+        full_scale = float(magnitudes.max())
         if full_scale == 0.0:
-            return weights.copy()
+            return arms
 
-        padded_len = -(-flat.size // arm_size) * arm_size
-        padded = np.zeros(padded_len)
-        padded[: flat.size] = flat
-        arms = padded.reshape(-1, arm_size)
-
+        t_min = self.ring.min_transmission
         span = 1.0 - t_min
-        magnitudes = np.abs(arms) / full_scale
-        transmissions = t_min + magnitudes * span
-        effective = effective_arm_transmissions(
-            self.grid, transmissions, ring=self.ring
+        shifts = self.ring.detuning_for_transmission(
+            t_min + (magnitudes / full_scale) * span
         )
-        recovered = np.clip((effective - t_min) / span, 0.0, None) * full_scale
-        out = np.sign(arms) * recovered
-        return out.reshape(-1)[: flat.size].reshape(weights.shape)
+        # tails[p, i]: the transmission channel i sees from pair p's ring.
+        tails = self.ring.lorentzian_transmission(
+            wavelengths[None, :]
+            - (wavelengths[pairs // num_cells][:, None] + shifts[:, None])
+        )
+        pair_of_label = np.empty(arm_size * num_cells, dtype=np.intp)
+        pair_of_label[pairs] = np.arange(pairs.size)
+        arm_pairs = pair_of_label[labels]
+        effective = np.empty(arms.shape)
+        for start in range(0, len(arms), _PRODUCT_BLOCK_ARMS):
+            block = slice(start, start + _PRODUCT_BLOCK_ARMS)
+            # [position, arm, channel] tails of a block of arms, multiplied
+            # over the positions in order.
+            np.multiply.reduce(
+                tails.take(arm_pairs[block].T, axis=0, mode="clip"),
+                axis=0,
+                out=effective[block],
+            )
+
+        effective -= t_min
+        effective /= span
+        # np.clip(x, 0.0, None) runs exactly this maximum.
+        np.maximum(effective, 0.0, out=effective)
+        effective *= full_scale
+        effective *= np.sign(arms, out=per_ring)
+        return effective
 
     def _mapping_tuning_budget(self, weights: np.ndarray, scale: float) -> TuningBudget:
         """Price the MR retunes of one full weight mapping.
@@ -326,8 +396,14 @@ class OpticalProcessingCore:
             * np.sqrt(num_arm_reads)
         )
         # Same floats and generator state as ``normal(0.0, sigma, shape)``,
-        # which computes ``0.0 + sigma * z`` per element; cheaper.
-        return values + sigma * self._read_rng.standard_normal(values.shape)
+        # which computes ``0.0 + sigma * z`` per element, and as
+        # ``values + sigma * z`` (IEEE products and sums commute, and the
+        # C-ordered draws fix the result's layout); computed in place in
+        # the draws, with no further temporaries.
+        noisy = self._read_rng.standard_normal(values.shape)
+        noisy *= sigma
+        noisy += values
+        return noisy
 
     # ------------------------------------------------------------------
     # Diagnostics

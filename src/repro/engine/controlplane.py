@@ -100,6 +100,7 @@ from repro.util.validation import (
     check_count,
     check_finite_non_negative,
     check_positive,
+    parse_field,
     registry_key,
 )
 
@@ -160,18 +161,17 @@ class AutoscalerConfig:
     @staticmethod
     def parse(spec: str) -> "AutoscalerConfig":
         """Parse the CLI form ``"min:max[:window_s]"``."""
+        form = "min:max[:window_s]"
         parts = spec.split(":")
         if len(parts) not in (2, 3):
-            raise ValueError(
-                f"autoscale spec must be 'min:max[:window_s]', got {spec!r}"
-            )
-        kwargs: dict = {
-            "min_nodes": int(parts[0]),
-            "max_nodes": int(parts[1]),
-        }
-        if len(parts) == 3:
-            kwargs["window_s"] = float(parts[2])
-        return AutoscalerConfig(**kwargs)
+            raise ValueError(f"autoscale spec must be {form!r}, got {spec!r}")
+        fields = (("min_nodes", int), ("max_nodes", int), ("window_s", float))
+        return AutoscalerConfig(
+            **{
+                name: parse_field(kind, name, text, form)
+                for (name, kind), text in zip(fields, parts)
+            }
+        )
 
 
 @dataclass(frozen=True)

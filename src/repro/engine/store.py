@@ -129,7 +129,7 @@ class ProgramStore:
         copied onto another key's path fails the check.
         """
         digest = hashlib.sha256(key.encode())
-        digest.update(np.ascontiguousarray(realized).tobytes())
+        digest.update(np.ascontiguousarray(realized))
         digest.update(
             repr(
                 (
@@ -224,7 +224,7 @@ class ProgramStore:
             with open(self._path(key), "rb") as handle, np.load(
                 handle, allow_pickle=False
             ) as payload:
-                realized = np.array(payload["realized"])
+                realized = payload["realized"]
                 scale = float(payload["scale"])
                 tuning_values = payload["tuning"]
                 mapping_iterations = int(payload["mapping_iterations"])

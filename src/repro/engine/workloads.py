@@ -79,7 +79,12 @@ from repro.nn.models import (
 )
 from repro.nn.quant import QuantConv2D
 from repro.util.rng import spawn_seeds
-from repro.util.validation import check_count, check_positive, registry_key
+from repro.util.validation import (
+    check_count,
+    check_positive,
+    parse_field,
+    registry_key,
+)
 
 #: Frame geometry per family: (in_channels, height, width).
 _FAMILY_FRAME_SHAPES: dict[str, tuple[int, int, int]] = {
@@ -171,7 +176,12 @@ def parse_model_specs(text: str) -> tuple[ModelSpec, ...]:
             continue
         family, _, bits = token.partition(":")
         family = registry_key("model family", family, _FAMILY_FRAME_SHAPES)
-        specs.append(ModelSpec(family, int(bits) if bits else 4))
+        weight_bits = (
+            parse_field(int, f"{family} weight bits", bits, "family[:bits]")
+            if bits
+            else 4
+        )
+        specs.append(ModelSpec(family, weight_bits))
     if not specs:
         raise ValueError(f"no model specs in {text!r}")
     return tuple(specs)

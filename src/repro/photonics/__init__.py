@@ -28,10 +28,8 @@ from repro.photonics.vcsel import TernaryVcselEncoder, Vcsel
 from repro.photonics.waveguide import ArmLossBudget, Waveguide
 from repro.photonics.wdm import (
     WdmGrid,
-    crosstalk_matrices,
     crosstalk_matrix,
     effective_arm_transmission,
-    effective_arm_transmissions,
 )
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "Vcsel",
     "Waveguide",
     "WdmGrid",
-    "crosstalk_matrices",
     "crosstalk_matrix",
     "effective_arm_transmission",
-    "effective_arm_transmissions",
 ]

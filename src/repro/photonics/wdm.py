@@ -5,7 +5,17 @@ wavelength channel.  Because MR resonances have Lorentzian tails, the MR
 assigned to channel *j* also slightly attenuates the light of channel *i*;
 the product of those parasitic attenuations is the arm's crosstalk error.
 ``crosstalk_matrix`` captures exactly that: entry ``(i, j)`` is the power
-transmission channel *i* experiences from the ring serving channel *j*.
+transmission channel *i* experiences from the ring serving channel *j*,
+and ``effective_arm_transmission`` multiplies each row over *j* in order.
+
+Column *j* depends only on ring *j*'s position and its own target
+transmission.  When the OPC maps a kernel set (Section III, weight
+mapping) its targets come from a few hundred AWC levels, so
+:meth:`repro.core.opc.OpticalProcessingCore.program` evaluates each
+column once per (position, AWC cell) pair that occurs and multiplies the
+gathered columns in the same *j* order.  Its floats are bit-identical to
+this module's one-arm functions and to the scalar loops of
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -99,34 +109,6 @@ def crosstalk_matrix(
     return prototype.lorentzian_transmission(detunings)
 
 
-def crosstalk_matrices(
-    grid: WdmGrid,
-    weights: np.ndarray,
-    ring: MicroringResonator | None = None,
-) -> np.ndarray:
-    """Batched :func:`crosstalk_matrix` over a stack of arms.
-
-    ``weights`` is ``(..., num_channels)`` — one per-ring transmission
-    vector per arm; any number of leading batch dimensions is allowed.
-    Returns the ``(..., num_channels, num_channels)`` Lorentzian-tail
-    tensor whose entry ``[..., i, j]`` is the transmission channel *i*
-    experiences from ring *j* of that arm.  Elementwise the float ops are
-    exactly :func:`crosstalk_matrix`'s, just broadcast — results are
-    bit-identical to the arm-by-arm loop.
-    """
-    prototype = ring or MicroringResonator()
-    n = grid.num_channels
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim < 1 or weights.shape[-1] != n:
-        raise ValueError(
-            f"weights must have shape (..., {n}), got {weights.shape}"
-        )
-    shifts = np.asarray(prototype.detuning_for_transmission(weights))
-    wavelengths = grid.wavelengths_m()
-    detunings = wavelengths[:, None] - (wavelengths[None, :] + shifts[..., None, :])
-    return prototype.lorentzian_transmission(detunings)
-
-
 def effective_arm_transmission(
     grid: WdmGrid,
     weights: np.ndarray,
@@ -141,18 +123,3 @@ def effective_arm_transmission(
     """
     matrix = crosstalk_matrix(grid, ring=ring, weights=np.asarray(weights, float))
     return matrix.prod(axis=1)
-
-
-def effective_arm_transmissions(
-    grid: WdmGrid,
-    weights: np.ndarray,
-    ring: MicroringResonator | None = None,
-) -> np.ndarray:
-    """Batched :func:`effective_arm_transmission` over ``(..., n)`` arms.
-
-    One broadcasted tail tensor and one product reduction replace the
-    per-arm Python loop; the reduction runs over the same contiguous
-    ``num_channels`` axis in the same order, so results are bit-identical.
-    """
-    matrices = crosstalk_matrices(grid, weights, ring=ring)
-    return matrices.prod(axis=-1)

@@ -27,6 +27,21 @@ def registry_key(kind: str, name: str, known: Collection[str]) -> str:
     return key
 
 
+def parse_field(kind: type, name: str, text: str, form: str):
+    """``kind(text)`` for the ``name`` field of a spec written as ``form``.
+
+    A malformed field raises ``ValueError`` naming the field and the
+    expected form, not the bare conversion error.
+    """
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(
+            f"{name} must be {noun} in {form!r}, got {text!r}"
+        ) from None
+
+
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0`` and return it."""
     if not value > 0:

@@ -157,6 +157,27 @@ def test_serve_exercises_every_workload_generator(scenario, capsys):
     assert "frames delivered" in out
 
 
+#: The error a malformed field of an ``--autoscale`` or ``--models`` spec
+#: reads as.
+_SPEC_FIELD_ERRORS = {
+    ("--autoscale", "1.5:3"): (
+        "min_nodes must be an integer in 'min:max[:window_s]', got '1.5'"
+    ),
+    ("--autoscale", "1:x"): (
+        "max_nodes must be an integer in 'min:max[:window_s]', got 'x'"
+    ),
+    ("--autoscale", "1:3:abc"): (
+        "window_s must be a number in 'min:max[:window_s]', got 'abc'"
+    ),
+    ("--models", "lenet:x"): (
+        "lenet weight bits must be an integer in 'family[:bits]', got 'x'"
+    ),
+    ("--models", "mlp:2.5"): (
+        "mlp weight bits must be an integer in 'family[:bits]', got '2.5'"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -177,6 +198,10 @@ def test_serve_exercises_every_workload_generator(scenario, capsys):
         ("--autoscale", "1:x"),
         ("--autoscale", "3:1"),
         ("--autoscale", "1:3:inf"),
+        ("--autoscale", "1.5:3"),
+        ("--autoscale", "1:3:abc"),
+        ("--models", "lenet:x"),
+        ("--models", "mlp:2.5"),
         ("--policy", "bogus"),
         ("--fault-profile", "bogus"),
         ("--chaos-plan", "bogus"),
@@ -186,11 +211,15 @@ def test_serve_exercises_every_workload_generator(scenario, capsys):
 )
 def test_serve_rejects_bad_numeric_flags_at_parse_time(flag, value, capsys):
     """Every checked ``serve`` flag is a usage error (exit 2) before the
-    engine runs; each name is checked by the registry that owns it."""
+    engine runs; each name is checked by the registry that owns it, and a
+    malformed number inside a spec names its field and the spec's form."""
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", flag, value])
     assert excinfo.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "invalid literal" not in err and "could not convert" not in err
+    assert _SPEC_FIELD_ERRORS.get((flag, value), "") in err
 
 
 @pytest.mark.parametrize(

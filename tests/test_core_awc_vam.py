@@ -115,6 +115,27 @@ def test_unit_assignment_validation():
         mapper.realize_codes(np.array([1]), np.array([5]))
 
 
+@pytest.mark.parametrize("explicit_units", [False, True])
+def test_code_cells_read_the_level_table(explicit_units):
+    mapper = AwcWeightMapper(num_units=7, seed=6)
+    rng = np.random.default_rng(6)
+    codes = rng.integers(-15, 16, size=(9, 11))
+    units = (
+        rng.integers(0, 7, size=codes.shape)
+        if explicit_units
+        else (np.arange(codes.size) % 7).reshape(codes.shape)
+    )
+    cells, signs = mapper.code_cells(codes, units if explicit_units else None)
+    table = mapper.level_table
+    np.testing.assert_array_equal(cells, units * mapper.num_levels + np.abs(codes))
+    np.testing.assert_array_equal(signs, np.sign(codes))
+    # A sign of 0 (no rail) exactly on the zero-code cells.
+    np.testing.assert_array_equal(signs == 0, cells % mapper.num_levels == 0)
+    realized = mapper.realize_codes(codes, units if explicit_units else None)
+    expected = np.sign(codes) * table[units, np.abs(codes)]
+    assert realized.tobytes() == expected.tobytes()
+
+
 def test_error_metrics_positive():
     mapper = AwcWeightMapper(num_units=40, seed=4)
     assert mapper.mean_level_error_lsb() > 0.0

@@ -6,6 +6,7 @@ import pytest
 from repro.circuits.awc import AwcDesign
 from repro.core.awc import AwcWeightMapper
 from repro.core.calibration import CalibratedAwcMapper
+from repro.util.rng import derive_rng
 
 
 @pytest.fixture
@@ -74,3 +75,36 @@ def test_measurement_noise_limits_gain(noisy_mapper):
 def test_negative_measurement_noise_rejected(noisy_mapper):
     with pytest.raises(ValueError):
         CalibratedAwcMapper(noisy_mapper, measurement_noise_lsb=-0.1)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.8])
+def test_code_cells_follow_the_predistortion(noisy_mapper, noise):
+    """Each code reads the cell of the code whose *measured* level lands
+    closest to it; a zero code, or one whose substitute is zero, reads
+    its unit's zero cell and loses its rail."""
+    calibrated = CalibratedAwcMapper(
+        noisy_mapper, measurement_noise_lsb=noise, seed=3
+    )
+    measured = noisy_mapper.level_table.copy()
+    if noise:
+        measured = measured + derive_rng(3, "awc-calibration-noise").normal(
+            0.0, noise, size=measured.shape
+        )
+    levels = noisy_mapper.num_levels
+    rng = np.random.default_rng(8)
+    codes = rng.integers(-(levels - 1), levels, size=400)
+    units = rng.integers(0, noisy_mapper.num_units, size=codes.shape)
+    substitute = np.abs(
+        measured[units] - np.abs(codes)[:, None]
+    ).argmin(axis=1)
+    distorted = np.sign(codes) * substitute
+    cells, signs = calibrated.code_cells(codes, units)
+    np.testing.assert_array_equal(cells, units * levels + np.abs(distorted))
+    np.testing.assert_array_equal(signs, np.sign(distorted))
+    realized = calibrated.realize_codes(codes, units)
+    expected = np.sign(distorted) * noisy_mapper.level_table[
+        units, np.abs(distorted)
+    ]
+    assert realized.tobytes() == expected.tobytes()
+    if noise:
+        assert np.any(distorted != codes)

@@ -1,13 +1,15 @@
 """Scalar-vs-batched bit-identity of the weight-programming hot path.
 
-The vectorized chain (array ``detuning_for_transmission``, batched
-crosstalk tensors, ndarray ``mapping_cost``, batched OPC crosstalk/tuning)
-must produce **exactly** the floats the original scalar loops produced —
-``np.testing.assert_array_equal``, no tolerance.  The scalar loops are
-retained verbatim in :mod:`repro.core.reference`; every test here pits the
-live implementation against that reference over random inputs, including
-the edge lanes (T exactly 1.0 parks the ring, T_min sits on the range
-floor, zero weights, EO-only vs TO+EO shifts).
+The vectorized chain (array ``detuning_for_transmission``, OPC crosstalk
+priced once per (ring position, AWC cell) pair, ndarray ``mapping_cost``,
+batched tuning budget) must produce **exactly** the floats the original
+scalar loops produced — no tolerance, and the ``program()`` oracles
+compare bytes, signed zeros included.  The scalar loops are retained
+verbatim in :mod:`repro.core.reference`; every test here pits the live
+implementation against that reference, over random inputs and the zoo's
+full-size 64x784 MLP layer, including the edge lanes (T exactly 1.0 parks
+the ring, T_min sits on the range floor, zero weights, ragged last arms,
+calibrated dies, EO-only vs TO+EO shifts).
 """
 
 import numpy as np
@@ -16,17 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import reference
+from repro.core.calibration import CalibratedAwcMapper
+from repro.core.config import OISAConfig
 from repro.core.opc import OpticalProcessingCore
-from repro.nn.quant import UniformWeightQuantizer
+from repro.core.pipeline import kernel_set
+from repro.engine.workloads import ModelSpec
+from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.photonics.microring import MicroringResonator
 from repro.photonics.tuning import HybridTuning
 from repro.photonics.wdm import (
     WdmGrid,
-    crosstalk_matrices,
     crosstalk_matrix,
     effective_arm_transmission,
-    effective_arm_transmissions,
 )
+from repro.util.rng import spawn_seeds
 
 RING = MicroringResonator()
 GRID = WdmGrid()
@@ -122,42 +127,14 @@ def test_crosstalk_matrix_unweighted_matches_scalar():
     )
 
 
-@pytest.mark.parametrize("arms", [1, 7, 40])
-def test_crosstalk_matrices_match_per_arm_loop(arms):
-    rng = np.random.default_rng(arms)
-    weights = _random_transmissions(rng, (arms, GRID.num_channels))
-    batched = crosstalk_matrices(GRID, weights, ring=RING)
-    assert batched.shape == (arms, GRID.num_channels, GRID.num_channels)
-    for index in range(arms):
-        np.testing.assert_array_equal(
-            batched[index],
-            reference.crosstalk_matrix_scalar(
-                GRID, ring=RING, weights=weights[index]
-            ),
-        )
-
-
-def test_effective_arm_transmissions_match_per_arm_loop():
+def test_effective_arm_transmission_matches_per_arm_loop():
     rng = np.random.default_rng(9)
     weights = _random_transmissions(rng, (23, GRID.num_channels))
-    batched = effective_arm_transmissions(GRID, weights, ring=RING)
-    assert batched.shape == weights.shape
-    for index in range(weights.shape[0]):
+    for arm in weights:
         np.testing.assert_array_equal(
-            batched[index],
-            reference.effective_arm_transmission_scalar(
-                GRID, weights[index], ring=RING
-            ),
+            effective_arm_transmission(GRID, arm, ring=RING),
+            reference.effective_arm_transmission_scalar(GRID, arm, ring=RING),
         )
-        np.testing.assert_array_equal(
-            batched[index],
-            effective_arm_transmission(GRID, weights[index], ring=RING),
-        )
-
-
-def test_crosstalk_matrices_rejects_wrong_channel_count():
-    with pytest.raises(ValueError):
-        crosstalk_matrices(GRID, np.ones((4, GRID.num_channels + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -258,3 +235,105 @@ def test_weight_transform_uses_shared_realize_chain():
     realized_hook = opc.weight_transform(scale_hint=scale)(quantized)
     scalar = reference.program_scalar(opc, quantized, scale)
     np.testing.assert_array_equal(realized_hook, scalar.realized)
+
+
+# --------------------------------------------------------------------------
+# Crosstalk priced per (ring position, AWC cell) pair
+# --------------------------------------------------------------------------
+def _assert_matches_scalar_program(opc, quantized, scale):
+    """``program()`` equals the scalar reference byte for byte (signed
+    zeros included) and in its tuning budget."""
+    programmed = opc.program(quantized, scale)
+    scalar = reference.program_scalar(opc, quantized, scale)
+    assert programmed.realized.shape == scalar.realized.shape
+    assert programmed.realized.tobytes() == scalar.realized.tobytes()
+    assert programmed.tuning == scalar.tuning
+    return programmed
+
+
+def _zoo_mlp_layer(bits):
+    model = ModelSpec("mlp", bits).build(0)
+    return kernel_set(next(l for l in model if isinstance(l, QuantDense)))
+
+
+@pytest.mark.parametrize("arms", [1, 7, 40])
+def test_program_crosstalk_matches_per_arm_loop(arms):
+    # One dense row per arm; every arm holds a zero code (a T_min ring)
+    # and the layer's largest weight sits on a parked (T = 1.0) ring.
+    rng = np.random.default_rng(arms)
+    codes = rng.integers(-15, 16, size=(arms, GRID.num_channels))
+    codes[:, 0] = 0
+    scale = 0.01
+    opc = OpticalProcessingCore(seed=arms, enable_read_noise=False)
+    _assert_matches_scalar_program(opc, codes * scale, scale)
+
+
+def test_program_rejects_wrong_channel_count():
+    config = OISAConfig(wdm=WdmGrid(num_channels=GRID.num_channels + 1))
+    opc = OpticalProcessingCore(config, seed=0, enable_read_noise=False)
+    with pytest.raises(ValueError, match="channel"):
+        opc.program(np.full((4, config.mrs_per_arm), 0.01), 0.01)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_zoo_mlp_first_layer_matches_scalar_program(bits):
+    # The 64x784 layer: 5018 arms over at most 10 x 640 (position, cell)
+    # pairs, on the die a 4-node server gives its second node.
+    kernels = _zoo_mlp_layer(bits)
+    opc = OpticalProcessingCore(seed=spawn_seeds(0, 4)[1], enable_read_noise=False)
+    _assert_matches_scalar_program(opc, kernels.weights, kernels.scale)
+
+
+def test_calibrated_noisy_die_matches_scalar_program():
+    kernels = _zoo_mlp_layer(4)
+    opc = OpticalProcessingCore(seed=spawn_seeds(0, 4)[1], enable_read_noise=False)
+    raw = opc.program(kernels.weights, kernels.scale).realized
+    opc.awc = CalibratedAwcMapper(opc.awc, measurement_noise_lsb=0.5, seed=7)
+    calibrated = _assert_matches_scalar_program(
+        opc, kernels.weights, kernels.scale
+    )
+    # The pre-distortion moved codes onto other cells.
+    assert not np.array_equal(calibrated.realized, raw)
+
+
+@pytest.mark.parametrize("scale_hint", [True, False])
+def test_weight_transform_on_dense_layer_matches_scalar_program(scale_hint):
+    rng = np.random.default_rng(44)
+    weights = rng.normal(size=(32, 300)) * 0.1
+    quantizer = UniformWeightQuantizer(3)
+    quantized = quantizer.quantize(weights)
+    opc = OpticalProcessingCore(seed=44, enable_read_noise=False)
+    if scale_hint:
+        scale = quantizer.scale(weights)
+        realized = opc.weight_transform(scale_hint=scale)(quantized)
+    else:
+        # The hook's own scale: max |w| over the top AWC level.
+        scale = float(np.max(np.abs(quantized))) / (opc.awc.num_levels - 1)
+        realized = opc.weight_transform()(quantized)
+    scalar = reference.program_scalar(opc, quantized, scale)
+    assert realized.tobytes() == scalar.realized.tobytes()
+
+
+def test_ragged_arm_with_repeated_cells_matches_scalar_program():
+    # Three AWC units against 10-MR arms: one cell recurs at several
+    # positions and in several arms; 91 weights leave a ragged last arm.
+    config = OISAConfig(num_awc_units=3)
+    opc = OpticalProcessingCore(config, seed=5, enable_read_noise=False)
+    rng = np.random.default_rng(5)
+    codes = rng.choice([-7, -3, 0, 3, 7], size=(7, 13))
+    scale = 0.02
+    quantized = codes * scale
+    cells, _ = opc.awc.code_cells(codes)
+    flat_cells = cells.reshape(-1)
+    lanes = np.arange(flat_cells.size)
+    repeated = flat_cells == flat_cells[np.argmax(np.abs(codes.reshape(-1)))]
+    assert len(set(lanes[repeated] % config.mrs_per_arm)) > 1
+    assert len(set(lanes[repeated] // config.mrs_per_arm)) > 1
+    assert codes.size % config.mrs_per_arm != 0
+
+    awc = np.abs(opc.awc.realize_quantized_weights(quantized, scale))
+    t_min = opc.ring.min_transmission
+    targets = t_min + (awc / awc.max()) * (1.0 - t_min)
+    assert np.count_nonzero(targets == 1.0) > 1  # parked rings
+    assert np.count_nonzero(targets == t_min) > 1  # zero codes
+    _assert_matches_scalar_program(opc, quantized, scale)
