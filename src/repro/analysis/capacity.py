@@ -55,6 +55,7 @@ from repro.util.validation import (
     check_count,
     check_positive,
     check_probability,
+    check_seed,
 )
 
 #: LeNet's first convolution — the analytic-bound reference workload
@@ -92,6 +93,7 @@ class CapacitySettings:
         from repro.engine.scheduler import scheduling_policy
 
         check_count("frames", self.frames)
+        check_seed(self.seed)
         check_positive("fps_floor", self.fps_floor)
         if not math.isfinite(self.fps_floor):
             raise ValueError(

@@ -618,7 +618,8 @@ def _positive(kind: type):
     return _number(kind, lambda value: value > 0, "a finite number above zero")
 
 
-#: A count that may be zero (``--spares``, ``--shards``).
+#: A count or seed that may be zero (``--spares``, ``--shards``,
+#: ``--seed``).
 _count = _number(int, lambda value: value >= 0, "zero or more")
 #: A hit-rate target (``--slo-target``).
 _fraction = _number(float, lambda value: 0 < value <= 1, "in (0, 1]")
@@ -816,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fps", type=_positive(float), default=1000.0)
     serve.add_argument("--nodes", type=_positive(int), default=2)
     serve.add_argument("--batch", type=_positive(int), default=16)
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=_count, default=0)
     serve.add_argument(
         "--scenario",
         default="default",
@@ -915,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--quick", action="store_true", help="CI smoke mode (fewer repeats)"
     )
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_count, default=0)
     bench.set_defaults(handler=_cmd_bench)
     cache = subparsers.add_parser(
         "cache",

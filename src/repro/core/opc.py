@@ -321,15 +321,17 @@ class OpticalProcessingCore:
         settle time while energy sums over all MRs.  The detuning solve and
         the cost aggregation are one batched call each.
         """
-        flat = np.abs(weights.reshape(-1))
-        full_scale = float(flat.max())
+        transmissions = np.abs(weights.reshape(-1))
+        full_scale = float(transmissions.max())
         t_min = self.ring.min_transmission
         if full_scale == 0.0:
             return TuningBudget(0.0, 0.0, 0.0)
-        transmissions = t_min + (flat / full_scale) * (1.0 - t_min)
-        shifts = self.ring.detuning_for_transmission(
-            np.clip(transmissions, t_min, 1.0)
-        )
+        # T_min + (|w| / full scale) (1 - T_min), clipped to [T_min, 1].
+        transmissions /= full_scale
+        transmissions *= 1.0 - t_min
+        transmissions += t_min
+        np.clip(transmissions, t_min, 1.0, out=transmissions)
+        shifts = self.ring.detuning_for_transmission(transmissions)
         per_sweep = self.config.tuning.mapping_cost(shifts)
         iterations = self.config.weight_mapping_iterations
         return TuningBudget(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.util.rng import derive_rng
 from repro.util.validation import check_in_range, check_non_negative, check_positive
@@ -68,6 +67,10 @@ def _smooth_field(
     rng: np.random.Generator, size: int, channels: int, smoothness: float
 ) -> np.ndarray:
     """Low-pass-filtered white noise normalised to zero mean, unit std."""
+    # SciPy loads here, not with the package: only dataset generation
+    # needs it, and it would add ~20 MB to every serving process.
+    from scipy import ndimage
+
     field = rng.normal(size=(channels, size, size))
     field = ndimage.gaussian_filter(field, sigma=(0, smoothness, smoothness))
     field -= field.mean()

@@ -120,21 +120,33 @@ class MicroringResonator:
     """
 
     def __init__(self, design: MicroringDesign | None = None) -> None:
-        self.design = design or MicroringDesign()
+        self._design = design = design or MicroringDesign()
         self.tuning_shift_m = 0.0
         # Snap the effective index to the nearest resonance order so the
         # declared resonance wavelength is an *exact* resonance (physically:
         # pick the longitudinal mode closest to the nominal n_eff).
         order = round(
-            self.design.n_eff
-            * self.design.circumference_m
-            / self.design.resonance_wavelength_m
+            design.n_eff * design.circumference_m / design.resonance_wavelength_m
         )
         self._n_eff = (
-            order
-            * self.design.resonance_wavelength_m
-            / self.design.circumference_m
+            order * design.resonance_wavelength_m / design.circumference_m
         )
+        # The spectral constants follow from the (frozen) design alone, so
+        # they are derived once per ring, not on every weight solve.
+        lam = design.resonance_wavelength_m
+        r = design.self_coupling
+        a = design.single_pass_amplitude
+        ra = r * a
+        self._fsr_m = lam**2 / (design.n_g * design.circumference_m)
+        self._fwhm_m = (1.0 - ra) * lam**2 / (
+            math.pi * design.n_g * design.circumference_m * math.sqrt(ra)
+        )
+        self._min_transmission = ((r - a) / (1.0 - r * a)) ** 2
+
+    @property
+    def design(self) -> MicroringDesign:
+        """Geometry/material description (fixed for the ring's lifetime)."""
+        return self._design
 
     # ------------------------------------------------------------------
     # Spectral quantities
@@ -147,17 +159,12 @@ class MicroringResonator:
     @property
     def fsr_m(self) -> float:
         """Free spectral range [m]: ``lambda^2 / (n_g L)``."""
-        lam = self.design.resonance_wavelength_m
-        return lam**2 / (self.design.n_g * self.design.circumference_m)
+        return self._fsr_m
 
     @property
     def fwhm_m(self) -> float:
         """Full width at half maximum of the resonance dip [m]."""
-        ra = self.design.self_coupling * self.design.single_pass_amplitude
-        lam = self.design.resonance_wavelength_m
-        return (1.0 - ra) * lam**2 / (
-            math.pi * self.design.n_g * self.design.circumference_m * math.sqrt(ra)
-        )
+        return self._fwhm_m
 
     @property
     def quality_factor(self) -> float:
@@ -173,9 +180,7 @@ class MicroringResonator:
     @property
     def min_transmission(self) -> float:
         """Through-port power transmission exactly on resonance."""
-        r = self.design.self_coupling
-        a = self.design.single_pass_amplitude
-        return ((r - a) / (1.0 - r * a)) ** 2
+        return self._min_transmission
 
     # ------------------------------------------------------------------
     # Transmission
@@ -236,8 +241,8 @@ class MicroringResonator:
         the weight-mapping path needs.
         """
         detuning = np.asarray(detuning_m, dtype=float)
-        depth = 1.0 - self.min_transmission
-        return 1.0 - depth / (1.0 + (2.0 * detuning / self.fwhm_m) ** 2)
+        depth = 1.0 - self._min_transmission
+        return 1.0 - depth / (1.0 + (2.0 * detuning / self._fwhm_m) ** 2)
 
     def detuning_for_transmission(
         self, transmission: np.ndarray | float
@@ -251,12 +256,12 @@ class MicroringResonator:
         on-resonance floor ``T_min`` (unreachable) or above 1; targets of
         exactly 1 park the ring half an FSR off resonance.
         """
-        t_min = self.min_transmission
+        t_min = self._min_transmission
         values = np.asarray(transmission, dtype=float)
-        # NaN must fail the check (as the scalar chained comparison did),
-        # so test for validity rather than for violation.
-        valid = (values >= t_min) & (values <= 1.0)
-        if not np.all(valid):
+        # NaN must fail the check (as the scalar chained comparison did):
+        # min and max propagate it, and a valid set needs no mask.
+        if values.size and not (values.min() >= t_min and values.max() <= 1.0):
+            valid = (values >= t_min) & (values <= 1.0)
             if values.ndim == 0:
                 offender = transmission
             else:
@@ -265,14 +270,19 @@ class MicroringResonator:
                 f"transmission {offender!r} outside reachable range "
                 f"[{t_min:.4f}, 1.0]"
             )
-        depth = 1.0 - t_min
         parked = values >= 1.0
-        # Mask the parked targets before the division so 1/(1-T) never
-        # divides by zero; their lanes are overwritten below.
-        safe = np.where(parked, 0.0, values)
-        ratio = depth / (1.0 - safe) - 1.0
-        shifts = 0.5 * self.fwhm_m * np.sqrt(np.maximum(ratio, 0.0))
-        shifts = np.where(parked, 0.5 * self.fsr_m, shifts)
+        # 0.5 FWHM sqrt(max((1 - T_min) / (1 - T) - 1, 0)), in one buffer.
+        # A parked target reads as T = 0 so 1/(1-T) never divides by zero;
+        # its lane is overwritten below.
+        shifts = np.empty(values.shape)
+        np.subtract(1.0, values, out=shifts)
+        np.copyto(shifts, 1.0, where=parked)
+        np.divide(1.0 - t_min, shifts, out=shifts)
+        shifts -= 1.0
+        np.maximum(shifts, 0.0, out=shifts)
+        np.sqrt(shifts, out=shifts)
+        shifts *= 0.5 * self._fwhm_m
+        np.copyto(shifts, 0.5 * self._fsr_m, where=parked)
         if values.ndim == 0:
             return float(shifts)
         return shifts

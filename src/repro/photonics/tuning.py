@@ -20,7 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.units import MW, NM, NS, US
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_finite_non_negative,
+    check_non_negative,
+    check_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,15 @@ class HybridTuning:
         check_positive("to_settle_time_s", self.to_settle_time_s)
         check_positive("eo_range_m", self.eo_range_m)
         check_positive("eo_settle_time_s", self.eo_settle_time_s)
-        check_non_negative("eo_energy_per_shift_j", self.eo_energy_per_shift_j)
-        check_non_negative("eo_holding_power_w", self.eo_holding_power_w)
+        # mapping_cost() relies on a finite setting times an exact zero
+        # being an exact zero.
+        for name in (
+            "to_power_per_nm_w",
+            "to_settle_time_s",
+            "eo_energy_per_shift_j",
+            "eo_holding_power_w",
+        ):
+            check_finite_non_negative(name, getattr(self, name))
 
     def split_shift(self, shift_m: float) -> tuple[float, float]:
         """Split a requested shift into (TO part, EO part), both in metres.
@@ -96,31 +107,41 @@ class HybridTuning:
         the paper performs once per kernel set (then bypasses).
 
         Accepts an ndarray of any shape (flattened) or a list/tuple; the
-        whole set prices in a handful of array ops instead of one
-        :meth:`retune` call per MR.  The sums run left-to-right over the
-        flat order (``cumsum``, not pairwise), so totals are bit-identical
-        to the original sequential Python accumulation.
+        whole set prices in a handful of in-place array ops over two
+        buffers instead of one :meth:`retune` call per MR.  The sums run
+        left-to-right over the flat order (``cumsum``, not pairwise), so
+        totals are bit-identical to the original sequential Python
+        accumulation.
         """
         shifts = np.asarray(shifts_m, dtype=float).reshape(-1)
         if shifts.size == 0:
             return TuningBudget(0.0, 0.0, 0.0)
         # Elementwise the same arithmetic as split_shift()/retune(): the EO
         # stage absorbs up to its range, the heater takes the remainder.
-        magnitude = np.abs(shifts)
-        eo = np.minimum(magnitude, self.eo_range_m)
-        to = magnitude - eo
+        to = np.abs(shifts)
+        eo = np.minimum(to, self.eo_range_m)
+        to -= eo
         has_to = to != 0.0
-        has_eo = eo != 0.0
-        to_power = self.to_power_per_nm_w * (to / NM)
-        energy = np.where(
-            has_to,
-            to_power * self.to_settle_time_s + self.eo_energy_per_shift_j,
-            np.where(has_eo, self.eo_energy_per_shift_j, 0.0),
+        # A heater part implies an EO part, since the EO range is above 0.
+        moved = eo != 0.0
+        to /= NM
+        to *= self.to_power_per_nm_w  # the heater's power, +0.0 if none
+        # TO power x settle time + the EO shift: where nothing heats that
+        # is exactly the EO shift alone, and 0 where the ring stays put.
+        energy = np.multiply(to, self.to_settle_time_s, out=eo)
+        energy += self.eo_energy_per_shift_j
+        energy *= moved
+        energy_j = float(np.cumsum(energy, out=energy)[-1])
+        holding = to
+        holding += np.multiply(moved, self.eo_holding_power_w, out=energy)
+        # The slowest ring sets the latency: the TO settle time if any
+        # ring heats, the EO one if any ring does not.
+        latency = max(
+            self.to_settle_time_s if has_to.any() else 0.0,
+            0.0 if has_to.all() else self.eo_settle_time_s,
         )
-        latency = np.where(has_to, self.to_settle_time_s, self.eo_settle_time_s)
-        holding = to_power + np.where(has_eo, self.eo_holding_power_w, 0.0)
         return TuningBudget(
-            energy_j=float(np.cumsum(energy)[-1]),
-            latency_s=float(np.max(latency)),
-            holding_power_w=float(np.cumsum(holding)[-1]),
+            energy_j=energy_j,
+            latency_s=latency,
+            holding_power_w=float(np.cumsum(holding, out=holding)[-1]),
         )

@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 
+from repro.util.validation import check_seed
+
 #: Seed used when a caller passes ``seed=None``; keeps runs reproducible by
 #: default while still letting callers opt into explicit seeds.
 DEFAULT_SEED = 0xD47E_2024  # "DATE 2024"
@@ -23,6 +25,15 @@ def _label_to_int(label: str) -> int:
     """Hash a text label into a stable 64-bit integer."""
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _base_seed(seed: int | None) -> int:
+    """The integer behind ``seed``: :data:`DEFAULT_SEED` for ``None``,
+    else the seed itself, which must be a non-negative integer (the one
+    check every seed in the package passes through)."""
+    if seed is None:
+        return DEFAULT_SEED
+    return int(check_seed(seed))
 
 
 def derive_rng(seed: int | None, label: str = "") -> np.random.Generator:
@@ -36,7 +47,7 @@ def derive_rng(seed: int | None, label: str = "") -> np.random.Generator:
         Free-form stream label (e.g. ``"awc-mismatch"``).  Different labels
         with the same seed give independent, reproducible streams.
     """
-    base = DEFAULT_SEED if seed is None else int(seed)
+    base = _base_seed(seed)
     entropy = [base, _label_to_int(label)] if label else [base]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -45,6 +56,5 @@ def spawn_seeds(seed: int | None, count: int) -> list[int]:
     """Produce ``count`` independent child seeds from a base seed."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count!r}")
-    base = DEFAULT_SEED if seed is None else int(seed)
-    children = np.random.SeedSequence(base).spawn(count)
+    children = np.random.SeedSequence(_base_seed(seed)).spawn(count)
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]

@@ -49,17 +49,25 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value: int, minimum: int = 1) -> int:
     """Require an integral ``value >= minimum`` (``np.int64`` too, not
     ``bool``)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < minimum
-    ):
+    if not _is_integer(value) or value < minimum:
         raise ValueError(
             f"{name} must be an integer >= {minimum}, got {value!r}"
         )
+    return value
+
+
+def check_seed(value: int) -> int:
+    """Require a random seed, an integer >= 0 (``np.uint64`` too, not
+    ``bool``), and return it."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
     return value
 
 

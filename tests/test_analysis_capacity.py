@@ -108,6 +108,8 @@ def test_settings_validation():
         ("node_counts", (1.5,)),
         ("node_counts", (1, 2.0)),
         ("fps_floor", math.inf),
+        ("seed", -1),
+        ("seed", 1.5),
     ],
 )
 def test_settings_reject_non_integer_counts_and_infinite_floor(field, value):

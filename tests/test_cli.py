@@ -207,6 +207,8 @@ _SPEC_FIELD_ERRORS = {
         ("--chaos-plan", "bogus"),
         ("--retry-policy", "bogus"),
         ("--brownout", "bogus"),
+        ("--seed", "-1"),
+        ("--seed", "1.5"),
     ],
 )
 def test_serve_rejects_bad_numeric_flags_at_parse_time(flag, value, capsys):
@@ -371,6 +373,13 @@ def test_sweep_resilience_command(capsys):
     out = capsys.readouterr().out
     assert "Serving resilience" in out
     assert "no-failover" in out and "retry+spares" in out
+
+
+def test_bench_rejects_a_negative_seed_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--quick", "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("broken", [None, *EXACT_CLAIMS])

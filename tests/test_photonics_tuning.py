@@ -71,3 +71,17 @@ def test_mapping_cost_empty():
 def test_budget_validation():
     with pytest.raises(ValueError):
         TuningBudget(energy_j=-1.0, latency_s=0.0, holding_power_w=0.0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "to_power_per_nm_w",
+        "to_settle_time_s",
+        "eo_energy_per_shift_j",
+        "eo_holding_power_w",
+    ],
+)
+def test_tuner_settings_must_be_finite(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HybridTuning(**{name: float("inf")})

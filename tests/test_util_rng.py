@@ -1,5 +1,7 @@
 """Tests for repro.util.rng."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,20 @@ def test_spawn_seeds_count_validation():
     assert spawn_seeds(0, 0) == []
     with pytest.raises(ValueError):
         spawn_seeds(0, -1)
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, True, "7"])
+def test_a_seed_must_be_a_non_negative_integer(seed):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derive_rng(seed, "x")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spawn_seeds(seed, 2)
+
+
+def test_numpy_integer_seeds_match_python_ones():
+    np.testing.assert_array_equal(
+        derive_rng(np.uint64(2**63 + 5), "x").random(4),
+        derive_rng(2**63 + 5, "x").random(4),
+    )
+    assert spawn_seeds(np.int64(3), 4) == spawn_seeds(3, 4)

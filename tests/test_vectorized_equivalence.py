@@ -159,6 +159,35 @@ def test_mapping_cost_ndarray_matches_scalar(shifts):
     assert batched.holding_power_w == scalar.holding_power_w
 
 
+@given(
+    shifts=st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(
+                min_value=-2e-9,
+                max_value=2e-9,
+                allow_nan=False,
+                allow_infinity=False,
+            ),
+        ),
+        min_size=1,
+        max_size=64,
+    ),
+    eo_range_m=st.floats(min_value=1e-13, max_value=1e-9),
+    to_settle_time_s=st.floats(min_value=1e-10, max_value=1e-5),
+    eo_settle_time_s=st.floats(min_value=1e-10, max_value=1e-5),
+    eo_energy_per_shift_j=st.sampled_from([0.0, 18e-15, 3e-12]),
+    eo_holding_power_w=st.sampled_from([0.0, 1e-6, 2.5e-3]),
+)
+@settings(max_examples=80, deadline=None)
+def test_mapping_cost_matches_scalar_for_any_tuner(shifts, **tuner_settings):
+    """The in-place aggregate stays exact off the default tuner: an EO
+    settle slower than the heater's, free EO shifts, EO holding power."""
+    tuner = HybridTuning(**tuner_settings)
+    batched = tuner.mapping_cost(np.asarray(shifts))
+    assert batched == reference.mapping_cost_scalar(tuner, shifts)
+
+
 def test_mapping_cost_edge_shifts():
     tuner = HybridTuning()
     # Zero, EO-only (inside the 50 pm range), exactly at range, TO+EO.
