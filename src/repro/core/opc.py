@@ -46,6 +46,7 @@ guaranteed to reproduce the cached record bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -160,6 +161,11 @@ class OpticalProcessingCore:
         #: Channel wavelengths of the arm's rings, fixed with the config.
         self._wavelengths = self.grid.wavelengths_m()
         self._read_rng = derive_rng(seed, "opc-read-noise")
+        #: Where :meth:`_add_read_noise` takes its standard normals:
+        #: ``None`` draws them inline from ``_read_rng``; otherwise a
+        #: callable returning the next ``size`` floats of that same stream,
+        #: drawn ahead (the serving engine's compute stage installs one).
+        self.read_noise_source: Callable[[int], np.ndarray] | None = None
         self._programmed: ProgrammedWeights | None = None
 
     # ------------------------------------------------------------------
@@ -200,6 +206,11 @@ class OpticalProcessingCore:
         """
         self._programmed = programmed
         return programmed
+
+    @property
+    def draws_read_noise(self) -> bool:
+        """Whether a read-out adds BPD noise, drawn from ``_read_rng``."""
+        return self.enable_read_noise and self.config.bpd_read_noise_fraction != 0.0
 
     @property
     def is_programmed(self) -> bool:
@@ -382,7 +393,7 @@ class OpticalProcessingCore:
     ) -> np.ndarray:
         """BPD read noise on ``values`` computed with ``weights``, whose
         ``max|w|`` is ``full_scale_weight``."""
-        if not self.enable_read_noise or self.config.bpd_read_noise_fraction == 0.0:
+        if not self.draws_read_noise:
             return values
         arm_full_scale = self.config.macs_per_arm * full_scale_weight  # A=1 max
         if weights.ndim == 4:
@@ -401,8 +412,14 @@ class OpticalProcessingCore:
         # which computes ``0.0 + sigma * z`` per element, and as
         # ``values + sigma * z`` (IEEE products and sums commute, and the
         # C-ordered draws fix the result's layout); computed in place in
-        # the draws, with no further temporaries.
-        noisy = self._read_rng.standard_normal(values.shape)
+        # the draws, with no further temporaries.  Floats drawn ahead are
+        # the same: float64 normals keep no state between calls, so the
+        # stream cut at other sizes yields the same floats.
+        source = self.read_noise_source
+        if source is None:
+            noisy = self._read_rng.standard_normal(values.shape)
+        else:
+            noisy = source(values.size).reshape(values.shape)
         noisy *= sigma
         noisy += values
         return noisy

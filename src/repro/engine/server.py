@@ -63,6 +63,8 @@ import hashlib
 import itertools
 import math
 import os
+import queue
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -109,8 +111,24 @@ from repro.nn.layers import Sequential
 from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.sim.fleet import FleetModel, RadioModel
 from repro.sim.stream import StreamEvent, StreamReport
+from repro.util.blas import single_thread
 from repro.util.rng import spawn_seeds
 from repro.util.validation import check_count, check_positive
+
+#: A die's read-noise slab closes once it holds at least this many floats,
+#: four VGG-16 stem frames (64 kernels x 32 x 32 each).  Every slab is one
+#: handoff from the helper, and the compute loop waits for the whole first
+#: one.  At 2^16 ``zoo-cold`` read 2125-2175 frames/s against 2271-2296
+#: here, and ``tenant-mix`` 5350-5488 against 5517-5617; at 2^20
+#: ``zoo-cold`` read 2079-2091 (20-s perfbench runs on a 2-core x86 host).
+#: One slab per chunk read ``mlp-stream`` 93-96k against about 120k.
+_NOISE_SLAB_FLOATS = 1 << 18
+
+#: Slabs the helper thread may draw ahead of the compute loop.  Two left
+#: the loop waiting (``tenant-mix`` 4795-4902 against 5264-5451 frames/s
+#: at 8, 5-s runs).  An unbounded lookahead lets a main-thread stall draw
+#: a whole serve ahead: 300 VGG-16 read-outs are 157 MB.
+_NOISE_LOOKAHEAD_SLABS = 8
 
 
 @dataclass(frozen=True)
@@ -366,6 +384,7 @@ class _ModelEntry:
         #: die-independent, but a conv stem's feature map (and so its
         #: payload) scales with the frame.
         self.transport: dict[tuple[int, ...], tuple[int, float]] = {}
+        self._readout_sizes: dict[tuple[int, ...], int] = {}
 
     def check_frame_shape(self, frame_shape: tuple[int, ...]) -> None:
         """Raise ``ValueError`` unless ``frame_shape`` fits the on-die layer.
@@ -396,22 +415,37 @@ class _ModelEntry:
                 f"got {frame_shape[0]}"
             )
 
-    def _workload(self, pipeline: HardwareFirstLayerPipeline, frame_shape):
-        if pipeline.is_dense:
+    def _workload(self, frame_shape):
+        stem = self._stem
+        if isinstance(stem, QuantDense):
             return MlpWorkload(
                 input_features=int(np.prod(frame_shape)),
-                output_features=pipeline.conv.weight.data.shape[0],
+                output_features=stem.weight.data.shape[0],
             )
         channels, rows, cols = frame_shape
         return ConvWorkload(
-            kernel_size=pipeline.conv.kernel_size,
-            num_kernels=pipeline.conv.weight.data.shape[0],
+            kernel_size=stem.kernel_size,
+            num_kernels=stem.weight.data.shape[0],
             in_channels=channels,
             image_height=rows,
             image_width=cols,
-            stride=pipeline.conv.stride,
-            padding=pipeline.conv.padding,
+            stride=stem.stride,
+            padding=stem.padding,
         )
+
+    def readout_size(self, frame_shape: tuple[int, ...]) -> int:
+        """Floats the on-die layer reads out per frame of ``frame_shape``:
+        kernels x output rows x output columns for a conv stem, the output
+        features for a dense one."""
+        size = self._readout_sizes.get(frame_shape)
+        if size is None:
+            workload = self._workload(frame_shape)
+            if isinstance(workload, MlpWorkload):
+                size = workload.output_features
+            else:
+                size = workload.num_kernels * workload.windows_per_channel
+            self._readout_sizes[frame_shape] = size
+        return size
 
     def timing_for(
         self, pipeline: HardwareFirstLayerPipeline, frame_shape: tuple[int, ...]
@@ -431,7 +465,7 @@ class _ModelEntry:
         *timed, payload, radio_j = _frame_tables(
             self._config,
             pipeline.conv.quantizer.bits,
-            self._workload(pipeline, frame_shape),
+            self._workload(frame_shape),
             tuning.latency_s,
             tuning.energy_j,
             self._fleet.radio,
@@ -488,6 +522,137 @@ class _Node:
         return pipeline
 
 
+class _ReadNoiseAhead:
+    """Each die's BPD read noise for one compute stage, drawn ahead on one
+    helper thread.
+
+    ``readouts`` holds the (OPC, read-out size) of every chunk that draws
+    read noise, in compute order.  Consecutive chunks of one die form a
+    slab, which closes once it holds :data:`_NOISE_SLAB_FLOATS` floats.
+    The helper draws the slabs in order, each with one
+    ``opc._read_rng.standard_normal(slab size)``, at most
+    :data:`_NOISE_LOOKAHEAD_SLABS` ahead, and each OPC's
+    ``read_noise_source`` hands a read-out its chunk's floats.  The draws
+    are C-ordered and float64 normals keep no state between calls, so
+    every read-out and every generator's final state equal the inline
+    draws'.  A read-out the plan did not predict raises ``RuntimeError``.
+
+    While the stage runs, only the helper draws from a planned die's
+    ``_read_rng``.  :meth:`close` always runs: it joins the helper,
+    uninstalls the sources and, when the stage stopped early, rewinds each
+    generator to the floats actually read.
+    """
+
+    def __init__(
+        self, readouts: list[tuple[OpticalProcessingCore, int]]
+    ) -> None:
+        self._readouts = readouts
+        #: [opc, floats, generator state before its draw (once drawn)]
+        self._slabs: list[list] = []
+        for opc, size in readouts:
+            last = self._slabs[-1] if self._slabs else None
+            if last and last[0] is opc and last[1] < _NOISE_SLAB_FLOATS:
+                last[1] += size
+            else:
+                self._slabs.append([opc, size])
+        self._ready: queue.Queue = queue.Queue(maxsize=_NOISE_LOOKAHEAD_SLABS)
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+        self._read = 0  # read-outs handed out
+        self._slab = -1  # slab the last one came from
+        self._block = np.empty(0)
+        self._offset = 0  # floats of that slab handed out
+
+    def start(self) -> None:
+        """Start the helper and install each planned die's source (no
+        thread without a slab)."""
+        if not self._slabs:
+            return
+        thread = threading.Thread(
+            target=self._draw, name="read-noise-ahead", daemon=True
+        )
+        thread.start()
+        self._thread = thread
+        for opc, *_ in self._slabs:
+            opc.read_noise_source = functools.partial(self._take, opc)
+
+    def _draw(self) -> None:
+        try:
+            for slab in self._slabs:
+                if self._stop.is_set():
+                    return
+                opc, size = slab
+                rng = opc._read_rng
+                slab.append(rng.bit_generator.state)
+                self._ready.put(rng.standard_normal(size))
+        except Exception as error:  # re-raised by the compute loop
+            self._ready.put(error)
+
+    def _take(self, opc: OpticalProcessingCore, size: int) -> np.ndarray:
+        """The next ``size`` floats of ``opc``'s stream, for one read-out."""
+        index = self._read
+        if index == len(self._readouts):
+            raise RuntimeError(
+                f"read-out of {size} floats beyond the read-noise plan's "
+                f"{index} read-outs"
+            )
+        planned_opc, planned = self._readouts[index]
+        if planned_opc is not opc or planned != size:
+            raise RuntimeError(
+                f"read-out {index} of {size} floats does not match the "
+                f"read-noise plan ({planned} floats on die seed "
+                f"{planned_opc.seed})"
+            )
+        if self._offset == self._block.size:
+            block = self._ready.get()
+            if isinstance(block, Exception):
+                raise RuntimeError("the read-noise helper failed") from block
+            self._slab += 1
+            self._block, self._offset = block, 0
+        start = self._offset
+        self._offset += size
+        self._read = index + 1
+        return self._block[start : self._offset]
+
+    def finish(self) -> None:
+        """Raise ``RuntimeError`` unless every planned read-out was taken."""
+        unread = len(self._readouts) - self._read
+        if unread:
+            raise RuntimeError(f"{unread} planned read-outs were never read")
+
+    def close(self) -> None:
+        """Join the helper, uninstall every source, and rewind each die's
+        generator to the floats read when the stage stopped early."""
+        if self._thread is None:
+            return
+        self._stop.set()
+        while True:  # unblock a helper waiting for room
+            try:
+                self._ready.get_nowait()
+            except queue.Empty:
+                break
+        self._thread.join()
+        for opc, *_ in self._slabs:
+            opc.read_noise_source = None
+        if self._read == len(self._readouts):
+            return
+        rewound: set[OpticalProcessingCore] = set()
+        for index, (opc, size, *drawn) in enumerate(self._slabs):
+            if not drawn:
+                break  # the helper draws in order
+            if index < self._slab:
+                read = size
+            else:
+                read = self._offset if index == self._slab else 0
+            if read == size or opc in rewound:
+                continue
+            # The first slab of this die not read in full: restart its
+            # draw and take only what was read.
+            rewound.add(opc)
+            opc._read_rng.bit_generator.state = drawn[0]
+            opc._read_rng.standard_normal(read)
+
+
 def resolve_arrivals(
     requests: list[FrameRequest],
     models: dict[str, _ModelEntry],
@@ -499,15 +664,17 @@ def resolve_arrivals(
     :meth:`~repro.engine.controlplane.ControlPlane.serve`: an unknown
     model key (a brownout variant's hidden ``@brownout`` key included), a
     non-finite or negative ``arrival_s``, a frame that is
-    not a ``numpy.ndarray`` or a frame shape the model's on-die layer
-    cannot take raises ``ValueError`` naming the request's index in
-    ``requests``.  Requests without ``arrival_s`` arrive uniformly at
-    ``offered_fps``.  The shape check runs once per distinct (model key,
-    frame shape) pair, which keeps the pass at a set lookup per request.
+    not a ``numpy.ndarray``, a frame whose dtype is not bool, integer or
+    float (complex, string and object frames) or a frame shape the
+    model's on-die layer cannot take raises ``ValueError`` naming the
+    request's index in ``requests``.  Requests without ``arrival_s``
+    arrive uniformly at ``offered_fps``.  The dtype and shape checks run
+    once per distinct (model key, frame shape, dtype kind), which keeps
+    the pass at a set lookup per request.
     """
     check_positive("offered_fps", offered_fps)
     interval = 1.0 / offered_fps
-    checked: set[tuple[str, tuple[int, ...]]] = set()
+    checked: set[tuple[str, tuple[int, ...], str]] = set()
     arrivals: list[float] = []
     append = arrivals.append
     for index, request in enumerate(requests):
@@ -526,19 +693,24 @@ def resolve_arrivals(
                 f"{type(frame).__name__}"
             )
         append(arrival)
-        pair = (request.model_key, frame.shape)
-        if pair in checked:
+        key = (request.model_key, frame.shape, frame.dtype.kind)
+        if key in checked:
             continue
         entry = models.get(request.model_key)
         if entry is None or "@brownout" in request.model_key:
             raise ValueError(
                 f"request {index}: unknown model key {request.model_key!r}"
             )
+        if key[2] not in "biuf":
+            raise ValueError(
+                f"request {index}: frame dtype must be bool, integer or "
+                f"float, got {frame.dtype}"
+            )
         try:
-            entry.check_frame_shape(pair[1])
+            entry.check_frame_shape(key[1])
         except ValueError as error:
             raise ValueError(f"request {index}: {error}") from None
-        checked.add(pair)
+        checked.add(key)
     return arrivals
 
 
@@ -781,6 +953,13 @@ class FrameServer:
         (:func:`resolve_arrivals`): bad input raises ``ValueError``
         naming the request index, with node state and cache counters
         untouched.
+
+        While the compute stage runs, the process's OpenBLAS thread count
+        is 1 (:func:`repro.util.blas.single_thread`) and, when the dies
+        draw read noise, one helper thread draws it ahead.  So NumPy work
+        on other threads in that window runs single-threaded BLAS.  Both
+        end before ``serve`` returns or raises, and the caller's count
+        comes back.
 
         ``compute=False`` serves schedule-only: arrival resolution,
         admission, scheduling, the health/chaos/failover layers and
@@ -1049,6 +1228,42 @@ class FrameServer:
             mapping[key] = variant_key
         return mapping
 
+    def _chunks(
+        self,
+        requests: list[FrameRequest],
+        schedule: list[tuple[int, int, str, int]],
+        nodes: list[_Node],
+    ) -> list[tuple[_Node, _ModelEntry, int, list[int]]]:
+        """The admitted frames as ``(node, model, tag, frame indices)``
+        micro-batches of at most ``micro_batch`` frames, in compute order.
+
+        Runs are grouped within each node's own subsequence — two nodes
+        interleaving in global arrival order must not fragment each
+        other's batches — and break wherever the model, the degradation
+        tag or the frame shape changes: a model may take frames of more
+        than one shape (a dense stem takes any shape of the right
+        length), and a chunk stacks frames of one shape.
+        """
+        per_node: dict[int, list[tuple]] = {}
+        for idx, node_id, model_key, tag in schedule:
+            per_node.setdefault(node_id, []).append(
+                ((model_key, tag, requests[idx].frame.shape), idx)
+            )
+        step = self.micro_batch
+        chunks = []
+        for node_id, entries in per_node.items():
+            node = nodes[node_id]
+            for (model_key, tag, _), group in itertools.groupby(
+                entries, key=lambda entry: entry[0]
+            ):
+                run = [idx for _, idx in group]
+                entry = self._models[model_key]
+                chunks.extend(
+                    (node, entry, tag, run[start : start + step])
+                    for start in range(0, len(run), step)
+                )
+        return chunks
+
     def _compute(
         self,
         requests: list[FrameRequest],
@@ -1056,41 +1271,43 @@ class FrameServer:
         layers: ServeLayers,
         nodes: list[_Node],
     ) -> dict[int, np.ndarray]:
-        """Run the admitted frames in per-node runs, one ``forward`` per
-        ``micro_batch`` chunk.
+        """Run the admitted frames, one ``forward`` per :meth:`_chunks`
+        micro-batch.
 
-        Runs are grouped within each node's own subsequence — two nodes
-        interleaving in global arrival order must not fragment each
-        other's batches — and break wherever the model, the degradation
-        tag or the frame shape changes: a model may take frames of more
-        than one shape (a dense stem takes any shape of the right
-        length), and a chunk stacks frames of one shape.  Under a fault
-        profile, frames admitted during an upset window compute through
-        that upset's frozen :class:`~repro.sim.faults.FaultyOpticalCore`,
-        frames before/after it on the healthy programmed core.
+        Under a fault profile, frames admitted during an upset window
+        compute through that upset's frozen
+        :class:`~repro.sim.faults.FaultyOpticalCore`, frames before/after
+        it on the healthy programmed core.  Each die's read noise is drawn
+        ahead on a helper thread (:class:`_ReadNoiseAhead`), and OpenBLAS
+        runs one thread meanwhile, so the helper has the other core.
         """
+        chunks = self._chunks(requests, schedule, nodes)
+        noise = _ReadNoiseAhead(
+            [
+                (
+                    node.opc,
+                    len(frames)
+                    * entry.readout_size(requests[frames[0]].frame.shape),
+                )
+                for node, entry, _, frames in chunks
+                if node.opc.draws_read_noise
+            ]
+        )
         outputs: dict[int, np.ndarray] = {}
-        per_node: dict[int, list[tuple]] = {}
-        for idx, node_id, model_key, tag in schedule:
-            per_node.setdefault(node_id, []).append(
-                ((model_key, tag, requests[idx].frame.shape), idx)
-            )
-
-        for node_id, entries in per_node.items():
-            node = nodes[node_id]
-            for (model_key, tag, _), group in itertools.groupby(
-                entries, key=lambda entry: entry[0]
-            ):
-                run = [idx for _, idx in group]
-                pipeline = node.activate(self._models[model_key])
-                core = layers.fault_core(node, model_key, tag)
-                for chunk_start in range(0, len(run), self.micro_batch):
-                    chunk = run[chunk_start : chunk_start + self.micro_batch]
+        with single_thread():
+            noise.start()
+            try:
+                for node, entry, tag, frames in chunks:
+                    pipeline = node.activate(entry)
+                    core = layers.fault_core(node, entry.key, tag)
                     batch = np.array(
-                        [requests[idx].frame for idx in chunk], dtype=float
+                        [requests[idx].frame for idx in frames], dtype=float
                     )
                     logits = pipeline.forward(
-                        batch, batch_size=len(chunk), core=core
+                        batch, batch_size=len(frames), core=core
                     )
-                    outputs.update(zip(chunk, logits))
+                    outputs.update(zip(frames, logits))
+                noise.finish()
+            finally:
+                noise.close()
         return outputs

@@ -1,14 +1,18 @@
 """Tests for repro.engine — weight-program cache and FrameServer."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.opc import KernelSet, OpticalProcessingCore
 from repro.core.pipeline import HardwareFirstLayerPipeline
 from repro.engine import FrameRequest, FrameServer, WeightProgramCache
-from repro.engine.workloads import ModelSpec
+from repro.engine.workloads import ModelSpec, build_scenario
 from repro.nn.models import build_lenet, build_mlp
 from repro.nn.quant import UniformWeightQuantizer
+from repro.util import blas
 
 
 @pytest.fixture
@@ -292,6 +296,192 @@ def test_server_outputs_match_naive_numerics():
     )
 
 
+#: case -> (micro-batch, model of each frame in arrival order)
+NOISY_STREAMS = {
+    # A LeNet read-out is 3456 floats and a VGG-16 stem's 65536, so the
+    # die's read-noise slabs close mid-stream (after four of each; the
+    # ragged case's after each chunk of four).
+    "alternating stems": (1, ["lenet", "vgg"] * 5),
+    "ragged last chunk": (4, ["vgg"] * 10),
+}
+
+
+def _noisy_stream_server(micro_batch):
+    models = {
+        "lenet": build_lenet(seed=0),
+        "vgg": ModelSpec("vgg16", 4).build(seed=0),
+    }
+    server = FrameServer(num_nodes=1, micro_batch=micro_batch, seed=0)
+    for key, model in models.items():
+        server.register_model(key, model)
+    return server, models
+
+
+def _frame_for(key, rng):
+    shape = (1, 28, 28) if key == "lenet" else (3, 32, 32)
+    return rng.uniform(0.0, 1.0, shape)
+
+
+@pytest.mark.parametrize("case", sorted(NOISY_STREAMS))
+def test_noisy_serve_draws_exactly_the_inline_stream(case):
+    """Read noise drawn ahead of compute is the inline stream: same
+    floats, same generator state, on a second serve of a reused server
+    too.  Oracle: a same-seed twin OPC drawing inline, running one
+    pipeline forward per served chunk in arrival order (a GEMM's last
+    bits follow its batch, so the chunks must match)."""
+    micro_batch, keys = NOISY_STREAMS[case]
+    rng = np.random.default_rng(5)
+    frames = [_frame_for(key, rng) for key in keys]
+    server, models = _noisy_stream_server(micro_batch)
+    die = server.nodes[0].opc
+    twin = OpticalProcessingCore(seed=die.seed)
+    pipelines = {
+        key: HardwareFirstLayerPipeline(model, twin)
+        for key, model in models.items()
+    }
+    active = None
+    for _ in range(2):
+        report = server.serve(
+            [FrameRequest(frame, key) for frame, key in zip(frames, keys)],
+            offered_fps=50.0,
+        )
+        assert report.delivered == len(frames)
+        expected = []
+        for start in range(0, len(frames), micro_batch):
+            key = keys[start]
+            if key != active:
+                pipelines[key].activate()
+                active = key
+            batch = np.stack(frames[start : start + micro_batch])
+            expected.extend(pipelines[key].forward(batch))
+        assert len(expected) == len(report.responses)
+        for response, logits in zip(report.responses, expected):
+            assert response.output.tobytes() == logits.tobytes()
+        assert die._read_rng.bit_generator.state == twin._read_rng.bit_generator.state
+        assert die.read_noise_source is None
+
+
+def _blas_count():
+    functions = blas._thread_count_functions()
+    return None if functions is None else functions[0]()
+
+
+def _set_blas_count(count):
+    blas._thread_count_functions()[1](count)
+
+
+@pytest.mark.parametrize("preset", [1, 2])
+def test_compute_leaves_no_thread_and_no_blas_change(preset):
+    """The helper thread is joined and the caller's BLAS count restored
+    when ``serve`` returns; while compute runs the count is 1."""
+    server, models = _noisy_stream_server(2)
+    head = models["lenet"].layers[-1]
+    counts_in_compute = []
+
+    def forward(x, training=False):
+        counts_in_compute.append(_blas_count())
+        return type(head).forward(head, x, training=training)
+
+    head.forward = forward
+    rng = np.random.default_rng(6)
+    keys = ["lenet", "vgg"] * 4
+    requests = [FrameRequest(_frame_for(key, rng), key) for key in keys]
+    caller = _blas_count()
+    if caller is not None:
+        _set_blas_count(preset)
+    try:
+        threads = threading.active_count()
+        report = server.serve(requests, offered_fps=50.0)
+        assert report.delivered == len(requests)
+        assert threading.active_count() == threads
+        if caller is not None:
+            assert _blas_count() == preset
+            assert set(counts_in_compute) == {1}
+    finally:
+        if caller is not None:
+            _set_blas_count(caller)
+
+
+class _HeadFailure(Exception):
+    pass
+
+
+#: case -> (model, micro-batch): the head raises on its third call
+FAILING_HEADS = {
+    # inside the die's first slab, read in part
+    "first slab": ("lenet", 1),
+    # inside its second slab, after a first one read in full: a chunk of
+    # 40 LeNet frames reads out 138240 floats
+    "second slab": ("lenet", 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_HEADS))
+def test_a_failing_head_leaves_the_die_drawing_inline(case):
+    """A head that raises mid-compute propagates unchanged, leaves no
+    thread and no BLAS change, and the die's generator stands where the
+    inline draws would have left it: later forwards draw inline."""
+    key, micro_batch = FAILING_HEADS[case]
+    server, models = _noisy_stream_server(micro_batch)
+    head = models[key].layers[-1]
+    calls = []
+    failure = _HeadFailure("head failed")
+
+    def forward(x, training=False):
+        calls.append(len(x))
+        if len(calls) == 3:
+            raise failure
+        return type(head).forward(head, x, training=training)
+
+    head.forward = forward
+    rng = np.random.default_rng(7)
+    frames = [_frame_for(key, rng) for _ in range(4 * micro_batch + 2)]
+    threads, caller = threading.active_count(), _blas_count()
+    with pytest.raises(_HeadFailure) as raised:
+        server.serve(
+            [FrameRequest(frame, key) for frame in frames],
+            offered_fps=50.0,
+        )
+    assert raised.value is failure
+    assert threading.active_count() == threads
+    assert _blas_count() == caller
+    die = server.nodes[0].opc
+    assert die.read_noise_source is None
+
+    del head.forward
+    twin = OpticalProcessingCore(seed=die.seed)
+    oracle = HardwareFirstLayerPipeline(models[key], twin)
+    for start in range(0, 3 * micro_batch, micro_batch):
+        # the third chunk's read-out ran before its head raised
+        oracle.forward(np.stack(frames[start : start + micro_batch]))
+    assert die._read_rng.bit_generator.state == twin._read_rng.bit_generator.state
+    served = server.nodes[0].pipelines[key].forward(frames[-1][None])
+    assert served.tobytes() == oracle.forward(frames[-1][None]).tobytes()
+    assert die._read_rng.bit_generator.state == twin._read_rng.bit_generator.state
+
+
+def test_zoo_serve_is_unchanged_under_a_short_switch_interval():
+    """Stress the helper handoff: with the interpreter switching threads
+    every microsecond, a 4-node zoo serve's record equals a normal one."""
+    scenario = build_scenario("zoo", frames=32, seed=0)
+
+    def record():
+        return FrameServer(num_nodes=4, seed=0).serve_scenario(scenario).record()
+
+    expected = record()
+    stressed = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: stressed.append(record()))
+        worker.start()
+        worker.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert stressed == [expected]
+
+
 #: case -> (model spec, two frame shapes its on-die layer accepts)
 MIXED_SHAPES = {
     "dense stem": (ModelSpec("mlp", 2), (1, 28, 28), (784,)),
@@ -359,6 +549,18 @@ BAD_REQUESTS = {
     "list frame": (
         FrameRequest(np.zeros((1, 28, 28)).tolist(), "a"),
         "ndarray",
+    ),
+    "complex frame": (
+        FrameRequest(np.zeros((1, 28, 28), dtype=complex), "a"),
+        "dtype must be bool, integer or float, got complex128",
+    ),
+    "str frame": (
+        FrameRequest(np.full((1, 28, 28), "0.5"), "a"),
+        "dtype must be bool, integer or float, got <U3",
+    ),
+    "object frame": (
+        FrameRequest(np.zeros((1, 28, 28)).astype(object), "a"),
+        "dtype must be bool, integer or float, got object",
     ),
 }
 

@@ -270,7 +270,7 @@ def test_memoized_timing_tables_equal_the_direct_formula(seed):
             *timed, payload, radio_j = _frame_tables.__wrapped__(
                 OISAConfig(),
                 stem.quantizer.bits,
-                entry._workload(pipeline, shape),
+                entry._workload(shape),
                 tuning.latency_s,
                 tuning.energy_j,
                 RadioModel(),
