@@ -5,16 +5,13 @@ VGG16-sized first layer (64x3x3x3, 4-bit) must run >= 10x faster than the
 pre-vectorization scalar path (retained verbatim in
 :mod:`repro.core.reference`), with **bit-identical** results — the batched
 code performs the same elementwise float ops, just without the Python
-loops.  The run also times warm cache installs and on-disk
-program-store restores, and writes ``BENCH_program.json`` at the repo
-root: the first entry of the perf trajectory, the baseline every future
-change measures against.
+loops.  The run also times warm cache installs, and writes
+``BENCH_program.json`` at the repo root: the first entry of the perf
+trajectory, the baseline every future change measures against.
 
 Set ``REPRO_BENCH_QUICK=1`` (CI smoke) for a fewer-repeats run; the
 cold-program floor is asserted either way because the speedup is ~25x on
-an idle box — 10x holds with margin even under CI noise.  The store's
-≥10x restore floor is asserted on full-mode runs only (the smoke run
-restores a smaller layer); its exact claims hold in both modes.
+an idle box — 10x holds with margin even under CI noise.
 """
 
 import json
@@ -62,44 +59,6 @@ def test_warm_install_is_cheaper_than_cold_program(bench_result):
     warm = bench_result["warm_install"]
     assert warm["per_install_s"] < warm["cold_program_s"]
     assert warm["speedup_vs_cold"] > 1.0
-
-
-def test_warm_store_bit_identical(bench_result):
-    """Store-restored programs serve byte-for-byte like fresh ones."""
-    store = bench_result["warm_store"]
-    assert store["bit_identical"] is True
-    assert store["restored_bit_identical"] is True
-
-
-def test_warm_store_programs_nothing(bench_result):
-    """Second warmup against a populated store runs zero mapping chains.
-
-    Content addressing dedupes: zoo families sharing an identical first
-    layer collapse to one entry, so ``entries`` may trail ``pairs`` —
-    but every distinct program must come back from the store exactly
-    once (``store_hits == entries``), with zero mapping chains run.
-    """
-    store = bench_result["warm_store"]
-    assert store["warm_programs_zero"] is True
-    assert store["store_hits"] == store["entries"]
-    assert 0 < store["entries"] <= store["pairs"]
-
-
-def test_warm_store_speedup(bench_result):
-    """The ≥10x store claim, on full-mode runs.
-
-    Measured on the program-bound ``WARM_STORE_LAYER_SHAPE`` layer —
-    the zoo's tiny first layers are capped by the fixed per-entry
-    restore floor (the payload records that honestly as
-    ``zoo_warmup_gain``, unasserted).
-    """
-    if bench_result["quick"]:
-        pytest.skip("speedup claim is asserted on full-mode runs only")
-    speedup = bench_result["warm_store"]["speedup"]
-    assert speedup >= 10.0, (
-        f"warm_store: restore at {speedup:.2f}x vs cold programming is "
-        "below the 10x floor"
-    )
 
 
 def test_bench_json_written_at_repo_root(bench_result):

@@ -7,10 +7,10 @@ run leaves the same deliverables the paper prints.
 Smoke-mode convention: ``REPRO_BENCH_QUICK=1`` puts the two benches that
 honour it (``bench_program_latency``, ``bench_table2_accuracy``) into a
 CI-sized run — fewer repeats, smaller training splits — while keeping
-the *exact* claims (bit-identity, a warm store programming nothing)
-asserted.  ``bench_program_latency`` writes ``BENCH_program.json``
-through the guarded :func:`repro.analysis.perf.write_bench`, which
-refuses to overwrite a full-mode entry with a ``quick`` payload.
+the *exact* claims (bit-identity) asserted.  ``bench_program_latency``
+writes ``BENCH_program.json`` through the guarded
+:func:`repro.analysis.perf.write_bench`, which refuses to overwrite a
+full-mode entry with a ``quick`` payload.
 Flaky-by-design accuracy-ordering assertions are skipped in smoke mode so
 the benches can run in CI.  Each bench module reads the knob into a
 module-level ``QUICK`` constant at import time (skipif decorators

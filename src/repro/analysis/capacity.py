@@ -305,7 +305,7 @@ def _search(
     )
 
 
-def _prewarm_programs(settings: CapacitySettings, models, program_store=None):
+def _prewarm_programs(settings: CapacitySettings, models):
     """Program the study's models once, for every probe die.
 
     Every probe in the grid re-times the study's base scenario, so it
@@ -317,18 +317,11 @@ def _prewarm_programs(settings: CapacitySettings, models, program_store=None):
     to every probe means no probe ever re-runs the cold AWC mapping chain.
     The cache is host-side only, so sharing it never changes a simulated
     quantity.
-
-    With a ``program_store`` (:class:`~repro.engine.store.ProgramStore`
-    or path) the prewarm itself is a store read-through: a second study
-    against the same store restores every program from disk instead of
-    re-running the mapping chain.
     """
     from repro.engine.server import FrameServer
 
     server = FrameServer(
-        num_nodes=max(settings.node_counts),
-        seed=settings.seed,
-        program_store=program_store,
+        num_nodes=max(settings.node_counts), seed=settings.seed
     )
     for key, model in models.items():
         server.register_model(key, model)
@@ -338,16 +331,12 @@ def _prewarm_programs(settings: CapacitySettings, models, program_store=None):
 
 def build_capacity_report(
     settings: CapacitySettings | None = None,
-    program_store=None,
 ) -> CapacityReport:
     """Measure the capacity knee for every (policy, nodes) grid point.
 
     The study builds its base scenario (at ``fps_floor``) and prewarms
     one program cache from its models once; grid points are then
     independent searches over re-timed copies of it, run in grid order.
-    ``program_store`` (path or :class:`~repro.engine.store.ProgramStore`)
-    makes the prewarmed cache read-through/write-behind so repeat studies
-    program nothing.
     """
     from repro.engine.workloads import build_scenario
 
@@ -359,7 +348,7 @@ def build_capacity_report(
         offered_fps=settings.fps_floor,
         seed=settings.seed,
     )
-    cache = _prewarm_programs(settings, base.models, program_store)
+    cache = _prewarm_programs(settings, base.models)
     report = CapacityReport(
         settings=settings,
         analytic_node_fps=fleet.sustainable_fps(LENET_FIRST_LAYER),

@@ -1,7 +1,7 @@
 """Perf-trajectory bench: weight-programming latency.
 
 This module is the measurement core behind ``repro bench`` and
-``benchmarks/bench_program_latency.py``.  It times the three ways a
+``benchmarks/bench_program_latency.py``.  It times the two ways a
 program reaches a die:
 
 * **cold program** — one full :meth:`~repro.core.opc.OpticalProcessingCore.
@@ -11,10 +11,7 @@ program reaches a die:
   pre-vectorization loops;
 * **warm install** — reinstalling a cached
   :class:`~repro.core.opc.ProgrammedWeights` record through
-  :class:`~repro.engine.cache.WeightProgramCache`;
-* **warm store** — restoring programs from the on-disk
-  :class:`~repro.engine.store.ProgramStore` instead of programming
-  (:func:`bench_warm_store`).
+  :class:`~repro.engine.cache.WeightProgramCache`.
 
 The result dict is written to ``BENCH_program.json`` at the repo root —
 the first entry of the perf trajectory, so every future PR has a baseline
@@ -25,7 +22,6 @@ by the repository benchmark (``perfbench/``), not here.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -40,12 +36,7 @@ VGG16_FIRST_LAYER_SHAPE: tuple[int, ...] = (64, 3, 3, 3)
 
 #: Dotted paths into a :func:`run_bench` payload that must read ``True``
 #: on any host and in both modes.
-EXACT_CLAIMS: tuple[str, ...] = (
-    "cold_program.bit_identical",
-    "warm_store.bit_identical",
-    "warm_store.warm_programs_zero",
-    "warm_store.restored_bit_identical",
-)
+EXACT_CLAIMS: tuple[str, ...] = ("cold_program.bit_identical",)
 
 
 def _best_of(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
@@ -134,157 +125,11 @@ def bench_warm_install(
     }
 
 
-def _serve_digest(report) -> str:
-    """SHA-256 of ``report.record()`` without its two cache counters:
-    equal digests mean bit-identical serves."""
-    record = report.record()
-    del record["cache_hits"], record["cache_misses"]
-    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
-
-
-#: The warm-store headline workload: a production-scale dense layer
-#: (0.5M weights).  The zoo's first layers are small enough that the
-#: mapping chain runs in 0.1-0.5 ms for the conv stems and 3-5 ms for the
-#: 64x784 MLP layer (2-core x86) — there the fixed per-entry npz+sha256
-#: restore cost bounds the gain (recorded honestly as ``zoo_warmup_gain``,
-#: a few x); at this size programming dominates, so the store's restore
-#: speedup is about real work, not fixed overhead.
-WARM_STORE_LAYER_SHAPE: tuple[int, ...] = (256, 2048)
-
-
-def bench_warm_store(
-    num_nodes: int = 2,
-    seed: int = 0,
-    quick: bool = False,
-) -> dict[str, Any]:
-    """Content-addressed store: cold programming vs store restore.
-
-    Two claims, measured on two workloads against throwaway
-    :class:`~repro.engine.store.ProgramStore` directories:
-
-    * **a second run programs nothing** — two warmups of the ``zoo``
-      scenario's models (:data:`~repro.engine.workloads.ZOO`, its first
-      three in quick mode) over the same store: the cold pass runs every
-      (model, node) mapping chain and writes behind; the warm pass
-      (fresh server, fresh *empty* in-memory cache) must restore every
-      pair from its npz record
-      (``warm_programs_zero`` pins ``misses == 0``, and ``bit_identical``
-      pins that restored programs serve byte-for-byte what freshly
-      programmed ones serve, via :func:`_serve_digest` of a short
-      round-robin stream — both exact on any host and in both modes).
-      Content addressing dedupes zoo families that share an identical
-      first layer, so ``entries`` may trail ``pairs`` while
-      ``store_hits == entries`` always holds.  ``zoo_warmup_gain``
-      records the honest warmup wall-clock ratio: the zoo's first layers
-      program in 0.1-5 ms, so the fixed per-entry restore cost keeps it
-      at a few x;
-    * **restore speedup** — one :data:`WARM_STORE_LAYER_SHAPE`
-      dense layer (0.5M weights, program-bound), cold
-      ``OpticalProcessingCore.program`` vs sha256-verified store
-      restore, carried as the headline ``speedup``
-      (``benchmarks/bench_program_latency.py`` holds it to a 10x floor
-      in full mode).
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.opc import KernelSet, OpticalProcessingCore
-    from repro.engine.cache import WeightProgramCache
-    from repro.engine.server import FrameRequest, FrameServer
-    from repro.engine.store import ProgramStore
-    from repro.engine.workloads import ZOO
-    from repro.nn.quant import UniformWeightQuantizer
-
-    specs = ZOO[:3] if quick else ZOO
-    models = {spec.key: spec.build(seed) for spec in specs}
-
-    def warmed_server(store: ProgramStore) -> tuple[FrameServer, float]:
-        server = FrameServer(
-            num_nodes=num_nodes, micro_batch=8, seed=seed, program_store=store
-        )
-        for key, model in models.items():
-            server.register_model(key, model)
-        started = time.perf_counter()
-        server.warmup()
-        return server, time.perf_counter() - started
-
-    def probe_digest(server: FrameServer) -> str:
-        rng = np.random.default_rng(seed)
-        requests = []
-        for index in range(2 * len(specs)):
-            spec = specs[index % len(specs)]
-            requests.append(
-                FrameRequest(
-                    rng.uniform(0.0, 1.0, spec.frame_shape), spec.key
-                )
-            )
-        return _serve_digest(server.serve(requests, offered_fps=500.0))
-
-    root = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        cold, cold_s = warmed_server(ProgramStore(root))
-        warm_store = ProgramStore(root)
-        warm, warm_s = warmed_server(warm_store)
-        zoo = {
-            "models": len(specs),
-            "num_nodes": num_nodes,
-            "pairs": len(specs) * num_nodes,
-            "entries": len(warm_store),
-            "store_bytes": warm_store.total_bytes(),
-            "cold_warmup_s": cold_s,
-            "warm_warmup_s": warm_s,
-            "store_hits": warm.cache.stats.store_hits,
-            "warm_programs_zero": warm.cache.stats.misses == 0,
-            "bit_identical": probe_digest(cold) == probe_digest(warm),
-        }
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    shape = (128, 1024) if quick else WARM_STORE_LAYER_SHAPE
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(size=shape) * 0.1
-    quantizer = UniformWeightQuantizer(4)
-    kernels = KernelSet.build(
-        quantizer.quantize(weights), quantizer.scale(weights)
-    )
-    opc = OpticalProcessingCore(seed=seed)
-    program_s, programmed = _best_of(
-        lambda: opc.program(kernels.weights, kernels.scale), 1 if quick else 2
-    )
-
-    root = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        layer_store = ProgramStore(root)
-        key = WeightProgramCache.key_for(opc, kernels)
-        layer_store.put(key, programmed, die=seed)
-        restore_s, restored = _best_of(
-            lambda: layer_store.load(key, kernels), 3
-        )
-        restored_identical = bool(
-            np.array_equal(restored.realized, programmed.realized)
-            and np.array_equal(restored.ideal, programmed.ideal)
-            and restored.tuning == programmed.tuning
-        )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    return {
-        **zoo,
-        "layer_shape": list(shape),
-        "layer_weights": int(np.prod(shape)),
-        "program_s": program_s,
-        "restore_s": restore_s,
-        "speedup": program_s / restore_s if restore_s > 0 else float("inf"),
-        "restored_bit_identical": restored_identical,
-        "zoo_warmup_gain": cold_s / warm_s if warm_s > 0 else float("inf"),
-    }
-
-
 def run_bench(quick: bool = False, seed: int = 0) -> dict[str, Any]:
     """Run the whole perf-trajectory bench and return the JSON payload.
 
-    The legs read as the three ways a program reaches a die — cold
-    ``program()``, in-memory cache hit, on-disk store restore.  ``quick``
+    The legs read as the two ways a program reaches a die — cold
+    ``program()`` and an in-memory cache hit.  ``quick``
     is the CI smoke mode: fewer repeats and smaller workloads so the job
     stays in seconds; the measured *speedups* are noisier but the
     :data:`EXACT_CLAIMS` hold either way.
@@ -293,14 +138,12 @@ def run_bench(quick: bool = False, seed: int = 0) -> dict[str, Any]:
         repeats=2 if quick else 5, scalar_repeats=1 if quick else 2, seed=seed
     )
     warm = bench_warm_install(installs=50 if quick else 200, seed=seed)
-    store = bench_warm_store(seed=seed, quick=quick)
     return {
         "bench": "program_latency",
-        "schema": 3,
+        "schema": 4,
         "quick": quick,
         "cold_program": cold,
         "warm_install": warm,
-        "warm_store": store,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -314,7 +157,6 @@ def render_bench(result: dict[str, Any]) -> str:
 
     cold = result["cold_program"]
     warm = result["warm_install"]
-    store = result["warm_store"]
     shape = "x".join(str(d) for d in cold["workload"]["shape"])
     rows = [
         ("workload", f"{shape} @ {cold['workload']['weight_bits']}-bit"),
@@ -324,12 +166,6 @@ def render_bench(result: dict[str, Any]) -> str:
         ("scalar/vectorized bit-identical", str(cold["bit_identical"])),
         ("warm install (cache hit)", f"{warm['per_install_s'] * 1e6:.1f} us"),
         ("warm vs cold", f"{warm['speedup_vs_cold']:.0f}x"),
-        (
-            "store restore vs cold",
-            f"{store['restore_s'] * 1e3:.2f} ms vs "
-            f"{store['program_s'] * 1e3:.1f} ms ({store['speedup']:.1f}x)",
-        ),
-        ("warm store programs nothing", str(store["warm_programs_zero"])),
     ]
     return format_table(
         ("metric", "value"),

@@ -11,7 +11,6 @@ Usage::
     python -m repro.cli sweep              # registry-driven platform sweep
     python -m repro.cli serve              # batched frame-serving demo
     python -m repro.cli bench              # perf bench -> BENCH_program.json
-    python -m repro.cli cache stats        # on-disk program store inventory
 
 (Installed as the ``repro`` console script via ``pyproject.toml``.)
 """
@@ -160,13 +159,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.capacity_nodes:
             capacity = replace(capacity, node_counts=args.capacity_nodes)
         print()
-        print(
-            render_capacity_report(
-                build_capacity_report(
-                    capacity, program_store=args.program_store
-                )
-            )
-        )
+        print(render_capacity_report(build_capacity_report(capacity)))
     if args.resilience:
         from dataclasses import replace
 
@@ -248,12 +241,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             policy=args.policy,
             autoscaler=args.autoscale,
-            program_store=args.program_store,
         )
         report = plane.serve_scenario(
             scenario, offered_fps=args.fps, placement=args.placement
         )
-        store = plane.cache.store
     else:
         if args.autoscale is not None:
             raise SystemExit("--autoscale requires --shards")
@@ -267,7 +258,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             retry_policy=args.retry_policy,
             spares=args.spares,
             brownout=args.brownout,
-            program_store=args.program_store,
         )
         # A failover configuration warms up front: pre-warmed programs
         # are what make spare activation pure cache hits.
@@ -276,7 +266,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 server.register_model(key, model)
             warm = server.warmup()
         report = server.serve_scenario(scenario, offered_fps=args.fps)
-        store = server.cache.store
     rows = [
         ("scenario", scenario.name),
         ("models", ", ".join(scenario.model_keys)),
@@ -292,13 +281,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("radio energy [mJ]", f"{report.radio_energy_j * 1e3:.3f}"),
         ("payload [kB]", f"{report.payload_bytes / 1e3:.1f}"),
     ]
-    if store is not None:
-        rows.append(
-            (
-                "program store (loads / writes / entries)",
-                f"{store.stats.hits} / {store.stats.writes} / {len(store)}",
-            )
-        )
     if warm is not None:
         rows.append(
             (
@@ -539,60 +521,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect or maintain the on-disk program store.
-
-    ``stats`` prints the inventory and ``verify`` integrity-checks every
-    entry (exit 1 when any is corrupt or the directory is missing), both
-    over current-schema entries; ``purge`` removes every entry, including
-    ones an older schema left behind.  Table output matches ``repro
-    serve``'s reporting style.
-    """
-    import os
-
-    from repro.engine.store import STORE_SCHEMA_VERSION, ProgramStore
-    from repro.util.tables import format_table
-
-    if not os.path.isdir(args.program_store):
-        # A store that was never written is an empty answer, not a
-        # directory-creating side effect; verify fails, since it checked
-        # nothing (a mistyped path must not pass a CI smoke step).
-        print(f"program store {args.program_store!r}: no store directory")
-        return 1 if args.action == "verify" else 0
-    store = ProgramStore(args.program_store)
-    if args.action == "purge":
-        removed = store.purge()
-        print(
-            f"program store {store.root!r}: purged {removed} entr"
-            f"{'y' if removed == 1 else 'ies'}"
-        )
-        return 0
-    verified = store.verify() if args.action == "verify" else None
-    rows = [
-        ("store path", store.root),
-        ("schema version", STORE_SCHEMA_VERSION),
-        ("schema token", ProgramStore.schema_token()),
-        ("entries", len(store)),
-        ("bytes on disk", store.total_bytes()),
-    ]
-    if verified is not None:
-        rows.append(("verified ok", len(verified["ok"])))
-        rows.append(("corrupt", len(verified["corrupt"])))
-    print(
-        format_table(
-            ("metric", "value"),
-            rows,
-            title=f"program store — {args.action}",
-        )
-    )
-    if verified is not None and verified["corrupt"]:
-        print("\ncorrupt entries (kept for inspection; purge to remove):")
-        for key in verified["corrupt"]:
-            print(f"  {key}")
-        return 1
-    return 0
-
-
 def _number(kind: type, accepts, requirement: str):
     """argparse ``type=`` for a finite ``kind`` value ``accepts`` holds for.
 
@@ -697,23 +625,6 @@ def _autoscale(text: str):
     return _accept(AutoscalerConfig.parse, text)
 
 
-def _add_store_flag(sub: argparse.ArgumentParser) -> None:
-    """``--program-store`` for the on-disk program-artifact tier.
-
-    Results are bit-identical with or without a store (store-restored
-    programs are byte-equal to freshly programmed ones); the flag only
-    kills repeat programming across runs.
-    """
-    sub.add_argument(
-        "--program-store",
-        default=None,
-        metavar="PATH",
-        help="directory of content-addressed programmed-weight artifacts "
-        "(engine/store); a second run against the same store programs "
-        "nothing",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -808,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="spare budget for the --resilience retry+spares rung",
     )
-    _add_store_flag(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
     serve = subparsers.add_parser(
         "serve", help="batched frame-serving engine demo"
@@ -906,7 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.95,
         help="deadline-hit target for --check-slo (default 0.95)",
     )
-    _add_store_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
     bench = subparsers.add_parser(
         "bench",
@@ -918,24 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=_count, default=0)
     bench.set_defaults(handler=_cmd_bench)
-    cache = subparsers.add_parser(
-        "cache",
-        help="inspect/maintain the on-disk program store (engine/store)",
-    )
-    cache.add_argument(
-        "action",
-        choices=("stats", "verify", "purge"),
-        help="stats: inventory table; verify: integrity-check every "
-        "entry (exit 1 on corruption or a missing store); purge: remove "
-        "every entry of any schema version",
-    )
-    cache.add_argument(
-        "--program-store",
-        default=".program-store",
-        metavar="PATH",
-        help="store directory (default: .program-store)",
-    )
-    cache.set_defaults(handler=_cmd_cache)
     return parser
 
 

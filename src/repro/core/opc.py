@@ -117,9 +117,8 @@ class ProgrammedWeights:
     def realized_full_scale(self) -> float:
         """``max|realized|`` — the read-out scale, computed once per record.
 
-        Cached lazily, not stored: the record's fields (and so the
-        :class:`~repro.engine.store.ProgramStore` schema) stay as they
-        are, and the realized tensor is never mutated after mapping.
+        Cached lazily, not stored: the record's fields stay as they are,
+        and the realized tensor is never mutated after mapping.
         """
         return float(np.max(np.abs(self.realized)))
 

@@ -4,10 +4,6 @@
   weight bits, die seed); kernel swaps stop re-running the AWC mapping
   chain, and :meth:`WeightProgramCache.invalidate_die` supports the
   online-recalibration path.
-* :mod:`repro.engine.store` — content-addressed on-disk
-  :class:`ProgramStore`: sha256-verified npz records of programmed
-  weights the cache reads through / writes behind, so a second run
-  against the same store programs nothing.
 * :mod:`repro.engine.scheduler` — the simulated-time event loop and the
   pluggable policies: greedy-FIFO (historical drop-if-busy behaviour),
   earliest-deadline-first, and priority + per-tenant weighted fair
@@ -108,11 +104,6 @@ from repro.engine.server import (
     FrameServer,
     ServeReport,
 )
-from repro.engine.store import (
-    STORE_SCHEMA_VERSION,
-    ProgramStore,
-    StoreStats,
-)
 from repro.engine.workloads import (
     ModelSpec,
     Scenario,
@@ -150,15 +141,12 @@ __all__ = [
     "HealthMonitor",
     "HealthReport",
     "ModelSpec",
-    "ProgramStore",
     "RendezvousRouter",
     "ResilienceReport",
     "RetryPolicy",
-    "STORE_SCHEMA_VERSION",
     "ScalingDecision",
     "Scenario",
     "ServeReport",
-    "StoreStats",
     "SchedulingPolicy",
     "Shard",
     "SloAwarePolicy",

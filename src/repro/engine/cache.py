@@ -1,8 +1,8 @@
 """Weight-program cache: AWC mapping results keyed by kernel set.
 
-Programming the OPC is the expensive half of serving: the AWC realization,
-per-arm crosstalk solve and tuning-budget pricing walk every mapped MR in
-Python.  Steady-state video amortises it away, but a *serving* workload
+Programming the OPC is the expensive half of activating a model: the AWC
+realization, crosstalk solve and tuning-budget pricing cover every mapped
+MR.  Steady-state video amortises it away, but a *serving* workload
 swaps kernel sets whenever the request mix changes model.  The cache stores
 each :class:`~repro.core.opc.ProgrammedWeights` record under a digest of
 (kernel set, quantizer scale, full architecture config, die seed, crosstalk
@@ -14,8 +14,7 @@ Keys are cheap to recompute: a :class:`~repro.core.opc.KernelSet` carries
 the sha256 state over its tensor, shape and scale, built once per kernel
 set (:func:`repro.core.pipeline.kernel_set`), and :meth:`WeightProgramCache.
 key_for` copies that state and adds only the die's part.  The split does
-not change the digest — it equals one sha256 over every field in order —
-so it never shows in :class:`~repro.engine.store.ProgramStore` filenames.
+not change the digest — it equals one sha256 over every field in order.
 
 The die seed is part of the key on purpose: two chips with different AWC
 mismatch patterns realize the same ideal kernel set differently, so their
@@ -33,18 +32,6 @@ entries are bit-identical to the invalidated ones.  A chaos cache storm
 (:mod:`repro.engine.chaos`, replayed by the health monitor) reuses the
 same hook.  Nothing else removes an entry: the cache is unbounded, one
 realized tensor per (kernel set, die) mapped in this process.
-
-On-disk tier: a :class:`~repro.engine.store.ProgramStore` attached with
-:meth:`WeightProgramCache.attach_store` makes the cache
-read-through/write-behind.  A memory miss first tries the store (an
-integrity-checked npz load instead of the mapping chain — counted as a
-hit plus :attr:`CacheStats.store_hits`); a genuine miss programs
-normally and persists the result, and
-:meth:`WeightProgramCache.invalidate_die` drops the die's programs from
-*both* layers (a recalibrated die's artifacts are stale everywhere).
-Because programming is deterministic, a store-restored record is
-byte-equal to a freshly programmed one, so every bit-identity golden
-holds with or without a store attached.
 """
 
 from __future__ import annotations
@@ -54,7 +41,6 @@ from dataclasses import dataclass
 
 from repro.core.config import OISAConfig
 from repro.core.opc import KernelSet, OpticalProcessingCore, ProgrammedWeights
-from repro.engine.store import ProgramStore
 
 #: ``repr(config)`` bytes per live config object, keyed by ``id``.  The
 #: memo is by identity, not equality: ``OISAConfig`` compares ``0.0`` and
@@ -81,10 +67,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: Hits served by restoring an entry from the attached on-disk
-    #: :class:`~repro.engine.store.ProgramStore` (a subset of ``hits``;
-    #: ``misses`` keeps meaning "mapping chains actually run").
-    store_hits: int = 0
     #: Entries dropped by health-driven :meth:`WeightProgramCache.invalidate_die`
     #: calls (recalibration after a fault or thermal re-trim).
     invalidations: int = 0
@@ -104,13 +86,10 @@ class WeightProgramCache:
     """In-memory map from program key to OPC weight program.
 
     Unbounded: it keeps every program mapped through it until
-    :meth:`invalidate_die` drops a die's entries.  An on-disk
-    :class:`~repro.engine.store.ProgramStore` tier is attached with
-    :meth:`attach_store`.
+    :meth:`invalidate_die` drops a die's entries.
     """
 
     def __init__(self) -> None:
-        self.store: ProgramStore | None = None
         self.stats = CacheStats()
         #: Program and the die seed it was mapped on, per key (the seed
         #: serves health-driven invalidation).
@@ -157,38 +136,10 @@ class WeightProgramCache:
             opc.install(entry[0])
             return entry[0], True
 
-        restored = (
-            self.store.load(key, kernels) if self.store is not None else None
-        )
-        if restored is not None:
-            self.stats.hits += 1
-            self.stats.store_hits += 1
-            self._entries[key] = (restored, opc.seed)
-            opc.install(restored)
-            return restored, True
-
         self.stats.misses += 1
         programmed = opc.program(kernels.weights, kernels.scale)
         self._entries[key] = (programmed, opc.seed)
-        if self.store is not None:
-            self.store.put(key, programmed, die=opc.seed)
         return programmed, False
-
-    def attach_store(self, store: ProgramStore) -> None:
-        """Attach the on-disk tier.
-
-        Attaching the same store twice is a no-op; replacing a
-        different one is refused — two stores behind one cache would
-        split the write-behind stream unpredictably.
-        """
-        if self.store is store:
-            return
-        if self.store is not None:
-            raise ValueError(
-                "cache already has a program store attached; build a new "
-                "cache to switch stores"
-            )
-        self.store = store
 
     def invalidate_die(self, seed: int | None) -> int:
         """Drop every program mapped on the die with ``seed``.
@@ -203,8 +154,4 @@ class WeightProgramCache:
         for key in stale:
             del self._entries[key]
         self.stats.invalidations += len(stale)
-        if self.store is not None:
-            # Both layers: the recalibrated die's on-disk artifacts are
-            # as stale as its resident programs.
-            self.store.invalidate_die(seed)
         return len(stale)

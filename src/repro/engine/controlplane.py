@@ -73,7 +73,6 @@ saved fraction compares like with like.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
 
@@ -85,7 +84,6 @@ from repro.engine.admission import (
 )
 from repro.engine.cache import WeightProgramCache
 from repro.engine.router import RendezvousRouter
-from repro.engine.store import ProgramStore
 from repro.engine.server import (
     FrameRequest,
     FrameResponse,
@@ -363,12 +361,6 @@ class ControlPlane:
         (shards are then built at ``autoscaler.max_nodes``).
     autoscaler:
         Per-shard scaling policy; ``None`` serves statically.
-    program_store:
-        On-disk program artifacts (:class:`~repro.engine.store.
-        ProgramStore` or a directory path) attached to the *shared*
-        cache — cross-shard program reuse then extends across runs: a
-        restarted control plane restores every (model, die) program
-        from disk instead of reprogramming it.
     """
 
     def __init__(
@@ -380,16 +372,11 @@ class ControlPlane:
         seed: int | None = 0,
         policy: str = "greedy",
         autoscaler: AutoscalerConfig | None = None,
-        program_store: ProgramStore | str | None = None,
     ) -> None:
         check_count("shards", shards)
         check_count("nodes_per_shard", nodes_per_shard)
         self.config = config or OISAConfig()
         self.cache = WeightProgramCache()
-        if isinstance(program_store, (str, os.PathLike)):
-            program_store = ProgramStore(program_store)
-        if program_store is not None:
-            self.cache.attach_store(program_store)
         self.router = RendezvousRouter(salt=seed or 0)
         self.autoscaler_config = autoscaler
         self._seed = seed

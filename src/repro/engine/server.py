@@ -62,7 +62,6 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 import queue
 import threading
 import time
@@ -106,7 +105,6 @@ from repro.engine.scheduler import (
     ServeLayers,
     scheduling_policy,
 )
-from repro.engine.store import ProgramStore
 from repro.nn.layers import Sequential
 from repro.nn.quant import QuantDense, UniformWeightQuantizer
 from repro.sim.fleet import FleetModel, RadioModel
@@ -391,7 +389,7 @@ class _ModelEntry:
 
         A dense stem takes any frame whose flattened length equals its
         input features; a conv stem takes ``(C, H, W)`` frames with its
-        input channel count.
+        input channel count and a nonzero height and width.
         """
         stem = self._stem
         if stem is None:
@@ -413,6 +411,11 @@ class _ModelEntry:
             raise ValueError(
                 f"model {self.key!r} expects {expected}-channel frames, "
                 f"got {frame_shape[0]}"
+            )
+        if min(frame_shape[1:]) < 1:
+            raise ValueError(
+                f"model {self.key!r} expects frames of nonzero height and "
+                f"width, got shape {tuple(frame_shape)}"
             )
 
     def _workload(self, frame_shape):
@@ -766,13 +769,6 @@ class FrameServer:
         Degradation-tier admission: ``"standard"`` runs the
         :class:`~repro.engine.failover.BrownoutController` ladder, and
         ``None``/``"none"`` keeps admission tier-free.
-    program_store:
-        On-disk program artifacts — a
-        :class:`~repro.engine.store.ProgramStore` or a directory path —
-        attached to the cache as a read-through/write-behind tier:
-        warmup and kernel swaps restore integrity-checked npz records
-        instead of reprogramming, so a second run against the same
-        store programs nothing.  ``None`` keeps the cache memory-only.
     """
 
     def __init__(
@@ -790,20 +786,13 @@ class FrameServer:
         retry_policy: RetryPolicy | str | None = None,
         spares: int = 0,
         brownout: str | None = None,
-        program_store: ProgramStore | str | None = None,
     ) -> None:
         check_count("num_nodes", num_nodes)
         check_count("micro_batch", micro_batch)
         check_count("spares", spares, minimum=0)
         self.config = config or OISAConfig()
         self.micro_batch = micro_batch
-        if isinstance(program_store, (str, os.PathLike)):
-            program_store = ProgramStore(program_store)
         self.cache = cache if cache is not None else WeightProgramCache()
-        if program_store is not None:
-            # Read-through/write-behind on-disk tier: a second run against
-            # the same store directory programs nothing (engine/store.py).
-            self.cache.attach_store(program_store)
         self.fleet = FleetModel(self.config)
         self._seed = seed
         self.policy = scheduling_policy(policy)

@@ -839,8 +839,7 @@ def _diurnal_regions_traffic(
     return _interleave(streams)
 
 
-#: The ``zoo`` scenario's models: every family at two bit widths (also
-#: the warm-store bench's zoo, analysis/perf).
+#: The ``zoo`` scenario's models: every family at two bit widths.
 ZOO: tuple[ModelSpec, ...] = (
     ModelSpec("lenet", 4),
     ModelSpec("lenet", 2),

@@ -400,96 +400,3 @@ def test_bench_exits_nonzero_naming_each_false_claim(
     for claim in EXACT_CLAIMS:
         assert (f"exact claim {claim} is false" in out) == (claim == broken)
     assert os.path.exists(output)
-
-
-# --------------------------------------------------------------------------
-# Program store: serve --program-store and the cache subcommand
-# --------------------------------------------------------------------------
-def test_serve_program_store_cold_then_warm(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    serve = ["serve", "--frames", "16", "--nodes", "2", "--program-store", store]
-    assert main(serve) == 0
-    cold = capsys.readouterr().out
-    assert "program store (loads / writes / entries)" in cold
-
-    import re
-
-    def store_row(out):
-        match = re.search(
-            r"program store \(loads / writes / entries\)\s*\|\s*"
-            r"(\d+) / (\d+) / (\d+)",
-            out,
-        )
-        assert match, out
-        return tuple(int(g) for g in match.groups())
-
-    loads, writes, entries = store_row(cold)
-    assert loads == 0 and writes > 0 and entries == writes
-
-    assert main(serve) == 0
-    warm_loads, warm_writes, warm_entries = store_row(capsys.readouterr().out)
-    assert warm_writes == 0  # second run programs nothing
-    assert warm_loads > 0
-    assert warm_entries == entries
-
-
-def test_serve_without_store_prints_no_store_row(capsys):
-    assert main(["serve", "--frames", "16"]) == 0
-    assert "program store" not in capsys.readouterr().out
-
-
-def test_cache_stats_without_directory(tmp_path, capsys):
-    missing = str(tmp_path / "nowhere")
-    assert main(["cache", "stats", "--program-store", missing]) == 0
-    assert "no store directory" in capsys.readouterr().out
-    import os
-
-    assert not os.path.exists(missing)  # stats never creates the dir
-
-
-def test_cache_verify_without_directory(tmp_path, capsys):
-    import os
-
-    missing = str(tmp_path / "nowhere")
-    # A mistyped store path verified nothing: that is a failure.
-    assert main(["cache", "verify", "--program-store", missing]) == 1
-    assert "no store directory" in capsys.readouterr().out
-    assert not os.path.exists(missing)
-
-
-def test_cache_stats_verify_purge_cycle(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    assert main(
-        ["serve", "--frames", "16", "--nodes", "2", "--program-store", store]
-    ) == 0
-    capsys.readouterr()
-
-    assert main(["cache", "stats", "--program-store", store]) == 0
-    out = capsys.readouterr().out
-    assert "entries" in out and "schema version" in out
-
-    assert main(["cache", "verify", "--program-store", store]) == 0
-    out = capsys.readouterr().out
-    assert "corrupt" in out
-
-    assert main(["cache", "purge", "--program-store", store]) == 0
-    assert "purged" in capsys.readouterr().out
-    assert main(["cache", "stats", "--program-store", store]) == 0
-    # The directory survives a purge; its entries do not.
-    assert "0" in capsys.readouterr().out
-
-
-def test_cache_verify_flags_corruption(tmp_path, capsys):
-    import glob
-    import os
-
-    store = str(tmp_path / "store")
-    assert main(
-        ["serve", "--frames", "16", "--nodes", "2", "--program-store", store]
-    ) == 0
-    capsys.readouterr()
-    victim = sorted(glob.glob(os.path.join(store, "*.npz")))[0]
-    with open(victim, "wb") as handle:
-        handle.write(b"garbage")
-    assert main(["cache", "verify", "--program-store", store]) == 1
-    assert "corrupt" in capsys.readouterr().out

@@ -545,6 +545,10 @@ BAD_REQUESTS = {
     "unknown model": (FrameRequest(np.zeros((1, 28, 28)), "zz"), "unknown"),
     "conv channels": (FrameRequest(np.zeros((3, 28, 28)), "a"), "1-channel"),
     "conv rank": (FrameRequest(np.zeros((28, 28)), "a"), r"\(C, H, W\)"),
+    "empty conv frame": (
+        FrameRequest(np.zeros((1, 0, 28)), "a"),
+        r"nonzero height and width, got shape \(1, 0, 28\)",
+    ),
     "dense length": (FrameRequest(np.zeros((1, 8, 9)), "mlp"), "64 features"),
     "list frame": (
         FrameRequest(np.zeros((1, 28, 28)).tolist(), "a"),
@@ -651,6 +655,13 @@ def test_dense_stem_takes_any_shape_of_the_right_length():
 def test_warmup_rejects_a_frame_shape_before_programming(server):
     with pytest.raises(ValueError, match="1-channel frames"):
         server.warmup(frame_shape=(3, 28, 28))
+    assert server.cache.stats.misses == 0
+
+
+@pytest.mark.parametrize("frame_shape", [(1, 0, 28), (1, 28, 0)])
+def test_warmup_rejects_an_empty_conv_frame(server, frame_shape):
+    with pytest.raises(ValueError, match="nonzero height and width"):
+        server.warmup(frame_shape=frame_shape)
     assert server.cache.stats.misses == 0
 
 

@@ -23,7 +23,6 @@ from repro.core.opc import KernelSet, OpticalProcessingCore
 from repro.core.pipeline import HardwareFirstLayerPipeline, kernel_set
 from repro.engine import FrameRequest, FrameServer, WeightProgramCache
 from repro.engine.server import _frame_tables
-from repro.engine.store import STORE_SCHEMA_VERSION
 from repro.engine.workloads import ModelSpec, build_scenario
 from repro.nn.quant import UniformWeightQuantizer
 from repro.sim.fleet import RadioModel
@@ -43,9 +42,7 @@ def _zoo():
 # --------------------------------------------------------------------------
 #: ``key_for`` digests of the zoo's stems (models at seed 0) per die:
 #: the two dies of a seed-0 server, the first one calibrated, and the
-#: first one without crosstalk.  Store filenames are these digests, so a
-#: change to the key recipe must bump ``STORE_SCHEMA_VERSION`` and
-#: re-pin them.
+#: first one without crosstalk.
 PINNED_KEYS = {
     "lenet-4b": (
         "896a4caad525755cf04cadf7a9541da8d43c80a07682125fcb6ad9b6cdf78a7f",
@@ -116,7 +113,6 @@ def test_program_keys_are_pinned():
         for key, model in _zoo().items()
     }
     assert keys == PINNED_KEYS
-    assert STORE_SCHEMA_VERSION == 2  # bump both together
 
 
 def test_key_for_reads_the_config_repr_by_identity():
@@ -161,7 +157,7 @@ def test_kernel_set_is_built_once_per_weight_state():
     )
 
 
-def test_kernel_set_tensor_is_read_only(tmp_path):
+def test_kernel_set_tensor_is_read_only():
     model = ModelSpec("mlp", 4).build(0)
     kernels = kernel_set(_stem(model))
     with pytest.raises(ValueError):
@@ -178,17 +174,6 @@ def test_kernel_set_tensor_is_read_only(tmp_path):
     uncached = HardwareFirstLayerPipeline(model, OpticalProcessingCore(seed=3))
     with pytest.raises(ValueError):
         uncached.opc.programmed.ideal[0, 0] = 1.0
-
-    # A store-restored record holds the same tensor a cold program does.
-    for _ in range(2):  # run 1 writes the entry, run 2 restores it
-        stored = FrameServer(num_nodes=1, seed=0, program_store=tmp_path)
-        stored.register_model("mlp", model)
-        stored.warmup()
-    assert stored.cache.stats.store_hits == 1
-    restored = stored.nodes[0].opc.programmed.ideal
-    assert restored is kernels.weights
-    with pytest.raises(ValueError):
-        restored[0, 0] = 1.0
 
 
 def test_in_place_weight_update_reprograms_next_activation():

@@ -53,14 +53,7 @@ def test_every_registered_kpi_names_a_known_kind():
 # --------------------------------------------------------------------------
 def _identical_program_latency_payload():
     """Every program-latency invariant satisfied."""
-    return {
-        "cold_program": {"bit_identical": True},
-        "warm_store": {
-            "bit_identical": True,
-            "warm_programs_zero": True,
-            "restored_bit_identical": True,
-        },
-    }
+    return {"cold_program": {"bit_identical": True}}
 
 
 def test_invariant_failure_reported_in_quick_mode_too():
@@ -71,22 +64,9 @@ def test_invariant_failure_reported_in_quick_mode_too():
     assert "cold_program.bit_identical" in failures[0]
 
 
-def test_warm_store_invariants_gated():
-    fresh = {"quick": False, **_identical_program_latency_payload()}
-    assert kpi_check.check_invariants("program_latency", fresh) == []
-    fresh["warm_store"] = {
-        "bit_identical": True,
-        "warm_programs_zero": False,
-        "restored_bit_identical": True,
-    }
-    failures = kpi_check.check_invariants("program_latency", fresh)
-    assert len(failures) == 1
-    assert "warm_store.warm_programs_zero" in failures[0]
-
-
 def test_missing_invariant_counts_as_failure():
     failures = kpi_check.check_invariants("program_latency", {"quick": False})
-    assert len(failures) == 4  # all exact claims absent
+    assert len(failures) == len(kpi_check.EXACT_CLAIMS)  # all absent
 
 
 # --------------------------------------------------------------------------
@@ -128,14 +108,6 @@ def test_absent_metric_is_not_gated():
         )
         == []
     )
-
-
-def test_warm_store_speedup_gated_on_any_host():
-    """A collapsed store-restore speedup fails the gate."""
-    baseline = _full({"warm_store": {"speedup": 40.0}})
-    fresh = _full({"warm_store": {"speedup": 5.0}})
-    failures = kpi_check.compare_payloads("program_latency", fresh, baseline)
-    assert len(failures) == 1 and "warm_store.speedup" in failures[0]
 
 
 # --------------------------------------------------------------------------

@@ -48,7 +48,7 @@ PATH_RE = re.compile(
 GENERATED_PATHS = frozenset({"benchmarks/output/"})
 #: README heading of one command's flag table, e.g. ### `repro serve`.
 COMMAND_HEADING_RE = re.compile(r"^### `repro (\w+)`$", re.MULTILINE)
-#: A flag in a table row's first cell, e.g. | `--program-store DIR` |.
+#: A flag in a table row's first cell, e.g. | `--frames` |.
 FLAG_ROW_RE = re.compile(r"^\| `(--[\w-]+)[^`]*` \|", re.MULTILINE)
 #: A flag row's flag and its default and meaning cells.
 ROW_CELLS_RE = re.compile(

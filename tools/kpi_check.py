@@ -9,8 +9,8 @@ protection from "don't overwrite" to "don't regress": it compares each
 Two kinds of checks:
 
 1. **invariants** — the bench's exact claims
-   (:data:`repro.analysis.perf.EXACT_CLAIMS`: bit-identity flags, a warm
-   store that programs nothing), which hold regardless of host speed.
+   (:data:`repro.analysis.perf.EXACT_CLAIMS`: the scalar-reference
+   bit-identity flag), which hold regardless of host speed.
    Checked on the working-tree payload in full *and* quick mode.
 2. **trajectory comparisons** — wall-clock speedups.  Compared only when
    *both* payloads are full-mode (``quick: false``): smoke numbers are
@@ -75,7 +75,6 @@ KPIS: dict[str, tuple[Kpi, ...]] = {
         *(Kpi(path, kind="invariant_true") for path in EXACT_CLAIMS),
         Kpi("cold_program.speedup"),
         Kpi("warm_install.speedup_vs_cold"),
-        Kpi("warm_store.speedup"),
     ),
 }
 
